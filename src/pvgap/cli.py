@@ -75,8 +75,6 @@ def _blood_pool(args) -> tuple:
         return blood_pool_stats(volume, mask_vol.values > 0.5)
     if args.bp_mean is None or args.bp_sd is None:
         raise ConfigError("supply --bp-mean and --bp-sd, or --bp-mask")
-    if args.bp_sd <= 0:
-        raise ConfigError("--bp-sd must be positive")
     return float(args.bp_mean), float(args.bp_sd)
 
 

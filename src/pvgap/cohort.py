@@ -5,9 +5,8 @@ and sample SD, runs one-vs-rest Welch tests, bins rgm_nauc histograms, and
 builds per-region gap occurrence maps from the reference-threshold gaps.
 
 Convention notes. Cohort statistics use the sample standard deviation
-(n-1); a single-case cohort reports SD 0. Two-sided p-values come from a
-continued-fraction evaluation of the regularized incomplete beta function,
-accurate to about 1e-10, so no statistics package is needed at runtime.
+(n-1); a single-case cohort reports SD 0. Two-sided p-values come from
+the Student t distribution function `scipy.special.stdtr`.
 """
 
 from __future__ import annotations
@@ -129,61 +128,7 @@ def area_stats(table: CohortTable) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Welch test with home-grown incomplete beta
-
-_BETA_EPS = 1e-15
-_BETA_FPMIN = 1e-300
-_BETA_MAXIT = 300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction of the incomplete beta (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise RuntimeError("incomplete beta did not converge")
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x outside [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return x
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
+# Welch test
 
 @dataclass(frozen=True)
 class WelchResult:
@@ -209,8 +154,10 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
         raise ValueError("degenerate samples: zero variance, unequal means")
     t = float((a.mean() - b.mean()) / math.sqrt(se2))
     df = float(se2 * se2 / (sa * sa / (na - 1) + sb * sb / (nb - 1)))
-    p = _betainc(0.5 * df, 0.5, df / (df + t * t))
-    return WelchResult(t=t, df=df, p=float(p))
+    # imported here: quantify runs never need scipy.special
+    from scipy import special
+    p = float(2.0 * special.stdtr(df, -abs(t)))
+    return WelchResult(t=t, df=df, p=p)
 
 
 def one_vs_rest(table: CohortTable, area: str,

@@ -15,7 +15,6 @@ on well-shaped plane/sphere meshes (asserted in the test suite).
 
 from __future__ import annotations
 
-import heapq
 import weakref
 from dataclasses import dataclass
 
@@ -25,10 +24,6 @@ from .errors import TopologyError
 from .mesh import SurfaceMesh
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _as_mesh(mesh_like) -> SurfaceMesh:
-    return mesh_like.mesh if hasattr(mesh_like, "mesh") else mesh_like
 
 
 def _corner_tables(mesh: SurfaceMesh) -> dict:
@@ -97,9 +92,8 @@ class InterSetDistance:
     path: TracedPath
 
 
-def distance_transform(mesh_like, sources) -> DistanceField:
+def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
     """Geodesic distance from a set of source vertices."""
-    mesh = _as_mesh(mesh_like)
     src = np.unique(np.asarray(sources, dtype=np.int64))
     if src.size == 0:
         raise TopologyError("distance_transform requires a nonempty source set")
@@ -247,7 +241,7 @@ def _reverse(path: TracedPath) -> TracedPath:
                       points=path.points[::-1], length=path.length)
 
 
-def min_interset_distance(mesh_like, set_a, set_b,
+def min_interset_distance(mesh: SurfaceMesh, set_a, set_b,
                           field_a: DistanceField | None = None,
                           field_b: DistanceField | None = None) -> InterSetDistance:
     """Minimum geodesic distance between two vertex sets with its polyline.
@@ -256,7 +250,6 @@ def min_interset_distance(mesh_like, set_a, set_b,
     exactly symmetric vertex-for-vertex); direction a->b wins exact ties.
     Endpoint ties resolve to the smaller vertex index on the far set.
     """
-    mesh = _as_mesh(mesh_like)
     a = np.unique(np.asarray(set_a, dtype=np.int64))
     b = np.unique(np.asarray(set_b, dtype=np.int64))
     if a.size == 0 or b.size == 0:

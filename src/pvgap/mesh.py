@@ -52,6 +52,8 @@ class SurfaceMesh:
         t = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshFormatError("vertices must be an (n, 3) array")
+        if not np.isfinite(v).all():
+            raise MeshFormatError("vertex coordinates must be finite")
         if t.size == 0:
             t = t.reshape(0, 3)
         if t.ndim != 2 or t.shape[1] != 3:
@@ -65,6 +67,9 @@ class SurfaceMesh:
         self.triangles = _lock(t)
         self.name = str(name)
         self.intensity = self._checked(intensity, np.float64, "intensity")
+        # -inf is legal: it marks a vertex with no in-volume sample
+        if self.intensity is not None and np.isnan(self.intensity).any():
+            raise MeshFormatError("intensity contains NaN")
         self.region = self._checked(region, np.int64, "region")
         self.point_data = {}
         for key, (arr, kind) in (point_data or {}).items():
@@ -98,10 +103,16 @@ class SurfaceMesh:
         return _lock(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]))
 
     @cached_property
+    def _edge_table(self) -> tuple:
+        """Unique undirected edges and the number of triangles using each."""
+        und = np.sort(self.directed_edges, axis=1)
+        edges, counts = np.unique(und, axis=0, return_counts=True)
+        return _lock(edges), _lock(counts)
+
+    @cached_property
     def edges(self) -> np.ndarray:
         """(k, 2) unique undirected edges, each sorted, lexicographic order."""
-        und = np.sort(self.directed_edges, axis=1)
-        return _lock(np.unique(und, axis=0))
+        return self._edge_table[0]
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
@@ -109,16 +120,9 @@ class SurfaceMesh:
         return _lock(np.linalg.norm(d, axis=1))
 
     @cached_property
-    def _edge_use_counts(self) -> np.ndarray:
-        und = np.sort(self.directed_edges, axis=1)
-        uniq, counts = np.unique(und, axis=0, return_counts=True)
-        # uniq rows align with self.edges (same unique call)
-        return counts
-
-    @cached_property
     def boundary_edges(self) -> np.ndarray:
         """Undirected edges used by exactly one triangle."""
-        return _lock(self.edges[self._edge_use_counts == 1])
+        return _lock(self.edges[self._edge_table[1] == 1])
 
     @cached_property
     def boundary_vertex_mask(self) -> np.ndarray:
@@ -172,7 +176,7 @@ class SurfaceMesh:
     def check_topology(self) -> None:
         """Raise TopologyError on non-manifold edges, inconsistent orientation
         or zero-length edges."""
-        counts = self._edge_use_counts
+        counts = self._edge_table[1]
         if (counts > 2).any():
             e = self.edges[int(np.argmax(counts > 2))]
             raise TopologyError(

@@ -3,8 +3,9 @@
 A case run opens each configured area once, classifies scar at every
 threshold factor, solves the minimum-gap encircling path per factor, and
 summarizes the gap fraction curve by its normalized area under the curve.
-Failures of one area (bad labels, unresolvable cuts, missing connectivity)
-are recorded and do not abort the remaining areas.
+Failures of one area (bad labels, unresolvable cuts, missing connectivity,
+a solver that does not converge) are recorded and do not abort the
+remaining areas.
 
 Veins measured both independently and jointly with their ipsilateral
 neighbor are combined conservatively: the final per-vein curve takes the
@@ -16,14 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AreaError, ConfigError
+from .errors import AreaError, ConfigError, TopologyError
 from .gaps import EncirclingPath, build_graph, min_gap_path
 from .mesh import SurfaceMesh, connected_components, save_mesh
 from .regions import (JOINT_OF_VEIN, OpenedArea, RegionConfig,
@@ -103,7 +102,7 @@ def _run_area(mesh, spec, masks):
         return AreaResult(name=spec.name, strategy=spec.strategy,
                           labels=tuple(sorted(spec.labels)), opened=opened,
                           error=None, results=tuple(results), nauc=nauc)
-    except AreaError as exc:
+    except (AreaError, TopologyError, RuntimeError) as exc:
         return AreaResult(name=spec.name, strategy=spec.strategy,
                           labels=tuple(sorted(spec.labels)), opened=None,
                           error=str(exc), results=(), nauc=None)
@@ -142,11 +141,14 @@ def _vein_summaries(factors, area_results) -> tuple:
 
 def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
              bp_sd: float, factors=THRESHOLD_FACTORS,
-             ref_factor: float | None = None, strategy: str = "both",
-             threads: int | None = None) -> CaseResult:
+             ref_factor: float | None = None,
+             strategy: str = "both") -> CaseResult:
     """Measure every configured area of one annotated mesh."""
     if mesh.intensity is None:
         raise ConfigError("mesh carries no intensity values")
+    if not (math.isfinite(bp_mean) and math.isfinite(bp_sd) and bp_sd > 0):
+        raise ConfigError("blood pool mean must be finite and its SD "
+                          "finite and positive")
     factors = tuple(float(k) for k in factors)
     if len(factors) < 2 or not all(a < b for a, b in zip(factors,
                                                          factors[1:])):
@@ -157,8 +159,6 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
         raise ConfigError(f"reference factor {ref_factor} is not swept")
     if strategy not in ("independent", "joint", "both"):
         raise ConfigError("strategy must be independent, joint, or both")
-    if threads is None:
-        threads = int(os.environ.get("PVGAP_THREADS", "1"))
 
     masks = [(k, threshold_mask(mesh.intensity, bp_mean, bp_sd, k))
              for k in factors]
@@ -167,12 +167,7 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
     if not specs:
         raise ConfigError(f"no area matches strategy {strategy!r}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_area, mesh, s, masks) for s in specs]
-            area_results = tuple(f.result() for f in futures)
-    else:
-        area_results = tuple(_run_area(mesh, s, masks) for s in specs)
+    area_results = tuple(_run_area(mesh, s, masks) for s in specs)
 
     return CaseResult(mesh_name=mesh.name, factors=factors,
                       ref_factor=float(ref_factor), bp_mean=float(bp_mean),
@@ -245,8 +240,8 @@ def write_report(case: CaseResult, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(_round6(case_report(case)), indent=2) + "\n",
-                   encoding="utf-8")
+    text = json.dumps(_round6(case_report(case)), indent=2, allow_nan=False)
+    tmp.write_text(text + "\n", encoding="utf-8")
     tmp.replace(path)
 
 

@@ -182,6 +182,10 @@ def test_argument_errors_exit_1(workdir, tmp_path, capsys):
     assert main(base + ["--thresholds", THRESH]) == 1
     assert main(base + bp + ["--bp-mask", str(ph / "volume.vol"),
                              "--thresholds", THRESH]) == 1
+    # blood-pool SD must be finite and positive
+    for sd in ("nan", "0", "-1"):
+        assert main(base + ["--bp-mean", "100", "--bp-sd", sd,
+                            "--thresholds", THRESH]) == 1
     # reference threshold must be swept
     assert main(base + bp + ["--thresholds", THRESH,
                              "--ref-threshold", "5"]) == 1

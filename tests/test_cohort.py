@@ -2,6 +2,8 @@
 
 import csv
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +164,17 @@ def test_welch_null_distribution():
         if res.p > 0.01:
             calm += 1
     assert calm >= 480
+
+
+def test_import_loads_no_scipy_stats_or_special():
+    # both cost import time and memory in every quantify run; scipy.special
+    # is imported by the Welch test only when a cohort needs it
+    code = ("import sys, pvgap, pvgap.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- aggregation ---

@@ -48,6 +48,24 @@ def test_triangle_attribute_validation():
                     intensity=[1.0, 2.0])
 
 
+def test_non_finite_values_rejected():
+    grid = plane_grid(3, 3)
+    for bad in (np.nan, np.inf):
+        v = grid.vertices.copy()
+        v[4, 2] = bad
+        with pytest.raises(MeshFormatError):
+            SurfaceMesh(v, grid.triangles)
+    values = np.zeros(9)
+    values[2] = np.nan
+    with pytest.raises(MeshFormatError):
+        SurfaceMesh(grid.vertices, grid.triangles, intensity=values)
+    # -inf marks a vertex without an in-volume sample and stays legal
+    values = np.zeros(9)
+    values[2] = -np.inf
+    ok = SurfaceMesh(grid.vertices, grid.triangles, intensity=values)
+    assert ok.intensity[2] == -np.inf
+
+
 def _bfs_components(mesh, mask):
     """Independent oracle: plain breadth-first flood fill over masked
     vertices, first-seen ordering."""
@@ -241,3 +259,10 @@ def test_load_mesh_rejects_garbage(tmp_path):
                   "POINTS 5 float\n0 0 0\n1 0 0\n")
     with pytest.raises(MeshFormatError):
         load_mesh(p2)
+    p3 = tmp_path / "nan.vtk"
+    save_mesh(plane_grid(3, 3), p3)
+    lines = p3.read_text().splitlines()
+    lines[5] = "nan 0 0"
+    p3.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError):
+        load_mesh(p3)

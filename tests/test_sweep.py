@@ -1,5 +1,6 @@
 """Threshold sweeps, vein curve merging, reports, mesh annotation."""
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -7,14 +8,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pvgap.errors import ConfigError
+from pvgap import sweep
+from pvgap.errors import ConfigError, TopologyError
 from pvgap.mesh import connected_components, load_mesh
 from pvgap.regions import AreaSpec, RegionConfig
 from pvgap.scar import THRESHOLD_FACTORS, threshold_mask
-from pvgap.sweep import (REPORT_FORMAT, AreaResult, ThresholdResult,
-                         _round6, _vein_summaries, annotated_mesh,
-                         case_report, load_report, rgm_nauc, run_case,
-                         write_annotated_mesh, write_report)
+from pvgap.sweep import (REPORT_FORMAT, AreaResult, CaseResult,
+                         ThresholdResult, _round6, _vein_summaries,
+                         annotated_mesh, case_report, load_report, rgm_nauc,
+                         run_case, write_annotated_mesh, write_report)
 from pvgap.synth import PhantomSpec, make_phantom, plane_grid
 
 FACTORS = tuple(THRESHOLD_FACTORS)
@@ -127,6 +129,11 @@ def test_run_case_validation(disk_case):
         run_case(mesh, config, mean, sd, strategy="joint")  # no joint areas
     with pytest.raises(ConfigError):
         run_case(plane_grid(4, 4), config, mean, sd)  # no intensity
+    for bad_mean, bad_sd in ((mean, math.nan), (mean, 0.0), (mean, -1.0),
+                             (mean, math.inf), (math.nan, sd),
+                             (-math.inf, sd)):
+        with pytest.raises(ConfigError):
+            run_case(mesh, config, bad_mean, bad_sd)
 
 
 def test_run_case_default_reference_without_33(disk_case):
@@ -166,18 +173,27 @@ def test_joint_case_covers_both_veins():
         assert v.rgm == tuple(t.path.rgm for t in res.results)
 
 
-def test_thread_count_does_not_change_results(disk_case, monkeypatch):
-    mesh, config, _truth, _case, spec = disk_case
-    kw = dict(factors=(2.0, 3.3, 4.0))
-    one = run_case(mesh, config, spec.blood_pool_mean, spec.blood_pool_sd,
-                   threads=1, **kw)
-    two = run_case(mesh, config, spec.blood_pool_mean, spec.blood_pool_sd,
-                   threads=2, **kw)
-    assert case_report(one) == case_report(two)
-    monkeypatch.setenv("PVGAP_THREADS", "2")
-    via_env = run_case(mesh, config, spec.blood_pool_mean,
-                       spec.blood_pool_sd, **kw)
-    assert case_report(via_env) == case_report(one)
+@pytest.mark.parametrize("error", [RuntimeError, TopologyError])
+def test_run_case_internal_error_fails_one_area(disk_case, monkeypatch,
+                                                error):
+    mesh, config, _truth, case, spec = disk_case
+    (lspv,) = config.areas
+    other = dataclasses.replace(lspv, name="LSPV_COPY")
+    real = sweep.build_graph
+
+    def flaky(opened, mask):
+        if opened.area.name == "LSPV":
+            raise error("distance transform failed to converge")
+        return real(opened, mask)
+
+    monkeypatch.setattr(sweep, "build_graph", flaky)
+    got = run_case(mesh, RegionConfig(areas=(lspv, other)),
+                   spec.blood_pool_mean, spec.blood_pool_sd)
+    bad, good = got.areas
+    assert not bad.ok and "converge" in bad.error
+    assert good.ok
+    assert good.nauc == case.areas[0].nauc
+    assert [v.vein for v in got.veins] == ["LSPV_COPY"]
 
 
 # --- report emission ---
@@ -232,6 +248,13 @@ def test_write_and_load_report(disk_case, tmp_path):
     (tmp_path / "other.json").write_text(json.dumps({"format": "nope"}))
     with pytest.raises(ConfigError):
         load_report(tmp_path / "other.json")
+    # reports are strict JSON: a NaN is refused before anything is written
+    bad = CaseResult(mesh_name="m", factors=(2.0, 3.3), ref_factor=3.3,
+                     bp_mean=100.0, bp_sd=math.nan, areas=(), veins=())
+    with pytest.raises(ValueError):
+        write_report(bad, tmp_path / "nan.json")
+    assert not (tmp_path / "nan.json").exists()
+    assert not (tmp_path / "nan.json.tmp").exists()
 
 
 # --- annotation ---
