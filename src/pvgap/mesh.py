@@ -7,7 +7,13 @@ and seam cutting with vertex duplication.
 Conventions: coordinates are millimetres, float64. Triangles are consistently
 oriented (counter-clockwise seen from outside); orientation is validated on
 load together with edge-manifoldness. All containers are treated as immutable
-after construction (arrays are locked).
+after construction (they lock their own copies of the arrays passed in).
+
+Topology lives in one numbering of half-edges. With m triangles, half-edge
+h = r*m + t is edge r of triangle t: (t[0], t[1]), (t[1], t[2]) or (t[2], t[0])
+for r = 0, 1, 2. The next half-edge around the same triangle is (h + m) % 3m.
+A directed edge (a, b) of a mesh with n vertices has the int64 key a*n + b,
+and its reversed half-edge is `SurfaceMesh.opposite[h]` (-1 on a boundary).
 """
 
 from __future__ import annotations
@@ -48,8 +54,8 @@ class SurfaceMesh:
 
     def __init__(self, vertices, triangles, intensity=None, region=None,
                  name: str = "surface", point_data=None):
-        v = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
-        t = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
+        v = np.array(vertices, dtype=np.float64, order="C")
+        t = np.array(triangles, dtype=np.int64, order="C")
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshFormatError("vertices must be an (n, 3) array")
         if not np.isfinite(v).all():
@@ -79,7 +85,7 @@ class SurfaceMesh:
     def _checked(self, arr, dtype, label):
         if arr is None:
             return None
-        out = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
+        out = np.array(arr, dtype=dtype, order="C")
         if out.shape != (len(self.vertices),):
             raise AttributeLengthError(
                 f"{label} has length {out.shape}, expected ({len(self.vertices)},)")
@@ -102,11 +108,16 @@ class SurfaceMesh:
         t = self.triangles
         return _lock(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]))
 
+    def _key(self, tails, heads) -> np.ndarray:
+        return tails * self.n_vertices + heads
+
     @cached_property
     def _edge_table(self) -> tuple:
         """Unique undirected edges and the number of triangles using each."""
-        und = np.sort(self.directed_edges, axis=1)
-        edges, counts = np.unique(und, axis=0, return_counts=True)
+        de = self.directed_edges
+        keys, counts = np.unique(
+            self._key(de.min(axis=1), de.max(axis=1)), return_counts=True)
+        edges = np.stack(np.divmod(keys, self.n_vertices), axis=1)
         return _lock(edges), _lock(counts)
 
     @cached_property
@@ -119,15 +130,26 @@ class SurfaceMesh:
         d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
         return _lock(np.linalg.norm(d, axis=1))
 
+    def _half_edges(self, tails, heads) -> np.ndarray:
+        """Half-edge index of each directed edge tail -> head, -1 if none."""
+        de = self.directed_edges
+        keys = self._key(de[:, 0], de[:, 1])
+        order = np.argsort(keys, kind="stable")
+        query = self._key(np.asarray(tails), np.asarray(heads))
+        h = order[np.minimum(np.searchsorted(keys, query, sorter=order),
+                             len(keys) - 1)]
+        return np.where(keys[h] == query, h, -1)
+
     @cached_property
-    def boundary_edges(self) -> np.ndarray:
-        """Undirected edges used by exactly one triangle."""
-        return _lock(self.edges[self._edge_table[1] == 1])
+    def opposite(self) -> np.ndarray:
+        """(3m,) reversed half-edge of each half-edge, -1 on the boundary."""
+        de = self.directed_edges
+        return _lock(self._half_edges(de[:, 1], de[:, 0]))
 
     @cached_property
     def boundary_vertex_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self.boundary_edges.ravel()] = True
+        mask[self.directed_edges[self.opposite < 0].ravel()] = True
         return _lock(mask)
 
     @cached_property
@@ -154,21 +176,9 @@ class SurfaceMesh:
         m.sort_indices()
         return m
 
-    def triangles_of_vertex(self, v: int) -> np.ndarray:
-        vt = self.vertex_triangles
-        return vt.indices[vt.indptr[v]:vt.indptr[v + 1]]
-
     def neighbors(self, v: int) -> np.ndarray:
         a = self.adjacency
         return a.indices[a.indptr[v]:a.indptr[v + 1]]
-
-    @cached_property
-    def _dir_third(self) -> dict:
-        """Map directed edge (a, b) -> third vertex of its triangle."""
-        t = self.triangles
-        third = np.concatenate([t[:, 2], t[:, 0], t[:, 1]])
-        de = self.directed_edges
-        return dict(zip(map(tuple, de.tolist()), third.tolist()))
 
     # ------------------------------------------------------------------
     # validation
@@ -179,16 +189,18 @@ class SurfaceMesh:
         counts = self._edge_table[1]
         if (counts > 2).any():
             e = self.edges[int(np.argmax(counts > 2))]
-            raise TopologyError(
-                f"non-manifold edge {tuple(e)} shared by more than 2 triangles")
+            raise TopologyError(f"non-manifold edge {tuple(e.tolist())} "
+                                "shared by more than 2 triangles")
         de = self.directed_edges
-        uniq = np.unique(de, axis=0)
-        if len(uniq) != len(de):
+        keys = np.sort(self._key(de[:, 0], de[:, 1]))
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(twice):
+            e = divmod(int(keys[twice[0]]), self.n_vertices)
             raise TopologyError(
-                "inconsistent orientation: a directed edge appears twice")
+                f"inconsistent orientation: directed edge {e} appears twice")
         if self.n_triangles and self.edge_lengths.min() <= 0.0:
             e = self.edges[int(np.argmin(self.edge_lengths))]
-            raise TopologyError(f"zero-length edge {tuple(e)}")
+            raise TopologyError(f"zero-length edge {tuple(e.tolist())}")
 
     # ------------------------------------------------------------------
     # boundary loops
@@ -200,27 +212,31 @@ class SurfaceMesh:
         are handled per surface corner. Each loop starts at its smallest
         (tail, head) boundary edge; loops are ordered by that key.
         """
-        dir_third = self._dir_third
-        b_dir = [(a, b) for (a, b) in map(tuple, self.directed_edges.tolist())
-                 if (b, a) not in dir_third]
-        b_dir.sort()
-        pending = dict.fromkeys(b_dir)  # insertion-ordered set
+        de, opp = self.directed_edges, self.opposite
+        m = self.n_triangles
+        h3 = 3 * m
+        border = np.flatnonzero(opp < 0)
+        border = border[np.argsort(self._key(de[border, 0], de[border, 1]),
+                                   kind="stable")]
+        # successor of a boundary half-edge (u, v): turn around v across
+        # interior spokes until the next boundary half-edge leaving v
+        succ = (border + m) % h3
+        for _ in range(h3 + 1):
+            inner = opp[succ] >= 0
+            if not inner.any():
+                break
+            succ[inner] = (opp[succ[inner]] + m) % h3
+        else:
+            raise TopologyError("a boundary fan does not end on a boundary")
+        pending = dict(zip(border.tolist(), succ.tolist()))  # in key order
         loops = []
         while pending:
-            start = next(iter(pending))
-            loop = [start[0]]
-            edge = start
-            while True:
-                del pending[edge]
-                u, v = edge
-                loop.append(v)
-                w = u
-                while (w, v) in dir_third:
-                    w = dir_third[(w, v)]
-                edge = (v, w)
-                if edge == start:
-                    break
-            loops.append(np.asarray(loop[:-1], dtype=np.int64))
+            loop = [next(iter(pending))]
+            while (h := pending.pop(loop[-1], None)) != loop[0]:
+                if h is None:
+                    raise TopologyError("boundary half-edges do not form loops")
+                loop.append(h)
+            loops.append(de[loop, 0])
         return loops
 
 
@@ -346,71 +362,51 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
         raise TopologyError("cut path needs at least one interior vertex")
     if len(np.unique(path)) != len(path):
         raise TopologyError("cut path revisits a vertex")
-    dir_third = mesh._dir_third
     bmask = mesh.boundary_vertex_mask
     if not (bmask[path[0]] and bmask[path[-1]]):
         raise TopologyError("cut path endpoints must lie on a mesh boundary")
     if bmask[path[1:-1]].any():
         raise TopologyError("cut path touches a boundary at an interior vertex")
-    for a, b in zip(path[:-1], path[1:]):
-        ab = (int(a), int(b))
-        if ab not in dir_third and (ab[1], ab[0]) not in dir_third:
+    last = len(path) - 1
+    found = mesh._half_edges(np.concatenate([path[:-1], path[1:]]),
+                             np.concatenate([path[1:], path[:-1]]))
+    fwd, rev = found[:last], found[last:]  # (v, next) and (next, v)
+    bad = np.flatnonzero((fwd < 0) | (rev < 0))
+    if len(bad):
+        i = int(bad[0])
+        ab = (int(path[i]), int(path[i + 1]))
+        if fwd[i] < 0 and rev[i] < 0:
             raise TopologyError(f"cut path vertices {ab} are not edge-connected")
-        if (ab not in dir_third) or ((ab[1], ab[0]) not in dir_third):
-            raise TopologyError(f"cut path edge {ab} lies on a boundary")
-
-    tris = mesh.triangles.copy()
-    n = mesh.n_vertices
-    dup_of = {}  # original path vertex -> new duplicate index
-    for j, v in enumerate(path.tolist()):
-        dup_of[v] = n + j
+        raise TopologyError(f"cut path edge {ab} lies on a boundary")
 
     # Every path vertex is duplicated, endpoints included: the endpoint fans
     # open at the mesh boundary, so the path edge splits them in two exactly
     # like the two spokes split an interior fan. Leaving endpoints single
     # would pinch the seam there and let paths slip around its ends.
-    m_last = len(path) - 1
+    n, m = mesh.n_vertices, mesh.n_triangles
+    de, opp = mesh.directed_edges, mesh.opposite
+    fan_size = np.bincount(mesh.triangles.ravel(), minlength=n)
+    right = []  # half-edges (x, v) of the triangles right of the path at v
     for i, v in enumerate(path.tolist()):
-        prv = int(path[i - 1]) if i > 0 else None
-        nxt = int(path[i + 1]) if i < m_last else None
-        fan = [int(t) for t in mesh.triangles_of_vertex(v)]
-        # Fan triangles pair up across spoke edges (v, x); the path spokes
-        # block the flood so it stays on one side.
-        blocked = {x for x in (prv, nxt) if x is not None}
-        tri_rim = {t: set(mesh.triangles[t].tolist()) - {v} for t in fan}
-        by_spoke = {}
-        for t, rim in tri_rim.items():
-            for x in rim:
-                by_spoke.setdefault(x, []).append(t)
-        seed_tris = set()
-        for t in fan:
-            a, b, c = mesh.triangles[t].tolist()
-            dirs = {(a, b), (b, c), (c, a)}
-            # right of the directed path: triangles holding the reversed
-            # directed path edges
-            if (nxt, v) in dirs or (v, prv) in dirs:
-                seed_tris.add(t)
-        if not seed_tris:
-            raise TopologyError("cut path is not interior to a triangle fan")
-        right = set()
-        stack = sorted(seed_tris)
-        while stack:
-            t = stack.pop()
-            if t in right:
-                continue
-            right.add(t)
-            for x in tri_rim[t]:
-                if x in blocked:
-                    continue
-                for t2 in by_spoke[x]:
-                    if t2 not in right:
-                        stack.append(t2)
-        if len(right) == len(fan):
-            raise TopologyError("cut does not separate the fan at a vertex")
-        dup = dup_of[v]
-        for t in right:
-            row = tris[t]
-            row[row == v] = dup
+        prv = int(path[i - 1]) if i else -1
+        # Sweep the fan of v over the right side of the path: forward from
+        # the triangle holding (next, v) to the one holding (v, prev), or to
+        # the boundary at the first vertex; at the last vertex backward from
+        # the triangle holding (v, prev) to the boundary.
+        h = int(rev[i]) if i < last else (int(rev[i - 1]) + 2 * m) % (3 * m)
+        for _ in range(fan_size[v]):
+            right.append(h)
+            if i < last:
+                h = (h + m) % (3 * m)  # (v, x) in the same triangle
+                if de[h, 1] == prv or opp[h] < 0:
+                    break
+                h = int(opp[h])
+            elif opp[h] < 0:
+                break
+            else:
+                h = (int(opp[h]) + 2 * m) % (3 * m)
+        else:
+            raise TopologyError(f"cut does not separate the fan at vertex {v}")
 
     n_new = n + len(path)
     verts = np.concatenate([mesh.vertices, mesh.vertices[path]])
@@ -420,6 +416,9 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
     side_b = np.arange(n, n_new, dtype=np.int64)
     twin[side_a] = side_b
     twin[side_b] = side_a
+    right = np.asarray(right, dtype=np.int64)
+    tris = mesh.triangles.copy()
+    tris[right % m, (right // m + 1) % 3] = twin[de[right, 1]]
 
     def _ext(arr):
         if arr is None:
@@ -430,13 +429,11 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
     out = SurfaceMesh(verts, tris, intensity=_ext(mesh.intensity),
                       region=_ext(mesh.region), name=mesh.name, point_data=pd)
 
-    # post: the seam is really open
+    # post: the seam is really open (no edge joins side 1 to side 2)
+    side = np.zeros(n_new, dtype=np.int8)
+    side[side_a], side[side_b] = 1, 2
     de = out.directed_edges
-    sa = np.zeros(n_new, dtype=bool)
-    sb = np.zeros(n_new, dtype=bool)
-    sa[side_a] = True
-    sb[side_b] = True
-    if (sa[de[:, 0]] & sb[de[:, 1]]).any() or (sb[de[:, 0]] & sa[de[:, 1]]).any():
+    if (side[de[:, 0]] * side[de[:, 1]] == 2).any():
         raise TopologyError("cut failed: an edge still crosses the seam")
     return CutMesh(mesh=out, parent_vertex=_lock(parent), twin=_lock(twin),
                    side_a=_lock(side_a), side_b=_lock(side_b))
@@ -444,12 +441,6 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
 
 # ----------------------------------------------------------------------
 # legacy ASCII polydata I/O
-
-def _tokens(lines):
-    for ln in lines:
-        for tok in ln.split():
-            yield tok
-
 
 def load_mesh(path) -> SurfaceMesh:
     """Read a legacy ASCII polydata file written by save_mesh (or compatible).
@@ -461,10 +452,8 @@ def load_mesh(path) -> SurfaceMesh:
     path = Path(path)
     try:
         text = path.read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as e:
-        if isinstance(e, UnicodeDecodeError):
-            raise MeshFormatError(f"{path}: not an ASCII polydata file") from e
-        raise
+    except UnicodeDecodeError as e:
+        raise MeshFormatError(f"{path}: not an ASCII polydata file") from e
     lines = text.splitlines()
     if len(lines) < 4:
         raise MeshFormatError(f"{path}: truncated header")
@@ -496,6 +485,11 @@ def load_mesh(path) -> SurfaceMesh:
         except ValueError:
             raise MeshFormatError(f"{path}: bad numeric value") from None
 
+    def parse_count(token):
+        if not token.isdigit():
+            raise MeshFormatError(f"{path}: bad count {token!r}")
+        return int(token)
+
     line_iter = iter(lines[4:])
     for raw in line_iter:
         parts = raw.split()
@@ -505,13 +499,13 @@ def load_mesh(path) -> SurfaceMesh:
         if key == "POINTS":
             if len(parts) != 3:
                 raise MeshFormatError(f"{path}: malformed POINTS line")
-            n_points = int(parts[1])
+            n_points = parse_count(parts[1])
             vals = read_values(3 * n_points, float, line_iter)
             verts = np.asarray(vals, dtype=np.float64).reshape(n_points, 3)
         elif key == "POLYGONS":
             if len(parts) != 3 or verts is None:
                 raise MeshFormatError(f"{path}: malformed POLYGONS section")
-            m, total = int(parts[1]), int(parts[2])
+            m, total = parse_count(parts[1]), parse_count(parts[2])
             if total != 4 * m:
                 raise MeshFormatError(
                     f"{path}: POLYGONS size {total} != 4*{m}; only triangles "
@@ -522,14 +516,16 @@ def load_mesh(path) -> SurfaceMesh:
                 raise MeshFormatError(f"{path}: non-triangle cell present")
             tris = arr[:, 1:]
         elif key == "POINT_DATA":
-            if int(parts[1]) != n_points:
+            if len(parts) != 2:
+                raise MeshFormatError(f"{path}: malformed POINT_DATA line")
+            if parse_count(parts[1]) != n_points:
                 raise AttributeLengthError(
                     f"{path}: POINT_DATA count {parts[1]} != {n_points}")
         elif key == "SCALARS":
             if len(parts) < 3:
                 raise MeshFormatError(f"{path}: malformed SCALARS line")
             sname, stype = parts[1], parts[2].lower()
-            comps = int(parts[3]) if len(parts) > 3 else 1
+            comps = parse_count(parts[3]) if len(parts) > 3 else 1
             if comps != 1:
                 raise MeshFormatError(f"{path}: multi-component scalars unsupported")
             lut = next(line_iter, "")

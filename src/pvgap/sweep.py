@@ -143,7 +143,12 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
              bp_sd: float, factors=THRESHOLD_FACTORS,
              ref_factor: float | None = None,
              strategy: str = "both") -> CaseResult:
-    """Measure every configured area of one annotated mesh."""
+    """Measure every configured area of one annotated mesh.
+
+    Raises TopologyError if the mesh is not an edge-manifold, consistently
+    oriented surface without zero-length edges.
+    """
+    mesh.check_topology()
     if mesh.intensity is None:
         raise ConfigError("mesh carries no intensity values")
     if not (math.isfinite(bp_mean) and math.isfinite(bp_sd) and bp_sd > 0):

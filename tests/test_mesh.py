@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph, csr_matrix
 
+from pvgap.cli import main
 from pvgap.errors import MeshFormatError, TopologyError
 from pvgap.mesh import (SurfaceMesh, connected_components, cut_mesh,
                         edge_path, load_mesh, save_mesh)
@@ -38,6 +39,73 @@ def test_boundary_and_interior():
     loops = mesh.boundary_loops()
     assert len(loops) == 1
     assert len(loops[0]) == 12
+
+
+def test_boundary_loops_split_at_a_pinch_vertex():
+    # bowtie: two triangles that share only vertex 0
+    verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]]
+    mesh = SurfaceMesh(verts, [[0, 1, 2], [0, 3, 4]])
+    loops = mesh.boundary_loops()
+    assert [loop.tolist() for loop in loops] == [[0, 1, 2], [0, 3, 4]]
+    half_edges = {tuple(e) for e in mesh.directed_edges.tolist()}
+    for loop in loops:
+        for a, b in zip(loop.tolist(), np.roll(loop, -1).tolist()):
+            assert (a, b) in half_edges and (b, a) not in half_edges
+
+
+def _flipped_triangle():
+    grid = plane_grid(3, 3)
+    tris = grid.triangles.copy()
+    tris[0] = tris[0, ::-1]
+    return grid.vertices, tris
+
+
+def _edge_with_three_triangles():
+    grid = plane_grid(3, 3)
+    a, b = grid.edges[np.flatnonzero(~grid.boundary_vertex_mask[grid.edges]
+                                     .all(axis=1))[0]]
+    verts = np.vstack([grid.vertices, [[0.5, 0.5, 1.0]]])
+    return verts, np.vstack([grid.triangles, [[a, b, 9]]])
+
+
+def _zero_length_edge():
+    grid = plane_grid(3, 3)
+    a, b = grid.edges[0]
+    verts = grid.vertices.copy()
+    verts[b] = verts[a]
+    return verts, grid.triangles
+
+
+@pytest.mark.parametrize("make,why", [
+    (_flipped_triangle, "orientation"),
+    (_edge_with_three_triangles, "non-manifold"),
+    (_zero_length_edge, "zero-length"),
+])
+def test_load_mesh_rejects_bad_topology(make, why, tmp_path):
+    verts, tris = make()
+    path = tmp_path / "bad.vtk"
+    save_mesh(SurfaceMesh(verts, tris, intensity=np.zeros(len(verts))), path)
+    with pytest.raises(TopologyError, match=why) as exc:
+        load_mesh(path)
+    assert "np." not in str(exc.value)
+    report = tmp_path / "r.json"
+    assert main(["quantify", "--mesh", str(path), "--bp-mean", "100",
+                 "--bp-sd", "10", "--out", str(report)]) == 1
+    assert not report.exists()
+
+
+def test_constructor_leaves_caller_arrays_writeable():
+    grid = plane_grid(3, 3)
+    verts, tris = grid.vertices.copy(), grid.triangles.copy()
+    values, labels = np.zeros(9), np.zeros(9, dtype=np.int64)
+    extra = np.ones(9)
+    SurfaceMesh(verts, tris, intensity=values, region=labels,
+                point_data={"extra": (extra, "float")})
+    values[2] = np.nan
+    with pytest.raises(MeshFormatError):
+        SurfaceMesh(verts, tris, intensity=values, region=labels)
+    for arr in (verts, tris, values, labels, extra):
+        assert arr.flags.writeable
 
 
 def test_triangle_attribute_validation():
@@ -266,3 +334,26 @@ def test_load_mesh_rejects_garbage(tmp_path):
     p3.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshFormatError):
         load_mesh(p3)
+    # malformed count fields: a parse error, not a crash or a value error
+    mesh = plane_grid(3, 3)
+    good = tmp_path / "good.vtk"
+    save_mesh(SurfaceMesh(mesh.vertices, mesh.triangles,
+                          intensity=np.zeros(9)), good)
+    text = good.read_text()
+    for old, new in (("POINTS 9 float", "POINTS x float"),
+                     ("POINTS 9 float", "POINTS -9 float"),
+                     ("POLYGONS 8 32", "POLYGONS x 32"),
+                     ("POLYGONS 8 32", "POLYGONS 8 1e3"),
+                     ("POINT_DATA 9", "POINT_DATA"),
+                     ("POINT_DATA 9", "POINT_DATA nine"),
+                     ("SCALARS intensity float 1",
+                      "SCALARS intensity float one")):
+        assert old in text
+        bad = tmp_path / "count.vtk"
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(MeshFormatError):
+            load_mesh(bad)
+        assert main(["quantify", "--mesh", str(bad), "--bp-mean", "100",
+                     "--bp-sd", "10",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert not (tmp_path / "r.json").exists()

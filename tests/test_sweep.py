@@ -10,7 +10,7 @@ import pytest
 
 from pvgap import sweep
 from pvgap.errors import ConfigError, TopologyError
-from pvgap.mesh import connected_components, load_mesh
+from pvgap.mesh import SurfaceMesh, connected_components, load_mesh
 from pvgap.regions import AreaSpec, RegionConfig
 from pvgap.scar import THRESHOLD_FACTORS, threshold_mask
 from pvgap.sweep import (REPORT_FORMAT, AreaResult, CaseResult,
@@ -129,6 +129,11 @@ def test_run_case_validation(disk_case):
         run_case(mesh, config, mean, sd, strategy="joint")  # no joint areas
     with pytest.raises(ConfigError):
         run_case(plane_grid(4, 4), config, mean, sd)  # no intensity
+    flipped = mesh.triangles.copy()
+    flipped[0] = flipped[0, ::-1]
+    with pytest.raises(TopologyError):
+        run_case(SurfaceMesh(mesh.vertices, flipped, intensity=mesh.intensity,
+                             region=mesh.region), config, mean, sd)
     for bad_mean, bad_sd in ((mean, math.nan), (mean, 0.0), (mean, -1.0),
                              (mean, math.inf), (math.nan, sd),
                              (-math.inf, sd)):
