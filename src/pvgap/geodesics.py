@@ -1,16 +1,23 @@
 """Geodesic distance fields over triangle meshes.
 
-Distances are propagated with planar wavefront updates on triangles
-(first-order eikonal update) and plain edge relaxations as fallback; the
-triangle update rejects itself at obtuse corners, where the edge relaxation
-takes over. Plain edge-Dijkstra alone overestimates surface distance by
-several percent on structured meshes, which would bias every downstream gap
-ratio, so the triangle update is not optional.
+Distances are propagated with the Kimmel & Sethian (1998) planar wavefront
+update on triangles and plain edge relaxations as fallback; the triangle
+update rejects itself at obtuse corners, where the edge relaxation takes
+over. Plain edge-Dijkstra alone overestimates surface distance by several
+percent on structured meshes, which would bias every downstream gap ratio,
+so the triangle update is not optional.
 
-The solver runs as label-correcting sweeps over the active wavefront with
-vectorized updates; values only decrease, so it terminates at a fixed point
-of the update operator. Accuracy contract: within 2% of analytic geodesics
-on well-shaped plane/sphere meshes (asserted in the test suite).
+The solver runs label-correcting sweeps: each sweep updates every corner of
+every triangle touching a vertex that improved in the previous one, and
+values only decrease, so it terminates at a fixed point of the update
+operator. Accuracy contract: within 2% of analytic geodesics on well-shaped
+plane/sphere meshes (asserted in the test suite).
+
+Corners follow the half-edge numbering of `SurfaceMesh`: with m triangles,
+corner q = r*m + t is vertex r of triangle t, and the triangle's next two
+vertices are its supports A and B. Every per-corner table is one flat array
+of length 3m in this order. Vertex v's incident triangles are
+tri[ptr[v]:ptr[v + 1]], a CSR pair over `triangles.ravel()`.
 """
 
 from __future__ import annotations
@@ -27,33 +34,76 @@ _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _corner_tables(mesh: SurfaceMesh) -> dict:
-    """Per-triangle-corner geometry used by the wavefront update."""
+    """Flat per-corner geometry of the wavefront update and the CSR
+    vertex -> triangle incidence."""
     cached = _TABLES.get(mesh)
     if cached is not None:
         return cached
     t = mesh.triangles
-    p = mesh.vertices[t]  # (m, 3, 3)
-    tab = {"C": [], "A": [], "B": [], "la": [], "lb": [], "cos": [],
-           "sin2": [], "csq": []}
-    for r in range(3):
-        c, a, b = r, (r + 1) % 3, (r + 2) % 3
-        ea = p[:, a] - p[:, c]
-        eb = p[:, b] - p[:, c]
-        la = np.linalg.norm(ea, axis=1)
-        lb = np.linalg.norm(eb, axis=1)
-        cos = np.einsum("ij,ij->i", ea, eb) / (la * lb)
-        np.clip(cos, -1.0, 1.0, out=cos)
-        tab["C"].append(t[:, c])
-        tab["A"].append(t[:, a])
-        tab["B"].append(t[:, b])
-        tab["la"].append(la)
-        tab["lb"].append(lb)
-        tab["cos"].append(cos)
-        tab["sin2"].append(1.0 - cos * cos)
-        tab["csq"].append(np.einsum("ij,ij->i", ea - eb, ea - eb))
-    out = {k: np.stack(v, axis=1) for k, v in tab.items()}  # (m, 3)
+    v = mesh.vertices
+    C = t.T.ravel()
+    A = t[:, [1, 2, 0]].T.ravel()
+    B = t[:, [2, 0, 1]].T.ravel()
+    ea = v[A] - v[C]
+    eb = v[B] - v[C]
+    la = np.linalg.norm(ea, axis=1)
+    lb = np.linalg.norm(eb, axis=1)
+    cos = np.einsum("ij,ij->i", ea, eb) / (la * lb)
+    np.clip(cos, -1.0, 1.0, out=cos)
+    corners = t.ravel()
+    ptr = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(corners, minlength=mesh.n_vertices), out=ptr[1:])
+    out = {"C": C, "A": A, "B": B, "la": la, "lb": lb, "cos": cos,
+           "sin2": 1.0 - cos * cos,
+           "csq": np.einsum("ij,ij->i", ea - eb, ea - eb),
+           "ptr": ptr, "tri": np.argsort(corners, kind="stable") // 3}
     _TABLES[mesh] = out
     return out
+
+
+def _proposals(tab: dict, dist: np.ndarray, q: np.ndarray):
+    """(targets, values) of the updates at corners q that lower dist; a
+    target vertex may repeat."""
+    C = tab["C"][q]
+    la = tab["la"][q]
+    lb = tab["lb"][q]
+    dA = dist[tab["A"][q]]
+    dB = dist[tab["B"][q]]
+    dC = dist[C]
+    # a valid triangle update is never below its farther support (t > u,
+    # and u = dhi - dlo rounded to nearest), so only corners whose supports
+    # are both closer than C need it; both are then finite, too
+    idx = np.flatnonzero(np.maximum(dA, dB) < dC)
+    dlo = dA[idx]
+    dhi = dB[idx]
+    llo = la[idx]
+    lhi = lb[idx]
+    sw = dhi < dlo
+    dlo2 = np.where(sw, dhi, dlo)
+    dhi2 = np.where(sw, dlo, dhi)
+    b = np.where(sw, lhi, llo)  # edge to the earlier support
+    a = np.where(sw, llo, lhi)  # edge to the later support
+    u = dhi2 - dlo2
+    cos = tab["cos"][q[idx]]
+    sin2 = tab["sin2"][q[idx]]
+    csq = tab["csq"][q[idx]]
+    Bq = 2.0 * b * u * (a * cos - b)
+    Cq = b * b * (u * u - a * a * sin2)
+    disc = Bq * Bq - 4.0 * csq * Cq
+    ok = disc >= 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = (-Bq + np.sqrt(np.where(ok, disc, 0.0))) / (2.0 * csq)
+        valid = ok & (u < t)
+        valid &= a * cos * t < b * (t - u)
+        # front must leave through the opposite edge; obtuse corners
+        # (cos < 0) are rejected and fall back to edge updates
+        valid &= np.where(cos > 0.0, b * (t - u) * cos < a * t, cos == 0.0)
+    idx = idx[valid]
+    # edge relaxations from unreached supports give inf and drop out here
+    targets = np.concatenate([C, C, C[idx]])
+    values = np.concatenate([dA + la, dB + lb, dlo2[valid] + t[valid]])
+    lower = values < np.concatenate([dC, dC, dC[idx]])
+    return targets[lower], values[lower]
 
 
 @dataclass(frozen=True)
@@ -63,12 +113,14 @@ class DistanceField:
     dist is 0 exactly on sources, +inf on unreachable vertices, and
     1-Lipschitz along edges. pred[v] is an edge neighbor with strictly
     smaller distance (-1 on sources/unreachable); predecessor chains
-    terminate at a source.
+    terminate at a source. sweeps counts the wavefront sweeps the
+    transform ran, the last one included (it found nothing to lower).
     """
     mesh: SurfaceMesh
     sources: np.ndarray
     dist: np.ndarray
     pred: np.ndarray
+    sweeps: int
 
 
 @dataclass(frozen=True)
@@ -92,19 +144,30 @@ class InterSetDistance:
     path: TracedPath
 
 
+def _vertex_set(ids, empty_message: str) -> np.ndarray:
+    """Sorted unique vertex ids; rejects an empty or non-integer input."""
+    arr = np.asarray(ids)
+    if arr.size == 0:
+        raise TopologyError(empty_message)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got dtype {arr.dtype}")
+    return np.unique(arr.astype(np.int64))
+
+
 def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
     """Geodesic distance from a set of source vertices."""
-    src = np.unique(np.asarray(sources, dtype=np.int64))
-    if src.size == 0:
-        raise TopologyError("distance_transform requires a nonempty source set")
+    src = _vertex_set(sources,
+                      "distance_transform requires a nonempty source set")
     if src.min() < 0 or src.max() >= mesh.n_vertices:
         raise TopologyError("source vertex out of range")
-    n = mesh.n_vertices
+    n, m = mesh.n_vertices, mesh.n_triangles
     tab = _corner_tables(mesh)
-    vt = mesh.vertex_triangles
+    ptr, tri = tab["ptr"], tab["tri"]
 
     dist = np.full(n, np.inf)
     dist[src] = 0.0
+    best = np.full(n, np.inf)  # this sweep's lowest proposals, reset after
+    marked = np.zeros(m, dtype=bool)
     active = src
     max_sweeps = 6 * n + 64
     sweeps = 0
@@ -112,74 +175,27 @@ def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
         sweeps += 1
         if sweeps > max_sweeps:
             raise RuntimeError("distance transform failed to converge")
-        tri_sel = np.unique(vt[active].indices)
-        targets = []
-        values = []
-        for r in range(3):
-            C = tab["C"][tri_sel, r]
-            A = tab["A"][tri_sel, r]
-            B = tab["B"][tri_sel, r]
-            la = tab["la"][tri_sel, r]
-            lb = tab["lb"][tri_sel, r]
-            dA = dist[A]
-            dB = dist[B]
-            fa = np.isfinite(dA)
-            fb = np.isfinite(dB)
-            if fa.any():
-                targets.append(C[fa])
-                values.append(dA[fa] + la[fa])
-            if fb.any():
-                targets.append(C[fb])
-                values.append(dB[fb] + lb[fb])
-            both = fa & fb
-            if not both.any():
-                continue
-            idx = np.nonzero(both)[0]
-            dlo = dA[idx]
-            dhi = dB[idx]
-            llo = la[idx]
-            lhi = lb[idx]
-            sw = dhi < dlo
-            dlo2 = np.where(sw, dhi, dlo)
-            dhi2 = np.where(sw, dlo, dhi)
-            b = np.where(sw, lhi, llo)  # edge to the earlier support
-            a = np.where(sw, llo, lhi)  # edge to the later support
-            u = dhi2 - dlo2
-            cos = tab["cos"][tri_sel, r][idx]
-            sin2 = tab["sin2"][tri_sel, r][idx]
-            csq = tab["csq"][tri_sel, r][idx]
-            Bq = 2.0 * b * u * (a * cos - b)
-            Cq = b * b * (u * u - a * a * sin2)
-            disc = Bq * Bq - 4.0 * csq * Cq
-            ok = disc >= 0.0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t = (-Bq + np.sqrt(np.where(ok, disc, 0.0))) / (2.0 * csq)
-                valid = ok & (u < t)
-                valid &= a * cos * t < b * (t - u)
-                # front must leave through the opposite edge; obtuse corners
-                # (cos < 0) are rejected and fall back to edge updates
-                valid &= np.where(cos > 0.0, b * (t - u) * cos < a * t,
-                                  cos == 0.0)
-            if valid.any():
-                targets.append(C[idx[valid]])
-                values.append(dlo2[valid] + t[valid])
-        if not targets:
-            break
-        tgt = np.concatenate(targets)
-        val = np.concatenate(values)
-        tmp = np.full(n, np.inf)
-        np.minimum.at(tmp, tgt, val)
-        improved = tmp < dist
-        if not improved.any():
-            break
-        dist[improved] = tmp[improved]
-        active = np.nonzero(improved)[0]
+        # the triangles around the vertices that improved in the last sweep
+        lo = ptr[active]
+        cnt = ptr[active + 1] - lo
+        ends = np.cumsum(cnt)
+        pos = np.repeat(lo + cnt - ends, cnt) + np.arange(ends[-1])
+        marked[tri[pos]] = True
+        tri_sel = np.flatnonzero(marked)
+        marked[tri_sel] = False
+        tgt, val = _proposals(
+            tab, dist, np.concatenate([tri_sel, tri_sel + m, tri_sel + 2 * m]))
+        np.minimum.at(best, tgt, val)
+        active = np.flatnonzero(best < dist)
+        dist[active] = best[active]
+        best[active] = np.inf
 
     pred = _predecessors(mesh, dist, src)
     dist.flags.writeable = False
     pred.flags.writeable = False
     src.flags.writeable = False
-    return DistanceField(mesh=mesh, sources=src, dist=dist, pred=pred)
+    return DistanceField(mesh=mesh, sources=src, dist=dist, pred=pred,
+                         sweeps=sweeps)
 
 
 def _predecessors(mesh: SurfaceMesh, dist: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -209,7 +225,11 @@ def _predecessors(mesh: SurfaceMesh, dist: np.ndarray, src: np.ndarray) -> np.nd
 def trace_path(field: DistanceField, start: int) -> TracedPath:
     """Polyline from `start` down the predecessor chain to a source vertex."""
     mesh = field.mesh
+    if np.asarray(start).dtype.kind not in "iu":
+        raise ValueError(f"start vertex must be an integer, got {start!r}")
     start = int(start)
+    if not 0 <= start < mesh.n_vertices:
+        raise TopologyError("start vertex out of range")
     if not np.isfinite(field.dist[start]):
         raise TopologyError(f"vertex {start} is unreachable from the sources")
     ids = [start]
@@ -249,11 +269,16 @@ def min_interset_distance(mesh: SurfaceMesh, set_a, set_b,
     Evaluated in both directions and symmetrized (the transforms are not
     exactly symmetric vertex-for-vertex); direction a->b wins exact ties.
     Endpoint ties resolve to the smaller vertex index on the far set.
+    A precomputed field_a/field_b must be the transform of that set on mesh.
     """
-    a = np.unique(np.asarray(set_a, dtype=np.int64))
-    b = np.unique(np.asarray(set_b, dtype=np.int64))
-    if a.size == 0 or b.size == 0:
-        raise TopologyError("min_interset_distance requires nonempty sets")
+    msg = "min_interset_distance requires nonempty sets"
+    a = _vertex_set(set_a, msg)
+    b = _vertex_set(set_b, msg)
+    for name, field, ids in (("field_a", field_a, a), ("field_b", field_b, b)):
+        if field is not None and not (field.mesh is mesh and
+                                      np.array_equal(field.sources, ids)):
+            raise ValueError(f"{name} is not the distance transform of "
+                             f"set_{name[-1]} on this mesh")
     if field_a is None:
         field_a = distance_transform(mesh, a)
     if field_b is None:

@@ -165,17 +165,6 @@ class SurfaceMesh:
         m.sort_indices()
         return m
 
-    @cached_property
-    def vertex_triangles(self) -> sparse.csr_matrix:
-        """Vertex -> incident triangle incidence (data = triangle index + 1)."""
-        t = self.triangles
-        rows = t.ravel()
-        tri_idx = np.repeat(np.arange(len(t)), 3)
-        m = sparse.csr_matrix((tri_idx + 1, (rows, tri_idx)),
-                              shape=(self.n_vertices, len(t)))
-        m.sort_indices()
-        return m
-
     def neighbors(self, v: int) -> np.ndarray:
         a = self.adjacency
         return a.indices[a.indptr[v]:a.indptr[v + 1]]

@@ -15,8 +15,9 @@ import pytest
 from scipy.sparse import csgraph
 
 from pvgap.errors import TopologyError
-from pvgap.geodesics import (distance_transform, min_interset_distance,
-                             trace_path)
+from pvgap.geodesics import (_corner_tables, _proposals, distance_transform,
+                             min_interset_distance, trace_path)
+from pvgap.mesh import SurfaceMesh
 from pvgap.synth import icosphere, plane_grid
 
 
@@ -24,6 +25,52 @@ def _edge_dijkstra(mesh, sources):
     """Edge-walk upper bound on the surface distance."""
     dist = csgraph.dijkstra(mesh.adjacency, indices=list(sources))
     return dist.min(axis=0)
+
+
+def _reference_transform(mesh, sources):
+    """(dist, sweeps) of the kernel's update written out plainly: every sweep
+    evaluates every corner of every triangle, where the kernel visits only
+    the triangles around the last sweep's improvements. Corners away from
+    those propose nothing new, so both give the same bits and sweeps."""
+    t = mesh.triangles
+    p = mesh.vertices[t]
+    dist = np.full(mesh.n_vertices, np.inf)
+    dist[sources] = 0.0
+    sweeps = 0
+    while True:
+        sweeps += 1
+        best = dist.copy()
+        for r in range(3):
+            c, a, b = r, (r + 1) % 3, (r + 2) % 3
+            ea = p[:, a] - p[:, c]
+            eb = p[:, b] - p[:, c]
+            la = np.linalg.norm(ea, axis=1)
+            lb = np.linalg.norm(eb, axis=1)
+            cos = np.clip(np.einsum("ij,ij->i", ea, eb) / (la * lb), -1, 1)
+            sin2 = 1.0 - cos * cos
+            csq = np.einsum("ij,ij->i", ea - eb, ea - eb)
+            dA, dB = dist[t[:, a]], dist[t[:, b]]
+            np.minimum.at(best, t[:, c], dA + la)
+            np.minimum.at(best, t[:, c], dB + lb)
+            sw = dB < dA
+            lo, hi = np.where(sw, dB, dA), np.where(sw, dA, dB)
+            near, far = np.where(sw, lb, la), np.where(sw, la, lb)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                u = hi - lo
+                Bq = 2.0 * near * u * (far * cos - near)
+                Cq = near * near * (u * u - far * far * sin2)
+                disc = Bq * Bq - 4.0 * csq * Cq
+                ok = disc >= 0.0
+                tt = (-Bq + np.sqrt(np.where(ok, disc, 0.0))) / (2.0 * csq)
+                valid = (ok & np.isfinite(dA) & np.isfinite(dB) & (u < tt)
+                         & (far * cos * tt < near * (tt - u))
+                         & np.where(cos > 0.0,
+                                    near * (tt - u) * cos < far * tt,
+                                    cos == 0.0))
+            np.minimum.at(best, t[valid, c], lo[valid] + tt[valid])
+        if not (best < dist).any():
+            return dist, sweeps
+        dist = best
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +151,14 @@ def test_sources_and_validation():
         distance_transform(mesh, [])
     with pytest.raises(TopologyError):
         distance_transform(mesh, [999])
+    # a scar mask or float ids would silently become other vertices
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[[3, 7]] = True
+    for bad in (mask, [1.7, 3.2], np.array([3.0])):
+        with pytest.raises(ValueError):
+            distance_transform(mesh, bad)
+    assert np.array_equal(distance_transform(mesh, np.uint8([7, 3])).sources,
+                          [3, 7])
 
 
 def test_trace_path_descends_monotonically():
@@ -116,6 +171,18 @@ def test_trace_path_descends_monotonically():
     # polyline length equals sum of segment norms
     seg = np.diff(tp.points, axis=0)
     assert tp.length == pytest.approx(np.linalg.norm(seg, axis=1).sum())
+
+
+def test_trace_path_rejects_out_of_range_start():
+    mesh = plane_grid(5, 5)
+    field = distance_transform(mesh, [0])
+    for start in (-1, mesh.n_vertices, 10**9):
+        with pytest.raises(TopologyError, match="out of range"):
+            trace_path(field, start)
+    for start in (6.9, np.float64(6.0), True):
+        with pytest.raises(ValueError):
+            trace_path(field, start)
+    assert trace_path(field, np.int32(6)).vertex_ids[0] == 6
 
 
 def test_min_interset_distance_symmetric_and_oriented():
@@ -143,9 +210,67 @@ def test_min_interset_distance_reuses_fields():
     assert np.array_equal(reused.path.vertex_ids, base.path.vertex_ids)
 
 
+def test_min_interset_distance_rejects_mismatched_fields():
+    mesh = icosphere(subdivisions=2, radius=5.0)
+    set_a, set_b = [0], [11]
+    fa = distance_transform(mesh, set_a)
+    fb = distance_transform(mesh, set_b)
+    with pytest.raises(ValueError, match="field_a"):
+        min_interset_distance(mesh, set_a, set_b, field_a=fb, field_b=fa)
+    with pytest.raises(ValueError, match="field_b"):
+        min_interset_distance(mesh, set_a, set_b, field_b=fa)
+    # the same sources on an equal but distinct mesh are still another mesh
+    other = icosphere(subdivisions=2, radius=5.0)
+    with pytest.raises(ValueError, match="field_a"):
+        min_interset_distance(other, set_a, set_b, field_a=fa)
+    with pytest.raises(ValueError):
+        min_interset_distance(mesh, [True], set_b)
+
+
+def test_matches_the_whole_mesh_reference_bit_for_bit():
+    rng = np.random.default_rng(4)
+    grid = plane_grid(19, 14, spacing=1.0)
+    # jittered vertices give obtuse corners, where edge relaxations take over
+    jitter = rng.uniform(-0.3, 0.3, size=grid.vertices.shape) * [1, 1, 0]
+    jittered = SurfaceMesh(grid.vertices + jitter, grid.triangles)
+    cases = [(icosphere(subdivisions=3, radius=10.0), [5]),
+             (grid, [0, 100, 265]),
+             (jittered, [7]),
+             (jittered, np.flatnonzero(jittered.boundary_vertex_mask))]
+    for mesh, sources in cases:
+        field = distance_transform(mesh, sources)
+        dist, sweeps = _reference_transform(mesh, sources)
+        assert field.dist.tobytes() == dist.tobytes()
+        assert field.sweeps == sweeps
+
+
+@pytest.mark.parametrize("case", ["sphere-one-source", "plane-sources"])
+def test_result_is_a_fixed_point_of_every_corner(case):
+    # every corner's edge relaxations and triangle update, evaluated with the
+    # final distances, must propose nothing lower: a sweep that skipped a
+    # triangle it should have revisited leaves a proposal behind
+    if case == "sphere-one-source":
+        mesh, sources = icosphere(subdivisions=3, radius=10.0), [5]
+    else:
+        mesh, sources = plane_grid(23, 17, spacing=0.8), [0, 200, 390]
+    field = distance_transform(mesh, sources)
+    tab = _corner_tables(mesh)
+    every_corner = np.arange(3 * mesh.n_triangles)
+    targets, values = _proposals(tab, field.dist, every_corner)
+    assert targets.size == 0, values.min()
+    # the check is not vacuous: a raised vertex gets a proposal at once
+    raised = field.dist.copy()
+    far = int(np.argmax(raised))
+    raised[far] += 1.0
+    targets, values = _proposals(tab, raised, every_corner)
+    assert far in targets
+    assert values[targets == far].min() == pytest.approx(field.dist[far])
+
+
 def test_determinism_same_inputs_same_bits():
     mesh = icosphere(subdivisions=2, radius=5.0)
     f1 = distance_transform(mesh, [0, 11])
     f2 = distance_transform(mesh, [0, 11])
     assert np.array_equal(f1.dist, f2.dist)
     assert np.array_equal(f1.pred, f2.pred)
+    assert f1.sweeps >= 1 and f1.sweeps == f2.sweeps
