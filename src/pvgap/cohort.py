@@ -46,23 +46,37 @@ class CohortTable:
 
 
 def _case_row(report: dict) -> tuple:
-    case_id = report["mesh_name"]
-    ref = report["reference_threshold"]
-    nauc, counts, lens, gaps = {}, {}, {}, {}
-    meta = {}
-    for name, area in report["areas"].items():
-        meta[name] = (area["strategy"], tuple(area["labels"]))
-        if area["status"] != "ok":
-            continue
-        nauc[name] = float(area["rgm_nauc"])
-        counts[name] = float(area["gap_count_mean"])
-        lens[name] = float(area["gap_length_mm_mean"])
-        at_ref = [p for p in area["per_threshold"] if p["factor"] == ref]
-        if len(at_ref) != 1:
-            raise ConfigError(f"{case_id}: area {name!r} lacks the "
-                              f"reference threshold {ref}")
-        gaps[name] = tuple((float(g["length_mm"]), int(g["midpoint_region"]))
-                           for g in at_ref[0]["gaps"])
+    """(CaseRow, area -> (strategy, labels)) of one report; a missing key
+    or a value of the wrong type raises ConfigError."""
+    try:
+        case_id = report["mesh_name"]
+        ref = report["reference_threshold"]
+        if not isinstance(case_id, str):
+            raise TypeError(f"mesh_name must be a string, got {case_id!r}")
+        if (isinstance(ref, bool) or not isinstance(ref, (int, float))
+                or not math.isfinite(ref)):
+            raise ValueError("reference_threshold must be a finite number, "
+                             f"got {ref!r}")
+        nauc, counts, lens, gaps = {}, {}, {}, {}
+        meta = {}
+        for name, area in report["areas"].items():
+            meta[name] = (area["strategy"], tuple(area["labels"]))
+            if area["status"] != "ok":
+                continue
+            nauc[name] = float(area["rgm_nauc"])
+            counts[name] = float(area["gap_count_mean"])
+            lens[name] = float(area["gap_length_mm_mean"])
+            at_ref = [p for p in area["per_threshold"] if p["factor"] == ref]
+            if len(at_ref) != 1:
+                raise ConfigError(f"{case_id}: area {name!r} lacks the "
+                                  f"reference threshold {ref}")
+            gaps[name] = tuple((float(g["length_mm"]),
+                                int(g["midpoint_region"]))
+                               for g in at_ref[0]["gaps"])
+    except KeyError as exc:
+        raise ConfigError(f"gap report lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed gap report: {exc}") from None
     row = CaseRow(case_id=case_id, nauc=nauc, gap_count_mean=counts,
                   gap_length_mean=lens, ref_gaps=gaps)
     return row, meta

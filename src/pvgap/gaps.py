@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AreaError
 from .geodesics import (DistanceField, distance_transform,
-                        min_interset_distance, trace_path)
+                        min_interset_distance, polyline_length, trace_path)
 from .mesh import PatchLabeling, connected_components
 from .regions import OpenedArea
 
@@ -64,9 +64,7 @@ def build_graph(opened: OpenedArea, scar_mask: np.ndarray) -> GapGraph:
     geometry = {}
     for i in range(n):
         for j in range(i + 1, n):
-            isd = min_interset_distance(mesh, patches.patches[i],
-                                        patches.patches[j],
-                                        field_a=fields[i], field_b=fields[j])
+            isd = min_interset_distance(fields[i], fields[j])
             geometry[(i, j)] = isd
             weights[i, j] = weights[j, i] = isd.distance
     start_w = np.stack([f.dist[opened.side_a] for f in fields]) \
@@ -159,15 +157,9 @@ def _polyline(field: DistanceField, start: int, reverse: bool = False):
     return ids, pts, tp.length
 
 
-def _seg_length(points: np.ndarray) -> float:
-    if len(points) < 2:
-        return 0.0
-    return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
-
-
 def _gap_segment(mesh, ids: np.ndarray, points: np.ndarray,
                  wraps: bool) -> GapSegment:
-    length = _seg_length(points)
+    length = polyline_length(points)
     if mesh.region is not None:
         labels = mesh.region[ids]
         regions = tuple(sorted(set(int(v) for v in labels)))

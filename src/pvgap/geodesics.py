@@ -18,6 +18,12 @@ corner q = r*m + t is vertex r of triangle t, and the triangle's next two
 vertices are its supports A and B. Every per-corner table is one flat array
 of length 3m in this order. Vertex v's incident triangles are
 tri[ptr[v]:ptr[v + 1]], a CSR pair over `triangles.ravel()`.
+
+A field holds distances only. Polylines are traced from them on demand by
+steepest descent along edges: from vertex v, step to the neighbour u with
+dist[u] < dist[v] that minimises dist[u] + |uv|, ties to the smaller
+index, until no neighbour is lower. Each step lowers dist strictly, so the
+walk cannot cycle.
 """
 
 from __future__ import annotations
@@ -111,21 +117,19 @@ class DistanceField:
     """Geodesic distance transform from a source vertex set.
 
     dist is 0 exactly on sources, +inf on unreachable vertices, and
-    1-Lipschitz along edges. pred[v] is an edge neighbor with strictly
-    smaller distance (-1 on sources/unreachable); predecessor chains
-    terminate at a source. sweeps counts the wavefront sweeps the
+    1-Lipschitz along edges. sweeps counts the wavefront sweeps the
     transform ran, the last one included (it found nothing to lower).
     """
     mesh: SurfaceMesh
     sources: np.ndarray
     dist: np.ndarray
-    pred: np.ndarray
     sweeps: int
 
 
 @dataclass(frozen=True)
 class TracedPath:
-    """Vertex-restricted polyline traced through predecessors."""
+    """Vertex-restricted polyline traced down a distance field by the
+    steepest-descent rule of the module docstring."""
     vertex_ids: np.ndarray
     points: np.ndarray
     length: float
@@ -144,20 +148,14 @@ class InterSetDistance:
     path: TracedPath
 
 
-def _vertex_set(ids, empty_message: str) -> np.ndarray:
-    """Sorted unique vertex ids; rejects an empty or non-integer input."""
-    arr = np.asarray(ids)
-    if arr.size == 0:
-        raise TopologyError(empty_message)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"vertex ids must be integers, got dtype {arr.dtype}")
-    return np.unique(arr.astype(np.int64))
-
-
 def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
     """Geodesic distance from a set of source vertices."""
-    src = _vertex_set(sources,
-                      "distance_transform requires a nonempty source set")
+    src = np.asarray(sources)
+    if src.size == 0:
+        raise TopologyError("distance_transform requires a nonempty source set")
+    if src.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got dtype {src.dtype}")
+    src = np.unique(src.astype(np.int64))
     if src.min() < 0 or src.max() >= mesh.n_vertices:
         raise TopologyError("source vertex out of range")
     n, m = mesh.n_vertices, mesh.n_triangles
@@ -190,62 +188,46 @@ def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
         dist[active] = best[active]
         best[active] = np.inf
 
-    pred = _predecessors(mesh, dist, src)
     dist.flags.writeable = False
-    pred.flags.writeable = False
     src.flags.writeable = False
-    return DistanceField(mesh=mesh, sources=src, dist=dist, pred=pred,
-                         sweeps=sweeps)
+    return DistanceField(mesh=mesh, sources=src, dist=dist, sweeps=sweeps)
 
 
-def _predecessors(mesh: SurfaceMesh, dist: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Steepest-descent predecessor per vertex: the neighbor minimizing
-    dist[u] + |uv| among neighbors with strictly smaller dist (tie: smaller
-    index)."""
-    e = mesh.edges
-    w = mesh.edge_lengths
-    tails = np.concatenate([e[:, 0], e[:, 1]])
-    heads = np.concatenate([e[:, 1], e[:, 0]])
-    ww = np.concatenate([w, w])
-    with np.errstate(invalid="ignore"):
-        ok = np.isfinite(dist[tails]) & (dist[tails] < dist[heads])
-    tails, heads, ww = tails[ok], heads[ok], ww[ok]
-    vals = dist[tails] + ww
-    pred = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    if len(heads):
-        order = np.lexsort((tails, vals, heads))
-        heads_s = heads[order]
-        first = np.ones(len(heads_s), dtype=bool)
-        first[1:] = heads_s[1:] != heads_s[:-1]
-        pred[heads_s[first]] = tails[order][first]
-    pred[src] = -1
-    return pred
+def polyline_length(points: np.ndarray) -> float:
+    """Sum of the segment lengths of a polyline; 0.0 for a single point."""
+    return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 
 def trace_path(field: DistanceField, start: int) -> TracedPath:
-    """Polyline from `start` down the predecessor chain to a source vertex."""
+    """Polyline from `start` down steepest descent to a source vertex."""
     mesh = field.mesh
     if np.asarray(start).dtype.kind not in "iu":
         raise ValueError(f"start vertex must be an integer, got {start!r}")
     start = int(start)
     if not 0 <= start < mesh.n_vertices:
         raise TopologyError("start vertex out of range")
-    if not np.isfinite(field.dist[start]):
+    dist = field.dist
+    if not np.isfinite(dist[start]):
         raise TopologyError(f"vertex {start} is unreachable from the sources")
-    ids = [start]
-    seen = {start}
-    while field.pred[ids[-1]] >= 0:
-        nxt = int(field.pred[ids[-1]])
-        if nxt in seen:
-            raise RuntimeError("predecessor chain cycled")
-        seen.add(nxt)
-        ids.append(nxt)
-    if field.dist[ids[-1]] != 0.0:
-        raise RuntimeError("predecessor chain did not reach a source")
+    adj = mesh.adjacency  # sorted indices, edge lengths as data
+    v = start
+    ids = [v]
+    while True:
+        lo, hi = adj.indptr[v], adj.indptr[v + 1]
+        nbr = adj.indices[lo:hi]
+        d = dist[nbr]
+        lower = np.flatnonzero(d < dist[v])
+        if not lower.size:
+            break
+        # argmin's first hit over sorted indices: ties to the smaller index
+        v = int(nbr[lower[np.argmin(d[lower] + adj.data[lo + lower])]])
+        ids.append(v)
+    if dist[ids[-1]] != 0.0:
+        raise RuntimeError("steepest descent did not reach a source")
     ids_arr = np.asarray(ids, dtype=np.int64)
     pts = mesh.vertices[ids_arr]
-    length = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-    return TracedPath(vertex_ids=ids_arr, points=pts, length=length)
+    return TracedPath(vertex_ids=ids_arr, points=pts,
+                      length=polyline_length(pts))
 
 
 def _best_at(dist: np.ndarray, where: np.ndarray):
@@ -261,30 +243,20 @@ def _reverse(path: TracedPath) -> TracedPath:
                       points=path.points[::-1], length=path.length)
 
 
-def min_interset_distance(mesh: SurfaceMesh, set_a, set_b,
-                          field_a: DistanceField | None = None,
-                          field_b: DistanceField | None = None) -> InterSetDistance:
-    """Minimum geodesic distance between two vertex sets with its polyline.
+def min_interset_distance(field_a: DistanceField,
+                          field_b: DistanceField) -> InterSetDistance:
+    """Minimum geodesic distance between the source sets of two fields on
+    one mesh, with its polyline.
 
     Evaluated in both directions and symmetrized (the transforms are not
     exactly symmetric vertex-for-vertex); direction a->b wins exact ties.
     Endpoint ties resolve to the smaller vertex index on the far set.
-    A precomputed field_a/field_b must be the transform of that set on mesh.
     """
-    msg = "min_interset_distance requires nonempty sets"
-    a = _vertex_set(set_a, msg)
-    b = _vertex_set(set_b, msg)
-    for name, field, ids in (("field_a", field_a, a), ("field_b", field_b, b)):
-        if field is not None and not (field.mesh is mesh and
-                                      np.array_equal(field.sources, ids)):
-            raise ValueError(f"{name} is not the distance transform of "
-                             f"set_{name[-1]} on this mesh")
-    if field_a is None:
-        field_a = distance_transform(mesh, a)
-    if field_b is None:
-        field_b = distance_transform(mesh, b)
-    d_ab, end_b = _best_at(field_a.dist, b)
-    d_ba, end_a = _best_at(field_b.dist, a)
+    if field_a.mesh is not field_b.mesh:
+        raise ValueError("min_interset_distance needs two fields on the "
+                         "same mesh")
+    d_ab, end_b = _best_at(field_a.dist, field_b.sources)
+    d_ba, end_a = _best_at(field_b.dist, field_a.sources)
     dist = min(d_ab, d_ba)
     if not np.isfinite(dist):
         empty = TracedPath(vertex_ids=np.empty(0, dtype=np.int64),

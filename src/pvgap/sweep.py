@@ -251,8 +251,12 @@ def write_report(case: CaseResult, path) -> None:
 
 
 def load_report(path) -> dict:
+    """A gap report; the non-strict constants NaN and Infinity, which
+    write_report never emits, are rejected."""
+    def strict(name):
+        raise ConfigError(f"{path}: {name} is not strict JSON")
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_constant=strict)
     if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
         raise ConfigError(f"{path}: not a {REPORT_FORMAT} file")
     return data

@@ -288,6 +288,25 @@ def test_cohort_tables_match_reports(cohort_dir):
     assert not (out / "regions_joint.csv").exists()
 
 
+def test_cohort_rejects_malformed_reports(cohort_dir, tmp_path, capsys):
+    reports, _out = cohort_dir
+    good = json.loads((reports / "a.json").read_text())
+    unreferenced = {k: v for k, v in good.items()
+                    if k != "reference_threshold"}
+    not_finite = ('{"format": "gap-report 1", "mesh_name": "x", '
+                  '"reference_threshold": NaN, "areas": {}}')
+    for name, text, why in (("missing", json.dumps(unreferenced),
+                             "lacks the key 'reference_threshold'"),
+                            ("nan", not_finite, "NaN is not strict JSON")):
+        src = tmp_path / f"{name}.json"
+        src.write_text(text)
+        out = tmp_path / f"t_{name}"
+        assert main(["cohort", "--reports", str(src),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert why in capsys.readouterr().err
+
+
 def test_cohort_rejects_duplicate_cases(cohort_dir, tmp_path, capsys):
     reports, _out = cohort_dir
     dup = tmp_path / "dup"

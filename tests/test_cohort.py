@@ -212,6 +212,19 @@ def test_aggregate_rejections():
                  _report("c2", {"A": _area(0.4, labels=(3, 4))})]
     with pytest.raises(ConfigError):
         aggregate(relabeled)
+    # a missing key or a value of the wrong type is a bad report, not a crash
+    unreferenced = _report("c1", {"A": _area(0.2)})
+    del unreferenced["reference_threshold"]
+    with pytest.raises(ConfigError, match="reference_threshold"):
+        aggregate([unreferenced])
+    for ref in (math.nan, math.inf, "3.3", True, None):
+        bad = _report("c1", {})
+        bad["reference_threshold"] = ref
+        with pytest.raises(ConfigError, match="reference_threshold"):
+            aggregate([bad])
+    for areas in ([], {"A": [0.2]}, {"A": {**_area(0.2), "rgm_nauc": None}}):
+        with pytest.raises(ConfigError, match="malformed"):
+            aggregate([_report("c1", areas)])
 
 
 def test_aggregate_skips_failed_areas():

@@ -27,6 +27,34 @@ def _edge_dijkstra(mesh, sources):
     return dist.min(axis=0)
 
 
+def _reference_pred(field):
+    """The steepest-descent rule evaluated for every vertex at once: a lexsort
+    of all directed edges by head, then dist[tail] + |edge|, then tail.
+    pred[v] is the chosen lower neighbour, -1 where none is lower."""
+    mesh, dist = field.mesh, field.dist
+    e, w = mesh.edges, mesh.edge_lengths
+    tails = np.concatenate([e[:, 0], e[:, 1]])
+    heads = np.concatenate([e[:, 1], e[:, 0]])
+    ww = np.concatenate([w, w])
+    ok = np.isfinite(dist[tails]) & (dist[tails] < dist[heads])
+    tails, heads, ww = tails[ok], heads[ok], ww[ok]
+    order = np.lexsort((tails, dist[tails] + ww, heads))
+    heads_s = heads[order]
+    first = np.ones(len(heads_s), dtype=bool)
+    first[1:] = heads_s[1:] != heads_s[:-1]
+    pred = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    pred[heads_s[first]] = tails[order][first]
+    return pred
+
+
+def _jittered_grid():
+    rng = np.random.default_rng(4)
+    grid = plane_grid(19, 14, spacing=1.0)
+    # jittered vertices give obtuse corners, where edge relaxations take over
+    jitter = rng.uniform(-0.3, 0.3, size=grid.vertices.shape) * [1, 1, 0]
+    return grid, SurfaceMesh(grid.vertices + jitter, grid.triangles)
+
+
 def _reference_transform(mesh, sources):
     """(dist, sweeps) of the kernel's update written out plainly: every sweep
     evaluates every corner of every triangle, where the kernel visits only
@@ -185,12 +213,35 @@ def test_trace_path_rejects_out_of_range_start():
     assert trace_path(field, np.int32(6)).vertex_ids[0] == 6
 
 
+@pytest.mark.parametrize("case", ["sphere-one-source", "jittered-boundary"])
+def test_trace_path_follows_the_reference_chain(case):
+    # every vertex's trace is the chain of the all-edges reference rule,
+    # tie-break included: on the sphere dozens of vertices have two equally
+    # low neighbours
+    if case == "sphere-one-source":
+        mesh, sources = icosphere(subdivisions=3, radius=10.0), [5]
+    else:
+        mesh = _jittered_grid()[1]
+        sources = np.flatnonzero(mesh.boundary_vertex_mask)
+    field = distance_transform(mesh, sources)
+    pred = _reference_pred(field)
+    for v in range(mesh.n_vertices):
+        chain = [v]
+        while pred[chain[-1]] >= 0:
+            chain.append(int(pred[chain[-1]]))
+        tp = trace_path(field, v)
+        assert tp.vertex_ids.tolist() == chain
+        assert field.dist[chain[-1]] == 0.0
+
+
 def test_min_interset_distance_symmetric_and_oriented():
     mesh = plane_grid(12, 8)
     set_a = [0, 1, 2]
     set_b = [93, 94, 95]
-    r_ab = min_interset_distance(mesh, set_a, set_b)
-    r_ba = min_interset_distance(mesh, set_b, set_a)
+    f_a = distance_transform(mesh, set_a)
+    f_b = distance_transform(mesh, set_b)
+    r_ab = min_interset_distance(f_a, f_b)
+    r_ba = min_interset_distance(f_b, f_a)
     assert r_ab.distance == pytest.approx(r_ba.distance, rel=1e-12)
     # the path is oriented from the first argument's side
     assert r_ab.endpoint_a in set_a and r_ab.endpoint_b in set_b
@@ -198,41 +249,19 @@ def test_min_interset_distance_symmetric_and_oriented():
     assert r_ab.path.vertex_ids[-1] == r_ab.endpoint_b
 
 
-def test_min_interset_distance_reuses_fields():
-    mesh = plane_grid(10, 10)
-    set_a, set_b = [0], [99]
-    fa = distance_transform(mesh, set_a)
-    fb = distance_transform(mesh, set_b)
-    base = min_interset_distance(mesh, set_a, set_b)
-    reused = min_interset_distance(mesh, set_a, set_b, field_a=fa,
-                                   field_b=fb)
-    assert reused.distance == base.distance
-    assert np.array_equal(reused.path.vertex_ids, base.path.vertex_ids)
-
-
 def test_min_interset_distance_rejects_mismatched_fields():
+    # an equal but distinct mesh is still another mesh
     mesh = icosphere(subdivisions=2, radius=5.0)
-    set_a, set_b = [0], [11]
-    fa = distance_transform(mesh, set_a)
-    fb = distance_transform(mesh, set_b)
-    with pytest.raises(ValueError, match="field_a"):
-        min_interset_distance(mesh, set_a, set_b, field_a=fb, field_b=fa)
-    with pytest.raises(ValueError, match="field_b"):
-        min_interset_distance(mesh, set_a, set_b, field_b=fa)
-    # the same sources on an equal but distinct mesh are still another mesh
     other = icosphere(subdivisions=2, radius=5.0)
-    with pytest.raises(ValueError, match="field_a"):
-        min_interset_distance(other, set_a, set_b, field_a=fa)
-    with pytest.raises(ValueError):
-        min_interset_distance(mesh, [True], set_b)
+    fa = distance_transform(mesh, [0])
+    with pytest.raises(ValueError, match="same mesh"):
+        min_interset_distance(fa, distance_transform(other, [11]))
+    assert min_interset_distance(
+        fa, distance_transform(mesh, [11])).endpoint_b == 11
 
 
 def test_matches_the_whole_mesh_reference_bit_for_bit():
-    rng = np.random.default_rng(4)
-    grid = plane_grid(19, 14, spacing=1.0)
-    # jittered vertices give obtuse corners, where edge relaxations take over
-    jitter = rng.uniform(-0.3, 0.3, size=grid.vertices.shape) * [1, 1, 0]
-    jittered = SurfaceMesh(grid.vertices + jitter, grid.triangles)
+    grid, jittered = _jittered_grid()
     cases = [(icosphere(subdivisions=3, radius=10.0), [5]),
              (grid, [0, 100, 265]),
              (jittered, [7]),
@@ -272,5 +301,7 @@ def test_determinism_same_inputs_same_bits():
     f1 = distance_transform(mesh, [0, 11])
     f2 = distance_transform(mesh, [0, 11])
     assert np.array_equal(f1.dist, f2.dist)
-    assert np.array_equal(f1.pred, f2.pred)
+    for v in range(mesh.n_vertices):
+        assert np.array_equal(trace_path(f1, v).vertex_ids,
+                              trace_path(f2, v).vertex_ids)
     assert f1.sweeps >= 1 and f1.sweeps == f2.sweeps

@@ -6,8 +6,11 @@ in pvgap would otherwise only show up as a failing traced benchmark run.
 
 from pathlib import Path
 
+from pvgap.gaps import build_graph, min_gap_path
 from pvgap.geodesics import distance_transform
-from pvgap.synth import plane_grid
+from pvgap.regions import build_search_area, open_area
+from pvgap.scar import threshold_mask
+from pvgap.synth import PhantomSpec, make_phantom, plane_grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,3 +37,33 @@ def test_dt_counter_reads_a_real_field(monkeypatch):
     field = distance_transform(mesh, [4, 2, 4])
     assert _dt((mesh, [4, 2, 4]), {}, field) == {"sources": 2,
                                                  "vertices": 30}
+
+
+def test_graph_counters_read_a_real_graph(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import _graph, _route, _solve
+
+    spec = PhantomSpec(keep_fraction=0.75, patchiness=2, seed=3)
+    mesh, config, _truth = make_phantom(spec)
+    opened = open_area(build_search_area(mesh, config.areas[0]))
+    mask = threshold_mask(opened.mesh.intensity, spec.blood_pool_mean,
+                          spec.blood_pool_sd, 3.3)
+    graph = build_graph(opened, mask)
+    n = graph.n_patches
+    assert n >= 2
+    counts = _graph((opened, mask), {}, graph)
+    assert counts["patches"] == n
+    assert counts["geometries"] == n * (n - 1) // 2
+    assert counts["mask"][0] == opened.mesh.name
+
+    path = min_gap_path(graph)
+    assert len(path.node_sequence) >= 1
+    assert _route((graph,), {}, path) == {
+        "route_pairs": len(path.node_sequence) - 1}
+
+    # the route solve is called positionally, but a keyword call counts too
+    pairs = {"pairs": len(opened.side_a)}
+    assert _solve((graph.weights, graph.start_w, graph.end_w), {},
+                  None) == pairs
+    assert _solve((graph.weights,), {"start_w": graph.start_w,
+                                     "end_w": graph.end_w}, None) == pairs
