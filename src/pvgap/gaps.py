@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AreaError
-from .geodesics import (DistanceField, distance_transform,
+from .errors import AreaError, TopologyError
+from .geodesics import (DistanceField, distance_transform, geodesic_path,
                         min_interset_distance, polyline_length, trace_path)
 from .mesh import PatchLabeling, connected_components
 from .regions import OpenedArea
@@ -184,11 +184,10 @@ def _gap_segment(mesh, ids: np.ndarray, points: np.ndarray,
 
 def _link(mesh, src: int, dst: int):
     """Unconstrained geodesic polyline src -> dst."""
-    if src == dst:
-        return np.asarray([src], dtype=np.int64), mesh.vertices[[src]], 0.0
-    field = distance_transform(mesh, [src])
-    ids, pts, length = _polyline(field, dst, reverse=True)  # src -> dst
-    return ids, pts, length
+    isd = geodesic_path(mesh, src, dst)
+    if not np.isfinite(isd.distance):
+        raise TopologyError(f"vertex {dst} is unreachable from the sources")
+    return isd.path.vertex_ids, isd.path.points, isd.path.length
 
 
 def assemble_geometry(graph: GapGraph, pair_index: int,
@@ -261,29 +260,29 @@ def _no_patch_loop(opened: OpenedArea) -> EncirclingPath:
     """No scar anywhere: the gap is the shortest encircling loop itself.
 
     A single transform from all side_a rims gives a lower bound per twin
-    pair; exact single-source loops are then evaluated in bound order until
+    pair; exact point-to-point loops are then evaluated in bound order until
     the bound passes the best exact length.
     """
     mesh = opened.mesh
     combo = distance_transform(mesh, opened.side_a)
     lb = combo.dist[opened.side_b]
     order = np.lexsort((np.arange(len(lb)), lb))
-    best = None  # (length, pair index, field)
+    best = None  # (length, pair index, path)
     for k in order:
         k = int(k)
         if not np.isfinite(lb[k]):
             continue
         if best is not None and lb[k] > best[0]:
             break
-        field = distance_transform(mesh, [int(opened.side_a[k])])
-        d = float(field.dist[opened.side_b[k]])
+        loop = geodesic_path(mesh, opened.side_a[k], opened.side_b[k])
+        d = loop.distance
         if np.isfinite(d) and (best is None or (d, k) < best[:2]):
-            best = (d, k, field)
+            best = (d, k, loop.path)
     if best is None:
         raise AreaError("cut rims are not connected in the opened area")
-    _d, k, field = best
+    _d, k, path = best
     p_a, p_b = int(opened.side_a[k]), int(opened.side_b[k])
-    ids, pts, length = _polyline(field, p_b, reverse=True)  # p_a -> p_b
+    ids, pts, length = path.vertex_ids, path.points, path.length
     gap = _gap_segment(mesh, ids, pts, wraps=True)
     return EncirclingPath(total_length=length, gap_length=length, rgm=1.0,
                           gap_count=1, gaps=(gap,), non_gap_length=0.0,

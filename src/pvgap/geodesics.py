@@ -13,6 +13,15 @@ values only decrease, so it terminates at a fixed point of the update
 operator. Accuracy contract: within 2% of analytic geodesics on well-shaped
 plane/sphere meshes (asserted in the test suite).
 
+A point-to-point transform (`geodesic_path`) runs the same sweeps but,
+before each one, keeps only the improved vertices whose dist is below the
+current dist[target]. This is exact below that bound: every proposal is at
+least its support's value (an edge relaxation adds a length, a valid
+triangle update is never below its farther support), so a dropped vertex
+can never lower anything below the bound, and the descent from the target
+reads only values below it. The values above the bound are left unfinished,
+so such a transform yields its target's distance and path, never a field.
+
 Corners follow the half-edge numbering of `SurfaceMesh`: with m triangles,
 corner q = r*m + t is vertex r of triangle t, and the triangle's next two
 vertices are its supports A and B. Every per-corner table is one flat array
@@ -148,16 +157,9 @@ class InterSetDistance:
     path: TracedPath
 
 
-def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
-    """Geodesic distance from a set of source vertices."""
-    src = np.asarray(sources)
-    if src.size == 0:
-        raise TopologyError("distance_transform requires a nonempty source set")
-    if src.dtype.kind not in "iu":
-        raise ValueError(f"vertex ids must be integers, got dtype {src.dtype}")
-    src = np.unique(src.astype(np.int64))
-    if src.min() < 0 or src.max() >= mesh.n_vertices:
-        raise TopologyError("source vertex out of range")
+def _sweep(mesh: SurfaceMesh, src: np.ndarray, target: int | None = None):
+    """(dist, sweeps) of the transform from the checked source ids src;
+    with a target, exact only below the final dist[target]."""
     n, m = mesh.n_vertices, mesh.n_triangles
     tab = _corner_tables(mesh)
     ptr, tri = tab["ptr"], tab["tri"]
@@ -187,7 +189,22 @@ def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
         active = np.flatnonzero(best < dist)
         dist[active] = best[active]
         best[active] = np.inf
+        if target is not None:
+            active = active[dist[active] < dist[target]]
+    return dist, sweeps
 
+
+def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
+    """Geodesic distance from a set of source vertices."""
+    src = np.asarray(sources)
+    if src.size == 0:
+        raise TopologyError("distance_transform requires a nonempty source set")
+    if src.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got dtype {src.dtype}")
+    src = np.unique(src.astype(np.int64))
+    if src.min() < 0 or src.max() >= mesh.n_vertices:
+        raise TopologyError("source vertex out of range")
+    dist, sweeps = _sweep(mesh, src)
     dist.flags.writeable = False
     src.flags.writeable = False
     return DistanceField(mesh=mesh, sources=src, dist=dist, sweeps=sweeps)
@@ -198,17 +215,18 @@ def polyline_length(points: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 
-def trace_path(field: DistanceField, start: int) -> TracedPath:
-    """Polyline from `start` down steepest descent to a source vertex."""
-    mesh = field.mesh
-    if np.asarray(start).dtype.kind not in "iu":
-        raise ValueError(f"start vertex must be an integer, got {start!r}")
-    start = int(start)
-    if not 0 <= start < mesh.n_vertices:
-        raise TopologyError("start vertex out of range")
-    dist = field.dist
-    if not np.isfinite(dist[start]):
-        raise TopologyError(f"vertex {start} is unreachable from the sources")
+def _vertex(mesh: SurfaceMesh, v, what: str) -> int:
+    """v as a checked vertex id of mesh."""
+    if np.asarray(v).dtype.kind not in "iu":
+        raise ValueError(f"{what} vertex must be an integer, got {v!r}")
+    v = int(v)
+    if not 0 <= v < mesh.n_vertices:
+        raise TopologyError(f"{what} vertex out of range")
+    return v
+
+
+def _descend(mesh: SurfaceMesh, dist: np.ndarray, start: int) -> TracedPath:
+    """Steepest-descent polyline from a reached vertex to a source."""
     adj = mesh.adjacency  # sorted indices, edge lengths as data
     v = start
     ids = [v]
@@ -230,6 +248,14 @@ def trace_path(field: DistanceField, start: int) -> TracedPath:
                       length=polyline_length(pts))
 
 
+def trace_path(field: DistanceField, start: int) -> TracedPath:
+    """Polyline from `start` down steepest descent to a source vertex."""
+    start = _vertex(field.mesh, start, "start")
+    if not np.isfinite(field.dist[start]):
+        raise TopologyError(f"vertex {start} is unreachable from the sources")
+    return _descend(field.mesh, field.dist, start)
+
+
 def _best_at(dist: np.ndarray, where: np.ndarray):
     """(value, vertex) minimizing dist over `where`, tie to smaller vertex."""
     vals = dist[where]
@@ -241,6 +267,36 @@ def _best_at(dist: np.ndarray, where: np.ndarray):
 def _reverse(path: TracedPath) -> TracedPath:
     return TracedPath(vertex_ids=path.vertex_ids[::-1],
                       points=path.points[::-1], length=path.length)
+
+
+def _unreachable() -> InterSetDistance:
+    empty = TracedPath(vertex_ids=np.empty(0, dtype=np.int64),
+                       points=np.empty((0, 3)), length=np.inf)
+    return InterSetDistance(distance=np.inf, endpoint_a=-1, endpoint_b=-1,
+                            path=empty)
+
+
+def geodesic_path(mesh: SurfaceMesh, src: int, dst: int) -> InterSetDistance:
+    """Geodesic distance from vertex src to vertex dst and its src -> dst
+    polyline, by a transform from src that stops at dst.
+
+    Distance and path equal those of `distance_transform(mesh, [src])`
+    traced from dst; an unreachable dst gives the +inf result of
+    `InterSetDistance`.
+    """
+    src = _vertex(mesh, src, "source")
+    dst = _vertex(mesh, dst, "target")
+    if src == dst:
+        point = TracedPath(vertex_ids=np.asarray([src], dtype=np.int64),
+                           points=mesh.vertices[[src]], length=0.0)
+        return InterSetDistance(distance=0.0, endpoint_a=src, endpoint_b=dst,
+                                path=point)
+    dist, _sweeps = _sweep(mesh, np.asarray([src], dtype=np.int64), dst)
+    if not np.isfinite(dist[dst]):
+        return _unreachable()
+    path = _reverse(_descend(mesh, dist, dst))  # now runs src -> dst
+    return InterSetDistance(distance=float(dist[dst]), endpoint_a=src,
+                            endpoint_b=dst, path=path)
 
 
 def min_interset_distance(field_a: DistanceField,
@@ -259,10 +315,7 @@ def min_interset_distance(field_a: DistanceField,
     d_ba, end_a = _best_at(field_b.dist, field_a.sources)
     dist = min(d_ab, d_ba)
     if not np.isfinite(dist):
-        empty = TracedPath(vertex_ids=np.empty(0, dtype=np.int64),
-                           points=np.empty((0, 3)), length=np.inf)
-        return InterSetDistance(distance=np.inf, endpoint_a=-1, endpoint_b=-1,
-                                path=empty)
+        return _unreachable()
     if d_ab <= d_ba:
         path = _reverse(trace_path(field_a, end_b))  # now runs a -> b
         return InterSetDistance(distance=d_ab,

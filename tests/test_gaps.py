@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from pvgap.errors import AreaError
-from pvgap.gaps import (EPS_GAP, build_graph, min_gap_path, solve_gap_graph)
-from pvgap.geodesics import distance_transform
+from pvgap.errors import AreaError, TopologyError
+from pvgap.gaps import (EPS_GAP, _link, build_graph, min_gap_path,
+                        solve_gap_graph)
+from pvgap.geodesics import distance_transform, trace_path
+from pvgap.mesh import SurfaceMesh
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
-from pvgap.synth import TWO_PI, PhantomSpec, make_phantom
+from pvgap.synth import TWO_PI, PhantomSpec, make_phantom, plane_grid
 
 
 def _opened_with_mask(spec, factor=3.3):
@@ -209,6 +211,36 @@ def test_no_scar_loop_matches_per_pair_brute_force():
     assert path.crossing_pair == (int(opened.side_a[best[1]]),
                                   int(opened.side_b[best[1]]))
     assert path.total_length == pytest.approx(best[0], rel=1e-9)
+
+
+def test_route_links_match_whole_mesh_traces():
+    # each link is stopped at its target; its polyline and length must be
+    # those traced from the whole-mesh transform of its source
+    spec = PhantomSpec(keep_fraction=0.6, patchiness=3, seed=5)
+    opened, mask, _ = _opened_with_mask(spec)
+    path = min_gap_path(build_graph(opened, mask))
+    links = [ids for kind, ids in path.segment_ids if kind == "link"]
+    assert len(links) >= 3
+    non_gap = 0.0
+    for ids in links:
+        field = distance_transform(opened.mesh, [int(ids[0])])
+        ref = trace_path(field, int(ids[-1]))
+        assert ids.tolist() == ref.vertex_ids[::-1].tolist()
+        non_gap += ref.length
+    assert path.non_gap_length == non_gap
+
+
+def test_link_to_an_unreachable_vertex_raises():
+    grid = plane_grid(4, 4)
+    mesh = SurfaceMesh(
+        np.concatenate([grid.vertices, grid.vertices + [9.0, 0.0, 0.0]]),
+        np.concatenate([grid.triangles, grid.triangles + 16]))
+    with pytest.raises(TopologyError,
+                       match="^vertex 20 is unreachable from the sources$"):
+        _link(mesh, 3, 20)
+    ids, pts, length = _link(mesh, 3, 3)
+    assert ids.tolist() == [3] and length == 0.0
+    assert np.array_equal(pts, mesh.vertices[[3]])
 
 
 def test_full_scar_ring_has_no_gaps():

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
+from pvgap import geodesics
 from pvgap.errors import TopologyError
-from pvgap.geodesics import (_corner_tables, _proposals, distance_transform,
+from pvgap.geodesics import (_corner_tables, _proposals, _sweep,
+                             distance_transform, geodesic_path,
                              min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh
 from pvgap.synth import icosphere, plane_grid
@@ -99,6 +101,15 @@ def _reference_transform(mesh, sources):
         if not (best < dist).any():
             return dist, sweeps
         dist = best
+
+
+def _two_grids():
+    """Two 5x5 plane grids side by side, not connected: vertices 0-24 and
+    25-49."""
+    grid = plane_grid(5, 5)
+    return SurfaceMesh(
+        np.concatenate([grid.vertices, grid.vertices + [10.0, 0.0, 0.0]]),
+        np.concatenate([grid.triangles, grid.triangles + grid.n_vertices]))
 
 
 @pytest.fixture(scope="module")
@@ -305,3 +316,65 @@ def test_determinism_same_inputs_same_bits():
         assert np.array_equal(trace_path(f1, v).vertex_ids,
                               trace_path(f2, v).vertex_ids)
     assert f1.sweeps >= 1 and f1.sweeps == f2.sweeps
+
+
+@pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
+def test_bounded_transform_is_exact_below_its_target(case):
+    # a transform pruned at dist[target] must give the full transform's bits
+    # wherever either is below that bound, hence the same target distance and
+    # the same descent, vertex for vertex
+    if case == "sphere":
+        mesh = icosphere(subdivisions=3, radius=10.0)
+    else:
+        mesh = _jittered_grid()[1]
+    rng = np.random.default_rng(6)
+    pruned = 0
+    for src in range(0, mesh.n_vertices, 7):
+        field = distance_transform(mesh, [src])
+        for dst in rng.integers(0, mesh.n_vertices, size=6):
+            dst = int(dst)
+            if dst == src:
+                continue
+            bound = field.dist[dst]
+            bounded, _sweeps = _sweep(mesh, np.asarray([src]), dst)
+            assert (np.minimum(bounded, bound).tobytes()
+                    == np.minimum(field.dist, bound).tobytes()), (src, dst)
+            pruned += not np.array_equal(bounded, field.dist)
+            isd = geodesic_path(mesh, src, dst)
+            assert isd.distance == bound
+            assert (isd.endpoint_a, isd.endpoint_b) == (src, dst)
+            ref = trace_path(field, dst)
+            assert np.array_equal(isd.path.vertex_ids, ref.vertex_ids[::-1])
+            assert isd.path.length == ref.length
+    # the bound does stop transforms early
+    assert pruned > 0
+
+
+def test_geodesic_path_validation_and_edge_cases(monkeypatch):
+    mesh = _two_grids()
+    for bad in (6.9, np.float64(6.0), True):
+        with pytest.raises(ValueError):
+            geodesic_path(mesh, bad, 3)
+        with pytest.raises(ValueError):
+            geodesic_path(mesh, 3, bad)
+    for bad in (-1, mesh.n_vertices):
+        with pytest.raises(TopologyError, match="out of range"):
+            geodesic_path(mesh, bad, 3)
+        with pytest.raises(TopologyError, match="out of range"):
+            geodesic_path(mesh, 3, bad)
+    # a target on the other component is unreachable
+    far = geodesic_path(mesh, 0, 30)
+    assert far.distance == np.inf
+    assert (far.endpoint_a, far.endpoint_b) == (-1, -1)
+    assert far.path.vertex_ids.size == 0
+    assert geodesic_path(mesh, np.int32(0), np.uint8(24)).distance > 0.0
+
+    def no_sweep(*args):
+        raise AssertionError("a point path needs no transform")
+
+    monkeypatch.setattr(geodesics, "_sweep", no_sweep)
+    point = geodesic_path(mesh, 7, np.int32(7))
+    assert point.distance == 0.0 and point.path.length == 0.0
+    assert (point.endpoint_a, point.endpoint_b) == (7, 7)
+    assert point.path.vertex_ids.tolist() == [7]
+    assert np.array_equal(point.path.points, mesh.vertices[[7]])
