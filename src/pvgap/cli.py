@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,8 @@ def _parse_thresholds(text: str) -> tuple:
         vals = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"--thresholds: cannot parse {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError("--thresholds: values must be finite")
     if len(vals) < 2:
         raise ConfigError("--thresholds: need at least 2 values")
     if not all(a < b for a, b in zip(vals, vals[1:])):
@@ -89,9 +92,9 @@ def cmd_project(args) -> int:
 
 
 def cmd_quantify(args) -> int:
+    factors = _parse_thresholds(args.thresholds)
     mesh = _load_intensity_source(args)
     bp_mean, bp_sd = _blood_pool(args)
-    factors = _parse_thresholds(args.thresholds)
     config = load_config(args.config) if args.config else default_config()
     ref = args.ref_threshold
     if ref is not None and ref not in factors:

@@ -3,6 +3,9 @@
 A case run opens each configured area once, classifies scar at every
 threshold factor, solves the minimum-gap encircling path per factor, and
 summarizes the gap fraction curve by its normalized area under the curve.
+The path is a function of the opened area and its scar mask alone, so a
+factor whose opened-area mask equals an earlier factor's reuses that
+factor's path instead of solving it again; the report is unchanged.
 Failures of one area (bad labels, unresolvable cuts, missing connectivity,
 a solver that does not converge) are recorded and do not abort the
 remaining areas.
@@ -93,10 +96,13 @@ def _run_area(mesh, spec, masks):
         opened = open_area(area)
         sub_of_open = area.parent_vertex[opened.parent_vertex]
         results = []
+        paths = {}  # opened-area mask bytes -> its solved path
         for factor, mask in masks:
-            graph = build_graph(opened, mask[sub_of_open])
-            results.append(ThresholdResult(factor=factor,
-                                           path=min_gap_path(graph)))
+            sub = mask[sub_of_open]
+            key = sub.tobytes()
+            if key not in paths:
+                paths[key] = min_gap_path(build_graph(opened, sub))
+            results.append(ThresholdResult(factor=factor, path=paths[key]))
         nauc = rgm_nauc([r.factor for r in results],
                         [r.path.rgm for r in results])
         return AreaResult(name=spec.name, strategy=spec.strategy,
@@ -155,6 +161,8 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
         raise ConfigError("blood pool mean must be finite and its SD "
                           "finite and positive")
     factors = tuple(float(k) for k in factors)
+    if not all(math.isfinite(k) for k in factors):
+        raise ConfigError("threshold factors must be finite")
     if len(factors) < 2 or not all(a < b for a, b in zip(factors,
                                                          factors[1:])):
         raise ConfigError("need at least 2 strictly ascending thresholds")

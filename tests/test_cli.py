@@ -163,7 +163,7 @@ def test_verbose_flag_both_positions(workdir, tmp_path, capsys):
 
 # --- failure modes ---
 
-def test_argument_errors_exit_1(workdir, tmp_path, capsys):
+def test_argument_errors_exit_1(workdir, tmp_path, capsys, recwarn):
     ph = workdir / "ph"
     base = ["quantify", "--mesh", str(ph / "mesh.vtk"),
             "--config", str(ph / "regions.cfg"),
@@ -178,6 +178,13 @@ def test_argument_errors_exit_1(workdir, tmp_path, capsys):
     assert "--thresholds" in capsys.readouterr().err
     assert main(base + bp + ["--thresholds", "3.3"]) == 1
     assert main(base + bp + ["--thresholds", "2,x"]) == 1
+    # non-finite thresholds are refused before the mesh is read
+    capsys.readouterr()
+    assert main(base + bp + ["--thresholds=2,inf"]) == 1
+    assert "--thresholds" in capsys.readouterr().err
+    assert main(["quantify", "--mesh", str(tmp_path / "nope.vtk"),
+                 "--out", str(tmp_path / "r.json"), *bp,
+                 "--thresholds=2,inf"]) == 1
     # blood pool must come from exactly one source
     assert main(base + ["--thresholds", THRESH]) == 1
     assert main(base + bp + ["--bp-mask", str(ph / "volume.vol"),
@@ -196,6 +203,7 @@ def test_argument_errors_exit_1(workdir, tmp_path, capsys):
     assert main(base + bp + ["--thresholds", THRESH,
                              "--strategy", "joint"]) == 1
     assert not (tmp_path / "r.json").exists()
+    assert len(recwarn) == 0
 
 
 def test_io_errors_exit_2(workdir, tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from pvgap import sweep
 from pvgap.errors import ConfigError, TopologyError
+from pvgap.gaps import build_graph, min_gap_path
 from pvgap.mesh import SurfaceMesh, connected_components, load_mesh
 from pvgap.regions import AreaSpec, RegionConfig
 from pvgap.scar import THRESHOLD_FACTORS, threshold_mask
@@ -139,6 +140,9 @@ def test_run_case_validation(disk_case):
                              (-math.inf, sd)):
         with pytest.raises(ConfigError):
             run_case(mesh, config, bad_mean, bad_sd)
+    for bad_factors in ((2.0, math.inf), (-math.inf, 2.0), (2.0, math.nan)):
+        with pytest.raises(ConfigError):
+            run_case(mesh, config, mean, sd, factors=bad_factors)
 
 
 def test_run_case_default_reference_without_33(disk_case):
@@ -199,6 +203,98 @@ def test_run_case_internal_error_fails_one_area(disk_case, monkeypatch,
     assert good.ok
     assert good.nauc == case.areas[0].nauc
     assert [v.vein for v in got.veins] == ["LSPV_COPY"]
+
+
+# --- one solve per distinct opened-area mask ---
+
+def _count_build_graph(monkeypatch):
+    calls = []
+    real = sweep.build_graph
+
+    def counting(opened, mask):
+        calls.append(mask.copy())
+        return real(opened, mask)
+
+    monkeypatch.setattr(sweep, "build_graph", counting)
+    return calls
+
+
+def _open_masks(res, mesh, spec, factors):
+    """Each factor's scar mask on the area's opened mesh."""
+    sub_of_open = res.opened.area.parent_vertex[res.opened.parent_vertex]
+    return [threshold_mask(mesh.intensity, spec.blood_pool_mean,
+                           spec.blood_pool_sd, k)[sub_of_open]
+            for k in factors]
+
+
+def _assert_paths_match_fresh_solves(res, masks):
+    for tr, mask in zip(res.results, masks):
+        want = min_gap_path(build_graph(res.opened, mask))
+        got = tr.path
+        assert got.rgm == want.rgm
+        assert got.gap_length == want.gap_length
+        assert got.total_length == want.total_length
+        assert got.gap_count == want.gap_count
+        assert len(got.segment_ids) == len(want.segment_ids)
+        for (kind, ids), (want_kind, want_ids) in zip(got.segment_ids,
+                                                      want.segment_ids):
+            assert kind == want_kind
+            assert np.array_equal(ids, want_ids)
+
+
+def _distinct(masks):
+    return len({tuple(np.flatnonzero(m).tolist()) for m in masks})
+
+
+def test_sweep_solves_each_distinct_mask_once(disk_case, monkeypatch):
+    mesh, config, _truth, _case, spec = disk_case
+    calls = _count_build_graph(monkeypatch)
+    (res,) = run_case(mesh, config, spec.blood_pool_mean,
+                      spec.blood_pool_sd).areas
+    masks = _open_masks(res, mesh, spec, FACTORS)
+    # the sharp phantom's scar sits above every factor: the masks repeat
+    assert _distinct(masks) < len(FACTORS)
+    assert len(calls) == _distinct(masks)
+    _assert_paths_match_fresh_solves(res, masks)
+
+
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+def test_sweep_tells_masks_apart_by_every_vertex(disk_case, monkeypatch,
+                                                 where):
+    # one opened-area vertex is scar at the lowest factor only, so that
+    # factor's mask differs from the others in that vertex alone; it is
+    # picked off the cut, where the opened mesh holds one copy of it
+    mesh, config, _truth, case, spec = disk_case
+    opened = case.areas[0].opened
+    sub_of_open = opened.area.parent_vertex[opened.parent_vertex]
+    single = np.flatnonzero(np.bincount(sub_of_open)[sub_of_open] == 1)
+    vertex = sub_of_open[single[int(where * (len(single) - 1))]]
+    intensity = np.array(mesh.intensity)
+    assert intensity[vertex] <= spec.blood_pool_mean + 2.0 * spec.blood_pool_sd
+    intensity[vertex] = spec.blood_pool_mean + 3.0 * spec.blood_pool_sd
+    bumped = SurfaceMesh(mesh.vertices, mesh.triangles, intensity=intensity,
+                         region=mesh.region, name=mesh.name)
+    calls = _count_build_graph(monkeypatch)
+    (res,) = run_case(bumped, config, spec.blood_pool_mean,
+                      spec.blood_pool_sd).areas
+    masks = _open_masks(res, bumped, spec, FACTORS)
+    assert _distinct(masks) == 2
+    assert len(calls) == 2
+    _assert_paths_match_fresh_solves(res, masks)
+
+
+def test_tapered_sweep_solves_every_factor(monkeypatch):
+    spec = PhantomSpec(keep_fraction=0.5, taper=(2.5, 8.0))
+    mesh, config, _ = make_phantom(spec)
+    calls = _count_build_graph(monkeypatch)
+    (res,) = run_case(mesh, config, spec.blood_pool_mean,
+                      spec.blood_pool_sd).areas
+    masks = _open_masks(res, mesh, spec, FACTORS)
+    assert _distinct(masks) == len(FACTORS)
+    assert len(calls) == len(FACTORS)
+    for call, mask in zip(calls, masks):
+        assert np.array_equal(call, mask)
+    _assert_paths_match_fresh_solves(res, masks)
 
 
 # --- report emission ---
