@@ -49,29 +49,28 @@ def _with_intensity(mesh: SurfaceMesh, values) -> SurfaceMesh:
                        point_data=mesh.point_data)
 
 
-def _load_intensity_source(args) -> SurfaceMesh:
-    """Resolve the per-vertex intensity: embedded attribute or projection
-    from a volume, never both."""
+def _load_intensity_source(args) -> tuple:
+    """(mesh, volume): the per-vertex intensity is the embedded attribute or
+    a projection from --volume, never both; volume is None without it."""
     mesh = load_mesh(args.mesh)
     if args.volume is not None:
         if mesh.intensity is not None:
             raise ConfigError("mesh already carries intensity values; "
                               "drop --volume or strip the attribute")
         volume = load_volume(args.volume)
-        return _with_intensity(mesh, mip_project(mesh, volume))
+        return _with_intensity(mesh, mip_project(mesh, volume)), volume
     if mesh.intensity is None:
         raise ConfigError("mesh has no intensity attribute; supply --volume")
-    return mesh
+    return mesh, None
 
 
-def _blood_pool(args) -> tuple:
+def _blood_pool(args, volume) -> tuple:
     explicit = args.bp_mean is not None or args.bp_sd is not None
     if args.bp_mask is not None:
         if explicit:
             raise ConfigError("--bp-mask excludes --bp-mean/--bp-sd")
-        if args.volume is None:
+        if volume is None:
             raise ConfigError("--bp-mask needs --volume to sample from")
-        volume = load_volume(args.volume)
         mask_vol = load_volume(args.bp_mask)
         if mask_vol.values.shape != volume.values.shape:
             raise ConfigError("--bp-mask grid does not match --volume")
@@ -93,8 +92,8 @@ def cmd_project(args) -> int:
 
 def cmd_quantify(args) -> int:
     factors = _parse_thresholds(args.thresholds)
-    mesh = _load_intensity_source(args)
-    bp_mean, bp_sd = _blood_pool(args)
+    mesh, volume = _load_intensity_source(args)
+    bp_mean, bp_sd = _blood_pool(args, volume)
     config = load_config(args.config) if args.config else default_config()
     ref = args.ref_threshold
     if ref is not None and ref not in factors:

@@ -6,7 +6,8 @@ builds per-region gap occurrence maps from the reference-threshold gaps.
 
 Convention notes. Cohort statistics use the sample standard deviation
 (n-1); a single-case cohort reports SD 0. Two-sided p-values come from
-the Student t distribution function `scipy.special.stdtr`.
+the Student t distribution function `scipy.special.stdtr`. An undefined
+statistic, such as a Welch test on too few values, is an empty CSV cell.
 """
 
 from __future__ import annotations
@@ -303,7 +304,12 @@ def write_tests_csv(table: CohortTable, path,
     rows = []
     if len(independents) >= 2:  # one area alone has nothing to compare to
         for a in independents:
-            res = one_vs_rest(table, a, metric)
+            try:
+                res = one_vs_rest(table, a, metric)
+            except (ValueError, ConfigError):  # undefined test: empty cells
+                if metric not in METRICS:
+                    raise
+                res = WelchResult(t=math.nan, df=math.nan, p=math.nan)
             rows.append([a, metric, res.t, res.df, res.p])
     _write_csv(path, ["area", "metric", "t", "df", "p"], rows)
 

@@ -4,9 +4,10 @@ Late-enhancement intensity lives in a regular scalar volume; the mesh is a
 wall segmentation. Each vertex samples the volume along its outward normal
 within a fixed reach on both sides and keeps the maximum (a normal-line
 maximum-intensity projection), so the projected value is robust to small
-registration offsets between wall and image. Sample points outside the
-volume are skipped; a vertex with no in-volume sample projects to -inf,
-which no threshold can classify as scar.
+registration offsets between wall and image. Samples are trilinear, an
+order-1 `scipy.ndimage.map_coordinates` imported on the first projection.
+Sample points outside the volume are skipped; a vertex with no in-volume
+sample projects to -inf, which no threshold can classify as scar.
 
 Scar masks come from blood-pool statistics: a vertex is scar at factor k
 when its projection strictly exceeds mean + k * sd. Masks are nested by
@@ -177,37 +178,26 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
 
 def _sample_trilinear(volume: ScalarVolume, pts: np.ndarray):
     """Values and validity of world-space points; invalid = outside grid."""
+    # imported here: it loads scipy.special, and only projection needs it
+    from scipy import ndimage
     rel = (pts - np.asarray(volume.origin)) @ volume.direction
     idx = rel / np.asarray(volume.spacing)
     nx, ny, nz = volume.dims
     hi = np.asarray([nx - 1, ny - 1, nz - 1], dtype=np.float64)
     valid = (idx >= 0.0).all(axis=1) & (idx <= hi).all(axis=1)
-    idx = np.clip(idx, 0.0, hi)
-    i0 = np.minimum(idx.astype(np.int64), (hi - 1).astype(np.int64))
-    f = idx - i0
-    v = volume.values
-    ix, iy, iz = i0[:, 0], i0[:, 1], i0[:, 2]
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    out = np.zeros(len(pts))
-    for dz in (0, 1):
-        wz = fz if dz else 1.0 - fz
-        for dy in (0, 1):
-            wy = fy if dy else 1.0 - fy
-            for dx in (0, 1):
-                wx = fx if dx else 1.0 - fx
-                out += wx * wy * wz * v[iz + dz, iy + dy, ix + dx]
+    out = ndimage.map_coordinates(volume.values, idx[:, ::-1].T, order=1,
+                                  mode="nearest", prefilter=False,
+                                  output=np.float64)
     return out, valid
 
 
 def mip_project(mesh: SurfaceMesh, volume: ScalarVolume,
-                normals: np.ndarray | None = None,
                 reach_mm: float = MIP_REACH_MM,
                 step_mm: float = MIP_STEP_MM) -> np.ndarray:
     """Per-vertex maximum intensity along the normal, within +-reach."""
     if reach_mm <= 0.0 or step_mm <= 0.0 or step_mm > reach_mm:
         raise ValueError("need 0 < step_mm <= reach_mm")
-    if normals is None:
-        normals = vertex_normals(mesh)
+    normals = vertex_normals(mesh)
     k = int(round(reach_mm / step_mm))
     offsets = step_mm * np.arange(-k, k + 1)
     pts = (mesh.vertices[:, None, :]
@@ -223,14 +213,15 @@ def blood_pool_stats(volume: ScalarVolume,
                      mask: np.ndarray | None = None) -> tuple:
     """(mean, sd) of blood-pool intensity; population sd (the pool is the
     whole reference region, not a sample from it)."""
-    vals = volume.values.astype(np.float64)
+    vals = volume.values
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != volume.values.shape:
+        if mask.shape != vals.shape:
             raise ValueError("blood-pool mask shape must match the volume")
         if not mask.any():
             raise ValueError("blood-pool mask is empty")
         vals = vals[mask]
+    vals = vals.astype(np.float64)
     return float(vals.mean()), float(vals.std(ddof=0))
 
 

@@ -103,7 +103,8 @@ def test_project_then_quantify_from_volume(workdir, tmp_path):
     assert abs(got - want) < 0.05
 
 
-def test_blood_pool_from_mask_volume(workdir, tmp_path):
+def test_blood_pool_from_mask_volume(workdir, tmp_path, monkeypatch):
+    from pvgap import cli
     from pvgap.scar import ScalarVolume, load_volume, save_volume
     ph = workdir / "ph"
     vol = load_volume(ph / "volume.vol")
@@ -117,11 +118,19 @@ def test_blood_pool_from_mask_volume(workdir, tmp_path):
     save_mesh(SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
                           region=mesh.region, name=mesh.name), bare_path)
     out = tmp_path / "report.json"
+    loaded = []
+
+    def counting_load(path):
+        loaded.append(path)
+        return load_volume(path)
+    monkeypatch.setattr(cli, "load_volume", counting_load)
     assert main(["quantify", "--mesh", str(bare_path),
                  "--volume", str(ph / "volume.vol"),
                  "--bp-mask", str(mask_path),
                  "--config", str(ph / "regions.cfg"),
                  "--thresholds", THRESH, "--out", str(out)]) == 0
+    # the volume feeds both projection and pool statistics: read once
+    assert loaded == [str(ph / "volume.vol"), str(mask_path)]
     report = _report(out)
     # the pool voxels alternate 90/110, nearly balanced
     assert report["blood_pool"]["mean"] == pytest.approx(100.0, abs=0.05)
@@ -294,6 +303,46 @@ def test_cohort_tables_match_reports(cohort_dir):
                                              "df", "p"]]
     assert (out / "regions_independent.csv").exists()
     assert not (out / "regions_joint.csv").exists()
+
+
+def _two_area_cases(report, naucs):
+    """Copies of a real report whose LSPV entry is cloned as areas A and B,
+    one case per (A, B) pair of rgm_nauc values; None marks a failed area."""
+    lspv = report["areas"]["LSPV"]
+    cases = []
+    for i, pair in enumerate(naucs):
+        areas = {}
+        for name, nauc in zip("AB", pair):
+            if nauc is None:
+                areas[name] = {"strategy": lspv["strategy"],
+                               "labels": lspv["labels"], "status": "failed",
+                               "error": "no scar"}
+            else:
+                areas[name] = dict(lspv, rgm_nauc=nauc)
+        cases.append(dict(report, mesh_name=f"case{i}", areas=areas))
+    return cases
+
+
+@pytest.mark.parametrize("naucs", [
+    [(0.2, 0.4)],                   # one case: each sample has one value
+    [(0.2, None), (0.3, None)],     # B failed everywhere: A has no peer
+    [(0.2, 0.4), (0.2, 0.4)],       # constant samples, unequal means
+], ids=["one-case", "peer-failed", "zero-variance"])
+def test_cohort_writes_every_table_when_welch_is_undefined(
+        workdir, tmp_path, naucs):
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    for case in _two_area_cases(_report(workdir / "report.json"), naucs):
+        (reports / f"{case['mesh_name']}.json").write_text(json.dumps(case))
+    out = tmp_path / "tables"
+    assert main(["cohort", "--reports", str(reports),
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "area_stats.csv", "cohort.csv", "hist_A.csv", "hist_B.csv",
+        "regions_independent.csv", "tests.csv"]
+    assert _read_csv(out / "tests.csv") == [
+        ["area", "metric", "t", "df", "p"],
+        ["A", "rgm_nauc", "", "", ""], ["B", "rgm_nauc", "", "", ""]]
 
 
 def test_cohort_rejects_malformed_reports(cohort_dir, tmp_path, capsys):

@@ -439,6 +439,9 @@ def test_tests_csv(three_area_table, tmp_path):
     want = one_vs_rest(three_area_table, "A")
     assert float(rows[1][2]) == pytest.approx(want.t, rel=1e-5)
     assert float(rows[1][4]) == pytest.approx(want.p, rel=1e-5)
+    # empty cells mark an undefined test, never an unknown metric
+    with pytest.raises(ConfigError):
+        write_tests_csv(three_area_table, path, metric="auc")
 
 
 def test_tests_csv_header_only_for_single_independent(tmp_path):

@@ -7,6 +7,8 @@ linear fields. Threshold masks must be strictly above the cutoff and
 nested across ascending factors.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,23 @@ def _volume(values, spacing=(1, 1, 1), origin=(0, 0, 0)):
     return ScalarVolume(values=np.asarray(values, dtype=np.float32),
                         spacing=spacing, origin=origin,
                         direction=np.eye(3))
+
+
+def _eight_corners(vals, idx):
+    """Trilinear values of vals[z, y, x] at fractional (x, y, z) indices,
+    one weighted corner at a time; the dims-1 face uses the last cell."""
+    nz, ny, nx = vals.shape
+    out = []
+    for x, y, z in idx:
+        i, j, k = min(int(x), nx - 2), min(int(y), ny - 2), min(int(z), nz - 2)
+        fx, fy, fz = x - i, y - j, z - k
+        acc = 0.0
+        for dz, wz in ((0, 1.0 - fz), (1, fz)):
+            for dy, wy in ((0, 1.0 - fy), (1, fy)):
+                for dx, wx in ((0, 1.0 - fx), (1, fx)):
+                    acc += wx * wy * wz * float(vals[k + dz, j + dy, i + dx])
+        out.append(acc)
+    return np.array(out)
 
 
 def test_trilinear_hand_oracle():
@@ -41,6 +60,32 @@ def test_trilinear_hand_oracle():
     got, ok = _sample_trilinear(vol, np.array([[x, y, z]]))
     assert ok[0]
     assert got[0] == pytest.approx(want, rel=1e-6)
+
+    # many points in a non-cubic, rotated volume with anisotropic spacing;
+    # signed-permutation axes and dyadic spacing and origin keep the
+    # index <-> world round trip exact, so face points land on the faces
+    rng = np.random.default_rng(17)
+    nx, ny, nz = 7, 5, 4
+    vals = rng.uniform(50.0, 150.0, (nz, ny, nx)).astype(np.float32)
+    rot = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    spacing, origin = np.array([0.5, 1.25, 2.0]), np.array([-3.5, 2.25, 5.0])
+    vol = ScalarVolume(values=vals, spacing=tuple(spacing),
+                       origin=tuple(origin), direction=rot)
+    hi = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
+    inside, outside = [rng.uniform(0.0, hi, (200, 3))], []
+    for axis in range(3):
+        for face, beyond in ((0.0, -1e-9), (hi[axis], hi[axis] + 1e-9)):
+            on, off = rng.uniform(0.0, hi, (2, 10, 3))
+            on[:, axis], off[:, axis] = face, beyond
+            inside.append(on)
+            outside.append(off)
+    inside.append(np.array(list(itertools.product(*zip(np.zeros(3), hi)))))
+    inside, outside = np.vstack(inside), np.vstack(outside)
+    world = origin + (np.vstack([inside, outside]) * spacing) @ rot.T
+    got, ok = _sample_trilinear(vol, world)
+    assert ok.tolist() == [True] * len(inside) + [False] * len(outside)
+    np.testing.assert_allclose(got[:len(inside)], _eight_corners(vals, inside),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_trilinear_reproduces_linear_fields():
