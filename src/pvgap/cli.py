@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -31,16 +30,13 @@ def _err(msg: str) -> None:
 
 def _parse_thresholds(text: str) -> tuple:
     try:
-        vals = tuple(float(v) for v in text.split(","))
+        vals = [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"--thresholds: cannot parse {text!r}") from None
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError("--thresholds: values must be finite")
-    if len(vals) < 2:
-        raise ConfigError("--thresholds: need at least 2 values")
-    if not all(a < b for a, b in zip(vals, vals[1:])):
-        raise ConfigError("--thresholds: values must be strictly ascending")
-    return vals
+    try:
+        return sweep.check_factors(vals)
+    except ConfigError as e:
+        raise ConfigError(f"--thresholds: {e}") from None
 
 
 def _with_intensity(mesh: SurfaceMesh, values) -> SurfaceMesh:

@@ -19,6 +19,7 @@ and its reversed half-edge is `SurfaceMesh.opposite[h]` (-1 on a boundary).
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,6 +32,9 @@ from .errors import AttributeLengthError, MeshFormatError, TopologyError
 
 # Writer emits 9 significant digits; one load/save round trip is idempotent.
 _FMT = "%.9g"
+# The four header lines of a polydata file, split where str.splitlines()
+# splits ASCII text (read_text has already turned \r\n and \r into \n).
+_HEADER = re.compile(r"(?:[^\n\v\f\x1c-\x1e]*[\n\v\f\x1c-\x1e]){4}")
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -434,18 +438,21 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
 def load_mesh(path) -> SurfaceMesh:
     """Read a legacy ASCII polydata file written by save_mesh (or compatible).
 
-    Expects POINTS / POLYGONS with triangle cells, then optional POINT_DATA
-    with SCALARS arrays. 'intensity' (float) and 'region' (int) are mapped to
-    the corresponding mesh attributes; other scalars land in point_data.
+    After the four header lines the body is one whitespace token stream, as
+    in VTK's own reader: POINTS / POLYGONS with triangle cells, then
+    optional POINT_DATA with SCALARS arrays, each with a named LOOKUP_TABLE.
+    'intensity' (float) and 'region' (int) are mapped to the corresponding
+    mesh attributes; other scalars land in point_data.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="ascii")
     except UnicodeDecodeError as e:
         raise MeshFormatError(f"{path}: not an ASCII polydata file") from e
-    lines = text.splitlines()
-    if len(lines) < 4:
+    head = _HEADER.match(text)
+    if head is None:
         raise MeshFormatError(f"{path}: truncated header")
+    lines = head[0].splitlines()
     if not lines[0].startswith("# vtk DataFile"):
         raise MeshFormatError(f"{path}: missing polydata header line")
     name = lines[1].strip()
@@ -453,25 +460,21 @@ def load_mesh(path) -> SurfaceMesh:
         raise MeshFormatError(f"{path}: only ASCII encoding is supported")
     if lines[3].split() != ["DATASET", "POLYDATA"]:
         raise MeshFormatError(f"{path}: expected DATASET POLYDATA")
+    tokens = text[head.end():].split()
+    pos = 0
 
-    verts = None
-    tris = None
-    n_points = 0
-    scalars = {}
-
-    def read_values(count, caster, stream):
-        vals = []
-        while len(vals) < count:
-            try:
-                ln = next(stream)
-            except StopIteration:
-                raise MeshFormatError(f"{path}: unexpected end of file") from None
-            vals.extend(ln.split())
-        if len(vals) != count:
-            raise MeshFormatError(f"{path}: ragged data block")
+    def take(count, dtype=None):
+        """The next `count` tokens: a list, or one array cast to dtype."""
+        nonlocal pos
+        if pos + count > len(tokens):
+            raise MeshFormatError(f"{path}: unexpected end of file")
+        block = tokens[pos:pos + count]
+        pos += count
+        if dtype is None:
+            return block
         try:
-            return [caster(v) for v in vals]
-        except ValueError:
+            return np.array(block, dtype=dtype)
+        except (ValueError, OverflowError):
             raise MeshFormatError(f"{path}: bad numeric value") from None
 
     def parse_count(token):
@@ -479,57 +482,50 @@ def load_mesh(path) -> SurfaceMesh:
             raise MeshFormatError(f"{path}: bad count {token!r}")
         return int(token)
 
-    line_iter = iter(lines[4:])
-    for raw in line_iter:
-        parts = raw.split()
-        if not parts:
-            continue
-        key = parts[0].upper()
+    verts = tris = None
+    n_points = 0
+    scalars = {}
+    while pos < len(tokens):
+        key = take(1)[0].upper()
         if key == "POINTS":
-            if len(parts) != 3:
-                raise MeshFormatError(f"{path}: malformed POINTS line")
-            n_points = parse_count(parts[1])
-            vals = read_values(3 * n_points, float, line_iter)
-            verts = np.asarray(vals, dtype=np.float64).reshape(n_points, 3)
+            n_points = parse_count(take(2)[0])  # the value type is ignored
+            verts = take(3 * n_points, np.float64).reshape(n_points, 3)
         elif key == "POLYGONS":
-            if len(parts) != 3 or verts is None:
+            if verts is None:
                 raise MeshFormatError(f"{path}: malformed POLYGONS section")
-            m, total = parse_count(parts[1]), parse_count(parts[2])
+            m, total = map(parse_count, take(2))
             if total != 4 * m:
                 raise MeshFormatError(
                     f"{path}: POLYGONS size {total} != 4*{m}; only triangles "
                     "are supported")
-            vals = read_values(total, int, line_iter)
-            arr = np.asarray(vals, dtype=np.int64).reshape(m, 4)
+            arr = take(total, np.int64).reshape(m, 4)
             if (arr[:, 0] != 3).any():
                 raise MeshFormatError(f"{path}: non-triangle cell present")
             tris = arr[:, 1:]
         elif key == "POINT_DATA":
-            if len(parts) != 2:
-                raise MeshFormatError(f"{path}: malformed POINT_DATA line")
-            if parse_count(parts[1]) != n_points:
+            count = parse_count(take(1)[0])
+            if count != n_points:
                 raise AttributeLengthError(
-                    f"{path}: POINT_DATA count {parts[1]} != {n_points}")
+                    f"{path}: POINT_DATA count {count} != {n_points}")
         elif key == "SCALARS":
-            if len(parts) < 3:
-                raise MeshFormatError(f"{path}: malformed SCALARS line")
-            sname, stype = parts[1], parts[2].lower()
-            comps = parse_count(parts[3]) if len(parts) > 3 else 1
-            if comps != 1:
-                raise MeshFormatError(f"{path}: multi-component scalars unsupported")
-            lut = next(line_iter, "")
-            if lut.split()[:1] != ["LOOKUP_TABLE"]:
+            sname, stype, lut = take(3)
+            if lut != "LOOKUP_TABLE":  # the optional component count
+                if parse_count(lut) != 1:
+                    raise MeshFormatError(
+                        f"{path}: multi-component scalars unsupported")
+                lut = take(1)[0]
+            if lut != "LOOKUP_TABLE":
                 raise MeshFormatError(f"{path}: SCALARS without LOOKUP_TABLE")
+            take(1)  # the table name
+            stype = stype.lower()
             if stype in ("int", "long", "short", "vtkidtype"):
-                vals = read_values(n_points, int, line_iter)
-                scalars[sname] = (np.asarray(vals, dtype=np.int64), "int")
+                scalars[sname] = (take(n_points, np.int64), "int")
             elif stype in ("float", "double"):
-                vals = read_values(n_points, float, line_iter)
-                scalars[sname] = (np.asarray(vals, dtype=np.float64), "float")
+                scalars[sname] = (take(n_points, np.float64), "float")
             else:
                 raise MeshFormatError(f"{path}: unsupported scalar type {stype}")
         else:
-            raise MeshFormatError(f"{path}: unsupported section {parts[0]!r}")
+            raise MeshFormatError(f"{path}: unsupported section {key!r}")
 
     if verts is None or tris is None:
         raise MeshFormatError(f"{path}: missing POINTS or POLYGONS section")
@@ -543,28 +539,27 @@ def load_mesh(path) -> SurfaceMesh:
     return mesh
 
 
-def _format_floats(arr) -> list[str]:
-    return [_FMT % x for x in arr]
+def _block(values: np.ndarray, row: str) -> str:
+    """One line per row of `values`, all rendered by a single `%` call."""
+    return ((row + "\n") * len(values)) % tuple(values.ravel().tolist())
 
 
 def save_mesh(mesh: SurfaceMesh, path) -> None:
     """Write legacy ASCII polydata with LF endings and 9 significant digits.
 
     Writing is atomic (temp file in the target directory, then rename).
+    Raises MeshFormatError, before anything is written, if the name holds a
+    line break: the title is one header line.
     """
     path = Path(path)
-    out = []
-    out.append("# vtk DataFile Version 3.0")
-    out.append(mesh.name if mesh.name else "surface")
-    out.append("ASCII")
-    out.append("DATASET POLYDATA")
-    out.append(f"POINTS {mesh.n_vertices} float")
-    for p in mesh.vertices:
-        out.append(" ".join(_FMT % c for c in p))
-    out.append(f"POLYGONS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    for t in mesh.triangles:
-        out.append(f"3 {t[0]} {t[1]} {t[2]}")
-
+    title = mesh.name if mesh.name else "surface"
+    if title.splitlines() != [title]:
+        raise MeshFormatError(f"mesh name {title!r} spans more than one line")
+    out = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\n"
+           f"POINTS {mesh.n_vertices} float\n",
+           _block(mesh.vertices, " ".join([_FMT] * 3)),
+           f"POLYGONS {mesh.n_triangles} {4 * mesh.n_triangles}\n",
+           _block(mesh.triangles, "3 %d %d %d")]
     arrays = []
     if mesh.intensity is not None:
         arrays.append(("intensity", mesh.intensity, "float"))
@@ -573,16 +568,12 @@ def save_mesh(mesh: SurfaceMesh, path) -> None:
     for key, (arr, kind) in mesh.point_data.items():
         arrays.append((key, arr, kind))
     if arrays:
-        out.append(f"POINT_DATA {mesh.n_vertices}")
+        out.append(f"POINT_DATA {mesh.n_vertices}\n")
         for key, arr, kind in arrays:
-            vtype = "int" if kind == "int" else "float"
-            out.append(f"SCALARS {key} {vtype} 1")
-            out.append("LOOKUP_TABLE default")
-            if kind == "int":
-                out.extend(str(x) for x in arr.tolist())
-            else:
-                out.extend(_format_floats(arr))
-    data = ("\n".join(out) + "\n").encode("ascii")
+            vtype, row = ("int", "%d") if kind == "int" else ("float", _FMT)
+            out += [f"SCALARS {key} {vtype} 1\nLOOKUP_TABLE default\n",
+                    _block(arr, row)]
+    data = "".join(out).encode("ascii")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)

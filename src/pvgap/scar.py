@@ -111,6 +111,8 @@ def load_volume(path) -> ScalarVolume:
         raise VolumeFormatError(f"{path}: bad header value: {exc}") from exc
     if len(spacing) != 3 or len(origin) != 3 or len(dirv) != 9:
         raise VolumeFormatError(f"{path}: bad header vector length")
+    if min(nx, ny, nz) < 1:
+        raise VolumeFormatError(f"{path}: dims {nx} {ny} {nz} must be positive")
     count = nx * ny * nz
     payload = raw[pos:]
     if len(payload) != 4 * count:

@@ -49,6 +49,19 @@ def rgm_nauc(factors, values) -> float:
     return steps / (f[-1] - f[0])
 
 
+def check_factors(factors) -> tuple:
+    """The factors as floats; ConfigError unless finite, at least two and
+    strictly ascending at the 6 significant digits a report keeps."""
+    factors = tuple(float(k) for k in factors)
+    if not all(math.isfinite(k) for k in factors):
+        raise ConfigError("threshold factors must be finite")
+    shown = _round6(factors)
+    if len(factors) < 2 or not all(a < b for a, b in zip(shown, shown[1:])):
+        raise ConfigError("need at least 2 thresholds, strictly ascending "
+                          "at 6 significant digits")
+    return factors
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     factor: float
@@ -160,12 +173,7 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
     if not (math.isfinite(bp_mean) and math.isfinite(bp_sd) and bp_sd > 0):
         raise ConfigError("blood pool mean must be finite and its SD "
                           "finite and positive")
-    factors = tuple(float(k) for k in factors)
-    if not all(math.isfinite(k) for k in factors):
-        raise ConfigError("threshold factors must be finite")
-    if len(factors) < 2 or not all(a < b for a, b in zip(factors,
-                                                         factors[1:])):
-        raise ConfigError("need at least 2 strictly ascending thresholds")
+    factors = check_factors(factors)
     if ref_factor is None:
         ref_factor = 3.3 if 3.3 in factors else factors[0]
     if ref_factor not in factors:

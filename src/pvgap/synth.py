@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SurfaceMesh
+from .mesh import _FMT, SurfaceMesh, _block
 from .regions import AreaSpec, RegionConfig
 from .scar import ScalarVolume
 
@@ -87,8 +87,9 @@ class PhantomTruth:
 
 
 def _quantize9(a: np.ndarray) -> np.ndarray:
-    flat = np.asarray([float(f"{v:.9g}") for v in a.ravel()])
-    return flat.reshape(a.shape)
+    """The values a save_mesh/load_mesh round trip gives back."""
+    text = _block(a.ravel(), _FMT)
+    return np.array(text.split(), dtype=np.float64).reshape(a.shape)
 
 
 def _merge_arcs(arcs) -> tuple:

@@ -186,6 +186,9 @@ def test_argument_errors_exit_1(workdir, tmp_path, capsys, recwarn):
     assert main(base + bp + ["--thresholds", "4,3.3,2"]) == 1
     assert "--thresholds" in capsys.readouterr().err
     assert main(base + bp + ["--thresholds", "3.3"]) == 1
+    # factors equal at the report's 6 significant digits
+    assert main(base + bp + ["--thresholds", "2,3.3,3.3000001,5"]) == 1
+    assert "--thresholds" in capsys.readouterr().err
     assert main(base + bp + ["--thresholds", "2,x"]) == 1
     # non-finite thresholds are refused before the mesh is read
     capsys.readouterr()

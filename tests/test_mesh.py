@@ -357,3 +357,88 @@ def test_load_mesh_rejects_garbage(tmp_path):
                      "--bp-sd", "10",
                      "--out", str(tmp_path / "r.json")]) == 2
         assert not (tmp_path / "r.json").exists()
+
+
+def _golden_mesh(name="golden"):
+    return SurfaceMesh(vertices=[[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1 / 3]],
+                       triangles=[[0, 1, 2], [0, 2, 3]],
+                       intensity=[1.5, -np.inf, 100.123456789, 1e-7],
+                       region=[1, 2, 3, 4], name=name,
+                       point_data={"lbl": ([0, -1, 7, 12], "int"),
+                                   "w": ([0.1, 2.5e10, -3.0, 2 / 3], "float")})
+
+
+GOLDEN = (
+    "# vtk DataFile Version 3.0\ngolden\nASCII\nDATASET POLYDATA\n"
+    "POINTS 4 float\n0 0 0\n1 0 0\n1 1 0\n0 1 0.333333333\n"
+    "POLYGONS 2 8\n3 0 1 2\n3 0 2 3\n"
+    "POINT_DATA 4\n"
+    "SCALARS intensity float 1\nLOOKUP_TABLE default\n"
+    "1.5\n-inf\n100.123457\n1e-07\n"
+    "SCALARS region int 1\nLOOKUP_TABLE default\n1\n2\n3\n4\n"
+    "SCALARS lbl int 1\nLOOKUP_TABLE default\n0\n-1\n7\n12\n"
+    "SCALARS w float 1\nLOOKUP_TABLE default\n0.1\n2.5e+10\n-3\n0.666666667\n")
+
+
+def _same_mesh(a, b):
+    assert a.name == b.name
+    for got, want in ((a.vertices, b.vertices), (a.triangles, b.triangles),
+                      (a.intensity, b.intensity), (a.region, b.region)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert list(a.point_data) == list(b.point_data)
+    for key, (arr, kind) in a.point_data.items():
+        other, other_kind = b.point_data[key]
+        assert kind == other_kind and arr.tobytes() == other.tobytes()
+
+
+def test_save_mesh_golden_bytes(tmp_path):
+    save_mesh(_golden_mesh(), tmp_path / "g.vtk")
+    assert (tmp_path / "g.vtk").read_bytes() == GOLDEN.encode("ascii")
+
+
+def test_load_mesh_reads_the_body_as_one_token_stream(tmp_path):
+    (tmp_path / "g.vtk").write_text(GOLDEN)
+    want = load_mesh(tmp_path / "g.vtk")
+    # the same tokens, wrapped differently: section fields on their own
+    # lines, 9 floats on one line, a cell split across lines, tabs, an
+    # omitted component count and no final line break
+    rewrapped = (
+        "# vtk DataFile Version 3.0\ngolden\nASCII\nDATASET POLYDATA\n\n"
+        "POINTS\n4\nfloat\n0 0 0 1 0 0 1 1 0\n0 1 0.333333333 POLYGONS 2\t8\n"
+        "3 0 1\n2   3 0\n2 3\n"
+        "POINT_DATA 4 SCALARS intensity float\n1 LOOKUP_TABLE default 1.5 -inf\n"
+        "100.123457 1e-07\nSCALARS region int LOOKUP_TABLE default\n1 2 3 4\n"
+        "SCALARS lbl int 1\nLOOKUP_TABLE default 0 -1 7 12 SCALARS w float 1 "
+        "LOOKUP_TABLE\ndefault\n0.1 2.5e+10 -3 0.666666667")
+    (tmp_path / "r.vtk").write_text(rewrapped)
+    got = load_mesh(tmp_path / "r.vtk")
+    _same_mesh(got, want)
+    save_mesh(got, tmp_path / "again.vtk")
+    assert (tmp_path / "again.vtk").read_text() == GOLDEN
+
+
+def test_load_mesh_rejects_a_bare_lookup_table(tmp_path):
+    # without a table name the first value would be taken for it
+    lut = "LOOKUP_TABLE default\n"
+    parts = GOLDEN.split(lut)
+    for i in range(1, len(parts)):
+        bad = tmp_path / f"bare{i}.vtk"
+        bad.write_text(lut.join(parts[:i]) + "LOOKUP_TABLE\n"
+                       + lut.join(parts[i:]))
+        with pytest.raises(MeshFormatError):
+            load_mesh(bad)
+
+
+@pytest.mark.parametrize("name", ["two\nlines", "trailing\n", "cr\rname",
+                                  "form\x0cfeed"])
+def test_save_mesh_rejects_a_name_with_a_line_break(name, tmp_path):
+    with pytest.raises(MeshFormatError):
+        save_mesh(_golden_mesh(name), tmp_path / "out" / "m.vtk")
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_mesh_rejects_an_index_beyond_int64(tmp_path):
+    bad = tmp_path / "big.vtk"
+    bad.write_text(GOLDEN.replace("3 0 1 2", "3 0 1 99999999999999999999"))
+    with pytest.raises(MeshFormatError):
+        load_mesh(bad)

@@ -12,7 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
+from pvgap.cli import main
 from pvgap.errors import VolumeFormatError
+from pvgap.mesh import save_mesh
 from pvgap.scar import (THRESHOLD_FACTORS, ScalarVolume, _sample_trilinear,
                         blood_pool_stats, load_volume, mip_project,
                         save_volume, threshold_mask, vertex_normals)
@@ -149,6 +151,20 @@ def test_volume_loader_rejects_corruption(tmp_path):
     (tmp_path / "junk.svol").write_bytes(b"garbage\n" + bytes(raw))
     with pytest.raises(VolumeFormatError):
         load_volume(tmp_path / "junk.svol")
+    # dims whose product matches the payload but are not all positive
+    save_volume(_volume(np.zeros((4, 2, 2))), p)
+    raw = p.read_bytes()
+    assert b"dims 2 2 4\n" in raw
+    save_mesh(plane_grid(3, 3), tmp_path / "m.vtk")
+    for dims in (b"-2 -2 4", b"-4 2 -2"):
+        (tmp_path / "neg.svol").write_bytes(raw.replace(b"2 2 4", dims, 1))
+        with pytest.raises(VolumeFormatError):
+            load_volume(tmp_path / "neg.svol")
+        # a format error, so exit 2
+        assert main(["project", "--mesh", str(tmp_path / "m.vtk"),
+                     "--volume", str(tmp_path / "neg.svol"),
+                     "--out", str(tmp_path / "out.vtk")]) == 2
+        assert not (tmp_path / "out.vtk").exists()
 
 
 def test_vertex_normals_plane_and_sphere():

@@ -145,6 +145,19 @@ def test_run_case_validation(disk_case):
             run_case(mesh, config, mean, sd, factors=bad_factors)
 
 
+def test_factors_must_differ_at_report_precision(disk_case):
+    """The report and the scar_<k> names keep 6 significant digits, so two
+    factors that agree there would share a report value and an array."""
+    mesh, config, _truth, _case, spec = disk_case
+    assert sweep.check_factors([2, 3.3, 3.30001]) == (2.0, 3.3, 3.30001)
+    for bad in ((2.0, 3.3, 3.3000001, 5.0), (1.0, 1.0000004)):
+        with pytest.raises(ConfigError):
+            sweep.check_factors(bad)
+        with pytest.raises(ConfigError):
+            run_case(mesh, config, spec.blood_pool_mean, spec.blood_pool_sd,
+                     factors=bad)
+
+
 def test_run_case_default_reference_without_33(disk_case):
     mesh, config, _truth, _case, spec = disk_case
     case = run_case(mesh, config, spec.blood_pool_mean, spec.blood_pool_sd,
