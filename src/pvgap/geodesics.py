@@ -7,15 +7,32 @@ over. Plain edge-Dijkstra alone overestimates surface distance by several
 percent on structured meshes, which would bias every downstream gap ratio,
 so the triangle update is not optional.
 
-The solver runs label-correcting sweeps: each sweep updates every corner of
-every triangle touching a vertex that improved in the previous one, and
-values only decrease, so it terminates at a fixed point of the update
-operator. Accuracy contract: within 2% of analytic geodesics on well-shaped
+The solver sweeps a bucketed wavefront, as in Delta-stepping (Meyer &
+Sanders, J. Algorithms 2003). A vertex whose dist improved is pending until
+it is expanded. Each sweep expands the pending vertices within delta of the
+lowest pending dist: it updates every corner of every triangle touching
+them from the current values, and the vertices that improved join the
+pending set. delta is four median edge lengths of the mesh, fixed per mesh
+in `_corner_tables`. Deferring the far side of a spread-out front cuts the
+repeated improvements of the earlier schedule, which expanded every
+improved vertex at every sweep (from one source on the 18k-vertex tapered
+benchmark disk, each vertex improved 3.9 times on average).
+
+The transform still ends at a fixed point of the update operator. Values
+only decrease, a vertex that changes becomes pending, and a pending vertex
+is expanded in a later sweep. So once nothing is pending, every triangle
+was last updated from its final values and proposes nothing lower. Which
+fixed point is reached, to the last bit, depends on the order of updates.
+That this schedule gives the earlier one's bits was checked, not proved: by
+replaying every transform of the benchmark workloads and by the reference
+test. Twice this delta already moved two vertices of one field by an ulp.
+Accuracy contract: within 2% of analytic geodesics on well-shaped
 plane/sphere meshes (asserted in the test suite).
 
 A point-to-point transform (`geodesic_path`) runs the same sweeps but,
-before each one, keeps only the improved vertices whose dist is below the
-current dist[target]. This is exact below that bound: every proposal is at
+after each one, drops the pending vertices whose dist is not below the
+current dist[target], so it stops once the lowest pending dist passes the
+target's. This is exact below that bound: every proposal is at
 least its support's value (an edge relaxation adds a length, a valid
 triangle update is never below its farther support), so a dropped vertex
 can never lower anything below the bound, and the descent from the target
@@ -49,8 +66,8 @@ _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _corner_tables(mesh: SurfaceMesh) -> dict:
-    """Flat per-corner geometry of the wavefront update and the CSR
-    vertex -> triangle incidence."""
+    """Flat per-corner geometry of the wavefront update, the CSR
+    vertex -> triangle incidence and the sweeps' bucket width delta."""
     cached = _TABLES.get(mesh)
     if cached is not None:
         return cached
@@ -71,7 +88,8 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     out = {"C": C, "A": A, "B": B, "la": la, "lb": lb, "cos": cos,
            "sin2": 1.0 - cos * cos,
            "csq": np.einsum("ij,ij->i", ea - eb, ea - eb),
-           "ptr": ptr, "tri": np.argsort(corners, kind="stable") // 3}
+           "ptr": ptr, "tri": np.argsort(corners, kind="stable") // 3,
+           "delta": 4.0 * np.median(mesh.adjacency.data)}
     _TABLES[mesh] = out
     return out
 
@@ -126,8 +144,10 @@ class DistanceField:
     """Geodesic distance transform from a source vertex set.
 
     dist is 0 exactly on sources, +inf on unreachable vertices, and
-    1-Lipschitz along edges. sweeps counts the wavefront sweeps the
-    transform ran, the last one included (it found nothing to lower).
+    1-Lipschitz along edges. sweeps counts the buckets the transform
+    expanded, the last one included (it found nothing to lower). It depends
+    on the mesh and the sources only, but differs from the count of the
+    earlier schedule, which expanded every improved vertex at every sweep.
     """
     mesh: SurfaceMesh
     sources: np.ndarray
@@ -162,20 +182,25 @@ def _sweep(mesh: SurfaceMesh, src: np.ndarray, target: int | None = None):
     with a target, exact only below the final dist[target]."""
     n, m = mesh.n_vertices, mesh.n_triangles
     tab = _corner_tables(mesh)
-    ptr, tri = tab["ptr"], tab["tri"]
+    ptr, tri, delta = tab["ptr"], tab["tri"], tab["delta"]
 
     dist = np.full(n, np.inf)
     dist[src] = 0.0
     best = np.full(n, np.inf)  # this sweep's lowest proposals, reset after
     marked = np.zeros(m, dtype=bool)
-    active = src
+    queued = np.zeros(n, dtype=bool)  # improved and not yet expanded
+    queued[src] = True
+    pending = src
     max_sweeps = 6 * n + 64
     sweeps = 0
-    while active.size:
+    while pending.size:
         sweeps += 1
         if sweeps > max_sweeps:
             raise RuntimeError("distance transform failed to converge")
-        # the triangles around the vertices that improved in the last sweep
+        # expand the pending vertices within delta of the lowest one
+        d = dist[pending]
+        active = pending[d <= d.min() + delta]
+        queued[active] = False
         lo = ptr[active]
         cnt = ptr[active + 1] - lo
         ends = np.cumsum(cnt)
@@ -186,11 +211,15 @@ def _sweep(mesh: SurfaceMesh, src: np.ndarray, target: int | None = None):
         tgt, val = _proposals(
             tab, dist, np.concatenate([tri_sel, tri_sel + m, tri_sel + 2 * m]))
         np.minimum.at(best, tgt, val)
-        active = np.flatnonzero(best < dist)
-        dist[active] = best[active]
-        best[active] = np.inf
+        improved = np.flatnonzero(best < dist)
+        dist[improved] = best[improved]
+        best[improved] = np.inf
+        queued[improved] = True
+        pending = np.flatnonzero(queued)
         if target is not None:
-            active = active[dist[active] < dist[target]]
+            far = dist[pending] >= dist[target]
+            queued[pending[far]] = False
+            pending = pending[~far]
     return dist, sweeps
 
 

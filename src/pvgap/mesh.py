@@ -35,6 +35,14 @@ _FMT = "%.9g"
 # The four header lines of a polydata file, split where str.splitlines()
 # splits ASCII text (read_text has already turned \r\n and \r into \n).
 _HEADER = re.compile(r"(?:[^\n\v\f\x1c-\x1e]*[\n\v\f\x1c-\x1e]){4}")
+# An array name is one body token: printable ASCII without whitespace.
+_TOKEN = re.compile(r"[!-~]+")
+
+
+def is_token(name: str) -> bool:
+    """True if name can name a SCALARS array: nonempty printable ASCII
+    without whitespace."""
+    return _TOKEN.fullmatch(name) is not None
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -548,13 +556,18 @@ def save_mesh(mesh: SurfaceMesh, path) -> None:
     """Write legacy ASCII polydata with LF endings and 9 significant digits.
 
     Writing is atomic (temp file in the target directory, then rename).
-    Raises MeshFormatError, before anything is written, if the name holds a
-    line break: the title is one header line.
+    Raises MeshFormatError, before anything is written, if the name is not
+    one line of ASCII (the title is one header line) or a point-data key is
+    not a token (see `is_token`).
     """
     path = Path(path)
     title = mesh.name if mesh.name else "surface"
-    if title.splitlines() != [title]:
-        raise MeshFormatError(f"mesh name {title!r} spans more than one line")
+    if not title.isascii() or title.splitlines() != [title]:
+        raise MeshFormatError(f"mesh name {title!r} is not one line of ASCII")
+    bad = [key for key in mesh.point_data if not is_token(key)]
+    if bad:
+        raise MeshFormatError(f"point-data name {bad[0]!r} is not printable "
+                              "ASCII without whitespace")
     out = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\n"
            f"POINTS {mesh.n_vertices} float\n",
            _block(mesh.vertices, " ".join([_FMT] * 3)),

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AreaError, ConfigError
-from .mesh import CutMesh, SurfaceMesh, connected_components, cut_mesh, edge_path
+from .mesh import (CutMesh, SurfaceMesh, connected_components, cut_mesh,
+                   edge_path, is_token)
 
 MAX_LABEL = 27
 STRATEGIES = ("independent", "joint")
@@ -72,6 +73,9 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _area_from_dict(name: str, raw: dict) -> AreaSpec:
+    # the name becomes the annotated mesh's array name path_<name>
+    _require(is_token(name), f"area {name!r}: name must be nonempty "
+             "printable ASCII without whitespace")
     _require(isinstance(raw, dict), f"area {name!r}: entry must be an object")
     known = {"labels", "strategy", "cut", "vein_seeds"}
     extra = {k for k in raw if not k.startswith("_")} - known

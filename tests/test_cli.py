@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from pvgap.mesh import SurfaceMesh, load_mesh, save_mesh
 from pvgap.synth import TWO_PI, PhantomSpec, expected_rgm
 
 THRESH = "2,3.3,4"
+GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / \
+    "tapered_patchy_report.json"
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,21 @@ def test_blood_pool_from_mask_volume(workdir, tmp_path, monkeypatch):
     assert abs(got - want) < 0.05
 
 
+def test_tapered_patchy_report_matches_the_golden_file(tmp_path):
+    # six scar patches that change at every default factor, so each factor
+    # runs new whole-mesh patch fields; the expected report was written by
+    # an earlier kernel schedule, and any change that moves a report byte
+    # (an ulp that flips a 6-digit rounding, a different path) fails here
+    ph = tmp_path / "ph"
+    assert main(["synth", "--keep", "0.75", "--patchiness", "4",
+                 "--edge", "0.5", "--taper", "2.5,9", "--out", str(ph)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["quantify", "--mesh", str(ph / "mesh.vtk"),
+                 "--config", str(ph / "regions.cfg"),
+                 "--bp-mean", "100", "--bp-sd", "10", "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
 def test_annotated_mesh_output(workdir, tmp_path):
     ph = workdir / "ph"
     out = tmp_path / "report.json"
@@ -155,6 +173,24 @@ def test_annotated_mesh_output(workdir, tmp_path):
     back = load_mesh(marked)
     assert {"scar_2", "scar_3.3", "scar_4", "patch_id",
             "path_LSPV"} <= set(back.point_data)
+
+
+@pytest.mark.parametrize("name", ["Left PV", "L\u00dcPV"])
+def test_area_name_that_is_not_a_token_exits_1(name, workdir, tmp_path,
+                                                capsys):
+    # refused with the config, before any report or annotated mesh exists
+    ph = workdir / "ph"
+    cfg = json.loads((ph / "regions.cfg").read_text())
+    cfg["areas"] = {name: area for area in cfg["areas"].values()}
+    bad = tmp_path / "regions.cfg"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    out, marked = tmp_path / "r.json", tmp_path / "marked.vtk"
+    assert main(["quantify", "--mesh", str(ph / "mesh.vtk"),
+                 "--config", str(bad), "--bp-mean", "100", "--bp-sd", "10",
+                 "--thresholds", THRESH, "--out", str(out),
+                 "--annotated-mesh", str(marked)]) == 1
+    assert "name" in capsys.readouterr().err
+    assert not out.exists() and not marked.exists()
 
 
 def test_verbose_flag_both_positions(workdir, tmp_path, capsys):

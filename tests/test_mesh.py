@@ -437,6 +437,27 @@ def test_save_mesh_rejects_a_name_with_a_line_break(name, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_save_mesh_rejects_a_non_ascii_name(tmp_path):
+    with pytest.raises(MeshFormatError, match="ASCII"):
+        save_mesh(_golden_mesh("L\u00dcPV"), tmp_path / "out" / "m.vtk")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["path_Left PV", "path_L\u00dcPV", "",
+                                 "tab\tkey", "nul\x00key"])
+def test_save_mesh_rejects_a_point_data_key_that_is_not_a_token(key,
+                                                                  tmp_path):
+    # the loader splits the body on whitespace: such a key would write a
+    # file it rejects, or fail to encode halfway
+    mesh = _golden_mesh()
+    bad = SurfaceMesh(mesh.vertices, mesh.triangles, point_data={
+        "ok": (np.zeros(mesh.n_vertices), "float"),
+        key: (np.zeros(mesh.n_vertices, dtype=np.int64), "int")})
+    with pytest.raises(MeshFormatError, match="point-data name"):
+        save_mesh(bad, tmp_path / "out" / "m.vtk")
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_mesh_rejects_an_index_beyond_int64(tmp_path):
     bad = tmp_path / "big.vtk"
     bad.write_text(GOLDEN.replace("3 0 1 2", "3 0 1 99999999999999999999"))

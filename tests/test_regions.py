@@ -48,6 +48,17 @@ def test_config_rejects_invalid_areas(bad):
         config_from_dict(_area_dict(**bad))
 
 
+@pytest.mark.parametrize("name", ["Left PV", "L\u00dcPV", "", "A\tB",
+                                  "LSPV\n"])
+def test_config_rejects_area_names_that_are_not_tokens(name):
+    # the name becomes the annotated mesh's array name path_<name>
+    data = {"areas": {name: _area_dict()["areas"]["A"]}}
+    with pytest.raises(ConfigError, match="name"):
+        config_from_dict(data)
+    data["areas"]["Left-PV_2"] = data["areas"].pop(name)
+    assert config_from_dict(data).names() == ("Left-PV_2",)
+
+
 def test_joint_needs_two_seeds():
     with pytest.raises(ConfigError):
         config_from_dict(_area_dict(strategy="joint", vein_seeds=[0]))
