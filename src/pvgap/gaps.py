@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AreaError, TopologyError
-from .geodesics import (DistanceField, distance_transform, geodesic_path,
+from .geodesics import (DistanceField, distance_transform,
+                        distance_transforms, geodesic_path,
                         min_interset_distance, polyline_length, trace_path)
 from .mesh import PatchLabeling, connected_components
 from .regions import OpenedArea
@@ -51,15 +52,45 @@ class GapGraph:
         return self.patches.count
 
 
-def build_graph(opened: OpenedArea, scar_mask: np.ndarray) -> GapGraph:
+def _patches_of(mesh, scar_mask: np.ndarray, fields: tuple) -> PatchLabeling:
+    """The labeling whose patches are the fields' source sets; ValueError
+    unless they are transforms on mesh that partition scar_mask in patch
+    order (by smallest vertex)."""
+    if any(f.mesh is not mesh for f in fields):
+        raise ValueError("patch fields must be transforms on the opened mesh")
+    labels = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    for i, f in enumerate(fields):
+        labels[f.sources] = i
+    firsts = [int(f.sources[0]) for f in fields]
+    if (sum(f.sources.size for f in fields) != np.count_nonzero(scar_mask)
+            or not np.array_equal(labels >= 0, scar_mask)
+            or firsts != sorted(set(firsts))):
+        raise ValueError("patch fields must partition the scar mask in "
+                         "patch order")
+    labels.flags.writeable = False
+    return PatchLabeling(labels=labels, count=len(fields),
+                         patches=tuple(f.sources for f in fields))
+
+
+def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
+                fields=None) -> GapGraph:
+    """Patch graph of an opened area for one scar mask.
+
+    fields, if given, are the patch fields of scar_mask in patch order, as
+    a caller that batches the transforms of several masks computed them;
+    otherwise the patches are labelled and their fields computed here.
+    """
     mesh = opened.mesh
     scar_mask = np.asarray(scar_mask, dtype=bool)
     if scar_mask.shape != (mesh.n_vertices,):
         raise ValueError("scar mask must cover the opened mesh")
-    patches = connected_components(mesh, scar_mask)
+    if fields is None:
+        patches = connected_components(mesh, scar_mask)
+        fields = distance_transforms(mesh, patches.patches)
+    else:
+        fields = tuple(fields)
+        patches = _patches_of(mesh, scar_mask, fields)
     n = patches.count
-    fields = tuple(distance_transform(mesh, patches.patches[i])
-                   for i in range(n))
     weights = np.zeros((n, n))
     geometry = {}
     for i in range(n):

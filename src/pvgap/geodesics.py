@@ -29,6 +29,17 @@ test. Twice this delta already moved two vertices of one field by an ulp.
 Accuracy contract: within 2% of analytic geodesics on well-shaped
 plane/sphere meshes (asserted in the test suite).
 
+`distance_transforms` runs the transforms of K source sets in one batch,
+and every transform is such a batch (`distance_transform` and
+`geodesic_path` run K = 1). The batch state is flat over K*n vertices
+(vertex v of field k is k*n + v) and K*m triangles. Each field keeps its
+own pending set, its own bucket bound (the minimum over its own pending
+vertices) and its own sweep count; every other step is elementwise, reading
+and writing only the field's own values. So a field's bits are those of
+the same transform run alone, by construction rather than by replay: the
+batch only shares the per-sweep numpy call overhead, which dominates on
+fronts of a few dozen vertices.
+
 A point-to-point transform (`geodesic_path`) runs the same sweeps but,
 after each one, drops the pending vertices whose dist is not below the
 current dist[target], so it stops once the lowest pending dist passes the
@@ -94,14 +105,15 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     return out
 
 
-def _proposals(tab: dict, dist: np.ndarray, q: np.ndarray):
+def _proposals(tab: dict, dist: np.ndarray, q: np.ndarray, base):
     """(targets, values) of the updates at corners q that lower dist; a
-    target vertex may repeat."""
-    C = tab["C"][q]
+    target vertex may repeat. base offsets each corner's vertex ids into
+    its field's part of a flat batch (see `_sweep`), as do the targets."""
+    C = tab["C"][q] + base
     la = tab["la"][q]
     lb = tab["lb"][q]
-    dA = dist[tab["A"][q]]
-    dB = dist[tab["B"][q]]
+    dA = dist[tab["A"][q] + base]
+    dB = dist[tab["B"][q] + base]
     dC = dist[C]
     # a valid triangle update is never below its farther support (t > u,
     # and u = dhi - dlo rounded to nearest), so only corners whose supports
@@ -146,8 +158,9 @@ class DistanceField:
     dist is 0 exactly on sources, +inf on unreachable vertices, and
     1-Lipschitz along edges. sweeps counts the buckets the transform
     expanded, the last one included (it found nothing to lower). It depends
-    on the mesh and the sources only, but differs from the count of the
-    earlier schedule, which expanded every improved vertex at every sweep.
+    on the mesh and the sources only, not on the other fields of a batch,
+    but differs from the count of the earlier schedule, which expanded
+    every improved vertex at every sweep.
     """
     mesh: SurfaceMesh
     sources: np.ndarray
@@ -177,54 +190,72 @@ class InterSetDistance:
     path: TracedPath
 
 
-def _sweep(mesh: SurfaceMesh, src: np.ndarray, target: int | None = None):
-    """(dist, sweeps) of the transform from the checked source ids src;
-    with a target, exact only below the final dist[target]."""
+def _sweep(mesh: SurfaceMesh, srcs, targets=None):
+    """(dist, sweeps) of the transforms from each array of checked source
+    ids in srcs: dist has one row and sweeps one count per field. With
+    targets, one vertex per field, field k is exact only below its final
+    dist[targets[k]]."""
     n, m = mesh.n_vertices, mesh.n_triangles
     tab = _corner_tables(mesh)
     ptr, tri, delta = tab["ptr"], tab["tri"], tab["delta"]
 
-    dist = np.full(n, np.inf)
-    dist[src] = 0.0
-    best = np.full(n, np.inf)  # this sweep's lowest proposals, reset after
-    marked = np.zeros(m, dtype=bool)
-    queued = np.zeros(n, dtype=bool)  # improved and not yet expanded
-    queued[src] = True
-    pending = src
+    # field k's vertex v is k*n + v and its triangle t is k*m + t
+    k = len(srcs)
+    pending = np.concatenate([s + f * n for f, s in enumerate(srcs)])
+    dist = np.full(k * n, np.inf)
+    dist[pending] = 0.0
+    marked = np.zeros(k * m, dtype=bool)
+    queued = np.zeros(k * n, dtype=bool)  # improved and not yet expanded
+    queued[pending] = True
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.int64) + np.arange(k) * n
+    sweeps = np.zeros(k, dtype=np.int64)
     max_sweeps = 6 * n + 64
-    sweeps = 0
+    it = 0
     while pending.size:
-        sweeps += 1
-        if sweeps > max_sweeps:
+        it += 1
+        if it > max_sweeps:
             raise RuntimeError("distance transform failed to converge")
-        # expand the pending vertices within delta of the lowest one
+        # expand each field's pending vertices within delta of its lowest;
+        # a field sweeps while it has any, so a field's last live sweep is
+        # its own count
+        field = pending // n
         d = dist[pending]
-        active = pending[d <= d.min() + delta]
+        top = np.full(k, np.inf)
+        np.minimum.at(top, field, d)
+        sweeps[top < np.inf] = it
+        keep = d <= (top + delta)[field]
+        active = pending[keep]
         queued[active] = False
-        lo = ptr[active]
-        cnt = ptr[active + 1] - lo
+        field = field[keep]
+        vert = active - field * n
+        lo = ptr[vert]
+        cnt = ptr[vert + 1] - lo
         ends = np.cumsum(cnt)
         pos = np.repeat(lo + cnt - ends, cnt) + np.arange(ends[-1])
-        marked[tri[pos]] = True
+        marked[tri[pos] + np.repeat(field * m, cnt)] = True
         tri_sel = np.flatnonzero(marked)
         marked[tri_sel] = False
-        tgt, val = _proposals(
-            tab, dist, np.concatenate([tri_sel, tri_sel + m, tri_sel + 2 * m]))
-        np.minimum.at(best, tgt, val)
-        improved = np.flatnonzero(best < dist)
-        dist[improved] = best[improved]
-        best[improved] = np.inf
-        queued[improved] = True
+        field = tri_sel // m
+        t = tri_sel - field * m
+        base = field * n
+        tgt, val = _proposals(tab, dist, np.concatenate([t, t + m, t + 2 * m]),
+                              np.concatenate([base, base, base]))
+        # every proposal is below its target's dist as it stood before this
+        # sweep, so each target improves to the least of its proposals:
+        # scattering them straight into dist is exact
+        np.minimum.at(dist, tgt, val)
+        queued[tgt] = True
         pending = np.flatnonzero(queued)
-        if target is not None:
-            far = dist[pending] >= dist[target]
+        if targets is not None:
+            far = dist[pending] >= dist[targets[pending // n]]
             queued[pending[far]] = False
             pending = pending[~far]
-    return dist, sweeps
+    return dist.reshape(k, n), sweeps
 
 
-def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
-    """Geodesic distance from a set of source vertices."""
+def _source_ids(mesh: SurfaceMesh, sources) -> np.ndarray:
+    """sources as sorted unique checked vertex ids of mesh."""
     src = np.asarray(sources)
     if src.size == 0:
         raise TopologyError("distance_transform requires a nonempty source set")
@@ -233,10 +264,27 @@ def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
     src = np.unique(src.astype(np.int64))
     if src.min() < 0 or src.max() >= mesh.n_vertices:
         raise TopologyError("source vertex out of range")
-    dist, sweeps = _sweep(mesh, src)
-    dist.flags.writeable = False
     src.flags.writeable = False
-    return DistanceField(mesh=mesh, sources=src, dist=dist, sweeps=sweeps)
+    return src
+
+
+def distance_transforms(mesh: SurfaceMesh, source_sets) -> tuple:
+    """Geodesic distance fields from each of several source vertex sets,
+    computed in one batch; field k equals `distance_transform(mesh,
+    source_sets[k])` bit for bit, its sweeps included."""
+    srcs = [_source_ids(mesh, s) for s in source_sets]
+    if not srcs:
+        return ()
+    dist, sweeps = _sweep(mesh, srcs)
+    dist.flags.writeable = False
+    return tuple(DistanceField(mesh=mesh, sources=src, dist=row,
+                               sweeps=int(count))
+                 for src, row, count in zip(srcs, dist, sweeps))
+
+
+def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
+    """Geodesic distance from a set of source vertices."""
+    return distance_transforms(mesh, [sources])[0]
 
 
 def polyline_length(points: np.ndarray) -> float:
@@ -320,7 +368,7 @@ def geodesic_path(mesh: SurfaceMesh, src: int, dst: int) -> InterSetDistance:
                            points=mesh.vertices[[src]], length=0.0)
         return InterSetDistance(distance=0.0, endpoint_a=src, endpoint_b=dst,
                                 path=point)
-    dist, _sweeps = _sweep(mesh, np.asarray([src], dtype=np.int64), dst)
+    dist = _sweep(mesh, [np.asarray([src], dtype=np.int64)], [dst])[0][0]
     if not np.isfinite(dist[dst]):
         return _unreachable()
     path = _reverse(_descend(mesh, dist, dst))  # now runs src -> dst

@@ -9,8 +9,8 @@ import pytest
 from pvgap.errors import AreaError, TopologyError
 from pvgap.gaps import (EPS_GAP, _link, build_graph, min_gap_path,
                         solve_gap_graph)
-from pvgap.geodesics import distance_transform, trace_path
-from pvgap.mesh import SurfaceMesh
+from pvgap.geodesics import distance_transform, distance_transforms, trace_path
+from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
 from pvgap.synth import TWO_PI, PhantomSpec, make_phantom, plane_grid
@@ -151,6 +151,32 @@ def test_build_graph_rejects_bad_mask():
     opened, mask, _ = _opened_with_mask(PhantomSpec(keep_fraction=0.5))
     with pytest.raises(ValueError):
         build_graph(opened, mask[:-1])
+
+
+def test_build_graph_takes_the_mask_s_own_patch_fields():
+    spec = PhantomSpec(keep_fraction=0.75, patchiness=2, seed=3)
+    opened, mask, _ = _opened_with_mask(spec)
+    patches = connected_components(opened.mesh, mask).patches
+    fields = distance_transforms(opened.mesh, patches)
+    assert len(fields) >= 2
+    graph = build_graph(opened, mask, fields=fields)
+    want = build_graph(opened, mask)
+    assert np.array_equal(graph.patches.labels, want.patches.labels)
+    for name in ("weights", "start_w", "end_w"):
+        assert getattr(graph, name).tobytes() == getattr(want, name).tobytes()
+    # an equal but distinct mesh is still another mesh
+    twin = SurfaceMesh(opened.mesh.vertices, opened.mesh.triangles)
+    with pytest.raises(ValueError, match="opened mesh"):
+        build_graph(opened, mask, fields=distance_transforms(twin, patches))
+    # another mask: one scar vertex fewer
+    other = mask.copy()
+    other[patches[-1][0]] = False
+    with pytest.raises(ValueError, match="partition"):
+        build_graph(opened, other, fields=fields)
+    # a missing, a repeated or a misordered patch
+    for bad in (fields[:-1], fields + fields[:1], fields[::-1]):
+        with pytest.raises(ValueError, match="partition"):
+            build_graph(opened, mask, fields=bad)
 
 
 # --- assembled encircling paths ---

@@ -17,8 +17,9 @@ from scipy.sparse import csgraph
 from pvgap import geodesics
 from pvgap.errors import TopologyError
 from pvgap.geodesics import (_corner_tables, _proposals, _sweep,
-                             distance_transform, geodesic_path,
-                             min_interset_distance, trace_path)
+                             distance_transform, distance_transforms,
+                             geodesic_path, min_interset_distance,
+                             trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
@@ -321,6 +322,56 @@ def test_matches_the_whole_mesh_reference_bit_for_bit():
     assert all(bucketed[-len(source_sets):])
 
 
+def _batch_case(case):
+    """(mesh, source sets) of one batch. On the tapered phantom: its rim and
+    patch fields, a lone far vertex and every other vertex, whose sweep
+    counts differ over tenfold, with a repeated set among them. On two
+    unconnected grids: fields that reach one component only or both."""
+    if case == "two-components":
+        return _two_grids(), [[0], [30], [3, 40], [0], [24, 25]]
+    opened, source_sets = _tapered_patchy_sources()
+    far = int(np.argmax(distance_transform(opened, source_sets[0]).dist))
+    return opened, [*source_sets, [far], np.arange(0, opened.n_vertices, 2),
+                    source_sets[1]]
+
+
+@pytest.mark.parametrize("case", ["tapered-phantom", "two-components"])
+def test_batch_equals_lone_transforms_bit_for_bit(case):
+    mesh, source_sets = _batch_case(case)
+    lone = [distance_transform(mesh, s) for s in source_sets]
+    sweeps = [f.sweeps for f in lone]
+    if case == "tapered-phantom":
+        assert max(sweeps) > 10 * min(sweeps)
+    else:
+        assert np.isinf(lone[0].dist[25:]).all()
+        assert np.isfinite(lone[2].dist).all()
+    order = np.random.default_rng(2).permutation(len(source_sets))
+    assert not np.array_equal(order, np.arange(len(order)))
+    for perm in (np.arange(len(order)), order):
+        batch = distance_transforms(mesh, [source_sets[i] for i in perm])
+        assert len(batch) == len(perm)
+        for i, field in zip(perm, batch):
+            assert field.mesh is mesh
+            assert np.array_equal(field.sources, lone[i].sources)
+            assert field.dist.tobytes() == lone[i].dist.tobytes()
+            assert field.sweeps == lone[i].sweeps
+            assert not field.dist.flags.writeable
+    assert distance_transforms(mesh, []) == ()
+
+
+def test_batch_checks_every_source_set_like_a_lone_transform():
+    mesh = plane_grid(5, 5)
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[[3, 7]] = True
+    for bad in ([], [999], [-1, 3], [1.7, 3.2], np.array([3.0]), mask):
+        with pytest.raises((TopologyError, ValueError)) as want:
+            distance_transform(mesh, bad)
+        for sets in ([bad], [[3, 7], bad], [bad, [3, 7]]):
+            with pytest.raises(want.type) as got:
+                distance_transforms(mesh, sets)
+            assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("case", ["sphere-one-source", "plane-sources"])
 def test_result_is_a_fixed_point_of_every_corner(case):
     # every corner's edge relaxations and triangle update, evaluated with the
@@ -333,13 +384,13 @@ def test_result_is_a_fixed_point_of_every_corner(case):
     field = distance_transform(mesh, sources)
     tab = _corner_tables(mesh)
     every_corner = np.arange(3 * mesh.n_triangles)
-    targets, values = _proposals(tab, field.dist, every_corner)
+    targets, values = _proposals(tab, field.dist, every_corner, 0)
     assert targets.size == 0, values.min()
     # the check is not vacuous: a raised vertex gets a proposal at once
     raised = field.dist.copy()
     far = int(np.argmax(raised))
     raised[far] += 1.0
-    targets, values = _proposals(tab, raised, every_corner)
+    targets, values = _proposals(tab, raised, every_corner, 0)
     assert far in targets
     assert values[targets == far].min() == pytest.approx(field.dist[far])
 
@@ -373,7 +424,7 @@ def test_bounded_transform_is_exact_below_its_target(case):
             if dst == src:
                 continue
             bound = field.dist[dst]
-            bounded, _sweeps = _sweep(mesh, np.asarray([src]), dst)
+            bounded = _sweep(mesh, [np.asarray([src])], [dst])[0][0]
             assert (np.minimum(bounded, bound).tobytes()
                     == np.minimum(field.dist, bound).tobytes()), (src, dst)
             pruned += not np.array_equal(bounded, field.dist)

@@ -203,10 +203,10 @@ def test_run_case_internal_error_fails_one_area(disk_case, monkeypatch,
     other = dataclasses.replace(lspv, name="LSPV_COPY")
     real = sweep.build_graph
 
-    def flaky(opened, mask):
+    def flaky(opened, mask, fields):
         if opened.area.name == "LSPV":
             raise error("distance transform failed to converge")
-        return real(opened, mask)
+        return real(opened, mask, fields)
 
     monkeypatch.setattr(sweep, "build_graph", flaky)
     got = run_case(mesh, RegionConfig(areas=(lspv, other)),
@@ -224,9 +224,9 @@ def _count_build_graph(monkeypatch):
     calls = []
     real = sweep.build_graph
 
-    def counting(opened, mask):
+    def counting(opened, mask, fields):
         calls.append(mask.copy())
-        return real(opened, mask)
+        return real(opened, mask, fields)
 
     monkeypatch.setattr(sweep, "build_graph", counting)
     return calls
@@ -308,6 +308,29 @@ def test_tapered_sweep_solves_every_factor(monkeypatch):
     for call, mask in zip(calls, masks):
         assert np.array_equal(call, mask)
     _assert_paths_match_fresh_solves(res, masks)
+
+
+def test_batched_graphs_equal_one_mask_graphs(monkeypatch):
+    spec = PhantomSpec(keep_fraction=0.5, taper=(2.5, 8.0), patchiness=2)
+    mesh, config, _ = make_phantom(spec)
+    graphs = []
+    real = sweep.build_graph
+
+    def keeping(opened, mask, fields):
+        graphs.append(real(opened, mask, fields))
+        return graphs[-1]
+
+    monkeypatch.setattr(sweep, "build_graph", keeping)
+    (res,) = run_case(mesh, config, spec.blood_pool_mean,
+                      spec.blood_pool_sd).areas
+    assert len(graphs) == len(FACTORS)
+    assert max(g.n_patches for g in graphs) >= 2
+    for graph in graphs:
+        want = build_graph(res.opened, graph.scar_mask)
+        assert np.array_equal(graph.patches.labels, want.patches.labels)
+        for name in ("weights", "start_w", "end_w"):
+            assert (getattr(graph, name).tobytes()
+                    == getattr(want, name).tobytes())
 
 
 # --- report emission ---
