@@ -18,8 +18,8 @@ from .errors import (AreaError, AttributeLengthError, ConfigError,
 from .gaps import (EPS_GAP, EncirclingPath, GapGraph, GapSegment, build_graph,
                    min_gap_path, solve_gap_graph)
 from .geodesics import (DistanceField, InterSetDistance, TracedPath,
-                        distance_transform, distance_transforms,
-                        geodesic_path, min_interset_distance, trace_path)
+                        distance_transform, geodesic_path,
+                        min_interset_distance, trace_path)
 from .mesh import (CutMesh, PatchLabeling, SurfaceMesh, connected_components,
                    cut_mesh, edge_path, load_mesh, save_mesh)
 from .regions import (JOINT_OF_VEIN, AreaSpec, OpenedArea, RegionConfig,
@@ -40,8 +40,7 @@ __all__ = [
     "CutMesh", "PatchLabeling", "SurfaceMesh", "connected_components",
     "cut_mesh", "edge_path", "load_mesh", "save_mesh",
     "DistanceField", "InterSetDistance", "TracedPath", "distance_transform",
-    "distance_transforms", "geodesic_path", "min_interset_distance",
-    "trace_path",
+    "geodesic_path", "min_interset_distance", "trace_path",
     "THRESHOLD_FACTORS", "ScalarVolume", "blood_pool_stats", "load_volume",
     "mip_project", "save_volume", "threshold_mask", "vertex_normals",
     "JOINT_OF_VEIN", "AreaSpec", "OpenedArea", "RegionConfig", "SearchArea",

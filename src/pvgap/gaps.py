@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AreaError, TopologyError
-from .geodesics import (DistanceField, distance_transform,
-                        distance_transforms, geodesic_path,
-                        min_interset_distance, polyline_length, trace_path)
+from .geodesics import (DistanceField, FieldBatch, distance_transform,
+                        geodesic_path, min_interset_distance,
+                        polyline_length, trace_path)
 from .mesh import PatchLabeling, connected_components
 from .regions import OpenedArea
 
@@ -52,44 +52,31 @@ class GapGraph:
         return self.patches.count
 
 
-def _patches_of(mesh, scar_mask: np.ndarray, fields: tuple) -> PatchLabeling:
-    """The labeling whose patches are the fields' source sets; ValueError
-    unless they are transforms on mesh that partition scar_mask in patch
-    order (by smallest vertex)."""
-    if any(f.mesh is not mesh for f in fields):
-        raise ValueError("patch fields must be transforms on the opened mesh")
-    labels = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    for i, f in enumerate(fields):
-        labels[f.sources] = i
-    firsts = [int(f.sources[0]) for f in fields]
-    if (sum(f.sources.size for f in fields) != np.count_nonzero(scar_mask)
-            or not np.array_equal(labels >= 0, scar_mask)
-            or firsts != sorted(set(firsts))):
-        raise ValueError("patch fields must partition the scar mask in "
-                         "patch order")
-    labels.flags.writeable = False
-    return PatchLabeling(labels=labels, count=len(fields),
-                         patches=tuple(f.sources for f in fields))
-
-
 def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
-                fields=None) -> GapGraph:
+                patches: PatchLabeling | None = None,
+                batch: FieldBatch | None = None) -> GapGraph:
     """Patch graph of an opened area for one scar mask.
 
-    fields, if given, are the patch fields of scar_mask in patch order, as
-    a caller that batches the transforms of several masks computed them;
-    otherwise the patches are labelled and their fields computed here.
+    patches, for a caller that labelled the mask already, is taken as its
+    labeling `connected_components(opened.mesh, scar_mask)`: ValueError
+    unless it labels exactly the mask's vertices, but a different partition
+    of them is not detected. batch, a `FieldBatch` on opened.mesh holding
+    every patch, supplies the patch fields, as for a caller that batches
+    the transforms of several masks (ValueError if it is on another mesh or
+    lacks a patch); by default the mask's own patches form the batch.
     """
     mesh = opened.mesh
     scar_mask = np.asarray(scar_mask, dtype=bool)
     if scar_mask.shape != (mesh.n_vertices,):
         raise ValueError("scar mask must cover the opened mesh")
-    if fields is None:
+    if patches is None:
         patches = connected_components(mesh, scar_mask)
-        fields = distance_transforms(mesh, patches.patches)
-    else:
-        fields = tuple(fields)
-        patches = _patches_of(mesh, scar_mask, fields)
+    elif not np.array_equal(patches.labels >= 0, scar_mask):
+        raise ValueError("patch labeling does not label the scar mask")
+    if batch is None:
+        batch = FieldBatch(mesh, patches.patches)
+    fields = tuple(distance_transform(mesh, p, batch)
+                   for p in patches.patches)
     n = patches.count
     weights = np.zeros((n, n))
     geometry = {}

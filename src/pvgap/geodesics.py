@@ -29,8 +29,8 @@ test. Twice this delta already moved two vertices of one field by an ulp.
 Accuracy contract: within 2% of analytic geodesics on well-shaped
 plane/sphere meshes (asserted in the test suite).
 
-`distance_transforms` runs the transforms of K source sets in one batch,
-and every transform is such a batch (`distance_transform` and
+A `FieldBatch` runs the transforms of K source sets in one batch, and
+every transform is such a batch (a lone `distance_transform` and
 `geodesic_path` run K = 1). The batch state is flat over K*n vertices
 (vertex v of field k is k*n + v) and K*m triangles. Each field keeps its
 own pending set, its own bucket bound (the minimum over its own pending
@@ -268,13 +268,8 @@ def _source_ids(mesh: SurfaceMesh, sources) -> np.ndarray:
     return src
 
 
-def distance_transforms(mesh: SurfaceMesh, source_sets) -> tuple:
-    """Geodesic distance fields from each of several source vertex sets,
-    computed in one batch; field k equals `distance_transform(mesh,
-    source_sets[k])` bit for bit, its sweeps included."""
-    srcs = [_source_ids(mesh, s) for s in source_sets]
-    if not srcs:
-        return ()
+def _fields(mesh: SurfaceMesh, srcs) -> tuple:
+    """The DistanceFields of checked source id arrays srcs, one batch."""
     dist, sweeps = _sweep(mesh, srcs)
     dist.flags.writeable = False
     return tuple(DistanceField(mesh=mesh, sources=src, dist=row,
@@ -282,9 +277,47 @@ def distance_transforms(mesh: SurfaceMesh, source_sets) -> tuple:
                  for src, row, count in zip(srcs, dist, sweeps))
 
 
-def distance_transform(mesh: SurfaceMesh, sources) -> DistanceField:
-    """Geodesic distance from a set of source vertices."""
-    return distance_transforms(mesh, [sources])[0]
+class FieldBatch:
+    """The transforms of several source sets on one mesh, run in one batch.
+
+    Each set is checked here, with `distance_transform`'s errors. The batch
+    runs when `distance_transform` first asks it for one of its fields, so
+    the kernel's time falls inside that call; each field equals the lone
+    transform of its set bit for bit, its sweeps included. The fields share
+    one buffer, which lives as long as the batch.
+    """
+
+    def __init__(self, mesh: SurfaceMesh, source_sets):
+        self.mesh = mesh
+        self._srcs = [_source_ids(mesh, s) for s in source_sets]
+        self._row = {src.tobytes(): k for k, src in enumerate(self._srcs)}
+        self._fields = None
+
+    def field(self, src: np.ndarray) -> DistanceField:
+        """The field of checked source ids src; ValueError unless src is
+        one of the batch's sets."""
+        k = self._row.get(src.tobytes())
+        if k is None:
+            raise ValueError("source set is not in the field batch")
+        if self._fields is None:
+            self._fields = _fields(self.mesh, self._srcs)
+        return self._fields[k]
+
+
+def distance_transform(mesh: SurfaceMesh, sources,
+                       batch: FieldBatch | None = None) -> DistanceField:
+    """Geodesic distance from a set of source vertices.
+
+    batch, a `FieldBatch` on mesh that holds this source set, supplies the
+    field from its one kernel call; ValueError if it is on another mesh or
+    does not hold the set.
+    """
+    src = _source_ids(mesh, sources)
+    if batch is None:
+        return _fields(mesh, [src])[0]
+    if batch.mesh is not mesh:
+        raise ValueError("field batch is on another mesh")
+    return batch.field(src)
 
 
 def polyline_length(points: np.ndarray) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AreaError, ConfigError, TopologyError
 from .gaps import EncirclingPath, build_graph, min_gap_path
-from .geodesics import distance_transforms
+from .geodesics import FieldBatch
 from .mesh import SurfaceMesh, connected_components, save_mesh
 from .regions import (JOINT_OF_VEIN, OpenedArea, RegionConfig,
                       build_search_area, open_area, veins_of_joint)
@@ -117,16 +117,13 @@ def _run_area(mesh, spec, masks):
             sub = mask[sub_of_open]
             keys.append(sub.tobytes())
             subs.setdefault(keys[-1], sub)
-        # one batched transform for the patch fields of every distinct mask
-        patches = [connected_components(opened.mesh, sub).patches
-                   for sub in subs.values()]
-        fields = list(distance_transforms(opened.mesh,
-                                          [p for ps in patches for p in ps]))
-        paths = {}
-        for (key, sub), ps in zip(subs.items(), patches):
-            paths[key] = min_gap_path(
-                build_graph(opened, sub, fields=fields[:len(ps)]))
-            del fields[:len(ps)]
+        labelings = [connected_components(opened.mesh, sub)
+                     for sub in subs.values()]
+        # the patch fields of every distinct mask run in one kernel call
+        batch = FieldBatch(opened.mesh,
+                           [p for lab in labelings for p in lab.patches])
+        paths = {key: min_gap_path(build_graph(opened, sub, lab, batch))
+                 for (key, sub), lab in zip(subs.items(), labelings)}
         results = [ThresholdResult(factor=factor, path=paths[key])
                    for (factor, _mask), key in zip(masks, keys)]
         nauc = rgm_nauc([r.factor for r in results],

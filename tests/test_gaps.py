@@ -9,7 +9,7 @@ import pytest
 from pvgap.errors import AreaError, TopologyError
 from pvgap.gaps import (EPS_GAP, _link, build_graph, min_gap_path,
                         solve_gap_graph)
-from pvgap.geodesics import distance_transform, distance_transforms, trace_path
+from pvgap.geodesics import FieldBatch, distance_transform, trace_path
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
@@ -153,30 +153,38 @@ def test_build_graph_rejects_bad_mask():
         build_graph(opened, mask[:-1])
 
 
-def test_build_graph_takes_the_mask_s_own_patch_fields():
+def test_build_graph_takes_a_labeling_and_a_batch_of_several_masks():
     spec = PhantomSpec(keep_fraction=0.75, patchiness=2, seed=3)
     opened, mask, _ = _opened_with_mask(spec)
-    patches = connected_components(opened.mesh, mask).patches
-    fields = distance_transforms(opened.mesh, patches)
-    assert len(fields) >= 2
-    graph = build_graph(opened, mask, fields=fields)
-    want = build_graph(opened, mask)
-    assert np.array_equal(graph.patches.labels, want.patches.labels)
-    for name in ("weights", "start_w", "end_w"):
-        assert getattr(graph, name).tobytes() == getattr(want, name).tobytes()
-    # an equal but distinct mesh is still another mesh
-    twin = SurfaceMesh(opened.mesh.vertices, opened.mesh.triangles)
-    with pytest.raises(ValueError, match="opened mesh"):
-        build_graph(opened, mask, fields=distance_transforms(twin, patches))
-    # another mask: one scar vertex fewer
+    mesh = opened.mesh
+    labeling = connected_components(mesh, mask)
+    assert labeling.count >= 2
+    # another mask: one scar vertex fewer, and its patches
     other = mask.copy()
-    other[patches[-1][0]] = False
-    with pytest.raises(ValueError, match="partition"):
-        build_graph(opened, other, fields=fields)
-    # a missing, a repeated or a misordered patch
-    for bad in (fields[:-1], fields + fields[:1], fields[::-1]):
-        with pytest.raises(ValueError, match="partition"):
-            build_graph(opened, mask, fields=bad)
+    other[labeling.patches[-1][0]] = False
+    other_labeling = connected_components(mesh, other)
+    batch = FieldBatch(mesh, [*labeling.patches, *other_labeling.patches])
+    for m, lab in ((mask, labeling), (other, other_labeling)):
+        graph = build_graph(opened, m, lab, batch)
+        want = build_graph(opened, m)
+        assert graph.patches is lab
+        for name in ("weights", "start_w", "end_w"):
+            assert (getattr(graph, name).tobytes()
+                    == getattr(want, name).tobytes())
+    # an equal but distinct mesh is still another mesh
+    twin = SurfaceMesh(mesh.vertices, mesh.triangles)
+    with pytest.raises(ValueError, match="another mesh"):
+        build_graph(opened, mask, labeling,
+                    FieldBatch(twin, labeling.patches))
+    # a batch of another mask's patches lacks one of this mask's
+    with pytest.raises(ValueError, match="not in the field batch"):
+        build_graph(opened, mask, labeling,
+                    FieldBatch(mesh, other_labeling.patches))
+    # a labeling of another mask
+    with pytest.raises(ValueError, match="label the scar mask"):
+        build_graph(opened, other, labeling, batch)
+    with pytest.raises(ValueError, match="label the scar mask"):
+        build_graph(opened, mask, other_labeling)
 
 
 # --- assembled encircling paths ---

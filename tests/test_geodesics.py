@@ -17,9 +17,8 @@ from scipy.sparse import csgraph
 from pvgap import geodesics
 from pvgap.errors import TopologyError
 from pvgap.geodesics import (_corner_tables, _proposals, _sweep,
-                             distance_transform, distance_transforms,
-                             geodesic_path, min_interset_distance,
-                             trace_path)
+                             FieldBatch, distance_transform, geodesic_path,
+                             min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
@@ -348,15 +347,19 @@ def test_batch_equals_lone_transforms_bit_for_bit(case):
     order = np.random.default_rng(2).permutation(len(source_sets))
     assert not np.array_equal(order, np.arange(len(order)))
     for perm in (np.arange(len(order)), order):
-        batch = distance_transforms(mesh, [source_sets[i] for i in perm])
-        assert len(batch) == len(perm)
-        for i, field in zip(perm, batch):
+        batch = FieldBatch(mesh, [source_sets[i] for i in perm])
+        for i in perm:
+            field = distance_transform(mesh, source_sets[i], batch)
             assert field.mesh is mesh
             assert np.array_equal(field.sources, lone[i].sources)
             assert field.dist.tobytes() == lone[i].dist.tobytes()
             assert field.sweeps == lone[i].sweeps
             assert not field.dist.flags.writeable
-    assert distance_transforms(mesh, []) == ()
+    # one kernel call: the fields are rows of one buffer
+    buffer = distance_transform(mesh, source_sets[0], batch).dist.base
+    assert buffer is not None
+    assert all(distance_transform(mesh, s, batch).dist.base is buffer
+               for s in source_sets)
 
 
 def test_batch_checks_every_source_set_like_a_lone_transform():
@@ -368,8 +371,24 @@ def test_batch_checks_every_source_set_like_a_lone_transform():
             distance_transform(mesh, bad)
         for sets in ([bad], [[3, 7], bad], [bad, [3, 7]]):
             with pytest.raises(want.type) as got:
-                distance_transforms(mesh, sets)
+                FieldBatch(mesh, sets)
             assert str(got.value) == str(want.value)
+
+
+def test_batch_gives_only_its_own_fields_on_its_own_mesh():
+    mesh = plane_grid(5, 5)
+    batch = FieldBatch(mesh, [[3, 7], [0]])
+    with pytest.raises(ValueError, match="not in the field batch"):
+        distance_transform(mesh, [3], batch)
+    twin = SurfaceMesh(mesh.vertices, mesh.triangles)
+    with pytest.raises(ValueError, match="another mesh"):
+        distance_transform(twin, [0], batch)
+    # a set is found whatever the order or repeats it is given in
+    field = distance_transform(mesh, np.array([7, 3, 7]), batch)
+    assert field.dist.tobytes() == distance_transform(mesh, [3, 7]).dist.tobytes()
+    # an empty batch is valid and holds nothing
+    with pytest.raises(ValueError, match="not in the field batch"):
+        distance_transform(mesh, [0], FieldBatch(mesh, []))
 
 
 @pytest.mark.parametrize("case", ["sphere-one-source", "plane-sources"])

@@ -203,10 +203,10 @@ def test_run_case_internal_error_fails_one_area(disk_case, monkeypatch,
     other = dataclasses.replace(lspv, name="LSPV_COPY")
     real = sweep.build_graph
 
-    def flaky(opened, mask, fields):
+    def flaky(opened, mask, patches, batch):
         if opened.area.name == "LSPV":
             raise error("distance transform failed to converge")
-        return real(opened, mask, fields)
+        return real(opened, mask, patches, batch)
 
     monkeypatch.setattr(sweep, "build_graph", flaky)
     got = run_case(mesh, RegionConfig(areas=(lspv, other)),
@@ -224,9 +224,9 @@ def _count_build_graph(monkeypatch):
     calls = []
     real = sweep.build_graph
 
-    def counting(opened, mask, fields):
+    def counting(opened, mask, patches, batch):
         calls.append(mask.copy())
-        return real(opened, mask, fields)
+        return real(opened, mask, patches, batch)
 
     monkeypatch.setattr(sweep, "build_graph", counting)
     return calls
@@ -316,8 +316,8 @@ def test_batched_graphs_equal_one_mask_graphs(monkeypatch):
     graphs = []
     real = sweep.build_graph
 
-    def keeping(opened, mask, fields):
-        graphs.append(real(opened, mask, fields))
+    def keeping(opened, mask, patches, batch):
+        graphs.append(real(opened, mask, patches, batch))
         return graphs[-1]
 
     monkeypatch.setattr(sweep, "build_graph", keeping)
