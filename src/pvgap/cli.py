@@ -60,19 +60,24 @@ def _load_intensity_source(args) -> tuple:
     return mesh, None
 
 
-def _blood_pool(args, volume) -> tuple:
-    explicit = args.bp_mean is not None or args.bp_sd is not None
+def _check_blood_pool_source(args) -> None:
+    """Refuse a missing or ambiguous blood-pool source; reads no file."""
     if args.bp_mask is not None:
-        if explicit:
+        if args.bp_mean is not None or args.bp_sd is not None:
             raise ConfigError("--bp-mask excludes --bp-mean/--bp-sd")
-        if volume is None:
+        if args.volume is None:
             raise ConfigError("--bp-mask needs --volume to sample from")
+    elif args.bp_mean is None or args.bp_sd is None:
+        raise ConfigError("supply --bp-mean and --bp-sd, or --bp-mask")
+
+
+def _blood_pool(args, volume) -> tuple:
+    """(mean, sd) of the source `_check_blood_pool_source` accepted."""
+    if args.bp_mask is not None:
         mask_vol = load_volume(args.bp_mask)
         if mask_vol.values.shape != volume.values.shape:
             raise ConfigError("--bp-mask grid does not match --volume")
         return blood_pool_stats(volume, mask_vol.values > 0.5)
-    if args.bp_mean is None or args.bp_sd is None:
-        raise ConfigError("supply --bp-mean and --bp-sd, or --bp-mask")
     return float(args.bp_mean), float(args.bp_sd)
 
 
@@ -88,12 +93,13 @@ def cmd_project(args) -> int:
 
 def cmd_quantify(args) -> int:
     factors = _parse_thresholds(args.thresholds)
-    mesh, volume = _load_intensity_source(args)
-    bp_mean, bp_sd = _blood_pool(args, volume)
-    config = load_config(args.config) if args.config else default_config()
     ref = args.ref_threshold
     if ref is not None and ref not in factors:
         raise ConfigError("--ref-threshold must be one of --thresholds")
+    _check_blood_pool_source(args)
+    mesh, volume = _load_intensity_source(args)
+    bp_mean, bp_sd = _blood_pool(args, volume)
+    config = load_config(args.config) if args.config else default_config()
     case = sweep.run_case(mesh, config, bp_mean, bp_sd, factors=factors,
                           ref_factor=ref, strategy=args.strategy)
     for res in case.areas:

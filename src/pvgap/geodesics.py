@@ -10,18 +10,41 @@ so the triangle update is not optional.
 The solver sweeps a bucketed wavefront, as in Delta-stepping (Meyer &
 Sanders, J. Algorithms 2003). A vertex whose dist improved is pending until
 it is expanded. Each sweep expands the pending vertices within delta of the
-lowest pending dist: it updates every corner of every triangle touching
-them from the current values, and the vertices that improved join the
-pending set. delta is four median edge lengths of the mesh, fixed per mesh
-in `_corner_tables`. Deferring the far side of a spread-out front cuts the
-repeated improvements of the earlier schedule, which expanded every
-improved vertex at every sweep (from one source on the 18k-vertex tapered
-benchmark disk, each vertex improved 3.9 times on average).
+lowest pending dist (top): from the current values it evaluates every
+corner that has an expanded vertex as a support, and the vertices that
+improved join the pending set. delta is four median edge lengths of the
+mesh, fixed per mesh in `_corner_tables`. Deferring the far side of a
+spread-out front cuts the repeated improvements of the earlier schedule,
+which expanded every improved vertex at every sweep (from one source on the
+18k-vertex tapered benchmark disk, each vertex improved 3.9 times on
+average).
+
+Delta-stepping relaxes only the edges out of expanded vertices; the sweep
+applies that rule to corners, exactly. Of the corners of the triangles
+touching an expanded vertex, it skips those (C = x; supports y, z) where
+x is expanded and neither y nor z is. Each of y and z is then
+- not pending: it was expanded after its last change, and that sweep
+  evaluated this corner. So its edge relaxation, and if both are not
+  pending the triangle update at the later of their expansions, was made
+  from today's values and min-scattered, and dist[x] has only fallen since;
+- pending but deferred: its dist is above top + delta, which is at least
+  dist[x], so neither its edge relaxation nor the triangle update, which
+  needs both supports below dist[x], can lower x;
+- dropped by a bounded transform: its dist is at least dist[target],
+  which is above dist[x];
+- unreached: its dist is inf.
+A proposal that reads a support of the other three kinds is not below
+dist[x]. So a skipped corner proposes nothing lower, and each sweep
+scatters the same proposals as a sweep over every corner of those
+triangles: the same rows, pending sets and sweep counts, by construction.
+The edge relaxations from a non-expanded support of an evaluated corner
+must stay, though: a deferred support can lower a far vertex in the same
+sweep.
 
 The transform still ends at a fixed point of the update operator. Values
 only decrease, a vertex that changes becomes pending, and a pending vertex
-is expanded in a later sweep. So once nothing is pending, every triangle
-was last updated from its final values and proposes nothing lower. Which
+is expanded in a later sweep. So once nothing is pending, every corner was
+last evaluated from its final values and proposes nothing lower. Which
 fixed point is reached, to the last bit, depends on the order of updates.
 That this schedule gives the earlier one's bits was checked, not proved: by
 replaying every transform of the benchmark workloads and by the reference
@@ -32,10 +55,10 @@ plane/sphere meshes (asserted in the test suite).
 A `FieldBatch` runs the transforms of K source sets in one batch, and
 every transform is such a batch (a lone `distance_transform` and
 `geodesic_path` run K = 1). The batch state is flat over K*n vertices
-(vertex v of field k is k*n + v) and K*m triangles. Each field keeps its
-own pending set, its own bucket bound (the minimum over its own pending
-vertices) and its own sweep count; every other step is elementwise, reading
-and writing only the field's own values. So a field's bits are those of
+(vertex v of field k is k*n + v). Each field keeps its own pending set, its
+own bucket bound (the minimum over its own pending vertices) and its own
+sweep count; every other step is elementwise, reading and writing only the
+field's own values. So a field's bits are those of
 the same transform run alone, by construction rather than by replay: the
 batch only shares the per-sweep numpy call overhead, which dominates on
 fronts of a few dozen vertices.
@@ -53,8 +76,9 @@ so such a transform yields its target's distance and path, never a field.
 Corners follow the half-edge numbering of `SurfaceMesh`: with m triangles,
 corner q = r*m + t is vertex r of triangle t, and the triangle's next two
 vertices are its supports A and B. Every per-corner table is one flat array
-of length 3m in this order. Vertex v's incident triangles are
-tri[ptr[v]:ptr[v + 1]], a CSR pair over `triangles.ravel()`.
+of length 3m in this order. Vertex v's incidences are ptr[v]:ptr[v + 1] of
+a CSR over `triangles.ravel()`; for each, qa and qb hold the corner of that
+triangle where v is support A or B.
 
 A field holds distances only. Polylines are traced from them on demand by
 steepest descent along edges: from vertex v, step to the neighbour u with
@@ -74,11 +98,13 @@ from .errors import TopologyError
 from .mesh import SurfaceMesh
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_LISTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _corner_tables(mesh: SurfaceMesh) -> dict:
-    """Flat per-corner geometry of the wavefront update, the CSR
-    vertex -> triangle incidence and the sweeps' bucket width delta."""
+    """Flat per-corner geometry of the wavefront update, the sweeps' bucket
+    width delta and the vertex -> triangle incidence CSR: ptr, and for each
+    incidence the corners qa and qb where its vertex is support A or B."""
     cached = _TABLES.get(mesh)
     if cached is not None:
         return cached
@@ -93,13 +119,18 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     lb = np.linalg.norm(eb, axis=1)
     cos = np.einsum("ij,ij->i", ea, eb) / (la * lb)
     np.clip(cos, -1.0, 1.0, out=cos)
+    m = mesh.n_triangles
     corners = t.ravel()
     ptr = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(corners, minlength=mesh.n_vertices), out=ptr[1:])
+    # incidence j of the CSR is vertex r of triangle tri; that vertex is
+    # support A of the triangle's corner r - 1 and support B of corner r + 1
+    tri, r = np.divmod(np.argsort(corners, kind="stable"), 3)
     out = {"C": C, "A": A, "B": B, "la": la, "lb": lb, "cos": cos,
            "sin2": 1.0 - cos * cos,
            "csq": np.einsum("ij,ij->i", ea - eb, ea - eb),
-           "ptr": ptr, "tri": np.argsort(corners, kind="stable") // 3,
+           "ptr": ptr, "qa": (r + 2) % 3 * m + tri,
+           "qb": (r + 1) % 3 * m + tri,
            "delta": 4.0 * np.median(mesh.adjacency.data)}
     _TABLES[mesh] = out
     return out
@@ -195,18 +226,18 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None):
     ids in srcs: dist has one row and sweeps one count per field. With
     targets, one vertex per field, field k is exact only below its final
     dist[targets[k]]."""
-    n, m = mesh.n_vertices, mesh.n_triangles
+    n = mesh.n_vertices
     tab = _corner_tables(mesh)
-    ptr, tri, delta = tab["ptr"], tab["tri"], tab["delta"]
+    ptr, qa, qb, delta = tab["ptr"], tab["qa"], tab["qb"], tab["delta"]
 
-    # field k's vertex v is k*n + v and its triangle t is k*m + t
+    # field k's vertex v is k*n + v
     k = len(srcs)
     pending = np.concatenate([s + f * n for f, s in enumerate(srcs)])
     dist = np.full(k * n, np.inf)
     dist[pending] = 0.0
-    marked = np.zeros(k * m, dtype=bool)
     queued = np.zeros(k * n, dtype=bool)  # improved and not yet expanded
     queued[pending] = True
+    act = np.zeros(k * n, dtype=bool)  # expanded in this sweep
     if targets is not None:
         targets = np.asarray(targets, dtype=np.int64) + np.arange(k) * n
     sweeps = np.zeros(k, dtype=np.int64)
@@ -233,14 +264,16 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None):
         cnt = ptr[vert + 1] - lo
         ends = np.cumsum(cnt)
         pos = np.repeat(lo + cnt - ends, cnt) + np.arange(ends[-1])
-        marked[tri[pos] + np.repeat(field * m, cnt)] = True
-        tri_sel = np.flatnonzero(marked)
-        marked[tri_sel] = False
-        field = tri_sel // m
-        t = tri_sel - field * m
-        base = field * n
-        tgt, val = _proposals(tab, dist, np.concatenate([t, t + m, t + 2 * m]),
-                              np.concatenate([base, base, base]))
+        base = np.repeat(field * n, cnt)
+        # each corner with an expanded support, once: where the vertex is
+        # support A, or support B while A was not expanded; the other
+        # corners propose nothing (module docstring)
+        q_b = qb[pos]
+        act[active] = True
+        fresh = ~act[tab["A"][q_b] + base]
+        act[active] = False
+        tgt, val = _proposals(tab, dist, np.concatenate([qa[pos], q_b[fresh]]),
+                              np.concatenate([base, base[fresh]]))
         # every proposal is below its target's dist as it stood before this
         # sweep, so each target improves to the least of its proposals:
         # scattering them straight into dist is exact
@@ -335,20 +368,38 @@ def _vertex(mesh: SurfaceMesh, v, what: str) -> int:
     return v
 
 
+def _adjacency_lists(mesh: SurfaceMesh) -> tuple:
+    """mesh.adjacency's (indptr, indices, data) as Python lists, which the
+    descent's scalar steps read much faster than numpy arrays."""
+    cached = _LISTS.get(mesh)
+    if cached is None:
+        adj = mesh.adjacency  # sorted indices, edge lengths as data
+        cached = (adj.indptr.tolist(), adj.indices.tolist(),
+                  adj.data.tolist())
+        _LISTS[mesh] = cached
+    return cached
+
+
 def _descend(mesh: SurfaceMesh, dist: np.ndarray, start: int) -> TracedPath:
     """Steepest-descent polyline from a reached vertex to a source."""
-    adj = mesh.adjacency  # sorted indices, edge lengths as data
+    indptr, indices, data = _adjacency_lists(mesh)
     v = start
     ids = [v]
     while True:
-        lo, hi = adj.indptr[v], adj.indptr[v + 1]
-        nbr = adj.indices[lo:hi]
-        d = dist[nbr]
-        lower = np.flatnonzero(d < dist[v])
-        if not lower.size:
+        dv = dist[v]
+        best = np.inf
+        nxt = -1
+        for j in range(indptr[v], indptr[v + 1]):
+            u = indices[j]
+            du = dist[u]
+            # the first strict minimum over sorted indices: ties to the
+            # smaller index
+            if du < dv and du + data[j] < best:
+                best = du + data[j]
+                nxt = u
+        if nxt < 0:
             break
-        # argmin's first hit over sorted indices: ties to the smaller index
-        v = int(nbr[lower[np.argmin(d[lower] + adj.data[lo + lower])]])
+        v = nxt
         ids.append(v)
     if dist[ids[-1]] != 0.0:
         raise RuntimeError("steepest descent did not reach a source")

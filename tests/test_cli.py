@@ -233,17 +233,30 @@ def test_argument_errors_exit_1(workdir, tmp_path, capsys, recwarn):
     assert main(["quantify", "--mesh", str(tmp_path / "nope.vtk"),
                  "--out", str(tmp_path / "r.json"), *bp,
                  "--thresholds=2,inf"]) == 1
-    # blood pool must come from exactly one source
+    # blood pool must come from exactly one source; refused before the mesh
+    # is read
     assert main(base + ["--thresholds", THRESH]) == 1
     assert main(base + bp + ["--bp-mask", str(ph / "volume.vol"),
                              "--thresholds", THRESH]) == 1
+    nope = ["quantify", "--mesh", str(tmp_path / "nope.vtk"),
+            "--out", str(tmp_path / "r.json"), "--thresholds", THRESH]
+    capsys.readouterr()
+    for source in ([], ["--bp-mean", "100"], [*bp, "--bp-mask", "m.vol"],
+                   ["--bp-mask", "m.vol"]):
+        assert main(nope + source) == 1
+        assert "--bp-" in capsys.readouterr().err
     # blood-pool SD must be finite and positive
     for sd in ("nan", "0", "-1"):
         assert main(base + ["--bp-mean", "100", "--bp-sd", sd,
                             "--thresholds", THRESH]) == 1
-    # reference threshold must be swept
+    # reference threshold must be swept; refused before the mesh is read
     assert main(base + bp + ["--thresholds", THRESH,
                              "--ref-threshold", "5"]) == 1
+    capsys.readouterr()
+    assert main(["quantify", "--mesh", str(tmp_path / "nope.vtk"),
+                 "--out", str(tmp_path / "r.json"), *bp,
+                 "--thresholds", THRESH, "--ref-threshold", "5"]) == 1
+    assert "--ref-threshold" in capsys.readouterr().err
     # the mesh already carries intensity; projecting over it is refused
     assert main(base + bp + ["--volume", str(ph / "volume.vol"),
                              "--thresholds", THRESH]) == 1

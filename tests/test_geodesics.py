@@ -17,8 +17,8 @@ from scipy.sparse import csgraph
 from pvgap import geodesics
 from pvgap.errors import TopologyError
 from pvgap.geodesics import (_corner_tables, _proposals, _sweep,
-                             FieldBatch, distance_transform, geodesic_path,
-                             min_interset_distance, trace_path)
+                             DistanceField, FieldBatch, distance_transform,
+                             geodesic_path, min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
@@ -455,6 +455,74 @@ def test_bounded_transform_is_exact_below_its_target(case):
             assert isd.path.length == ref.length
     # the bound does stop transforms early
     assert pruned > 0
+
+
+def _triangle_schedule(mesh, sources, target=None):
+    """(dist, sweeps) of `_sweep`'s bucket schedule as it stood when each
+    sweep evaluated every corner of every triangle touching an expanded
+    vertex, written out for one field. `_sweep` evaluates only the corners
+    with an expanded support; the others propose nothing, so both scatter
+    the same proposals in every sweep."""
+    tab = _corner_tables(mesh)
+    m, ptr, delta = mesh.n_triangles, tab["ptr"], tab["delta"]
+    tri = np.argsort(mesh.triangles.ravel(), kind="stable") // 3
+    dist = np.full(mesh.n_vertices, np.inf)
+    dist[sources] = 0.0
+    pending = np.unique(sources)
+    sweeps = 0
+    while pending.size:
+        sweeps += 1
+        d = dist[pending]
+        near = d <= d.min() + delta
+        tris = np.unique(np.concatenate(
+            [tri[ptr[v]:ptr[v + 1]] for v in pending[near]]))
+        tgt, val = _proposals(tab, dist,
+                              np.concatenate([tris, tris + m, tris + 2 * m]),
+                              0)
+        np.minimum.at(dist, tgt, val)
+        pending = np.union1d(pending[~near], tgt)
+        if target is not None:
+            pending = pending[dist[pending] < dist[target]]
+    return dist, sweeps
+
+
+@pytest.mark.parametrize("case", ["tapered-phantom", "two-components",
+                                  "bounded-jittered-grid"])
+def test_sweep_keeps_the_triangle_schedule(case):
+    # whole rows and sweep counts, so a bounded transform's values above
+    # its target are locked too: the Jacobi reference checks bits only
+    if case == "bounded-jittered-grid":
+        mesh = _jittered_grid()[1]
+        rng = np.random.default_rng(8)
+        pairs = rng.integers(0, mesh.n_vertices, size=(12, 2))
+        source_sets = [[src] for src in pairs[:, 0]]
+        targets = pairs[:, 1]
+    else:
+        mesh, source_sets = _batch_case(case)
+        targets = [None] * len(source_sets)
+    srcs = [np.unique(np.asarray(s, dtype=np.int64)) for s in source_sets]
+    dist, sweeps = _sweep(mesh, srcs, None if targets[0] is None else targets)
+    for src, target, row, count in zip(srcs, targets, dist, sweeps):
+        want, want_sweeps = _triangle_schedule(mesh, src, target)
+        assert row.tobytes() == want.tobytes()
+        assert count == want_sweeps
+    if case == "bounded-jittered-grid":
+        # not vacuous: the bounds leave vertices unreached
+        assert np.isinf(dist).any()
+
+
+def test_descent_that_stops_above_zero_raises():
+    # a hand-built field whose only local minimum off the source, at the
+    # centre, holds 1.0: descending into it cannot reach a source
+    mesh = plane_grid(7, 7)
+    centre = 24
+    dist = np.linalg.norm(mesh.vertices - mesh.vertices[centre], axis=1) + 1.0
+    dist[0] = 0.0
+    field = DistanceField(mesh=mesh, sources=np.array([0]), dist=dist,
+                          sweeps=1)
+    assert trace_path(field, 1).vertex_ids.tolist() == [1, 0]
+    with pytest.raises(RuntimeError, match="did not reach a source"):
+        trace_path(field, centre + 1)
 
 
 def test_geodesic_path_validation_and_edge_cases(monkeypatch):
