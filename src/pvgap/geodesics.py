@@ -98,7 +98,6 @@ from .errors import TopologyError
 from .mesh import SurfaceMesh
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_LISTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _corner_tables(mesh: SurfaceMesh) -> dict:
@@ -368,30 +367,23 @@ def _vertex(mesh: SurfaceMesh, v, what: str) -> int:
     return v
 
 
-def _adjacency_lists(mesh: SurfaceMesh) -> tuple:
-    """mesh.adjacency's (indptr, indices, data) as Python lists, which the
-    descent's scalar steps read much faster than numpy arrays."""
-    cached = _LISTS.get(mesh)
-    if cached is None:
-        adj = mesh.adjacency  # sorted indices, edge lengths as data
-        cached = (adj.indptr.tolist(), adj.indices.tolist(),
-                  adj.data.tolist())
-        _LISTS[mesh] = cached
-    return cached
-
-
 def _descend(mesh: SurfaceMesh, dist: np.ndarray, start: int) -> TracedPath:
     """Steepest-descent polyline from a reached vertex to a source."""
-    indptr, indices, data = _adjacency_lists(mesh)
+    # the scalar steps read Python numbers through memoryviews, which is
+    # much faster than indexing numpy arrays and copies nothing
+    adj = mesh.adjacency  # sorted indices, edge lengths as data
+    indptr, indices, data = (memoryview(adj.indptr), memoryview(adj.indices),
+                             memoryview(adj.data))
+    d = memoryview(dist)
     v = start
     ids = [v]
     while True:
-        dv = dist[v]
-        best = np.inf
+        dv = d[v]
+        best = float("inf")
         nxt = -1
         for j in range(indptr[v], indptr[v + 1]):
             u = indices[j]
-            du = dist[u]
+            du = d[u]
             # the first strict minimum over sorted indices: ties to the
             # smaller index
             if du < dv and du + data[j] < best:

@@ -28,6 +28,9 @@ THRESHOLD_FACTORS = (2.0, 3.3, 4.0, 5.0, 6.0)
 
 MIP_REACH_MM = 3.0
 MIP_STEP_MM = 0.2
+# vertices sampled per block: the samples of one block take a few MB, where
+# those of a 38k-vertex mesh at once took ~80 MB of temporaries
+_MIP_BLOCK = 4096
 
 _MAGIC = "scalar-volume 1"
 _FMT = "%.9g"
@@ -202,11 +205,15 @@ def mip_project(mesh: SurfaceMesh, volume: ScalarVolume,
     normals = vertex_normals(mesh)
     k = int(round(reach_mm / step_mm))
     offsets = step_mm * np.arange(-k, k + 1)
-    pts = (mesh.vertices[:, None, :]
-           + offsets[None, :, None] * normals[:, None, :])
-    vals, valid = _sample_trilinear(volume, pts.reshape(-1, 3))
-    vals = np.where(valid, vals, -np.inf).reshape(mesh.n_vertices, len(offsets))
-    proj = vals.max(axis=1)
+    proj = np.empty(mesh.n_vertices)
+    # every sample is computed on its own, so blocks give the same bits
+    for lo in range(0, mesh.n_vertices, _MIP_BLOCK):
+        hi = lo + _MIP_BLOCK
+        pts = (mesh.vertices[lo:hi, None, :]
+               + offsets[None, :, None] * normals[lo:hi, None, :])
+        vals, valid = _sample_trilinear(volume, pts.reshape(-1, 3))
+        vals = np.where(valid, vals, -np.inf).reshape(-1, len(offsets))
+        proj[lo:hi] = vals.max(axis=1)
     proj.flags.writeable = False
     return proj
 

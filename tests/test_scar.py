@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pvgap import scar
 from pvgap.cli import main
 from pvgap.errors import VolumeFormatError
 from pvgap.mesh import save_mesh
@@ -202,6 +203,19 @@ def test_mip_all_outside_is_minus_inf():
     assert np.all(np.isneginf(proj))
     # -inf can never be classified as scar
     assert not threshold_mask(proj, 0.0, 1.0, 2.0).any()
+
+
+def test_mip_blocks_give_the_bits_of_one_block(monkeypatch):
+    # the projection samples its vertices in blocks to bound its memory;
+    # blocks of 7 vertices, with a short last one, give the same bits
+    spec = PhantomSpec(base_shape="two-hole-plate", keep_fraction=0.6)
+    mesh, _, _ = make_phantom(spec)
+    vol = phantom_volume(spec)
+    monkeypatch.setattr(scar, "_MIP_BLOCK", mesh.n_vertices)
+    whole = mip_project(mesh, vol)
+    monkeypatch.setattr(scar, "_MIP_BLOCK", 7)
+    assert mesh.n_vertices % 7
+    assert whole.tobytes() == mip_project(mesh, vol).tobytes()
 
 
 def test_blood_pool_stats_population_sd():
