@@ -17,7 +17,7 @@ from . import cohort as cohort_mod
 from . import sweep
 from .errors import (AreaError, ConfigError, MeshFormatError, TopologyError,
                      VolumeFormatError)
-from .mesh import SurfaceMesh, load_mesh, save_mesh
+from .mesh import SurfaceMesh, load_mesh, save_mesh, write_atomic
 from .regions import default_config, load_config, save_config
 from .scar import (THRESHOLD_FACTORS, blood_pool_stats, load_volume,
                    mip_project, save_volume)
@@ -97,6 +97,8 @@ def cmd_quantify(args) -> int:
     if ref is not None and ref not in factors:
         raise ConfigError("--ref-threshold must be one of --thresholds")
     _check_blood_pool_source(args)
+    if args.bp_mask is None:
+        sweep.check_blood_pool(args.bp_mean, args.bp_sd)
     mesh, volume = _load_intensity_source(args)
     bp_mean, bp_sd = _blood_pool(args, volume)
     config = load_config(args.config) if args.config else default_config()
@@ -145,9 +147,8 @@ def cmd_synth(args) -> int:
                        "sd": spec.blood_pool_sd},
         "seed": spec.seed,
     }
-    tmp = out / "truth.json.tmp"
-    tmp.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(out / "truth.json")
+    write_atomic(out / "truth.json",
+                 (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
     if args.volume:
         save_volume(phantom_volume(spec), args.volume)
     if args.verbose:

@@ -13,13 +13,14 @@ statistic, such as a Welch test on too few values, is an empty CSV cell.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .mesh import write_atomic
 
 METRICS = ("rgm_nauc", "gap_count", "gap_length")
 
@@ -250,14 +251,12 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    tmp.replace(path)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def write_cohort_csv(table: CohortTable, path) -> None:

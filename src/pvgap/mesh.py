@@ -14,6 +14,10 @@ h = r*m + t is edge r of triangle t: (t[0], t[1]), (t[1], t[2]) or (t[2], t[0])
 for r = 0, 1, 2. The next half-edge around the same triangle is (h + m) % 3m.
 A directed edge (a, b) of a mesh with n vertices has the int64 key a*n + b,
 and its reversed half-edge is `SurfaceMesh.opposite[h]` (-1 on a boundary).
+
+A seam cut and a search-area submesh are derived meshes, built only by
+`SurfaceMesh.derive(parent, triangles)`: vertex i is the source's vertex
+parent[i], with its coordinates, intensity, region and point data.
 """
 
 from __future__ import annotations
@@ -102,6 +106,19 @@ class SurfaceMesh:
             raise AttributeLengthError(
                 f"{label} has length {out.shape}, expected ({len(self.vertices)},)")
         return _lock(out)
+
+    def derive(self, parent, triangles, name=None) -> SurfaceMesh:
+        """The mesh on `triangles` whose vertex i is this mesh's vertex
+        parent[i], with intensity, region and every point-data array taken
+        along `parent`; it keeps this mesh's name unless `name` is given."""
+        p = np.asarray(parent, dtype=np.int64)
+        return SurfaceMesh(
+            self.vertices[p], triangles,
+            intensity=None if self.intensity is None else self.intensity[p],
+            region=None if self.region is None else self.region[p],
+            name=self.name if name is None else name,
+            point_data={k: (a[p], kind) for k, (a, kind)
+                        in self.point_data.items()})
 
     # ------------------------------------------------------------------
     # derived connectivity (cached)
@@ -271,16 +288,14 @@ def connected_components(mesh: SurfaceMesh, mask) -> PatchLabeling:
     g = sparse.csr_matrix((np.ones(len(sub), dtype=np.int8),
                            (sub[:, 0], sub[:, 1])), shape=(n, n))
     _, raw = csgraph.connected_components(g, directed=False)
-    raw = raw[idx]
-    # Relabel so patch ids follow the smallest contained vertex index
-    # (idx is ascending, so first occurrence = smallest member).
-    first_seen = {}
-    for r in raw.tolist():
-        if r not in first_seen:
-            first_seen[r] = len(first_seen)
-    labels[idx] = np.asarray([first_seen[r] for r in raw.tolist()], dtype=np.int64)
-    patches = tuple(np.sort(idx[labels[idx] == k]) for k in range(len(first_seen)))
-    return PatchLabeling(_lock(labels), len(first_seen), patches)
+    # Patch ids follow the smallest member: idx is ascending, so a
+    # component's first index in raw[idx] is its smallest vertex.
+    _, first, inverse = np.unique(raw[idx], return_index=True,
+                                  return_inverse=True)
+    labels[idx] = patch = np.argsort(np.argsort(first))[inverse]
+    members = idx[np.argsort(patch, kind="stable")]  # ascending per patch
+    patches = tuple(np.split(members, np.cumsum(np.bincount(patch))[:-1]))
+    return PatchLabeling(_lock(labels), len(first), patches)
 
 
 # ----------------------------------------------------------------------
@@ -338,14 +353,12 @@ class CutMesh:
 
     mesh : the opened mesh (same triangle count, duplicated seam vertices).
     parent_vertex : per-vertex index into the mesh the cut was applied to.
-    twin : per-vertex twin index (-1 where none); twins have identical
-        coordinates and share no triangle.
     side_a : all cut-path vertices, original copies, in path order.
-    side_b : their duplicates, same order.
+    side_b : their duplicates, same order; side_a[i] and side_b[i] have
+        identical coordinates and share no triangle.
     """
     mesh: SurfaceMesh
     parent_vertex: np.ndarray
-    twin: np.ndarray
     side_a: np.ndarray
     side_b: np.ndarray
 
@@ -410,25 +423,15 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
             raise TopologyError(f"cut does not separate the fan at vertex {v}")
 
     n_new = n + len(path)
-    verts = np.concatenate([mesh.vertices, mesh.vertices[path]])
     parent = np.concatenate([np.arange(n, dtype=np.int64), path])
-    twin = np.full(n_new, -1, dtype=np.int64)
     side_a = path.copy()
     side_b = np.arange(n, n_new, dtype=np.int64)
-    twin[side_a] = side_b
-    twin[side_b] = side_a
+    dup = np.zeros(n, dtype=np.int64)
+    dup[side_a] = side_b
     right = np.asarray(right, dtype=np.int64)
     tris = mesh.triangles.copy()
-    tris[right % m, (right // m + 1) % 3] = twin[de[right, 1]]
-
-    def _ext(arr):
-        if arr is None:
-            return None
-        return np.concatenate([arr, arr[path]])
-
-    pd = {k: (_ext(a), kind) for k, (a, kind) in mesh.point_data.items()}
-    out = SurfaceMesh(verts, tris, intensity=_ext(mesh.intensity),
-                      region=_ext(mesh.region), name=mesh.name, point_data=pd)
+    tris[right % m, (right // m + 1) % 3] = dup[de[right, 1]]
+    out = mesh.derive(parent, tris)
 
     # post: the seam is really open (no edge joins side 1 to side 2)
     side = np.zeros(n_new, dtype=np.int8)
@@ -436,7 +439,7 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
     de = out.directed_edges
     if (side[de[:, 0]] * side[de[:, 1]] == 2).any():
         raise TopologyError("cut failed: an edge still crosses the seam")
-    return CutMesh(mesh=out, parent_vertex=_lock(parent), twin=_lock(twin),
+    return CutMesh(mesh=out, parent_vertex=_lock(parent),
                    side_a=_lock(side_a), side_b=_lock(side_b))
 
 
@@ -555,12 +558,11 @@ def _block(values: np.ndarray, row: str) -> str:
 def save_mesh(mesh: SurfaceMesh, path) -> None:
     """Write legacy ASCII polydata with LF endings and 9 significant digits.
 
-    Writing is atomic (temp file in the target directory, then rename).
+    Writing is atomic (see `write_atomic`).
     Raises MeshFormatError, before anything is written, if the name is not
     one line of ASCII (the title is one header line) or a point-data key is
     not a token (see `is_token`).
     """
-    path = Path(path)
     title = mesh.name if mesh.name else "surface"
     if not title.isascii() or title.splitlines() != [title]:
         raise MeshFormatError(f"mesh name {title!r} is not one line of ASCII")
@@ -586,8 +588,19 @@ def save_mesh(mesh: SurfaceMesh, path) -> None:
             vtype, row = ("int", "%d") if kind == "int" else ("float", _FMT)
             out += [f"SCALARS {key} {vtype} 1\nLOOKUP_TABLE default\n",
                     _block(arr, row)]
-    data = "".join(out).encode("ascii")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, "".join(out).encode("ascii"))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Publish `data` at `path` whole or not at all: write `<name>.tmp`
+    beside it, creating the directory, then rename it over the target. On
+    any error the temp file is removed and the error re-raised."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

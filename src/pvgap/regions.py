@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AreaError, ConfigError
-from .mesh import (CutMesh, SurfaceMesh, connected_components, cut_mesh,
-                   edge_path, is_token)
+from .mesh import (SurfaceMesh, connected_components, cut_mesh, edge_path,
+                   is_token, write_atomic)
 
 MAX_LABEL = 27
 STRATEGIES = ("independent", "joint")
@@ -174,11 +174,8 @@ def load_config(path) -> RegionConfig:
 
 
 def save_config(config: RegionConfig, path) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(config_to_dict(config), indent=2) + "\n",
-                   encoding="utf-8")
-    tmp.replace(path)
+    text = json.dumps(config_to_dict(config), indent=2) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def default_config() -> RegionConfig:
@@ -193,13 +190,13 @@ def default_config() -> RegionConfig:
 class SearchArea:
     """An area extracted as a standalone submesh, ready to be opened.
 
-    parent_vertex maps submesh vertex ids back to the source mesh.
-    vein_loops holds one boundary loop (submesh ids) per configured seed,
-    in seed order. cut_paths holds the primary cut first, then the
-    inter-vein cut for joint areas, as submesh vertex ids.
+    mesh is derived from the source mesh and named "<source>:<area>";
+    parent_vertex maps its vertex ids back to the source. vein_loops holds
+    one boundary loop (submesh ids) per configured seed, in seed order.
+    cut_paths holds the primary cut first, then the inter-vein cut for
+    joint areas, as submesh vertex ids.
     """
     name: str
-    spec: AreaSpec
     mesh: SurfaceMesh
     parent_vertex: np.ndarray
     vein_loops: tuple
@@ -211,6 +208,8 @@ def _fail(name: str, msg: str):
 
 
 def _extract_submesh(mesh: SurfaceMesh, spec: AreaSpec):
+    """(submesh, used, remap): used[i] is the source vertex of submesh
+    vertex i, remap[v] the submesh id of source vertex v (-1 outside)."""
     if mesh.region is None:
         _fail(spec.name, "mesh carries no region labels")
     sel = np.isin(mesh.region, sorted(spec.labels))
@@ -223,32 +222,20 @@ def _extract_submesh(mesh: SurfaceMesh, spec: AreaSpec):
     used = np.unique(tris)  # drop label-selected vertices with no triangle
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    sub = SurfaceMesh(
-        vertices=mesh.vertices[used],
-        triangles=remap[tris],
-        intensity=None if mesh.intensity is None else mesh.intensity[used],
-        region=mesh.region[used],
-        name=f"{mesh.name}:{spec.name}",
-        point_data={k: (arr[used], kind)
-                    for k, (arr, kind) in mesh.point_data.items()},
-    )
+    sub = mesh.derive(used, remap[tris], name=f"{mesh.name}:{spec.name}")
     comp = connected_components(sub, np.ones(sub.n_vertices, dtype=bool))
     if comp.count != 1:
         _fail(spec.name, f"labels select {comp.count} disconnected pieces")
-    return sub, used
+    return sub, used, remap
 
 
 def _classify_vein_loops(sub: SurfaceMesh, loops, seeds_sub, name: str):
     """Assign to each seed the boundary loop nearest to it (Euclidean)."""
     picked = []
     for s in seeds_sub:
-        p = sub.vertices[s]
-        best = None
-        for li, loop in enumerate(loops):
-            d = float(np.linalg.norm(sub.vertices[loop] - p, axis=1).min())
-            if best is None or d < best[0]:
-                best = (d, li)
-        picked.append(best[1])
+        dist = [np.linalg.norm(sub.vertices[loop] - sub.vertices[s], axis=1)
+                .min() for loop in loops]
+        picked.append(int(np.argmin(dist)))  # the first of equal loops
     if len(set(picked)) != len(picked):
         _fail(name, "vein seeds resolve to the same boundary loop")
     return picked
@@ -259,24 +246,25 @@ def _cut_from_labels(sub: SurfaceMesh, spec: AreaSpec, vein_mask: np.ndarray):
     that touch the second label across an edge. The chain must form a single
     simple path; it is oriented to start away from the vein boundary."""
     first, second = spec.cut_labels
-    adj = sub.adjacency
-    cand = []
-    for v in np.nonzero(sub.region == first)[0]:
-        nb = adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
-        if (sub.region[nb] == second).any():
-            cand.append(int(v))
+    e = sub.edges
+    lab = sub.region[e]
+    on = np.zeros(sub.n_vertices, dtype=bool)
+    on[e[(lab[:, 0] == first) & (lab[:, 1] == second), 0]] = True
+    on[e[(lab[:, 1] == first) & (lab[:, 0] == second), 1]] = True
+    cand = np.flatnonzero(on)
     if len(cand) < 3:
         _fail(spec.name, "cut label interface has fewer than 3 vertices")
-    cset = set(cand)
-    deg = {v: [int(u) for u in adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
-               if int(u) in cset] for v in cand}
-    ends = sorted(v for v, nb in deg.items() if len(nb) == 1)
-    if len(ends) != 2 or any(len(nb) > 2 for nb in deg.values()):
+    link = e[on[e[:, 0]] & on[e[:, 1]]]  # the interface's own edges
+    deg = np.bincount(link.ravel(), minlength=sub.n_vertices)
+    ends = np.flatnonzero(deg == 1).tolist()
+    if len(ends) != 2 or deg.max() > 2:
         _fail(spec.name, "cut label interface is not a simple chain")
     path = [ends[0]]
     prev = -1
     while path[-1] != ends[1]:
-        nxt = [u for u in deg[path[-1]] if u != prev]
+        v = path[-1]
+        nb = link[(link == v).any(axis=1)].ravel().tolist()
+        nxt = [u for u in nb if u not in (v, prev)]
         if len(nxt) != 1:
             _fail(spec.name, "cut label interface is not a simple chain")
         prev = path[-1]
@@ -293,14 +281,17 @@ def _cut_from_labels(sub: SurfaceMesh, spec: AreaSpec, vein_mask: np.ndarray):
 
 def build_search_area(mesh: SurfaceMesh, spec: AreaSpec) -> SearchArea:
     """Extract the labelled submesh, identify vein loops, derive cut lines."""
-    sub, used = _extract_submesh(mesh, spec)
-    parent_index = {int(p): i for i, p in enumerate(used)}
+    sub, used, remap = _extract_submesh(mesh, spec)
 
-    seeds_sub = []
-    for s in spec.vein_seeds:
-        if s not in parent_index:
-            _fail(spec.name, f"vein seed {s} lies outside the area")
-        seeds_sub.append(parent_index[s])
+    def local(ids, msg):
+        """Submesh ids of source-mesh ids; AreaError(msg) names the first
+        id outside the area, on either side of the source's id range."""
+        for v in ids:
+            if not (0 <= v < len(remap) and remap[int(v)] >= 0):
+                _fail(spec.name, msg.format(v))
+        return tuple(remap[np.asarray(ids, dtype=np.int64)].tolist())
+
+    seeds_sub = local(spec.vein_seeds, "vein seed {} lies outside the area")
 
     loops = sub.boundary_loops()
     if len(loops) < spec.n_veins + 1:
@@ -309,16 +300,11 @@ def build_search_area(mesh: SurfaceMesh, spec: AreaSpec) -> SearchArea:
     picked = _classify_vein_loops(sub, loops, seeds_sub, spec.name)
     vein_loops = tuple(loops[i] for i in picked)
     vein_mask = np.zeros(sub.n_vertices, dtype=bool)
-    for loop in vein_loops:
-        vein_mask[loop] = True
+    vein_mask[np.concatenate(vein_loops)] = True
 
     if spec.cut_vertices is not None:
-        paths = []
-        for p in spec.cut_vertices:
-            try:
-                paths.append(tuple(parent_index[v] for v in p))
-            except KeyError as exc:
-                _fail(spec.name, f"cut vertex {exc.args[0]} outside the area")
+        paths = [local(p, "cut vertex {} outside the area")
+                 for p in spec.cut_vertices]
         primary = paths[0]
         explicit_iv = paths[1] if len(paths) == 2 else None
     else:
@@ -336,7 +322,7 @@ def build_search_area(mesh: SurfaceMesh, spec: AreaSpec) -> SearchArea:
         if overlap:
             _fail(spec.name, "primary and inter-vein cuts share vertices")
 
-    return SearchArea(name=spec.name, spec=spec, mesh=sub,
+    return SearchArea(name=spec.name, mesh=sub,
                       parent_vertex=used, vein_loops=vein_loops,
                       cut_paths=tuple(cut_paths))
 

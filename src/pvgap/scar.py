@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TopologyError, VolumeFormatError
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, write_atomic
 
 THRESHOLD_FACTORS = (2.0, 3.3, 4.0, 5.0, 6.0)
 
@@ -138,11 +138,7 @@ def save_volume(volume: ScalarVolume, path) -> None:
              "order x-fastest",
              "data"]
     payload = volume.values.astype("<f4").tobytes()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes("\n".join(lines).encode("ascii") + b"\n" + payload)
-    tmp.replace(path)
+    write_atomic(path, "\n".join(lines).encode("ascii") + b"\n" + payload)
 
 
 def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:

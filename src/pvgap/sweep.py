@@ -23,14 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import AreaError, ConfigError, TopologyError
 from .gaps import EncirclingPath, build_graph, min_gap_path
 from .geodesics import FieldBatch
-from .mesh import SurfaceMesh, connected_components, save_mesh
+from .mesh import SurfaceMesh, connected_components, save_mesh, write_atomic
 from .regions import (JOINT_OF_VEIN, OpenedArea, RegionConfig,
                       build_search_area, open_area, veins_of_joint)
 from .scar import THRESHOLD_FACTORS, threshold_mask
@@ -63,6 +62,14 @@ def check_factors(factors) -> tuple:
         raise ConfigError("need at least 2 thresholds, strictly ascending "
                           "at 6 significant digits")
     return factors
+
+
+def check_blood_pool(mean: float, sd: float) -> None:
+    """ConfigError unless the blood-pool mean is finite and its SD finite
+    and positive."""
+    if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0):
+        raise ConfigError("blood pool mean must be finite and its SD "
+                          "finite and positive")
 
 
 @dataclass(frozen=True)
@@ -180,9 +187,7 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
     mesh.check_topology()
     if mesh.intensity is None:
         raise ConfigError("mesh carries no intensity values")
-    if not (math.isfinite(bp_mean) and math.isfinite(bp_sd) and bp_sd > 0):
-        raise ConfigError("blood pool mean must be finite and its SD "
-                          "finite and positive")
+    check_blood_pool(bp_mean, bp_sd)
     factors = check_factors(factors)
     if ref_factor is None:
         ref_factor = 3.3 if 3.3 in factors else factors[0]
@@ -268,12 +273,8 @@ def case_report(case: CaseResult) -> dict:
 
 
 def write_report(case: CaseResult, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
     text = json.dumps(_round6(case_report(case)), indent=2, allow_nan=False)
-    tmp.write_text(text + "\n", encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, (text + "\n").encode("utf-8"))
 
 
 def load_report(path) -> dict:

@@ -282,6 +282,36 @@ def test_io_errors_exit_2(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bp", [("100", "nan"), ("100", "0"),
+                                ("inf", "10")])
+def test_blood_pool_values_are_refused_before_the_mesh_is_read(
+        bp, tmp_path, capsys):
+    mean, sd = bp
+    assert main(["quantify", "--mesh", str(tmp_path / "missing.vtk"),
+                 "--out", str(tmp_path / "r.json"), "--bp-mean", mean,
+                 "--bp-sd", sd]) == 1
+    assert "blood pool" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--annotated-mesh"])
+def test_output_onto_a_directory_exits_2_and_leaves_no_temp_file(
+        flag, workdir, tmp_path, capsys):
+    ph = workdir / "ph"
+    target = tmp_path / "taken"
+    target.mkdir()
+    outputs = {"--out": str(tmp_path / "r.json"),
+               "--annotated-mesh": str(tmp_path / "marked.vtk"), flag:
+               str(target)}
+    assert main(["quantify", "--mesh", str(ph / "mesh.vtk"),
+                 "--config", str(ph / "regions.cfg"),
+                 "--bp-mean", "100", "--bp-sd", "10", "--thresholds", THRESH,
+                 *(a for item in outputs.items() for a in item)]) == 2
+    capsys.readouterr()
+    assert target.is_dir() and not any(target.iterdir())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_all_areas_failed_exit_3(workdir, tmp_path, capsys):
     ph = workdir / "ph"
     cfg = {"areas": {"GHOST": {"labels": [25, 26],

@@ -12,7 +12,7 @@ from scipy.sparse import csgraph, csr_matrix
 from pvgap.cli import main
 from pvgap.errors import MeshFormatError, TopologyError
 from pvgap.mesh import (SurfaceMesh, connected_components, cut_mesh,
-                        edge_path, load_mesh, save_mesh)
+                        edge_path, load_mesh, save_mesh, write_atomic)
 from pvgap.synth import plane_grid
 
 
@@ -175,6 +175,12 @@ def test_connected_components_against_bfs_oracle():
         together = np.concatenate([p for p in got.patches]) if n_want else \
             np.empty(0, dtype=np.int64)
         assert sorted(together.tolist()) == np.flatnonzero(mask).tolist()
+        # patch k holds exactly the vertices labelled k, ascending, and
+        # patches are ordered by their smallest vertex
+        for k, patch in enumerate(got.patches):
+            assert patch.tolist() == np.flatnonzero(got.labels == k).tolist()
+        smallest = [int(p[0]) for p in got.patches]
+        assert smallest == sorted(smallest)
 
 
 def test_connected_components_empty_mask():
@@ -266,6 +272,54 @@ def test_cut_mesh_reglue_oracle():
                           mesh2.intensity[cut2.parent_vertex])
     assert np.array_equal(cut2.mesh.region,
                           mesh2.region[cut2.parent_vertex])
+
+
+def test_derive_takes_every_attribute_along_the_parent_map():
+    grid = plane_grid(3, 3)
+    n = grid.n_vertices
+    mesh = SurfaceMesh(grid.vertices, grid.triangles,
+                       intensity=np.arange(n) * 1.5, region=np.arange(n) % 3,
+                       name="source",
+                       point_data={"tag": (np.arange(n) * 2, "int")})
+    # the lower-left quad, vertices reordered, plus a loose copy of vertex 4
+    parent = [4, 0, 1, 3, 4]
+    tris = [[1, 2, 0], [1, 0, 3]]
+    out = mesh.derive(parent, tris)
+    assert out.name == "source"
+    assert out.triangles.tolist() == tris
+    assert np.array_equal(out.vertices, mesh.vertices[parent])
+    assert np.array_equal(out.intensity, mesh.intensity[parent])
+    assert np.array_equal(out.region, mesh.region[parent])
+    assert out.point_data["tag"][1] == "int"
+    assert np.array_equal(out.point_data["tag"][0],
+                          mesh.point_data["tag"][0][parent])
+    assert mesh.derive(parent, tris, name="other").name == "other"
+    bare = SurfaceMesh(grid.vertices, grid.triangles).derive(parent, tris)
+    assert bare.intensity is None and bare.region is None
+    assert bare.point_data == {}
+
+
+def test_cut_mesh_carries_every_attribute_to_its_parent_vertex():
+    mesh, path = _cut_fixture()
+    n = mesh.n_vertices
+    mesh = SurfaceMesh(mesh.vertices, mesh.triangles,
+                       intensity=np.linspace(-3.0, 7.0, n),
+                       region=np.arange(n) % 5, name="labelled grid",
+                       point_data={"wall": (np.arange(n) * 0.25, "float"),
+                                   "tag": (np.arange(n) * 7 % 11, "int")})
+    cut = cut_mesh(mesh, path)
+    parent = cut.parent_vertex
+    assert parent.tolist() == list(range(n)) + path.tolist()
+    out = cut.mesh
+    assert out.name == mesh.name
+    assert np.array_equal(out.vertices, mesh.vertices[parent])
+    assert np.array_equal(out.intensity, mesh.intensity[parent])
+    assert np.array_equal(out.region, mesh.region[parent])
+    assert list(out.point_data) == ["wall", "tag"]
+    for key, (arr, kind) in mesh.point_data.items():
+        got, got_kind = out.point_data[key]
+        assert got_kind == kind and got.dtype == arr.dtype
+        assert np.array_equal(got, arr[parent])
 
 
 def test_cut_mesh_splits_annulus_into_disk():
@@ -456,6 +510,20 @@ def test_save_mesh_rejects_a_point_data_key_that_is_not_a_token(key,
     with pytest.raises(MeshFormatError, match="point-data name"):
         save_mesh(bad, tmp_path / "out" / "m.vtk")
     assert not (tmp_path / "out").exists()
+
+
+def test_write_atomic_creates_the_directory_and_cleans_up(tmp_path):
+    target = tmp_path / "new" / "dir" / "out.bin"
+    write_atomic(target, b"payload")
+    assert target.read_bytes() == b"payload"
+    assert [p.name for p in target.parent.iterdir()] == ["out.bin"]
+    # a directory in the way fails the rename; the temp file goes
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(OSError):
+        write_atomic(taken, b"payload")
+    assert taken.is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "taken"]
 
 
 def test_load_mesh_rejects_an_index_beyond_int64(tmp_path):

@@ -1,15 +1,18 @@
 """Region configs and search areas: validation, extraction, opening."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from pvgap.errors import AreaError, ConfigError
-from pvgap.regions import (AreaSpec, build_search_area, config_from_dict,
-                           config_to_dict, default_config, load_config,
-                           open_area, save_config, veins_of_joint)
-from pvgap.synth import PhantomSpec, make_phantom
+from pvgap.mesh import SurfaceMesh
+from pvgap.regions import (AreaSpec, _cut_from_labels, build_search_area,
+                           config_from_dict, config_to_dict, default_config,
+                           load_config, open_area, save_config,
+                           veins_of_joint)
+from pvgap.synth import PhantomSpec, make_phantom, plane_grid
 
 
 def _area_dict(**over):
@@ -198,3 +201,114 @@ def test_explicit_cut_vertices():
                         vein_seeds=spec.vein_seeds)
     area = build_search_area(mesh, explicit)
     assert np.array_equal(area.cut_paths[0], derived.cut_paths[0])
+
+
+def test_search_area_carries_every_attribute_to_its_parent_vertex():
+    mesh, config, _ = make_phantom(PhantomSpec())
+    n = mesh.n_vertices
+    mesh = SurfaceMesh(mesh.vertices, mesh.triangles,
+                       intensity=mesh.intensity, region=mesh.region,
+                       name=mesh.name,
+                       point_data={"wall": (np.arange(n) * 0.5, "float"),
+                                   "tag": (np.arange(n) % 13, "int")})
+    spec = config.areas[0]
+    area = build_search_area(mesh, spec)
+    parent = area.parent_vertex
+    sub = area.mesh
+    assert sub.name == f"{mesh.name}:{spec.name}"
+    assert np.array_equal(sub.intensity, mesh.intensity[parent])
+    assert np.array_equal(sub.region, mesh.region[parent])
+    assert list(sub.point_data) == ["wall", "tag"]
+    for key, (arr, kind) in mesh.point_data.items():
+        got, got_kind = sub.point_data[key]
+        assert got_kind == kind and got.dtype == arr.dtype
+        assert np.array_equal(got, arr[parent])
+    # the opened area keeps them too, through both parent maps
+    opened = open_area(area)
+    to_mesh = parent[opened.parent_vertex]
+    assert np.array_equal(opened.mesh.intensity, mesh.intensity[to_mesh])
+    assert np.array_equal(opened.mesh.point_data["tag"][0],
+                          mesh.point_data["tag"][0][to_mesh])
+
+
+@pytest.mark.parametrize("which", ["minus_one", "count", "huge"])
+def test_ids_outside_the_mesh_are_outside_the_area(which):
+    # the config loader refuses negative ids, so the spec is built directly
+    mesh, config, _ = make_phantom(PhantomSpec())
+    bad = {"minus_one": -1, "count": mesh.n_vertices, "huge": 10**9}[which]
+    spec = config.areas[0]
+    with pytest.raises(AreaError, match=f"vein seed {bad} lies outside"):
+        build_search_area(mesh, dataclasses.replace(spec, vein_seeds=(bad,)))
+    derived = build_search_area(mesh, spec)
+    path = derived.parent_vertex[np.asarray(derived.cut_paths[0])].tolist()
+    path[1] = bad
+    explicit = dataclasses.replace(spec, cut_labels=None,
+                                   cut_vertices=(tuple(path),))
+    with pytest.raises(AreaError,
+                       match=f"cut vertex {bad} outside the area"):
+        build_search_area(mesh, explicit)
+
+
+def _interface(region, vein_rows=(), nx=7, ny=5):
+    """A plane grid labelled row-major by `region` (nx per row), the spec
+    cutting along the (1, 2) interface and a vein rim on the given rows."""
+    grid = plane_grid(nx, ny)
+    sub = SurfaceMesh(grid.vertices, grid.triangles,
+                      region=np.asarray(region).reshape(-1))
+    spec = AreaSpec(name="A", labels=frozenset({1, 2}),
+                    strategy="independent", cut_labels=(1, 2),
+                    cut_vertices=None, vein_seeds=(0,))
+    vein = np.zeros(nx * ny, dtype=bool)
+    for row in vein_rows:
+        vein[row * nx:(row + 1) * nx] = True
+    return sub, spec, vein
+
+
+def _columns(split, nx=7, ny=5):
+    """Label 1 left of column `split`, label 2 from it on."""
+    return np.where(np.arange(nx) < split, 1, 2)[None, :].repeat(ny, axis=0)
+
+
+def test_cut_from_labels_orients_a_straight_interface():
+    # label 1 meets label 2 along column 2: the chain runs up that column
+    column = [2 + 7 * row for row in range(5)]
+    sub, spec, vein = _interface(_columns(3), vein_rows=[4])
+    assert list(_cut_from_labels(sub, spec, vein)) == column
+    # with the vein rim at the bottom the chain starts at the top instead
+    sub, spec, vein = _interface(_columns(3), vein_rows=[0])
+    assert list(_cut_from_labels(sub, spec, vein)) == column[::-1]
+
+
+def test_cut_from_labels_refuses_a_short_interface():
+    sub, spec, vein = _interface(_columns(3, ny=2), vein_rows=[1], ny=2)
+    with pytest.raises(AreaError, match="fewer than 3 vertices"):
+        _cut_from_labels(sub, spec, vein)
+
+
+def test_cut_from_labels_refuses_a_branching_interface():
+    # label 2 also covers the top row left of column 2, so row 3 joins the
+    # column-2 chain: a T
+    region = _columns(3)
+    region[4, :2] = 2
+    sub, spec, vein = _interface(region, vein_rows=[0])
+    with pytest.raises(AreaError, match="not a simple chain"):
+        _cut_from_labels(sub, spec, vein)
+
+
+def test_cut_from_labels_refuses_a_chain_plus_a_cycle():
+    # an interior island of label 2 rings itself with interface vertices
+    # that form a cycle apart from the column-4 chain
+    region = _columns(5)
+    region[2, 1] = 2
+    sub, spec, vein = _interface(region, vein_rows=[4])
+    with pytest.raises(AreaError, match="not a single chain"):
+        _cut_from_labels(sub, spec, vein)
+
+
+def test_cut_from_labels_needs_one_end_on_the_vein_rim():
+    sub, spec, vein = _interface(_columns(3), vein_rows=[0, 4])
+    with pytest.raises(AreaError, match="must join the vein rim"):
+        _cut_from_labels(sub, spec, vein)
+    sub, spec, vein = _interface(_columns(3), vein_rows=[])
+    with pytest.raises(AreaError, match="must join the vein rim"):
+        _cut_from_labels(sub, spec, vein)
