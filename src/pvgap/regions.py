@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import AreaError, ConfigError
 from .mesh import (SurfaceMesh, connected_components, cut_mesh, edge_path,
@@ -72,6 +74,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: bool is an int subclass, but true is no label or id."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _area_from_dict(name: str, raw: dict) -> AreaSpec:
     # the name becomes the annotated mesh's array name path_<name>
     _require(is_token(name), f"area {name!r}: name must be nonempty "
@@ -86,7 +93,7 @@ def _area_from_dict(name: str, raw: dict) -> AreaSpec:
     labels = raw["labels"]
     _require(isinstance(labels, list) and labels,
              f"area {name!r}: labels must be a nonempty list")
-    _require(all(isinstance(v, int) and 0 <= v <= MAX_LABEL for v in labels),
+    _require(all(_is_int(v) and 0 <= v <= MAX_LABEL for v in labels),
              f"area {name!r}: labels must be integers in 0..{MAX_LABEL}")
     _require(len(set(labels)) == len(labels),
              f"area {name!r}: duplicate labels")
@@ -105,7 +112,7 @@ def _area_from_dict(name: str, raw: dict) -> AreaSpec:
     if "labels" in cut:
         pair = cut["labels"]
         _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(v, int) for v in pair),
+                 and all(_is_int(v) for v in pair),
                  f"area {name!r}: cut labels must be a pair of integers")
         _require(pair[0] != pair[1],
                  f"area {name!r}: cut labels must differ")
@@ -119,13 +126,13 @@ def _area_from_dict(name: str, raw: dict) -> AreaSpec:
                  f"{' or 2' if n_veins == 2 else ''} path(s)")
         for p in paths:
             _require(isinstance(p, list) and len(p) >= 3
-                     and all(isinstance(v, int) and v >= 0 for v in p),
+                     and all(_is_int(v) and v >= 0 for v in p),
                      f"area {name!r}: each cut path needs >= 3 vertex ids")
         cut_vertices = tuple(tuple(p) for p in paths)
 
     seeds = raw["vein_seeds"]
     _require(isinstance(seeds, list) and len(seeds) == n_veins
-             and all(isinstance(v, int) and v >= 0 for v in seeds),
+             and all(_is_int(v) and v >= 0 for v in seeds),
              f"area {name!r}: vein_seeds must list {n_veins} vertex id(s)")
     _require(len(set(seeds)) == len(seeds),
              f"area {name!r}: duplicate vein seeds")
@@ -259,16 +266,12 @@ def _cut_from_labels(sub: SurfaceMesh, spec: AreaSpec, vein_mask: np.ndarray):
     ends = np.flatnonzero(deg == 1).tolist()
     if len(ends) != 2 or deg.max() > 2:
         _fail(spec.name, "cut label interface is not a simple chain")
-    path = [ends[0]]
-    prev = -1
-    while path[-1] != ends[1]:
-        v = path[-1]
-        nb = link[(link == v).any(axis=1)].ravel().tolist()
-        nxt = [u for u in nb if u not in (v, prev)]
-        if len(nxt) != 1:
-            _fail(spec.name, "cut label interface is not a simple chain")
-        prev = path[-1]
-        path.append(nxt[0])
+    n = sub.n_vertices
+    g = sparse.csr_matrix((np.ones(len(link), dtype=np.int8),
+                           (link[:, 0], link[:, 1])), shape=(n, n))
+    # from one end of a chain, depth-first order walks it to the other end
+    path = csgraph.depth_first_order(g, ends[0], directed=False,
+                                     return_predecessors=False).tolist()
     if len(path) != len(cand):
         _fail(spec.name, "cut label interface is not a single chain")
     on_vein = vein_mask[path[0]], vein_mask[path[-1]]

@@ -30,8 +30,8 @@ from .errors import AreaError, ConfigError, TopologyError
 from .gaps import EncirclingPath, build_graph, min_gap_path
 from .geodesics import FieldBatch
 from .mesh import SurfaceMesh, connected_components, save_mesh, write_atomic
-from .regions import (JOINT_OF_VEIN, OpenedArea, RegionConfig,
-                      build_search_area, open_area, veins_of_joint)
+from .regions import (OpenedArea, RegionConfig, build_search_area,
+                      open_area, veins_of_joint)
 from .scar import THRESHOLD_FACTORS, threshold_mask
 
 REPORT_FORMAT = "gap-report 1"

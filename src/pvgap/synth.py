@@ -4,6 +4,11 @@ Each phantom is a triangle mesh carrying intensity and region labels plus a
 matching region config, built so the true gap fraction of the encircling
 lesion is known in closed form. The scar is a band at a fixed offset from
 the vein rim; gaps are angular sectors where the band is left unablated.
+Healthy tissue reads HEALTHY_SD and scar SCAR_SD blood-pool SDs off the mean.
+With a taper, a scar vertex's level runs linearly from edge_sd at the ends
+of its kept arc to center_sd at the arc's middle; the kept arc is the one
+whose start is the last at or before the vertex's angle, and a vertex that
+lies within rounding outside that arc gets edge_sd.
 
 The vein hole of the disk and dome phantoms is an oval (limacon) with its
 wide side at angle 0 and the opening cut on the narrow side at angle pi.
@@ -180,7 +185,7 @@ def removal_arcs(spec: PhantomSpec) -> tuple:
             centers.append(c)
             break
         else:
-            raise RuntimeError("could not place a patchiness slit; lower"
+            raise ValueError("could not place a patchiness slit; lower"
                                " patchiness or keep more of the band")
     arcs = _merge_arcs(list(arcs) + [(c - slit / 2.0, slit) for c in centers])
     return arcs
@@ -234,34 +239,6 @@ def expected_rgm(spec: PhantomSpec) -> float:
     return float((w * removed).sum() / w.sum())
 
 
-def _intensity(spec: PhantomSpec, theta: np.ndarray,
-               scar_mask: np.ndarray) -> np.ndarray:
-    mean, sd = spec.blood_pool_mean, spec.blood_pool_sd
-    out = np.full(theta.shape, mean + HEALTHY_SD * sd)
-    if not scar_mask.any():
-        return out
-    if spec.taper is None:
-        out[scar_mask] = mean + SCAR_SD * sd
-        return out
-    lo, hi = spec.taper
-    kept = _kept_arcs(removal_arcs(spec))
-    level = np.full(theta.shape, np.nan)
-    for s, w in kept:
-        d = (theta - s) % TWO_PI
-        if w >= TWO_PI:
-            inside = np.ones(theta.shape, dtype=bool)
-            x = np.ones(theta.shape)
-        else:
-            inside = d < w
-            with np.errstate(invalid="ignore"):
-                x = 1.0 - np.abs(d - w / 2.0) / (w / 2.0)
-        level[inside] = mean + (lo + (hi - lo) * x[inside]) * sd
-    out[scar_mask] = level[scar_mask]
-    if np.isnan(out).any():
-        raise RuntimeError("taper left scar vertices without a level")
-    return out
-
-
 def _quad_triangles(idx_a, idx_b, idx_c, idx_d) -> np.ndarray:
     """Split quads (a b d c) into (a, b, d) and (a, d, c)."""
     t1 = np.stack([idx_a, idx_b, idx_d], axis=1)
@@ -301,31 +278,26 @@ def _build_ring_phantom(spec: PhantomSpec):
     tris = _quad_triangles(jj * n_t + ii, (jj + 1) * n_t + ii,
                            jj * n_t + nxt, (jj + 1) * n_t + nxt)
 
-    arcs = removal_arcs(spec)
-    band = (ss >= spec.band_inner_mm - 1e-9) & (ss <= spec.band_outer_mm + 1e-9)
-    scar = band & ~_removed_mask(tt, arcs)
-    intensity = _intensity(spec, tt, scar)
-    region = _sector_labels(tt)
-
-    mesh = SurfaceMesh(vertices=_quantize9(pts), triangles=tris,
-                       intensity=_quantize9(intensity), region=region,
-                       name=_phantom_name(spec))
-    seed_vertex = n_t // 4  # on the hole rim at angle pi/2
+    seed = n_t // 4  # on the hole rim at angle pi/2
     area = AreaSpec(name="LSPV", labels=frozenset((1, 2, 3, 4)),
                     strategy="independent", cut_labels=(3, 2),
-                    cut_vertices=None, vein_seeds=(seed_vertex,))
+                    cut_vertices=None, vein_seeds=(seed,))
+    return _finish(spec, pts, tris, tt, ss, _sector_labels(tt), area)
+
+
+def _finish(spec: PhantomSpec, pts, tris, theta, s_off, region,
+            area: AreaSpec):
+    """(mesh, config, truth) of a lattice with per-vertex angle and band
+    offset, quantized as a save_mesh/load_mesh round trip gives them."""
+    arcs = removal_arcs(spec)
+    mesh = SurfaceMesh(vertices=_quantize9(pts), triangles=tris,
+                       intensity=_quantize9(_surface_levels(spec, theta,
+                                                            s_off)),
+                       region=region, name=_phantom_name(spec))
     truth = PhantomTruth(expected_rgm=expected_rgm(spec), removed_arcs=arcs,
-                         designed_gap_count=_designed_gaps(spec, arcs),
-                         seed_vertices=(seed_vertex,))
+                         designed_gap_count=len(arcs),
+                         seed_vertices=area.vein_seeds)
     return mesh, RegionConfig(areas=(area,)), truth
-
-
-def _designed_gaps(spec: PhantomSpec, arcs) -> int:
-    if not arcs:
-        return 0
-    if arcs[0][1] >= TWO_PI:
-        return 1
-    return len(arcs)
 
 
 def _build_plate_phantom(spec: PhantomSpec):
@@ -336,10 +308,8 @@ def _build_plate_phantom(spec: PhantomSpec):
     ys = np.linspace(-PLATE_HALF_Y, PLATE_HALF_Y, ny)
     xx = np.tile(xs, ny)
     yy = np.repeat(ys, nx)
-    c1 = np.array([-PLATE_HOLE_X, 0.0])
-    c2 = np.array([PLATE_HOLE_X, 0.0])
-    d1 = np.hypot(xx - c1[0], yy - c1[1])
-    d2 = np.hypot(xx - c2[0], yy - c2[1])
+    d1 = np.hypot(xx + PLATE_HOLE_X, yy)
+    d2 = np.hypot(xx - PLATE_HOLE_X, yy)
     keep = np.minimum(d1, d2) >= PLATE_HOLE_R
 
     iy = np.repeat(np.arange(ny - 1), nx - 1)
@@ -359,31 +329,17 @@ def _build_plate_phantom(spec: PhantomSpec):
     d1, d2 = d1[used], d2[used]
     pts = np.stack([xx, yy, np.zeros(xx.shape)], axis=1)
 
-    theta = np.arctan2(yy, xx) % TWO_PI
-    arcs = removal_arcs(spec)
-    offset = np.minimum(d1, d2) - PLATE_HOLE_R
-    band = (offset >= spec.band_inner_mm - 1e-9) \
-        & (offset <= spec.band_outer_mm + 1e-9)
-    scar = band & ~_removed_mask(theta, arcs)
-    intensity = _intensity(spec, theta, scar)
-
     left = xx <= -PLATE_HOLE_X
     upper = yy >= 0.0
     region = np.where(left, np.where(upper, 1, 2), np.where(upper, 3, 4))
-
-    mesh = SurfaceMesh(vertices=_quantize9(pts), triangles=tris,
-                       intensity=_quantize9(intensity),
-                       region=region.astype(np.int64),
-                       name=_phantom_name(spec))
-    seed1 = int(np.argmin(np.abs(d1 - PLATE_HOLE_R)))
-    seed2 = int(np.argmin(np.abs(d2 - PLATE_HOLE_R)))
+    seeds = (int(np.argmin(np.abs(d1 - PLATE_HOLE_R))),
+             int(np.argmin(np.abs(d2 - PLATE_HOLE_R))))
     area = AreaSpec(name="RightPVs", labels=frozenset((1, 2, 3, 4)),
                     strategy="joint", cut_labels=(1, 2), cut_vertices=None,
-                    vein_seeds=(seed1, seed2))
-    truth = PhantomTruth(expected_rgm=expected_rgm(spec), removed_arcs=arcs,
-                         designed_gap_count=_designed_gaps(spec, arcs),
-                         seed_vertices=(seed1, seed2))
-    return mesh, RegionConfig(areas=(area,)), truth
+                    vein_seeds=seeds)
+    return _finish(spec, pts, tris, np.arctan2(yy, xx) % TWO_PI,
+                   np.minimum(d1, d2) - PLATE_HOLE_R,
+                   region.astype(np.int64), area)
 
 
 def _phantom_name(spec: PhantomSpec) -> str:
@@ -401,12 +357,30 @@ def make_phantom(spec: PhantomSpec):
 
 def _surface_levels(spec: PhantomSpec, theta: np.ndarray,
                     s_off: np.ndarray) -> np.ndarray:
-    """Intensity of the phantom surface pattern at band offset s_off."""
+    """Intensity of the phantom surface pattern at angle theta and band
+    offset s_off: scar in the band outside the removed arcs, else healthy."""
+    mean, sd = spec.blood_pool_mean, spec.blood_pool_sd
     arcs = removal_arcs(spec)
-    band = (s_off >= spec.band_inner_mm - 1e-9) \
-        & (s_off <= spec.band_outer_mm + 1e-9)
-    scar = band & ~_removed_mask(theta, arcs)
-    return _intensity(spec, theta, scar)
+    scar = (s_off >= spec.band_inner_mm - 1e-9) \
+        & (s_off <= spec.band_outer_mm + 1e-9) & ~_removed_mask(theta, arcs)
+    out = np.full(theta.shape, mean + HEALTHY_SD * sd)
+    if not scar.any():
+        return out
+    if spec.taper is None:
+        out[scar] = mean + SCAR_SD * sd
+        return out
+    lo, hi = spec.taper
+    t = theta[scar]
+    if not arcs:  # a whole ring has no ends to ramp from
+        x = np.ones(t.shape)
+    else:
+        starts, widths = np.array(sorted(_kept_arcs(arcs))).T
+        k = np.searchsorted(starts, t, side="right") - 1  # -1 wraps
+        d = (t - starts[k]) % TWO_PI
+        half = widths[k] / 2.0
+        x = np.maximum(1.0 - np.abs(d - half) / half, 0.0)
+    out[scar] = mean + (lo + (hi - lo) * x) * sd
+    return out
 
 
 def _pool_checkerboard(spec: PhantomSpec, shape) -> np.ndarray:
@@ -425,25 +399,12 @@ def phantom_volume(spec: PhantomSpec) -> ScalarVolume:
     wall hold alternating blood-pool values around the configured mean.
     """
     half_wall = 1.0
-    if spec.base_shape == "dome-with-hole":
+    dome = spec.base_shape == "dome-with-hole"
+    if dome:
         ext = DOME_RADIUS * math.sin(1.0) + 4.0
-        zlo = (DOME_RADIUS - 4.0) * math.cos(1.0)
-        xs = np.arange(-ext, ext + 0.25, 0.5)
-        zs = np.arange(zlo, DOME_RADIUS + 4.0 + 0.25, 0.5)
-        gx = np.tile(np.tile(xs, len(xs)), len(zs))
-        gy = np.tile(np.repeat(xs, len(xs)), len(zs))
-        gz = np.repeat(zs, len(xs) * len(xs))
-        rho = np.sqrt(gx * gx + gy * gy + gz * gz)
-        theta = np.arctan2(gy, gx) % TWO_PI
-        with np.errstate(invalid="ignore"):
-            phi = np.arccos(np.clip(gz / np.maximum(rho, 1e-12), -1.0, 1.0))
-        s_off = DOME_RADIUS * phi - _rim_radius(theta)
-        wall = np.abs(rho - DOME_RADIUS) <= half_wall
-        wall &= (s_off >= -0.5) & (s_off <= spec.band_outer_mm
-                                   + RIM_MARGIN + 0.5)
-        shape = (len(zs), len(xs), len(xs))
-        origin = (float(xs[0]), float(xs[0]), float(zs[0]))
-        spacing = (0.5, 0.5, 0.5)
+        xs = ys = np.arange(-ext, ext + 0.25, 0.5)
+        zs = np.arange((DOME_RADIUS - 4.0) * math.cos(1.0),
+                       DOME_RADIUS + 4.0 + 0.25, 0.5)
     else:
         if spec.base_shape == "disk-with-hole":
             ext_x = ext_y = HOLE_RADIUS * (1 + OVALITY) \
@@ -454,28 +415,30 @@ def phantom_volume(spec: PhantomSpec) -> ScalarVolume:
         xs = np.arange(-ext_x, ext_x + 0.25, 0.5)
         ys = np.arange(-ext_y, ext_y + 0.25, 0.5)
         zs = np.arange(-3.0, 3.5, 1.0)
-        gx = np.tile(np.tile(xs, len(ys)), len(zs))
-        gy = np.tile(np.repeat(ys, len(xs)), len(zs))
-        gz = np.repeat(zs, len(xs) * len(ys))
-        theta = np.arctan2(gy, gx) % TWO_PI
-        if spec.base_shape == "disk-with-hole":
-            s_off = np.hypot(gx, gy) - _rim_radius(theta)
-            s_hi = spec.band_outer_mm + RIM_MARGIN + 0.5
-        else:
-            d1 = np.hypot(gx + PLATE_HOLE_X, gy)
-            d2 = np.hypot(gx - PLATE_HOLE_X, gy)
-            s_off = np.minimum(d1, d2) - PLATE_HOLE_R
-            s_hi = np.inf  # the plate extends to the volume border
-        wall = (np.abs(gz) <= half_wall) & (s_off >= -0.5) & (s_off <= s_hi)
-        shape = (len(zs), len(ys), len(xs))
-        origin = (float(xs[0]), float(ys[0]), float(zs[0]))
-        spacing = (0.5, 0.5, 1.0)
+    gz, gy, gx = np.meshgrid(zs, ys, xs, indexing="ij")  # x fastest
+    theta = np.arctan2(gy, gx) % TWO_PI
+    s_hi = spec.band_outer_mm + RIM_MARGIN + 0.5
+    if dome:
+        rho = np.sqrt(gx * gx + gy * gy + gz * gz)
+        with np.errstate(invalid="ignore"):
+            phi = np.arccos(np.clip(gz / np.maximum(rho, 1e-12), -1.0, 1.0))
+        s_off = DOME_RADIUS * phi - _rim_radius(theta)
+        shell = np.abs(rho - DOME_RADIUS)
+    elif spec.base_shape == "disk-with-hole":
+        s_off = np.hypot(gx, gy) - _rim_radius(theta)
+        shell = np.abs(gz)
+    else:
+        s_off = np.minimum(np.hypot(gx + PLATE_HOLE_X, gy),
+                           np.hypot(gx - PLATE_HOLE_X, gy)) - PLATE_HOLE_R
+        shell = np.abs(gz)
+        s_hi = np.inf  # the plate extends to the volume border
+    wall = (shell <= half_wall) & (s_off >= -0.5) & (s_off <= s_hi)
 
-    vals = _pool_checkerboard(spec, shape).ravel()
-    levels = _surface_levels(spec, theta[wall], s_off[wall])
-    vals[wall] = levels
-    return ScalarVolume(values=vals.reshape(shape), spacing=spacing,
-                        origin=origin, direction=np.eye(3))
+    vals = _pool_checkerboard(spec, gx.shape)
+    vals[wall] = _surface_levels(spec, theta[wall], s_off[wall])
+    return ScalarVolume(values=vals, spacing=(0.5, 0.5, 0.5 if dome else 1.0),
+                        origin=(float(xs[0]), float(ys[0]), float(zs[0])),
+                        direction=np.eye(3))
 
 
 def plane_grid(nx: int, ny: int, spacing: float = 1.0) -> SurfaceMesh:

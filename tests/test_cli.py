@@ -267,6 +267,18 @@ def test_argument_errors_exit_1(workdir, tmp_path, capsys, recwarn):
     assert len(recwarn) == 0
 
 
+def test_impossible_slit_layout_exits_1_without_a_traceback(tmp_path,
+                                                           capsys):
+    # keep 0 removes the whole band, so no patchiness slit can be placed
+    out = tmp_path / "D"
+    assert main(["synth", "--keep", "0", "--patchiness", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pvgap: could not place a patchiness slit")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_io_errors_exit_2(workdir, tmp_path, capsys):
     ph = workdir / "ph"
     bp = ["--bp-mean", "100", "--bp-sd", "10"]

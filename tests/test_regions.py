@@ -51,6 +51,19 @@ def test_config_rejects_invalid_areas(bad):
         config_from_dict(_area_dict(**bad))
 
 
+@pytest.mark.parametrize("key, value, ints", [
+    ("labels", [True, 2], [1, 2]),
+    ("cut", {"labels": [True, 2]}, {"labels": [1, 2]}),
+    ("cut", {"vertices": [[True, False, 5]]}, {"vertices": [[1, 0, 5]]}),
+    ("vein_seeds", [True], [1]),
+])
+def test_config_refuses_json_booleans_as_integers(key, value, ints):
+    # bool is an int subclass; the same entry with integers loads
+    config_from_dict(_area_dict(**{key: ints}))
+    with pytest.raises(ConfigError):
+        config_from_dict(_area_dict(**{key: value}))
+
+
 @pytest.mark.parametrize("name", ["Left PV", "L\u00dcPV", "", "A\tB",
                                   "LSPV\n"])
 def test_config_rejects_area_names_that_are_not_tokens(name):

@@ -1,5 +1,6 @@
 """Phantom generator: arc algebra, ground truth, mesh structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,19 +301,29 @@ def test_edge_refinement_thickens_band():
     assert 3.0 < n_fine / n_coarse < 5.0
 
 
-def test_taper_levels_ramp_to_center():
-    spec = PhantomSpec(keep_fraction=0.5, taper=(2.5, 8.0))
+@pytest.mark.parametrize("shape, keep, edge, taper", [
+    ("disk-with-hole", 0.5, 1.0, (2.5, 8.0)),
+    ("disk-with-hole", 0.75, 1.0, (2.5, 9.0)),
+    ("dome-with-hole", 0.75, 1.0, (2.5, 9.0)),
+    # a scar vertex 2 ulp before its kept arc's start gets the edge level
+    ("two-hole-plate", 0.75, 0.8, (2.5, 9.0)),
+], ids=["disk-keep0.5", "disk", "dome", "plate-edge0.8"])
+def test_taper_levels_ramp_to_center(shape, keep, edge, taper):
+    spec = PhantomSpec(base_shape=shape, keep_fraction=keep,
+                       target_edge_mm=edge, taper=taper)
     mesh, _, _ = make_phantom(spec)
-    mask = _scar_mask(mesh, spec, factor=2.0)
-    sds = (mesh.intensity[mask] - spec.blood_pool_mean) / spec.blood_pool_sd
-    assert sds.min() >= 2.5 - 1e-6
-    assert sds.max() <= 8.0 + 1e-6
+    sharp = dataclasses.replace(spec, taper=None)
+    scar = _scar_mask(make_phantom(sharp)[0], sharp)
+    sds = (mesh.intensity - spec.blood_pool_mean) / spec.blood_pool_sd
+    # every scar vertex of the untapered phantom has a level in range
+    assert sds[scar].min() >= taper[0] - 1e-6
+    assert sds[scar].max() <= taper[1] + 1e-6
     # peak sits at the kept arc center, angle pi
     peak = np.argmax(mesh.intensity)
     theta = math.atan2(mesh.vertices[peak, 1], mesh.vertices[peak, 0]) \
         % TWO_PI
     assert abs(theta - math.pi) < 0.1
-    healthy = mesh.intensity[~mask]
+    healthy = mesh.intensity[~scar]
     assert np.allclose(healthy, spec.blood_pool_mean
                        - 8.0 * spec.blood_pool_sd)
 
