@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AreaError, TopologyError
-from .geodesics import (DistanceField, FieldBatch, distance_transform,
-                        geodesic_path, min_interset_distance,
-                        polyline_length, trace_path)
+from .geodesics import (DistanceField, FieldBatch, PathCache,
+                        distance_transform, geodesic_path,
+                        min_interset_distance, polyline_length, trace_path)
 from .mesh import PatchLabeling, connected_components
 from .regions import OpenedArea
 
@@ -200,17 +200,22 @@ def _gap_segment(mesh, ids: np.ndarray, points: np.ndarray,
                       wraps_seam=wraps)
 
 
-def _link(mesh, src: int, dst: int):
+def _link(mesh, src: int, dst: int, paths: PathCache | None = None):
     """Unconstrained geodesic polyline src -> dst."""
-    isd = geodesic_path(mesh, src, dst)
+    isd = geodesic_path(mesh, src, dst, paths)
     if not np.isfinite(isd.distance):
         raise TopologyError(f"vertex {dst} is unreachable from the sources")
     return isd.path.vertex_ids, isd.path.points, isd.path.length
 
 
-def assemble_geometry(graph: GapGraph, pair_index: int,
-                      node_seq: tuple) -> EncirclingPath:
-    """Expand a solved route into the explicit encircling polyline."""
+def assemble_geometry(graph: GapGraph, pair_index: int, node_seq: tuple,
+                      paths: PathCache | None = None) -> EncirclingPath:
+    """Expand a solved route into the explicit encircling polyline.
+
+    paths, a `PathCache` on the opened mesh, keeps the links' transforms
+    for later links from the same vertex, as for a caller that assembles
+    several routes of one area; the path is the same with or without it.
+    """
     opened = graph.opened
     mesh = opened.mesh
     p_a = int(opened.side_a[pair_index])
@@ -233,13 +238,15 @@ def assemble_geometry(graph: GapGraph, pair_index: int,
         ids, pts = isd.path.vertex_ids, isd.path.points
         if prev > nxt:  # stored geometry runs lo -> hi
             ids, pts = ids[::-1], pts[::-1]
-        link_ids, _link_pts, link_len = _link(mesh, arrival, int(ids[0]))
+        link_ids, _link_pts, link_len = _link(mesh, arrival, int(ids[0]),
+                                              paths)
         non_gap += link_len
         segments.append(("link", link_ids))
         segments.append(("gap", ids))
         gaps_open.append(_gap_segment(mesh, ids, pts, wraps=False))
         arrival = int(ids[-1])
-    link_ids, _link_pts, link_len = _link(mesh, arrival, int(b_ids[0]))
+    link_ids, _link_pts, link_len = _link(mesh, arrival, int(b_ids[0]),
+                                          paths)
     non_gap += link_len
     segments.append(("link", link_ids))
     segments.append(("stub", b_ids))
@@ -308,10 +315,12 @@ def _no_patch_loop(opened: OpenedArea) -> EncirclingPath:
                           segment_ids=(("gap", ids),))
 
 
-def min_gap_path(graph: GapGraph) -> EncirclingPath:
-    """Best encircling path of an opened area for one scar mask."""
+def min_gap_path(graph: GapGraph,
+                 paths: PathCache | None = None) -> EncirclingPath:
+    """Best encircling path of an opened area for one scar mask; paths is
+    passed to `assemble_geometry`."""
     if graph.n_patches == 0:
         return _no_patch_loop(graph.opened)
     _cost, k, seq = solve_gap_graph(graph.weights, graph.start_w,
                                     graph.end_w)
-    return assemble_geometry(graph, k, seq)
+    return assemble_geometry(graph, k, seq, paths)

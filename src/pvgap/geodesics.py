@@ -73,6 +73,16 @@ can never lower anything below the bound, and the descent from the target
 reads only values below it. The values above the bound are left unfinished,
 so such a transform yields its target's distance and path, never a field.
 
+A `PathCache` keeps, per source vertex, the bounded transform with the
+largest bound run from it so far, so that later targets from the same
+source can read it. It serves a target dst from the kept row in two cases,
+both exact by the argument above: dst is the run's own target, which is
+the lone call's own result; or the kept dist[dst] lies strictly below the
+bound, where the row is exact, and the descent from dst reads only values
+below dist[dst]. Otherwise the kept dist[dst] is at or above the bound, so
+dst's distance is too, and a new transform to dst runs; its bound is at
+least the kept one, and it replaces that.
+
 Corners follow the half-edge numbering of `SurfaceMesh`: with m triangles,
 corner q = r*m + t is vertex r of triangle t, and the triangle's next two
 vertices are its supports A and B. Every per-corner table is one flat array
@@ -429,22 +439,61 @@ def _unreachable() -> InterSetDistance:
                             path=empty)
 
 
-def geodesic_path(mesh: SurfaceMesh, src: int, dst: int) -> InterSetDistance:
+class PathCache:
+    """The bounded transforms `geodesic_path` ran on one mesh, kept per
+    source vertex: for each source, the dist row of the run with the
+    largest bound (its target's final dist) so far, its target and that
+    bound. A later call from the same source reads the kept row where it
+    is exact (module docstring). The rows live as long as the cache.
+    """
+
+    def __init__(self, mesh: SurfaceMesh):
+        self.mesh = mesh
+        self._runs = {}  # source -> (dist row, target, bound)
+
+    def exact_at(self, src: int, dst: int):
+        """A kept dist row from src that is exact at dst and below its
+        dist[dst], or None."""
+        run = self._runs.get(src)
+        if run is not None:
+            dist, target, bound = run
+            if dst == target or dist[dst] < bound:
+                return dist
+        return None
+
+    def keep(self, src: int, dst: int, dist: np.ndarray) -> None:
+        """Keep the run from src to dst unless the kept one reaches
+        further."""
+        run = self._runs.get(src)
+        if run is None or dist[dst] >= run[2]:
+            self._runs[src] = (dist, dst, dist[dst])
+
+
+def geodesic_path(mesh: SurfaceMesh, src: int, dst: int,
+                  paths: PathCache | None = None) -> InterSetDistance:
     """Geodesic distance from vertex src to vertex dst and its src -> dst
     polyline, by a transform from src that stops at dst.
 
     Distance and path equal those of `distance_transform(mesh, [src])`
     traced from dst; an unreachable dst gives the +inf result of
-    `InterSetDistance`.
+    `InterSetDistance`. paths, a `PathCache` on mesh, supplies a kept
+    transform from src where one is exact at dst and keeps the one this
+    call runs; ValueError if it is on another mesh.
     """
     src = _vertex(mesh, src, "source")
     dst = _vertex(mesh, dst, "target")
+    if paths is not None and paths.mesh is not mesh:
+        raise ValueError("path cache is on another mesh")
     if src == dst:
         point = TracedPath(vertex_ids=np.asarray([src], dtype=np.int64),
                            points=mesh.vertices[[src]], length=0.0)
         return InterSetDistance(distance=0.0, endpoint_a=src, endpoint_b=dst,
                                 path=point)
-    dist = _sweep(mesh, [np.asarray([src], dtype=np.int64)], [dst])[0][0]
+    dist = None if paths is None else paths.exact_at(src, dst)
+    if dist is None:
+        dist = _sweep(mesh, [np.asarray([src], dtype=np.int64)], [dst])[0][0]
+        if paths is not None:
+            paths.keep(src, dst, dist)
     if not np.isfinite(dist[dst]):
         return _unreachable()
     path = _reverse(_descend(mesh, dist, dst))  # now runs src -> dst

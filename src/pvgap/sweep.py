@@ -7,7 +7,9 @@ The path is a function of the opened area and its scar mask alone, so a
 factor whose opened-area mask equals an earlier factor's reuses that
 factor's path instead of solving it again; the report is unchanged. The
 patch fields of an area's distinct masks are computed in one batched
-transform, bit for bit those of one transform per patch.
+transform, bit for bit those of one transform per patch, and the route
+links of all its masks share one `PathCache`, so a link from a vertex that
+an earlier link left from reads that link's transform where it is exact.
 Failures of one area (bad labels, unresolvable cuts, missing connectivity,
 a solver that does not converge) are recorded and do not abort the
 remaining areas.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import AreaError, ConfigError, TopologyError
 from .gaps import EncirclingPath, build_graph, min_gap_path
-from .geodesics import FieldBatch
+from .geodesics import FieldBatch, PathCache
 from .mesh import SurfaceMesh, connected_components, save_mesh, write_atomic
 from .regions import (OpenedArea, RegionConfig, build_search_area,
                       open_area, veins_of_joint)
@@ -129,7 +131,10 @@ def _run_area(mesh, spec, masks):
         # the patch fields of every distinct mask run in one kernel call
         batch = FieldBatch(opened.mesh,
                            [p for lab in labelings for p in lab.patches])
-        paths = {key: min_gap_path(build_graph(opened, sub, lab, batch))
+        # route links from one vertex share their transforms across masks
+        links = PathCache(opened.mesh)
+        paths = {key: min_gap_path(build_graph(opened, sub, lab, batch),
+                                   links)
                  for (key, sub), lab in zip(subs.items(), labelings)}
         results = [ThresholdResult(factor=factor, path=paths[key])
                    for (factor, _mask), key in zip(masks, keys)]

@@ -68,6 +68,10 @@ class PhantomSpec:
     def __post_init__(self):
         if self.base_shape not in SHAPES:
             raise ValueError(f"base_shape must be one of {SHAPES}")
+        for name in ("target_edge_mm", "band_inner_mm", "band_outer_mm",
+                     "blood_pool_mean", "blood_pool_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must lie in [0, 1]")
         if not 0.0 < self.band_inner_mm < self.band_outer_mm:
@@ -76,8 +80,11 @@ class PhantomSpec:
             raise ValueError("target_edge_mm must be positive")
         if self.patchiness < 0:
             raise ValueError("patchiness must be >= 0")
-        if self.taper is not None and len(self.taper) != 2:
-            raise ValueError("taper must be (edge_sd, center_sd)")
+        if self.taper is not None:
+            if len(self.taper) != 2:
+                raise ValueError("taper must be (edge_sd, center_sd)")
+            if not all(math.isfinite(v) and v > 0.0 for v in self.taper):
+                raise ValueError("taper SDs must be finite and positive")
         if self.blood_pool_sd <= 0.0:
             raise ValueError("blood_pool_sd must be positive")
 
@@ -288,8 +295,14 @@ def _build_ring_phantom(spec: PhantomSpec):
 def _finish(spec: PhantomSpec, pts, tris, theta, s_off, region,
             area: AreaSpec):
     """(mesh, config, truth) of a lattice with per-vertex angle and band
-    offset, quantized as a save_mesh/load_mesh round trip gives them."""
+    offset, quantized as a save_mesh/load_mesh round trip gives them;
+    ValueError if the recipe keeps part of the band but no vertex lies in
+    it, where the truth would describe scar the mesh does not have."""
     arcs = removal_arcs(spec)
+    if _kept_arcs(arcs) and not _kept_band(spec, theta, s_off, arcs).any():
+        raise ValueError(f"no vertex lies in the kept scar band at "
+                         f"target_edge_mm {spec.target_edge_mm:g}; use a "
+                         f"finer edge")
     mesh = SurfaceMesh(vertices=_quantize9(pts), triangles=tris,
                        intensity=_quantize9(_surface_levels(spec, theta,
                                                             s_off)),
@@ -355,14 +368,21 @@ def make_phantom(spec: PhantomSpec):
     return _build_ring_phantom(spec)
 
 
+def _kept_band(spec: PhantomSpec, theta: np.ndarray, s_off: np.ndarray,
+               arcs) -> np.ndarray:
+    """Whether each point at angle theta and band offset s_off lies in the
+    scar band outside the removed arcs."""
+    return (s_off >= spec.band_inner_mm - 1e-9) \
+        & (s_off <= spec.band_outer_mm + 1e-9) & ~_removed_mask(theta, arcs)
+
+
 def _surface_levels(spec: PhantomSpec, theta: np.ndarray,
                     s_off: np.ndarray) -> np.ndarray:
     """Intensity of the phantom surface pattern at angle theta and band
     offset s_off: scar in the band outside the removed arcs, else healthy."""
     mean, sd = spec.blood_pool_mean, spec.blood_pool_sd
     arcs = removal_arcs(spec)
-    scar = (s_off >= spec.band_inner_mm - 1e-9) \
-        & (s_off <= spec.band_outer_mm + 1e-9) & ~_removed_mask(theta, arcs)
+    scar = _kept_band(spec, theta, s_off, arcs)
     out = np.full(theta.shape, mean + HEALTHY_SD * sd)
     if not scar.any():
         return out

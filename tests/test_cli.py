@@ -279,6 +279,22 @@ def test_impossible_slit_layout_exits_1_without_a_traceback(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, field", [
+    (["--edge", "inf"], "target_edge_mm"),
+    (["--edge", "nan"], "target_edge_mm"),
+    (["--taper", "nan,9"], "taper"),
+    (["--taper", "0,9"], "taper"),
+    (["--edge", "5"], "kept scar band"),
+])
+def test_synth_refuses_a_meaningless_spec(args, field, tmp_path, capsys):
+    out = tmp_path / "D"
+    assert main(["synth", "--keep", "0.5", "--out", str(out)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pvgap: ") and field in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_io_errors_exit_2(workdir, tmp_path, capsys):
     ph = workdir / "ph"
     bp = ["--bp-mean", "100", "--bp-sd", "10"]

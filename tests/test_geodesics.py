@@ -17,8 +17,9 @@ from scipy.sparse import csgraph
 from pvgap import geodesics
 from pvgap.errors import TopologyError
 from pvgap.geodesics import (_corner_tables, _proposals, _sweep,
-                             DistanceField, FieldBatch, distance_transform,
-                             geodesic_path, min_interset_distance, trace_path)
+                             DistanceField, FieldBatch, PathCache,
+                             distance_transform, geodesic_path,
+                             min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
@@ -553,3 +554,100 @@ def test_geodesic_path_validation_and_edge_cases(monkeypatch):
     assert (point.endpoint_a, point.endpoint_b) == (7, 7)
     assert point.path.vertex_ids.tolist() == [7]
     assert np.array_equal(point.path.points, mesh.vertices[[7]])
+
+
+# --- kept bounded transforms ---
+
+def _counted_sweeps(monkeypatch):
+    """The targets of every `_sweep` call from now on."""
+    calls = []
+
+    def counting(mesh, srcs, targets=None):
+        calls.append(targets)
+        return _sweep(mesh, srcs, targets)
+
+    monkeypatch.setattr(geodesics, "_sweep", counting)
+    return calls
+
+
+def _assert_same_path(got, want):
+    assert got.distance == want.distance
+    assert (got.endpoint_a, got.endpoint_b) == (want.endpoint_a,
+                                                want.endpoint_b)
+    assert np.array_equal(got.path.vertex_ids, want.path.vertex_ids)
+    assert got.path.points.tobytes() == want.path.points.tobytes()
+
+
+@pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
+def test_path_cache_gives_the_lone_paths(case, monkeypatch):
+    if case == "sphere":
+        mesh = icosphere(subdivisions=3, radius=10.0)
+    else:
+        mesh = _jittered_grid()[1]
+    src = 5
+    # targets by rank of their distance from src
+    by_dist = np.argsort(distance_transform(mesh, [src]).dist, kind="stable")
+    n = mesh.n_vertices
+    near, mid, between, far = (int(by_dist[n * k // 10]) for k in (2, 5, 7, 9))
+    lone = {t: geodesic_path(mesh, src, t) for t in (near, mid, between, far)}
+    calls = _counted_sweeps(monkeypatch)
+    paths = PathCache(mesh)
+
+    def check(dst, new_calls):
+        before = len(calls)
+        _assert_same_path(geodesic_path(mesh, src, dst, paths), lone[dst])
+        assert len(calls) - before == new_calls, dst
+
+    check(mid, 1)
+    check(mid, 0)  # the kept run's own target
+    check(near, 0)  # below the kept bound
+    check(far, 1)  # at or above it: a new transform
+    check(between, 0)  # the cache now keeps the farther run's bound
+    check(mid, 0)
+    assert calls == [[mid], [far]]
+
+
+@pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
+def test_path_cache_reads_equal_lone_paths_in_any_order(case, monkeypatch):
+    if case == "sphere":
+        mesh = icosphere(subdivisions=3, radius=10.0)
+    else:
+        mesh = _jittered_grid()[1]
+    rng = np.random.default_rng(11)
+    pairs = [(int(src), int(dst))
+             for src in rng.integers(0, mesh.n_vertices, size=6)
+             for dst in rng.integers(0, mesh.n_vertices, size=8)]
+    lone = [geodesic_path(mesh, src, dst) for src, dst in pairs]
+    calls = _counted_sweeps(monkeypatch)
+    paths = PathCache(mesh)
+    for (src, dst), want in zip(pairs, lone):
+        _assert_same_path(geodesic_path(mesh, src, dst, paths), want)
+    # not vacuous: most targets read a kept run
+    assert len(calls) < len(pairs) / 2
+
+
+def test_path_cache_with_an_unreachable_target(monkeypatch):
+    mesh = _two_grids()
+    lone = {t: geodesic_path(mesh, 0, t) for t in (30, 24, 40)}
+    calls = _counted_sweeps(monkeypatch)
+    paths = PathCache(mesh)
+    # an unreachable target never stops the transform, so its run holds
+    # every reachable vertex
+    for dst, total in ((30, 1), (24, 1), (30, 1), (40, 2)):
+        _assert_same_path(geodesic_path(mesh, 0, dst, paths), lone[dst])
+        assert len(calls) == total, dst
+    assert lone[30].distance == np.inf and lone[40].distance == np.inf
+
+
+def test_path_cache_point_path_and_mesh_check(monkeypatch):
+    mesh = _two_grids()
+    calls = _counted_sweeps(monkeypatch)
+    paths = PathCache(mesh)
+    _assert_same_path(geodesic_path(mesh, 7, 7, paths),
+                      geodesic_path(mesh, 7, 7))
+    assert calls == []
+    other = PathCache(_two_grids())
+    for dst in (7, 24):
+        with pytest.raises(ValueError, match="another mesh"):
+            geodesic_path(mesh, 7, dst, other)
+    assert calls == []

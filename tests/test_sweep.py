@@ -8,17 +8,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pvgap import sweep
+from pvgap import gaps, geodesics, sweep
 from pvgap.errors import ConfigError, TopologyError
 from pvgap.gaps import build_graph, min_gap_path
 from pvgap.mesh import SurfaceMesh, connected_components, load_mesh
 from pvgap.regions import AreaSpec, RegionConfig
-from pvgap.scar import THRESHOLD_FACTORS, threshold_mask
+from pvgap.scar import THRESHOLD_FACTORS, mip_project, threshold_mask
 from pvgap.sweep import (REPORT_FORMAT, AreaResult, CaseResult,
                          ThresholdResult, _round6, _vein_summaries,
                          annotated_mesh, case_report, load_report, rgm_nauc,
                          run_case, write_annotated_mesh, write_report)
-from pvgap.synth import PhantomSpec, make_phantom, plane_grid
+from pvgap.synth import PhantomSpec, make_phantom, phantom_volume, plane_grid
 
 FACTORS = tuple(THRESHOLD_FACTORS)
 
@@ -331,6 +331,39 @@ def test_batched_graphs_equal_one_mask_graphs(monkeypatch):
         for name in ("weights", "start_w", "end_w"):
             assert (getattr(graph, name).tobytes()
                     == getattr(want, name).tobytes())
+
+
+def test_route_links_share_transforms_across_masks(monkeypatch):
+    # projected from its volume, a coarse sharp disk has graded scar
+    # borders, so its masks differ by a few vertices and the routes of
+    # several masks leave from the same vertices, as on large-projected
+    spec = PhantomSpec(keep_fraction=0.5)
+    mesh, config, _ = make_phantom(spec)
+    mesh = SurfaceMesh(mesh.vertices, mesh.triangles,
+                       intensity=mip_project(mesh, phantom_volume(spec)),
+                       region=mesh.region, name=mesh.name)
+    links = []
+    bounded = []
+    real_link, real_sweep = gaps._link, geodesics._sweep
+
+    def link(mesh, src, dst, paths):
+        links.append((src, dst))
+        return real_link(mesh, src, dst, paths)
+
+    def sweep_(mesh, srcs, targets=None):
+        if targets is not None:
+            bounded.append(targets)
+        return real_sweep(mesh, srcs, targets)
+
+    monkeypatch.setattr(gaps, "_link", link)
+    monkeypatch.setattr(geodesics, "_sweep", sweep_)
+    (res,) = run_case(mesh, config, spec.blood_pool_mean,
+                      spec.blood_pool_sd).areas
+    masks = _open_masks(res, mesh, spec, FACTORS)
+    assert _distinct(masks) > 1
+    assert len({src for src, _dst in links}) < len(links)
+    assert len(bounded) < len(links)
+    _assert_paths_match_fresh_solves(res, masks)
 
 
 # --- report emission ---

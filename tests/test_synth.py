@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from pvgap.mesh import connected_components
 from pvgap.scar import threshold_mask
-from pvgap.synth import (HOLE_RADIUS, OVALITY, TWO_PI, PhantomSpec,
+from pvgap.synth import (HOLE_RADIUS, OVALITY, SHAPES, TWO_PI, PhantomSpec,
                          _centerline_samples, _kept_arcs, _merge_arcs,
                          _phantom_name, _quantize9, _removed_mask,
                          _rim_radius, expected_rgm, icosphere, make_phantom,
@@ -186,6 +186,26 @@ def test_spec_validation(kw):
         PhantomSpec(**kw)
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("target_edge_mm", {"target_edge_mm": math.inf}),
+    ("target_edge_mm", {"target_edge_mm": math.nan}),
+    ("band_inner_mm", {"band_inner_mm": math.nan}),
+    ("band_outer_mm", {"band_outer_mm": math.inf}),
+    ("blood_pool_mean", {"blood_pool_mean": -math.inf}),
+    ("blood_pool_sd", {"blood_pool_sd": math.nan}),
+    ("blood_pool_sd", {"blood_pool_sd": math.inf}),
+    ("taper", {"taper": (math.nan, 9.0)}),
+    ("taper", {"taper": (2.5, math.inf)}),
+    ("taper", {"taper": (0.0, 9.0)}),
+    ("taper", {"taper": (2.5, -9.0)}),
+])
+def test_spec_names_the_field_it_refuses(field, kw):
+    # each of these once built a phantom with a meaningless truth or died
+    # deep inside the build
+    with pytest.raises(ValueError, match=field):
+        PhantomSpec(**kw)
+
+
 def test_phantom_names_unique():
     specs = [PhantomSpec(base_shape=s, keep_fraction=k, patchiness=p,
                          seed=seed)
@@ -244,6 +264,20 @@ def test_keep_zero_has_no_scar():
     assert not _scar_mask(mesh, spec).any()
     assert truth.expected_rgm == 1.0
     assert truth.designed_gap_count == 1
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_an_edge_too_coarse_for_the_band_is_refused(shape):
+    # at a 5 mm edge no lattice row falls in the 2-4 mm band: the mesh would
+    # carry no scar while its truth reads a partly kept band
+    spec = PhantomSpec(base_shape=shape, target_edge_mm=5.0)
+    with pytest.raises(ValueError, match="kept scar band"):
+        make_phantom(spec)
+    # with the whole band removed, no scar is what the truth says
+    bare = dataclasses.replace(spec, keep_fraction=0.0)
+    mesh, _, truth = make_phantom(bare)
+    assert truth.expected_rgm == 1.0
+    assert not _scar_mask(mesh, bare).any()
 
 
 def test_keep_half_is_one_half_arc_patch():
