@@ -105,7 +105,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TopologyError
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, checked_ids
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -296,20 +296,6 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None):
     return dist.reshape(k, n), sweeps
 
 
-def _source_ids(mesh: SurfaceMesh, sources) -> np.ndarray:
-    """sources as sorted unique checked vertex ids of mesh."""
-    src = np.asarray(sources)
-    if src.size == 0:
-        raise TopologyError("distance_transform requires a nonempty source set")
-    if src.dtype.kind not in "iu":
-        raise ValueError(f"vertex ids must be integers, got dtype {src.dtype}")
-    src = np.unique(src.astype(np.int64))
-    if src.min() < 0 or src.max() >= mesh.n_vertices:
-        raise TopologyError("source vertex out of range")
-    src.flags.writeable = False
-    return src
-
-
 def _fields(mesh: SurfaceMesh, srcs) -> tuple:
     """The DistanceFields of checked source id arrays srcs, one batch."""
     dist, sweeps = _sweep(mesh, srcs)
@@ -331,7 +317,7 @@ class FieldBatch:
 
     def __init__(self, mesh: SurfaceMesh, source_sets):
         self.mesh = mesh
-        self._srcs = [_source_ids(mesh, s) for s in source_sets]
+        self._srcs = [checked_ids(mesh, s, "source") for s in source_sets]
         self._row = {src.tobytes(): k for k, src in enumerate(self._srcs)}
         self._fields = None
 
@@ -354,7 +340,7 @@ def distance_transform(mesh: SurfaceMesh, sources,
     field from its one kernel call; ValueError if it is on another mesh or
     does not hold the set.
     """
-    src = _source_ids(mesh, sources)
+    src = checked_ids(mesh, sources, "source")
     if batch is None:
         return _fields(mesh, [src])[0]
     if batch.mesh is not mesh:

@@ -18,6 +18,11 @@ and its reversed half-edge is `SurfaceMesh.opposite[h]` (-1 on a boundary).
 A seam cut and a search-area submesh are derived meshes, built only by
 `SurfaceMesh.derive(parent, triangles)`: vertex i is the source's vertex
 parent[i], with its coordinates, intensity, region and point data.
+
+Graph queries need only numpy. `SurfaceMesh.adjacency` is a compressed
+sparse row (CSR) triple of plain arrays, the layout scipy.sparse.csr_matrix
+uses; component labeling hooks each patch onto its smallest vertex; edge
+paths run a heap Dijkstra over the CSR rows.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import AttributeLengthError, MeshFormatError, TopologyError
 
@@ -52,6 +56,19 @@ def is_token(name: str) -> bool:
 def _lock(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class Adjacency(NamedTuple):
+    """Symmetric vertex adjacency in CSR form, read-only arrays.
+
+    The neighbours of vertex v are indices[indptr[v]:indptr[v + 1]],
+    ascending, and data holds the Euclidean lengths of those edges. The
+    arrays and dtypes (int32 indptr and indices, float64 data) are those of
+    scipy's `csr_matrix((data, indices, indptr))` after `sort_indices()`.
+    """
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
 
 class SurfaceMesh:
@@ -182,17 +199,19 @@ class SurfaceMesh:
         return _lock(mask)
 
     @cached_property
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric vertex adjacency with Euclidean edge lengths as data."""
+    def adjacency(self) -> Adjacency:
+        """Symmetric vertex adjacency with Euclidean edge lengths as data,
+        as a locked CSR `Adjacency` triple: each undirected edge gives two
+        entries, put in row-major order by a stable sort of row * n + col."""
         e, w = self.edges, self.edge_lengths
         n = self.n_vertices
-        m = sparse.csr_matrix(
-            (np.concatenate([w, w]),
-             (np.concatenate([e[:, 0], e[:, 1]]),
-              np.concatenate([e[:, 1], e[:, 0]]))),
-            shape=(n, n))
-        m.sort_indices()
-        return m
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        order = np.argsort(self._key(rows, cols), kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return Adjacency(_lock(indptr), _lock(cols[order].astype(np.int32)),
+                         _lock(np.concatenate([w, w])[order]))
 
     def neighbors(self, v: int) -> np.ndarray:
         a = self.adjacency
@@ -274,28 +293,59 @@ class PatchLabeling:
 
 
 def connected_components(mesh: SurfaceMesh, mask) -> PatchLabeling:
-    mask = np.asarray(mask, dtype=bool)
+    """Patches of the bool vertex mask: ValueError for any other dtype."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise ValueError(f"mask must be a bool array, got dtype {mask.dtype}")
     if mask.shape != (mesh.n_vertices,):
         raise AttributeLengthError("mask length does not match vertex count")
     labels = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    idx = np.nonzero(mask)[0]
+    idx = np.flatnonzero(mask)
     if len(idx) == 0:
         return PatchLabeling(_lock(labels), 0, ())
+    # node k is vertex idx[k]; both numberings have the same order
+    node = np.cumsum(mask) - 1
     e = mesh.edges
-    keep = mask[e[:, 0]] & mask[e[:, 1]]
-    sub = e[keep]
-    n = mesh.n_vertices
-    g = sparse.csr_matrix((np.ones(len(sub), dtype=np.int8),
-                           (sub[:, 0], sub[:, 1])), shape=(n, n))
-    _, raw = csgraph.connected_components(g, directed=False)
-    # Patch ids follow the smallest member: idx is ascending, so a
-    # component's first index in raw[idx] is its smallest vertex.
-    _, first, inverse = np.unique(raw[idx], return_index=True,
-                                  return_inverse=True)
-    labels[idx] = patch = np.argsort(np.argsort(first))[inverse]
+    e = node[e[mask[e[:, 0]] & mask[e[:, 1]]]]
+    a, b = e[:, 0], e[:, 1]
+    # Min-label hooking: every node points at a smaller node of its patch
+    # or at itself (a root). Each round hooks the larger root of every edge
+    # between two trees onto the smaller one, then jumps pointers until all
+    # nodes point at roots. A tree with an edge to another tree either
+    # hooks or has a neighbour hook onto it, so the trees at least halve
+    # per round; at the end each patch's root is its smallest node.
+    root = np.arange(len(idx))
+    while True:
+        ra, rb = root[a], root[b]
+        live = ra != rb
+        if not live.any():
+            break
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    # roots ascend with their patch's smallest vertex, as patch ids must
+    _, patch = np.unique(root, return_inverse=True)
+    labels[idx] = patch
     members = idx[np.argsort(patch, kind="stable")]  # ascending per patch
     patches = tuple(np.split(members, np.cumsum(np.bincount(patch))[:-1]))
-    return PatchLabeling(_lock(labels), len(first), patches)
+    return PatchLabeling(_lock(labels), len(patches), patches)
+
+
+def checked_ids(mesh: SurfaceMesh, ids, what: str) -> np.ndarray:
+    """ids as sorted unique read-only int64 vertex ids of mesh. Raises
+    TopologyError if ids is empty or holds an id out of range, ValueError
+    if its dtype is not integer (bool included); `what` names the set."""
+    a = np.asarray(ids)
+    if a.size == 0:
+        raise TopologyError(f"{what} set is empty")
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{what} vertex ids must be integers, "
+                         f"got dtype {a.dtype}")
+    a = np.unique(a.astype(np.int64))
+    if a[0] < 0 or a[-1] >= mesh.n_vertices:
+        raise TopologyError(f"{what} vertex out of range")
+    return _lock(a)
 
 
 # ----------------------------------------------------------------------
@@ -306,12 +356,11 @@ def edge_path(mesh: SurfaceMesh, sources, targets) -> np.ndarray:
 
     Euclidean edge weights; ties broken by smaller vertex index at each
     expansion. Returns the ordered vertex index path (source first).
-    Raises TopologyError if no target is reachable.
+    Both sets are checked by `checked_ids`. Raises TopologyError if no
+    target is reachable.
     """
-    src = np.unique(np.asarray(sources, dtype=np.int64))
-    dst = np.unique(np.asarray(targets, dtype=np.int64))
-    if len(src) == 0 or len(dst) == 0:
-        raise TopologyError("edge_path requires nonempty source and target sets")
+    src = checked_ids(mesh, sources, "source")
+    dst = checked_ids(mesh, targets, "target")
     common = np.intersect1d(src, dst)
     if len(common):
         return np.asarray([common[0]], dtype=np.int64)

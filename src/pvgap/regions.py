@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import AreaError, ConfigError
 from .mesh import (SurfaceMesh, connected_components, cut_mesh, edge_path,
@@ -266,12 +264,15 @@ def _cut_from_labels(sub: SurfaceMesh, spec: AreaSpec, vein_mask: np.ndarray):
     ends = np.flatnonzero(deg == 1).tolist()
     if len(ends) != 2 or deg.max() > 2:
         _fail(spec.name, "cut label interface is not a simple chain")
-    n = sub.n_vertices
-    g = sparse.csr_matrix((np.ones(len(link), dtype=np.int8),
-                           (link[:, 0], link[:, 1])), shape=(n, n))
-    # from one end of a chain, depth-first order walks it to the other end
-    path = csgraph.depth_first_order(g, ends[0], directed=False,
-                                     return_predecessors=False).tolist()
+    # walk from one end to the other: with degrees at most 2, the next
+    # vertex is the sum of the current one's neighbours minus the previous
+    nsum = np.zeros(sub.n_vertices, dtype=np.int64)
+    np.add.at(nsum, link[:, 0], link[:, 1])
+    np.add.at(nsum, link[:, 1], link[:, 0])
+    nsum = nsum.tolist()
+    path = [ends[0], nsum[ends[0]]]
+    while path[-1] != ends[1]:
+        path.append(nsum[path[-1]] - path[-2])
     if len(path) != len(cand):
         _fail(spec.name, "cut label interface is not a single chain")
     on_vein = vein_mask[path[0]], vein_mask[path[-1]]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -48,6 +49,11 @@ PLATE_HOLE_X = 7.5  # hole centers at (+-PLATE_HOLE_X, 0)
 
 HEALTHY_SD = -8.0  # healthy intensity, in blood-pool SDs off the mean
 SCAR_SD = 16.0  # scar intensity, in blood-pool SDs off the mean
+
+
+def _is_count(v) -> bool:
+    """An integer >= 0: bool is an int subclass, but True counts nothing."""
+    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 0
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,15 @@ class PhantomSpec:
             raise ValueError("need 0 < band_inner_mm < band_outer_mm")
         if self.target_edge_mm <= 0.0:
             raise ValueError("target_edge_mm must be positive")
-        if self.patchiness < 0:
-            raise ValueError("patchiness must be >= 0")
+        for name in ("patchiness", "seed"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 0")
+        if self.removed_intervals is not None:
+            for arc in self.removed_intervals:
+                if (len(arc) != 2 or not all(map(math.isfinite, arc))
+                        or arc[1] < 0.0):
+                    raise ValueError("removed_intervals must hold finite "
+                                     "(start, width) pairs, width >= 0")
         if self.taper is not None:
             if len(self.taper) != 2:
                 raise ValueError("taper must be (edge_sd, center_sd)")
@@ -475,7 +488,15 @@ def plane_grid(nx: int, ny: int, spacing: float = 1.0) -> SurfaceMesh:
 
 
 def icosphere(subdivisions: int = 3, radius: float = 1.0) -> SurfaceMesh:
-    """Sphere mesh by repeated midpoint subdivision of an icosahedron."""
+    """Sphere mesh by repeated midpoint subdivision of an icosahedron.
+
+    Raises ValueError unless subdivisions is an integer >= 0 and radius is
+    finite and positive.
+    """
+    if not _is_count(subdivisions):
+        raise ValueError("subdivisions must be an integer >= 0")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError("radius must be finite and positive")
     g = (1.0 + math.sqrt(5.0)) / 2.0
     verts = [(-1, g, 0), (1, g, 0), (-1, -g, 0), (1, -g, 0),
              (0, -1, g), (0, 1, g), (0, -1, -g), (0, 1, -g),

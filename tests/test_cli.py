@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,21 @@ def test_quantify_report_matches_truth(workdir):
     assert entry["status"] == "ok"
     at_ref = [p for p in entry["per_threshold"] if p["factor"] == 3.3]
     assert abs(at_ref[0]["rgm"] - truth["expected_rgm"]) < 0.1
+
+
+def test_quantify_without_a_volume_loads_no_scipy(workdir, tmp_path):
+    # scipy is imported only by --volume projection and the cohort Welch
+    # test; a fresh process shows what a quantify run loads
+    ph, out = workdir / "ph", tmp_path / "report.json"
+    code = ("import sys; from pvgap.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "quantify",
+         "--mesh", str(ph / "mesh.vtk"), "--config", str(ph / "regions.cfg"),
+         "--bp-mean", "100", "--bp-sd", "10", "--thresholds", THRESH,
+         "--out", str(out)], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "0 []"
+    assert out.read_bytes() == (workdir / "report.json").read_bytes()
 
 
 def test_reruns_are_byte_identical(workdir, tmp_path):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_matrix
 
 from pvgap import geodesics
 from pvgap.errors import TopologyError
@@ -26,9 +26,15 @@ from pvgap.scar import threshold_mask
 from pvgap.synth import PhantomSpec, icosphere, make_phantom, plane_grid
 
 
+def _csr(mesh):
+    """mesh.adjacency as a scipy matrix, for scipy's graph routines."""
+    adj, n = mesh.adjacency, mesh.n_vertices
+    return csr_matrix((adj.data, adj.indices, adj.indptr), shape=(n, n))
+
+
 def _edge_dijkstra(mesh, sources):
     """Edge-walk upper bound on the surface distance."""
-    dist = csgraph.dijkstra(mesh.adjacency, indices=list(sources))
+    dist = csgraph.dijkstra(_csr(mesh), indices=list(sources))
     return dist.min(axis=0)
 
 

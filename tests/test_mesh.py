@@ -1,8 +1,9 @@
 """Mesh core: topology queries, labeling, edge paths, cutting, file IO.
 
-Derived behaviors are checked against independent oracles: breadth-first
-flood fill for component labeling, scipy's shortest path for edge routes,
-and a re-glue pass (identify twins again) for cutting.
+Derived behaviors are checked against independent oracles: scipy's CSR
+matrix for the adjacency, breadth-first flood fill and scipy's component
+labeling for patches, scipy's shortest path for edge routes, and a re-glue
+pass (identify twins again) for cutting.
 """
 
 import numpy as np
@@ -13,11 +14,17 @@ from pvgap.cli import main
 from pvgap.errors import MeshFormatError, TopologyError
 from pvgap.mesh import (SurfaceMesh, connected_components, cut_mesh,
                         edge_path, load_mesh, save_mesh, write_atomic)
-from pvgap.synth import plane_grid
+from pvgap.synth import SHAPES, PhantomSpec, make_phantom, plane_grid
 
 
 def _strip(n=6, m=4):
     return plane_grid(n, m)
+
+
+def _csr(mesh):
+    """mesh.adjacency as a scipy matrix, for scipy's graph routines."""
+    adj, n = mesh.adjacency, mesh.n_vertices
+    return csr_matrix((adj.data, adj.indices, adj.indptr), shape=(n, n))
 
 
 def test_basic_counts_and_edges():
@@ -183,6 +190,78 @@ def test_connected_components_against_bfs_oracle():
         assert smallest == sorted(smallest)
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_adjacency_is_scipys_sorted_csr_byte_for_byte(shape):
+    mesh = make_phantom(PhantomSpec(base_shape=shape))[0]
+    e, w, n = mesh.edges, mesh.edge_lengths, mesh.n_vertices
+    want = csr_matrix((np.concatenate([w, w]),
+                       (np.concatenate([e[:, 0], e[:, 1]]),
+                        np.concatenate([e[:, 1], e[:, 0]]))), shape=(n, n))
+    want.sort_indices()
+    got = mesh.adjacency
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+
+
+def _relabeled(mesh, perm):
+    """mesh with vertex v renumbered perm[v]."""
+    return mesh.derive(np.argsort(perm), perm[mesh.triangles])
+
+
+def _scipy_labels(mesh, mask):
+    """Patch ids by scipy's component labeling of the masked subgraph,
+    renumbered by each patch's smallest vertex."""
+    keep = np.flatnonzero(mask)
+    adj = _csr(mesh)[keep][:, keep]
+    _, raw = csgraph.connected_components(adj, directed=False)
+    _, first, inverse = np.unique(raw, return_index=True,
+                                  return_inverse=True)
+    labels = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    labels[keep] = np.argsort(np.argsort(first))[inverse]
+    return labels
+
+
+def _bit_reversed_path(bits=6):
+    """A two-row grid whose first row, a path, is numbered in bit-reversed
+    order: each hooking round then only joins neighbouring pairs of trees,
+    so labeling its first row takes `bits` rounds."""
+    n = 2 ** bits
+    grid = plane_grid(n, 2)
+    perm = np.arange(2 * n)
+    perm[:n] = [int(format(j, f"0{bits}b")[::-1], 2) for j in range(n)]
+    mask = np.zeros(2 * n, dtype=bool)
+    mask[perm[:n]] = True
+    return _relabeled(grid, perm), mask
+
+
+def test_connected_components_match_scipy():
+    rng = np.random.default_rng(5)
+    disk = make_phantom(PhantomSpec())[0]
+    cases = [_bit_reversed_path()]
+    for _ in range(6):
+        mesh = _relabeled(disk, rng.permutation(disk.n_vertices))
+        cases.append((mesh, rng.random(mesh.n_vertices)
+                      < rng.uniform(0.3, 0.7)))
+    for mesh, mask in cases:
+        got = connected_components(mesh, mask)
+        want = _scipy_labels(mesh, mask)
+        assert got.labels.tolist() == want.tolist()
+        assert got.count == want.max() + 1
+    assert connected_components(*cases[0]).count == 1
+
+
+def test_connected_components_takes_only_bool_masks():
+    mesh = _strip()
+    n = mesh.n_vertices
+    for bad in (np.full(n, 0.5), np.ones(n, dtype=np.int64), [1] * n):
+        with pytest.raises(ValueError, match="mask"):
+            connected_components(mesh, bad)
+    assert connected_components(mesh, [True] * n).count == 1
+
+
 def test_connected_components_empty_mask():
     mesh = _strip()
     got = connected_components(mesh, np.zeros(mesh.n_vertices, dtype=bool))
@@ -193,8 +272,8 @@ def test_connected_components_empty_mask():
 def test_edge_path_against_scipy_oracle():
     rng = np.random.default_rng(7)
     mesh = _strip(8, 6)
-    adj = mesh.adjacency
-    dist_all = csgraph.dijkstra(csr_matrix(adj))
+    adj = _csr(mesh)
+    dist_all = csgraph.dijkstra(adj)
     for _ in range(30):
         src = rng.integers(0, mesh.n_vertices)
         dst = rng.integers(0, mesh.n_vertices)
@@ -218,6 +297,22 @@ def test_edge_path_set_to_set_and_overlap():
     assert path.tolist() == [1]
     with pytest.raises(TopologyError):
         edge_path(mesh, [], [3])
+
+
+def test_edge_path_checks_its_ids():
+    mesh = _strip(5, 5)
+    for bad in ([0.5], [True], np.array([1.0])):
+        with pytest.raises(ValueError, match="integers"):
+            edge_path(mesh, bad, [3])
+        with pytest.raises(ValueError, match="integers"):
+            edge_path(mesh, [3], bad)
+    for bad in ([-1], [mesh.n_vertices], [2, 10**12]):
+        with pytest.raises(TopologyError, match="out of range"):
+            edge_path(mesh, bad, [3])
+        with pytest.raises(TopologyError, match="out of range"):
+            edge_path(mesh, [3], bad)
+    assert edge_path(mesh, np.array([0], dtype=np.uint8), [2]).tolist() \
+        == [0, 1, 2]
 
 
 def _cut_fixture():

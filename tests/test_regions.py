@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_matrix
 
 from pvgap.errors import AreaError, ConfigError
 from pvgap.mesh import SurfaceMesh
@@ -12,7 +13,7 @@ from pvgap.regions import (AreaSpec, _cut_from_labels, build_search_area,
                            config_from_dict, config_to_dict, default_config,
                            load_config, open_area, save_config,
                            veins_of_joint)
-from pvgap.synth import PhantomSpec, make_phantom, plane_grid
+from pvgap.synth import SHAPES, PhantomSpec, make_phantom, plane_grid
 
 
 def _area_dict(**over):
@@ -290,6 +291,29 @@ def test_cut_from_labels_orients_a_straight_interface():
     # with the vein rim at the bottom the chain starts at the top instead
     sub, spec, vein = _interface(_columns(3), vein_rows=[0])
     assert list(_cut_from_labels(sub, spec, vein)) == column[::-1]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cut_from_labels_walks_the_chain_in_depth_first_order(shape):
+    # oracle: scipy's depth-first order over the interface's own edges,
+    # from the end the cut starts at
+    mesh, config, _ = make_phantom(PhantomSpec(base_shape=shape))
+    spec = config.areas[0]
+    area = build_search_area(mesh, spec)
+    sub, cut = area.mesh, list(area.cut_paths[0])
+    first, second = spec.cut_labels
+    e, lab = sub.edges, sub.region[sub.edges]
+    on = np.zeros(sub.n_vertices, dtype=bool)
+    on[e[(lab[:, 0] == first) & (lab[:, 1] == second), 0]] = True
+    on[e[(lab[:, 1] == first) & (lab[:, 0] == second), 1]] = True
+    link = e[on[e[:, 0]] & on[e[:, 1]]]
+    n = sub.n_vertices
+    g = csr_matrix((np.ones(len(link)), (link[:, 0], link[:, 1])),
+                   shape=(n, n))
+    want = csgraph.depth_first_order(g, cut[0], directed=False,
+                                     return_predecessors=False)
+    assert cut == want.tolist()
+    assert len(cut) == on.sum() > 3
 
 
 def test_cut_from_labels_refuses_a_short_interface():

@@ -198,6 +198,14 @@ def test_spec_validation(kw):
     ("taper", {"taper": (2.5, math.inf)}),
     ("taper", {"taper": (0.0, 9.0)}),
     ("taper", {"taper": (2.5, -9.0)}),
+    ("removed_intervals", {"removed_intervals": ((0.0, math.nan),)}),
+    ("removed_intervals", {"removed_intervals": ((math.inf, 1.0),)}),
+    ("removed_intervals", {"removed_intervals": ((0.0, 1.0, 2.0),)}),
+    ("removed_intervals", {"removed_intervals": ((0.0, -1.0),)}),
+    ("patchiness", {"patchiness": 1.5}),
+    ("patchiness", {"patchiness": True}),
+    ("seed", {"seed": 2.0}),
+    ("seed", {"seed": -1}),
 ])
 def test_spec_names_the_field_it_refuses(field, kw):
     # each of these once built a phantom with a meaningless truth or died
@@ -384,6 +392,19 @@ def test_plane_grid_counts():
     assert m.n_triangles == 2 * 4 * 3
     assert np.allclose(m.vertices[:, 2], 0.0)
     assert len(m.boundary_loops()) == 1
+
+
+@pytest.mark.parametrize("field, kw", [
+    ("subdivisions", {"subdivisions": -1}),
+    ("subdivisions", {"subdivisions": 1.0}),
+    ("subdivisions", {"subdivisions": True}),
+    ("radius", {"radius": 0.0}),
+    ("radius", {"radius": math.nan}),
+])
+def test_icosphere_names_the_argument_it_refuses(field, kw):
+    # icosphere(-1) once returned the level-0 sphere
+    with pytest.raises(ValueError, match=field):
+        icosphere(**kw)
 
 
 def test_icosphere_radius_and_euler():
