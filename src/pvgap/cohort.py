@@ -199,6 +199,10 @@ def histogram(values, bin_width: float = 0.1) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("values must be a 1-d array")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
+    if not (math.isfinite(bin_width) and bin_width > 0.0):
+        raise ValueError("bin_width must be finite and positive")
     n_bins = int(round(1.0 / bin_width))
     if n_bins < 1 or abs(n_bins * bin_width - 1.0) > 1e-9:
         raise ValueError("bin width must divide [0, 1] evenly")

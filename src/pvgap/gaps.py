@@ -37,19 +37,81 @@ EPS_GAP = 0.1  # mm; shorter healthy traverses are not counted as gaps
 
 @dataclass(frozen=True)
 class GapGraph:
-    """Patch graph of one opened area at one threshold."""
+    """Patch graph of one opened area at one threshold.
+
+    limit is `route_limit` of the graph's entries: the route cost C* with a
+    relative margin of 1e-9, or +inf when no route exists. Every entry above
+    it is +inf, and geometry holds only the pairs at or below it. A route
+    that reads such an entry costs more than C*, so the solve returns the
+    same cost, pair and sequence as on the whole entries, ties included,
+    and the graph is a function of the opened area and the mask alone,
+    whether the patch fields were whole or stopped at a limit (`_sweep`).
+    """
     opened: OpenedArea
     scar_mask: np.ndarray
     patches: PatchLabeling
     fields: tuple  # one DistanceField per patch
     weights: np.ndarray  # (n, n) min geodesic distance between patches
-    geometry: dict  # (i, j) i<j -> InterSetDistance
+    geometry: dict  # (i, j) i<j -> InterSetDistance, weights[i, j] <= limit
     start_w: np.ndarray  # (n, n_pairs) patch distance at side_a twin
     end_w: np.ndarray  # (n, n_pairs) patch distance at side_b twin
+    limit: float
 
     @property
     def n_patches(self) -> int:
         return self.patches.count
+
+
+def _graph_arrays(rows: np.ndarray, patches, opened: OpenedArea):
+    """(weights, start_w, end_w) of the patch fields' rows, unbounded:
+    weights[i, j] is the least of row i over patch j and of row j over
+    patch i, as `min_interset_distance` symmetrizes them."""
+    n = len(patches)
+    if n:
+        cuts = np.cumsum([0] + [len(p) for p in patches[:-1]])
+        near = np.minimum.reduceat(rows[:, np.concatenate(patches)], cuts,
+                                   axis=1)
+    else:
+        near = np.zeros((0, 0))
+    return (np.minimum(near, near.T), rows[:, opened.side_a],
+            rows[:, opened.side_b])
+
+
+def route_limit(weights: np.ndarray, start_w: np.ndarray,
+                end_w: np.ndarray) -> float:
+    """An upper bound on the graph's route cost C*: U = min over twin pairs
+    k and patches i, j of start_w[i, k] + D[i, j] + end_w[j, k], with D the
+    all-pairs shortest paths over weights, times 1 + 1e-9 to absorb the
+    solver's other summation order; +inf when U is.
+
+    Entries only fall while their fields are computed, so U from current
+    values is never below the final C*; from final values it equals C* up
+    to that summation order.
+    """
+    if not weights.size or not start_w.shape[1]:
+        return np.inf
+    d = np.array(weights, dtype=np.float64)
+    for m in range(len(d)):  # Floyd-Warshall on the patch nodes
+        np.minimum(d, d[:, m, None] + d[None, m, :], out=d)
+    u = float(((start_w[:, None, :] + d[:, :, None]).min(axis=0)
+               + end_w).min())
+    return u * (1.0 + 1e-9) if np.isfinite(u) else np.inf
+
+
+def route_limits(opened: OpenedArea, labelings):
+    """The limit hook of a `FieldBatch` that holds the patch fields of each
+    labeling in turn: each field's bound is `route_limit` of its own
+    labeling's rows."""
+    def limits(dist: np.ndarray) -> np.ndarray:
+        out = np.empty(len(dist))
+        lo = 0
+        for lab in labelings:
+            hi = lo + lab.count
+            out[lo:hi] = route_limit(*_graph_arrays(dist[lo:hi], lab.patches,
+                                                    opened))
+            lo = hi
+        return out
+    return limits
 
 
 def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
@@ -63,7 +125,9 @@ def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
     of them is not detected. batch, a `FieldBatch` on opened.mesh holding
     every patch, supplies the patch fields, as for a caller that batches
     the transforms of several masks (ValueError if it is on another mesh or
-    lacks a patch); by default the mask's own patches form the batch.
+    lacks a patch); by default the mask's own patches form the batch, with
+    the `route_limits` hook. Whole or bounded fields give the same graph
+    (`GapGraph`).
     """
     mesh = opened.mesh
     scar_mask = np.asarray(scar_mask, dtype=bool)
@@ -74,24 +138,23 @@ def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
     elif not np.array_equal(patches.labels >= 0, scar_mask):
         raise ValueError("patch labeling does not label the scar mask")
     if batch is None:
-        batch = FieldBatch(mesh, patches.patches)
+        batch = FieldBatch(mesh, patches.patches,
+                           route_limits(opened, [patches]))
     fields = tuple(distance_transform(mesh, p, batch)
                    for p in patches.patches)
-    n = patches.count
-    weights = np.zeros((n, n))
-    geometry = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            isd = min_interset_distance(fields[i], fields[j])
-            geometry[(i, j)] = isd
-            weights[i, j] = weights[j, i] = isd.distance
-    start_w = np.stack([f.dist[opened.side_a] for f in fields]) \
-        if n else np.zeros((0, len(opened.side_a)))
-    end_w = np.stack([f.dist[opened.side_b] for f in fields]) \
-        if n else np.zeros((0, len(opened.side_b)))
+    rows = np.stack([f.dist for f in fields]) if fields \
+        else np.zeros((0, mesh.n_vertices))
+    weights, start_w, end_w = _graph_arrays(rows, patches.patches, opened)
+    limit = route_limit(weights, start_w, end_w)
+    # the entries at or below the limit are exact in bounded fields too
+    for w in (weights, start_w, end_w):
+        w[w > limit] = np.inf
+    kept = zip(*np.nonzero(np.triu(weights <= limit, 1)))
+    geometry = {(int(i), int(j)): min_interset_distance(fields[i], fields[j])
+                for i, j in kept}
     return GapGraph(opened=opened, scar_mask=scar_mask, patches=patches,
                     fields=fields, weights=weights, geometry=geometry,
-                    start_w=start_w, end_w=end_w)
+                    start_w=start_w, end_w=end_w, limit=limit)
 
 
 def _dijkstra_lex(weights: np.ndarray, start: np.ndarray, end: np.ndarray):

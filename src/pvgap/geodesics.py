@@ -30,8 +30,9 @@ x is expanded and neither y nor z is. Each of y and z is then
 - pending but deferred: its dist is above top + delta, which is at least
   dist[x], so neither its edge relaxation nor the triangle update, which
   needs both supports below dist[x], can lower x;
-- dropped by a bounded transform: its dist is at least dist[target],
-  which is above dist[x];
+- dropped by a bounded transform: its dist was at or above its field's
+  cap (dist[target], or just above the limit) when it was dropped, and
+  the cap never rises; x is still pending, so dist[x] is below the cap;
 - unreached: its dist is inf.
 A proposal that reads a support of the other three kinds is not below
 dist[x]. So a skipped corner proposes nothing lower, and each sweep
@@ -73,6 +74,30 @@ can never lower anything below the bound, and the descent from the target
 reads only values below it. The values above the bound are left unfinished,
 so such a transform yields its target's distance and path, never a field.
 
+A batch may instead carry a limit hook (`FieldBatch`): every
+LIMIT_CADENCE sweeps it maps the current rows to one bound per field, and
+from then on each sweep drops the pending vertices strictly above their
+field's bound. That is the same drop rule: the cap is dist[target] for a
+point-to-point transform and the next float above the bound for a limit.
+The patch fields of one scar mask use `gaps.route_limits`: their bound is
+U(1 + 1e-9), where U is the least start + patch-to-patch + end cost over
+the patch graph those rows give (`gaps.route_limit`). Exactness:
+- Values only fall, so U from current values is never below the final
+  route cost C*; the margin absorbs the solver's other summation order.
+  The bounds therefore never rise, and stay at or above C*.
+- By the argument above, with the last bound in place of the target's
+  dist, every value at or below that bound is bit-equal to the whole
+  field's. That includes C* = 0, so only values strictly above it drop.
+- A route that reads an entry above the bound costs more than C*, so the
+  solve finds the same cost, twin pair and sequence, ties included. Its
+  stubs and pairs lie at or below C*, so the path is traced from exact
+  values only.
+- A field's sweeps do not depend on the other fields of its batch, so a
+  mask's bound at sweep `it` is the same batched or alone, and so are its
+  fields' bits and sweep counts.
+Each field records the hook's bound on the final rows as its `limit`. It
+is at most the last bound used, so the field is exact at or below it.
+
 A `PathCache` keeps, per source vertex, the bounded transform with the
 largest bound run from it so far, so that later targets from the same
 source can read it. It serves a target dst from the kept row in two cases,
@@ -108,6 +133,8 @@ from .errors import TopologyError
 from .mesh import SurfaceMesh, checked_ids
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+LIMIT_CADENCE = 8  # sweeps between two calls of a batch's limit hook
 
 
 def _corner_tables(mesh: SurfaceMesh) -> dict:
@@ -198,14 +225,20 @@ class DistanceField:
     dist is 0 exactly on sources, +inf on unreachable vertices, and
     1-Lipschitz along edges. sweeps counts the buckets the transform
     expanded, the last one included (it found nothing to lower). It depends
-    on the mesh and the sources only, not on the other fields of a batch,
-    but differs from the count of the earlier schedule, which expanded
-    every improved vertex at every sweep.
+    on the mesh and the sources only (with a limit hook, on the fields of
+    the same mask too), not on the other fields of a batch, but differs
+    from the count of the earlier schedule, which expanded every improved
+    vertex at every sweep.
+
+    limit is +inf for a whole field. A field of a `FieldBatch` with a limit
+    hook is exact at or below its limit only; above it the values may be
+    unfinished, and `trace_path` refuses to start there.
     """
     mesh: SurfaceMesh
     sources: np.ndarray
     dist: np.ndarray
     sweeps: int
+    limit: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -230,11 +263,14 @@ class InterSetDistance:
     path: TracedPath
 
 
-def _sweep(mesh: SurfaceMesh, srcs, targets=None):
+def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
     """(dist, sweeps) of the transforms from each array of checked source
     ids in srcs: dist has one row and sweeps one count per field. With
     targets, one vertex per field, field k is exact only below its final
-    dist[targets[k]]."""
+    dist[targets[k]]. With limit, a hook that maps the current (K, n) rows
+    to one upper bound per field and is called every LIMIT_CADENCE sweeps,
+    field k is exact at or below the last bound it returned for k (module
+    docstring). At most one of targets and limit is given."""
     n = mesh.n_vertices
     tab = _corner_tables(mesh)
     ptr, qa, qb, delta = tab["ptr"], tab["qa"], tab["qb"], tab["delta"]
@@ -249,6 +285,8 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None):
     act = np.zeros(k * n, dtype=bool)  # expanded in this sweep
     if targets is not None:
         targets = np.asarray(targets, dtype=np.int64) + np.arange(k) * n
+    # a pending vertex at or above its field's cap is dropped
+    cap = None if targets is None and limit is None else np.full(k, np.inf)
     sweeps = np.zeros(k, dtype=np.int64)
     max_sweeps = 6 * n + 64
     it = 0
@@ -289,20 +327,31 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None):
         np.minimum.at(dist, tgt, val)
         queued[tgt] = True
         pending = np.flatnonzero(queued)
+        if cap is None:
+            continue
         if targets is not None:
-            far = dist[pending] >= dist[targets[pending // n]]
-            queued[pending[far]] = False
-            pending = pending[~far]
+            cap = dist[targets]
+        elif it % LIMIT_CADENCE == 0:
+            # drop only what lies strictly above the bound
+            cap = np.nextafter(limit(dist.reshape(k, n)), np.inf)
+        far = dist[pending] >= cap[pending // n]
+        queued[pending[far]] = False
+        pending = pending[~far]
     return dist.reshape(k, n), sweeps
 
 
-def _fields(mesh: SurfaceMesh, srcs) -> tuple:
-    """The DistanceFields of checked source id arrays srcs, one batch."""
-    dist, sweeps = _sweep(mesh, srcs)
+def _fields(mesh: SurfaceMesh, srcs, limit=None) -> tuple:
+    """The DistanceFields of checked source id arrays srcs, one batch,
+    bounded by the limit hook if one is given."""
+    dist, sweeps = _sweep(mesh, srcs, limit=limit)
+    # the hook on the final rows: never above the last bound the sweeps
+    # used, since values only fell, and it depends on each field's group
+    # alone, not on when the batch's other fields finished
+    limits = np.full(len(srcs), np.inf) if limit is None else limit(dist)
     dist.flags.writeable = False
     return tuple(DistanceField(mesh=mesh, sources=src, dist=row,
-                               sweeps=int(count))
-                 for src, row, count in zip(srcs, dist, sweeps))
+                               sweeps=int(count), limit=float(bound))
+                 for src, row, count, bound in zip(srcs, dist, sweeps, limits))
 
 
 class FieldBatch:
@@ -310,26 +359,34 @@ class FieldBatch:
 
     Each set is checked here, with `distance_transform`'s errors. The batch
     runs when `distance_transform` first asks it for one of its fields, so
-    the kernel's time falls inside that call; each field equals the lone
-    transform of its set bit for bit, its sweeps included. The fields share
-    one buffer, which lives as long as the batch.
+    the kernel's time falls inside that call. Without limit, each field
+    equals the lone transform of its set bit for bit, its sweeps included.
+    limit, a hook as `_sweep` takes it, stops each field above the bound it
+    gives: a field then equals the lone transform at or below its recorded
+    `DistanceField.limit`. A set held more than once, as a patch that
+    several masks share, gives the field with the largest limit, the first
+    of equals. The fields share one buffer, which lives as long as the
+    batch.
     """
 
-    def __init__(self, mesh: SurfaceMesh, source_sets):
+    def __init__(self, mesh: SurfaceMesh, source_sets, limit=None):
         self.mesh = mesh
         self._srcs = [checked_ids(mesh, s, "source") for s in source_sets]
-        self._row = {src.tobytes(): k for k, src in enumerate(self._srcs)}
+        self._rows = {}  # source set bytes -> its rows
+        for k, src in enumerate(self._srcs):
+            self._rows.setdefault(src.tobytes(), []).append(k)
+        self._limit = limit
         self._fields = None
 
     def field(self, src: np.ndarray) -> DistanceField:
         """The field of checked source ids src; ValueError unless src is
         one of the batch's sets."""
-        k = self._row.get(src.tobytes())
-        if k is None:
+        rows = self._rows.get(src.tobytes())
+        if rows is None:
             raise ValueError("source set is not in the field batch")
         if self._fields is None:
-            self._fields = _fields(self.mesh, self._srcs)
-        return self._fields[k]
+            self._fields = _fields(self.mesh, self._srcs, self._limit)
+        return max((self._fields[k] for k in rows), key=lambda f: f.limit)
 
 
 def distance_transform(mesh: SurfaceMesh, sources,
@@ -398,8 +455,12 @@ def _descend(mesh: SurfaceMesh, dist: np.ndarray, start: int) -> TracedPath:
 
 
 def trace_path(field: DistanceField, start: int) -> TracedPath:
-    """Polyline from `start` down steepest descent to a source vertex."""
+    """Polyline from `start` down steepest descent to a source vertex;
+    ValueError if start lies above the field's limit, where its value may
+    be unfinished."""
     start = _vertex(field.mesh, start, "start")
+    if field.dist[start] > field.limit:
+        raise ValueError(f"vertex {start} lies above the field's limit")
     if not np.isfinite(field.dist[start]):
         raise TopologyError(f"vertex {start} is unreachable from the sources")
     return _descend(field.mesh, field.dist, start)

@@ -16,6 +16,7 @@ construction: raising k can only shrink them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,6 +197,9 @@ def mip_project(mesh: SurfaceMesh, volume: ScalarVolume,
                 reach_mm: float = MIP_REACH_MM,
                 step_mm: float = MIP_STEP_MM) -> np.ndarray:
     """Per-vertex maximum intensity along the normal, within +-reach."""
+    for name, value in (("reach_mm", reach_mm), ("step_mm", step_mm)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if reach_mm <= 0.0 or step_mm <= 0.0 or step_mm > reach_mm:
         raise ValueError("need 0 < step_mm <= reach_mm")
     normals = vertex_normals(mesh)

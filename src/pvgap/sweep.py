@@ -7,9 +7,12 @@ The path is a function of the opened area and its scar mask alone, so a
 factor whose opened-area mask equals an earlier factor's reuses that
 factor's path instead of solving it again; the report is unchanged. The
 patch fields of an area's distinct masks are computed in one batched
-transform, bit for bit those of one transform per patch, and the route
-links of all its masks share one `PathCache`, so a link from a vertex that
-an earlier link left from reads that link's transform where it is exact.
+transform, and each mask's fields stop above a bound on that mask's route
+cost (`gaps.route_limits`): at or below it they are bit for bit those of
+one whole transform per patch, which is all the route and its path read.
+The route links of all its masks share one `PathCache`, so a link from a
+vertex that an earlier link left from reads that link's transform where it
+is exact.
 Failures of one area (bad labels, unresolvable cuts, missing connectivity,
 a solver that does not converge) are recorded and do not abort the
 remaining areas.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AreaError, ConfigError, TopologyError
-from .gaps import EncirclingPath, build_graph, min_gap_path
+from .gaps import EncirclingPath, build_graph, min_gap_path, route_limits
 from .geodesics import FieldBatch, PathCache
 from .mesh import SurfaceMesh, connected_components, save_mesh, write_atomic
 from .regions import (OpenedArea, RegionConfig, build_search_area,
@@ -46,6 +49,9 @@ def rgm_nauc(factors, values) -> float:
     v = np.asarray(values, dtype=np.float64)
     if f.ndim != 1 or f.shape != v.shape or len(f) < 2:
         raise ValueError("need matching factor/value arrays of length >= 2")
+    for name, a in (("factors", f), ("values", v)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
     if not (np.diff(f) > 0).all():
         raise ValueError("threshold factors must be strictly ascending")
     # fsum keeps constant/linear curves exact at double precision
@@ -68,10 +74,19 @@ def check_factors(factors) -> tuple:
 
 def check_blood_pool(mean: float, sd: float) -> None:
     """ConfigError unless the blood-pool mean is finite and its SD finite
-    and positive."""
+    and positive; a bool is neither, and the error names it."""
+    _refuse_bool(bp_mean=mean, bp_sd=sd)
     if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0):
         raise ConfigError("blood pool mean must be finite and its SD "
                           "finite and positive")
+
+
+def _refuse_bool(**values) -> None:
+    """ConfigError naming the first of the keyword values that is a bool,
+    which Python would otherwise take as the number 0 or 1."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"{name} must be a number, not a bool")
 
 
 @dataclass(frozen=True)
@@ -128,9 +143,11 @@ def _run_area(mesh, spec, masks):
             subs.setdefault(keys[-1], sub)
         labelings = [connected_components(opened.mesh, sub)
                      for sub in subs.values()]
-        # the patch fields of every distinct mask run in one kernel call
+        # the patch fields of every distinct mask run in one kernel call,
+        # each stopped above its own mask's route cost
         batch = FieldBatch(opened.mesh,
-                           [p for lab in labelings for p in lab.patches])
+                           [p for lab in labelings for p in lab.patches],
+                           route_limits(opened, labelings))
         # route links from one vertex share their transforms across masks
         links = PathCache(opened.mesh)
         paths = {key: min_gap_path(build_graph(opened, sub, lab, batch),
@@ -194,6 +211,7 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
         raise ConfigError("mesh carries no intensity values")
     check_blood_pool(bp_mean, bp_sd)
     factors = check_factors(factors)
+    _refuse_bool(ref_factor=ref_factor)
     if ref_factor is None:
         ref_factor = 3.3 if 3.3 in factors else factors[0]
     if ref_factor not in factors:

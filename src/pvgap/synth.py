@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -54,6 +54,17 @@ SCAR_SD = 16.0  # scar intensity, in blood-pool SDs off the mean
 def _is_count(v) -> bool:
     """An integer >= 0: bool is an int subclass, but True counts nothing."""
     return isinstance(v, Integral) and not isinstance(v, bool) and v >= 0
+
+
+def _is_arc(arc) -> bool:
+    """A (start, width) pair of finite numbers, not bools, width >= 0."""
+    try:
+        start, width = arc
+    except (TypeError, ValueError):
+        return False
+    return (all(isinstance(v, Real) and not isinstance(v, bool)
+                and math.isfinite(v) for v in (start, width))
+            and width >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -88,11 +99,13 @@ class PhantomSpec:
             if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 0")
         if self.removed_intervals is not None:
-            for arc in self.removed_intervals:
-                if (len(arc) != 2 or not all(map(math.isfinite, arc))
-                        or arc[1] < 0.0):
-                    raise ValueError("removed_intervals must hold finite "
-                                     "(start, width) pairs, width >= 0")
+            try:
+                ok = all(map(_is_arc, self.removed_intervals))
+            except TypeError:  # not iterable
+                ok = False
+            if not ok:
+                raise ValueError("removed_intervals must hold finite "
+                                 "(start, width) pairs, width >= 0")
         if self.taper is not None:
             if len(self.taper) != 2:
                 raise ValueError("taper must be (edge_sd, center_sd)")

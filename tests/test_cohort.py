@@ -325,6 +325,20 @@ def test_histogram_bin_rules():
         histogram([[0.5]])
 
 
+@pytest.mark.parametrize("args,kw,name", [
+    (([0.1, math.nan],), {}, "values"),
+    (([0.1, math.inf],), {}, "values"),
+    (([0.1],), {"bin_width": 0.0}, "bin_width"),
+    (([0.1],), {"bin_width": -0.5}, "bin_width"),
+    (([0.1],), {"bin_width": math.nan}, "bin_width"),
+])
+def test_histogram_names_what_it_refuses(args, kw, name):
+    # nan once failed in bincount after a RuntimeWarning, and a zero width
+    # with a ZeroDivisionError
+    with pytest.raises(ValueError, match=name):
+        histogram(*args, **kw)
+
+
 def test_histogram_uniform_sampling():
     rng = np.random.default_rng(31)
     v = rng.uniform(0.0, 1.0, size=2000)

@@ -8,6 +8,7 @@ nested across ascending factors.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +204,18 @@ def test_mip_all_outside_is_minus_inf():
     assert np.all(np.isneginf(proj))
     # -inf can never be classified as scar
     assert not threshold_mask(proj, 0.0, 1.0, 2.0).any()
+
+
+@pytest.mark.parametrize("kw,name", [
+    ({"reach_mm": math.nan}, "reach_mm"),
+    ({"reach_mm": math.inf}, "reach_mm"),
+    ({"step_mm": math.nan}, "step_mm"),
+])
+def test_mip_refuses_a_non_finite_reach_or_step(kw, name):
+    # a nan reach died converting nan to an integer, an inf one with an
+    # OverflowError
+    with pytest.raises(ValueError, match=name):
+        mip_project(plane_grid(3, 3), _volume(np.ones((3, 3, 3))), **kw)
 
 
 def test_mip_blocks_give_the_bits_of_one_block(monkeypatch):

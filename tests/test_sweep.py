@@ -55,6 +55,17 @@ def test_nauc_validation(factors, values):
         rgm_nauc(factors, values)
 
 
+@pytest.mark.parametrize("factors,values,name", [
+    ([2.0, 3.0], [0.1, math.nan], "values"),
+    ([2.0, 3.0], [math.inf, 0.1], "values"),
+    ([2.0, math.nan], [0.1, 0.2], "factors"),
+])
+def test_nauc_names_a_non_finite_input(factors, values, name):
+    # a nan value once gave a nan area
+    with pytest.raises(ValueError, match=name):
+        rgm_nauc(factors, values)
+
+
 # --- vein curve pairing ---
 
 def _fake_area(name, strategy, rgms, error=None):
@@ -143,6 +154,18 @@ def test_run_case_validation(disk_case):
     for bad_factors in ((2.0, math.inf), (-math.inf, 2.0), (2.0, math.nan)):
         with pytest.raises(ConfigError):
             run_case(mesh, config, mean, sd, factors=bad_factors)
+
+
+def test_run_case_refuses_bools_as_numbers(disk_case):
+    # True once ran as SD 1.0 and as reference factor 1.0
+    mesh, config, _truth, _case, spec = disk_case
+    mean, sd = spec.blood_pool_mean, spec.blood_pool_sd
+    with pytest.raises(ConfigError, match="bp_sd"):
+        run_case(mesh, config, mean, True)
+    with pytest.raises(ConfigError, match="bp_mean"):
+        run_case(mesh, config, np.bool_(True), sd)
+    with pytest.raises(ConfigError, match="ref_factor"):
+        run_case(mesh, config, mean, sd, factors=(1.0, 2.0), ref_factor=True)
 
 
 def test_factors_must_differ_at_report_precision(disk_case):
@@ -350,10 +373,10 @@ def test_route_links_share_transforms_across_masks(monkeypatch):
         links.append((src, dst))
         return real_link(mesh, src, dst, paths)
 
-    def sweep_(mesh, srcs, targets=None):
+    def sweep_(mesh, srcs, targets=None, limit=None):
         if targets is not None:
             bounded.append(targets)
-        return real_sweep(mesh, srcs, targets)
+        return real_sweep(mesh, srcs, targets, limit)
 
     monkeypatch.setattr(gaps, "_link", link)
     monkeypatch.setattr(geodesics, "_sweep", sweep_)

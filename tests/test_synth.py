@@ -206,6 +206,11 @@ def test_spec_validation(kw):
     ("patchiness", {"patchiness": True}),
     ("seed", {"seed": 2.0}),
     ("seed", {"seed": -1}),
+    # these died with a TypeError that named nothing
+    ("removed_intervals", {"removed_intervals": (0.0, 1.0)}),
+    ("removed_intervals", {"removed_intervals": ((1.0, "a"),)}),
+    ("removed_intervals", {"removed_intervals": 1.0}),
+    ("removed_intervals", {"removed_intervals": ((0.0, True),)}),
 ])
 def test_spec_names_the_field_it_refuses(field, kw):
     # each of these once built a phantom with a meaningless truth or died

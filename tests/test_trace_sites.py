@@ -6,6 +6,8 @@ in pvgap would otherwise only show up as a failing traced benchmark run.
 
 from pathlib import Path
 
+import numpy as np
+
 from pvgap.gaps import build_graph, min_gap_path
 from pvgap.geodesics import distance_transform
 from pvgap.regions import build_search_area, open_area
@@ -53,7 +55,10 @@ def test_graph_counters_read_a_real_graph(monkeypatch):
     assert n >= 2
     counts = _graph((opened, mask), {}, graph)
     assert counts["patches"] == n
-    assert counts["geometries"] == n * (n - 1) // 2
+    # the graph keeps the geometry of the pairs at or below its limit only
+    kept = int(np.triu(graph.weights <= graph.limit, 1).sum())
+    assert 0 < kept < n * (n - 1) // 2
+    assert counts["geometries"] == kept
     assert counts["mask"][0] == opened.mesh.name
 
     path = min_gap_path(graph)
