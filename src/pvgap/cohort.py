@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_real
 from .mesh import write_atomic
 
 METRICS = ("rgm_nauc", "gap_count", "gap_length")
@@ -55,8 +55,7 @@ def _case_row(report: dict) -> tuple:
         ref = report["reference_threshold"]
         if not isinstance(case_id, str):
             raise TypeError(f"mesh_name must be a string, got {case_id!r}")
-        if (isinstance(ref, bool) or not isinstance(ref, (int, float))
-                or not math.isfinite(ref)):
+        if not is_real(ref):
             raise ValueError("reference_threshold must be a finite number, "
                              f"got {ref!r}")
         nauc, counts, lens, gaps = {}, {}, {}, {}
@@ -154,11 +153,15 @@ class WelchResult:
 
 
 def welch_t_test(sample_a, sample_b) -> WelchResult:
-    """Two-sample t-test without the equal-variance assumption."""
+    """Two-sample t-test without the equal-variance assumption; ValueError
+    unless each sample holds at least 2 values, all finite numbers."""
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 values")
+    for name, sample in (("sample_a", sample_a), ("sample_b", sample_b)):
+        if not all(map(is_real, sample)):
+            raise ValueError(f"{name} must hold finite numbers")
     na, nb = len(a), len(b)
     va, vb = a.var(ddof=1), b.var(ddof=1)
     sa, sb = va / na, vb / nb
@@ -199,10 +202,10 @@ def histogram(values, bin_width: float = 0.1) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("values must be a 1-d array")
-    if not np.isfinite(v).all():
-        raise ValueError("values must be finite")
-    if not (math.isfinite(bin_width) and bin_width > 0.0):
-        raise ValueError("bin_width must be finite and positive")
+    if not all(map(is_real, values)):
+        raise ValueError("values must be finite numbers")
+    if not (is_real(bin_width) and bin_width > 0.0):
+        raise ValueError("bin_width must be a finite positive number")
     n_bins = int(round(1.0 / bin_width))
     if n_bins < 1 or abs(n_bins * bin_width - 1.0) > 1e-9:
         raise ValueError("bin width must divide [0, 1] evenly")

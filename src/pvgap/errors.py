@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for what
+counts as a number or a count at the public entry points."""
+
+import math
+from numbers import Integral, Real
 
 
 class GapQuantError(Exception):
@@ -27,3 +31,16 @@ class ConfigError(GapQuantError):
 
 class AreaError(GapQuantError):
     """A single search area failed; other areas may still be quantified."""
+
+
+def is_real(value) -> bool:
+    """A finite real number, Python or numpy scalar. A bool is an int
+    subclass, but it is never taken as the number 0 or 1."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def is_count(value) -> bool:
+    """An integer >= 0, Python or numpy scalar, and not a bool."""
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= 0)

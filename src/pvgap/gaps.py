@@ -29,7 +29,7 @@ from .errors import AreaError, TopologyError
 from .geodesics import (DistanceField, FieldBatch, PathCache,
                         distance_transform, geodesic_path,
                         min_interset_distance, polyline_length, trace_path)
-from .mesh import PatchLabeling, connected_components
+from .mesh import PatchLabeling, checked_mask, connected_components
 from .regions import OpenedArea
 
 EPS_GAP = 0.1  # mm; shorter healthy traverses are not counted as gaps
@@ -130,7 +130,7 @@ def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
     (`GapGraph`).
     """
     mesh = opened.mesh
-    scar_mask = np.asarray(scar_mask, dtype=bool)
+    scar_mask = checked_mask(scar_mask, "scar_mask")
     if scar_mask.shape != (mesh.n_vertices,):
         raise ValueError("scar mask must cover the opened mesh")
     if patches is None:

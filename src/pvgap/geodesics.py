@@ -410,16 +410,6 @@ def polyline_length(points: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 
-def _vertex(mesh: SurfaceMesh, v, what: str) -> int:
-    """v as a checked vertex id of mesh."""
-    if np.asarray(v).dtype.kind not in "iu":
-        raise ValueError(f"{what} vertex must be an integer, got {v!r}")
-    v = int(v)
-    if not 0 <= v < mesh.n_vertices:
-        raise TopologyError(f"{what} vertex out of range")
-    return v
-
-
 def _descend(mesh: SurfaceMesh, dist: np.ndarray, start: int) -> TracedPath:
     """Steepest-descent polyline from a reached vertex to a source."""
     # the scalar steps read Python numbers through memoryviews, which is
@@ -458,7 +448,7 @@ def trace_path(field: DistanceField, start: int) -> TracedPath:
     """Polyline from `start` down steepest descent to a source vertex;
     ValueError if start lies above the field's limit, where its value may
     be unfinished."""
-    start = _vertex(field.mesh, start, "start")
+    start = checked_ids(field.mesh, start, "start").item()
     if field.dist[start] > field.limit:
         raise ValueError(f"vertex {start} lies above the field's limit")
     if not np.isfinite(field.dist[start]):
@@ -527,8 +517,8 @@ def geodesic_path(mesh: SurfaceMesh, src: int, dst: int,
     transform from src where one is exact at dst and keeps the one this
     call runs; ValueError if it is on another mesh.
     """
-    src = _vertex(mesh, src, "source")
-    dst = _vertex(mesh, dst, "target")
+    src = checked_ids(mesh, src, "source").item()
+    dst = checked_ids(mesh, dst, "target").item()
     if paths is not None and paths.mesh is not mesh:
         raise ValueError("path cache is on another mesh")
     if src == dst:

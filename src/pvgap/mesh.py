@@ -83,6 +83,9 @@ class SurfaceMesh:
     name : dataset name (goes into the file header title line).
     point_data : optional dict of extra named per-vertex arrays; values are
         (array, kind) with kind "float" or "int".
+
+    An int array of another dtype (float or bool) is a MeshFormatError
+    naming it, never truncated.
     """
 
     def __init__(self, vertices, triangles, intensity=None, region=None,
@@ -113,12 +116,17 @@ class SurfaceMesh:
         self.point_data = {}
         for key, (arr, kind) in (point_data or {}).items():
             dt = np.int64 if kind == "int" else np.float64
-            self.point_data[key] = (self._checked(arr, dt, key), kind)
+            label = f"point_data[{key!r}]"
+            self.point_data[key] = (self._checked(arr, dt, label), kind)
 
     def _checked(self, arr, dtype, label):
         if arr is None:
             return None
-        out = np.array(arr, dtype=dtype, order="C")
+        a = np.asarray(arr)
+        if dtype is np.int64 and a.dtype.kind not in "iu":
+            raise MeshFormatError(f"{label} must be an integer array, got "
+                                  f"dtype {a.dtype}")
+        out = np.array(a, dtype=dtype, order="C")
         if out.shape != (len(self.vertices),):
             raise AttributeLengthError(
                 f"{label} has length {out.shape}, expected ({len(self.vertices)},)")
@@ -292,11 +300,19 @@ class PatchLabeling:
     patches: tuple  # tuple of sorted vertex index arrays
 
 
-def connected_components(mesh: SurfaceMesh, mask) -> PatchLabeling:
-    """Patches of the bool vertex mask: ValueError for any other dtype."""
+def checked_mask(mask, what: str = "mask") -> np.ndarray:
+    """mask as a bool array: ValueError for any other dtype, as a float or
+    int mask would count every nonzero value in; `what` names it."""
     mask = np.asarray(mask)
     if mask.dtype != bool:
-        raise ValueError(f"mask must be a bool array, got dtype {mask.dtype}")
+        raise ValueError(f"{what} must be a bool array, got dtype "
+                         f"{mask.dtype}")
+    return mask
+
+
+def connected_components(mesh: SurfaceMesh, mask) -> PatchLabeling:
+    """Patches of the bool vertex mask (see `checked_mask`)."""
+    mask = checked_mask(mask)
     if mask.shape != (mesh.n_vertices,):
         raise AttributeLengthError("mask length does not match vertex count")
     labels = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -591,8 +607,6 @@ def load_mesh(path) -> SurfaceMesh:
         raise MeshFormatError(f"{path}: missing POINTS or POLYGONS section")
     intensity = scalars.pop("intensity", (None, None))[0]
     region_arr = scalars.pop("region", (None, None))[0]
-    if region_arr is not None and region_arr.dtype != np.int64:
-        raise MeshFormatError(f"{path}: region scalars must be integer")
     mesh = SurfaceMesh(verts, tris, intensity=intensity, region=region_arr,
                        name=name, point_data=scalars)
     mesh.check_topology()

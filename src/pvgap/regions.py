@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AreaError, ConfigError
+from .errors import AreaError, ConfigError, is_count
 from .mesh import (SurfaceMesh, connected_components, cut_mesh, edge_path,
                    is_token, write_atomic)
 
@@ -72,11 +72,6 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _is_int(v) -> bool:
-    """A JSON integer: bool is an int subclass, but true is no label or id."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _area_from_dict(name: str, raw: dict) -> AreaSpec:
     # the name becomes the annotated mesh's array name path_<name>
     _require(is_token(name), f"area {name!r}: name must be nonempty "
@@ -91,7 +86,7 @@ def _area_from_dict(name: str, raw: dict) -> AreaSpec:
     labels = raw["labels"]
     _require(isinstance(labels, list) and labels,
              f"area {name!r}: labels must be a nonempty list")
-    _require(all(_is_int(v) and 0 <= v <= MAX_LABEL for v in labels),
+    _require(all(is_count(v) and v <= MAX_LABEL for v in labels),
              f"area {name!r}: labels must be integers in 0..{MAX_LABEL}")
     _require(len(set(labels)) == len(labels),
              f"area {name!r}: duplicate labels")
@@ -110,7 +105,7 @@ def _area_from_dict(name: str, raw: dict) -> AreaSpec:
     if "labels" in cut:
         pair = cut["labels"]
         _require(isinstance(pair, list) and len(pair) == 2
-                 and all(_is_int(v) for v in pair),
+                 and all(map(is_count, pair)),
                  f"area {name!r}: cut labels must be a pair of integers")
         _require(pair[0] != pair[1],
                  f"area {name!r}: cut labels must differ")
@@ -124,13 +119,13 @@ def _area_from_dict(name: str, raw: dict) -> AreaSpec:
                  f"{' or 2' if n_veins == 2 else ''} path(s)")
         for p in paths:
             _require(isinstance(p, list) and len(p) >= 3
-                     and all(_is_int(v) and v >= 0 for v in p),
+                     and all(map(is_count, p)),
                      f"area {name!r}: each cut path needs >= 3 vertex ids")
         cut_vertices = tuple(tuple(p) for p in paths)
 
     seeds = raw["vein_seeds"]
     _require(isinstance(seeds, list) and len(seeds) == n_veins
-             and all(_is_int(v) and v >= 0 for v in seeds),
+             and all(map(is_count, seeds)),
              f"area {name!r}: vein_seeds must list {n_veins} vertex id(s)")
     _require(len(set(seeds)) == len(seeds),
              f"area {name!r}: duplicate vein seeds")

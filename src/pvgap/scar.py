@@ -16,14 +16,13 @@ construction: raising k can only shrink them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import TopologyError, VolumeFormatError
-from .mesh import SurfaceMesh, write_atomic
+from .errors import TopologyError, VolumeFormatError, is_real
+from .mesh import SurfaceMesh, checked_mask, write_atomic
 
 THRESHOLD_FACTORS = (2.0, 3.3, 4.0, 5.0, 6.0)
 
@@ -57,17 +56,17 @@ class ScalarVolume:
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (3, 3) or not np.allclose(d @ d.T, np.eye(3), atol=1e-6):
             raise VolumeFormatError("direction must be a 3x3 rotation")
-        sp = tuple(float(s) for s in self.spacing)
-        og = tuple(float(o) for o in self.origin)
-        if len(sp) != 3 or any(s <= 0 for s in sp):
-            raise VolumeFormatError("spacing must be 3 positive floats")
-        if len(og) != 3:
-            raise VolumeFormatError("origin must be 3 floats")
+        sp, og = tuple(self.spacing), tuple(self.origin)
+        for name, vec in (("spacing", sp), ("origin", og)):
+            if len(vec) != 3 or not all(map(is_real, vec)):
+                raise VolumeFormatError(f"{name} must be 3 finite numbers")
+        if any(s <= 0 for s in sp):
+            raise VolumeFormatError("spacing must be positive")
         vals.flags.writeable = False
         d.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "spacing", sp)
-        object.__setattr__(self, "origin", og)
+        object.__setattr__(self, "spacing", tuple(map(float, sp)))
+        object.__setattr__(self, "origin", tuple(map(float, og)))
         object.__setattr__(self, "direction", d)
 
     @property
@@ -198,8 +197,8 @@ def mip_project(mesh: SurfaceMesh, volume: ScalarVolume,
                 step_mm: float = MIP_STEP_MM) -> np.ndarray:
     """Per-vertex maximum intensity along the normal, within +-reach."""
     for name, value in (("reach_mm", reach_mm), ("step_mm", step_mm)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
+        if not is_real(value):
+            raise ValueError(f"{name} must be a finite number")
     if reach_mm <= 0.0 or step_mm <= 0.0 or step_mm > reach_mm:
         raise ValueError("need 0 < step_mm <= reach_mm")
     normals = vertex_normals(mesh)
@@ -224,7 +223,7 @@ def blood_pool_stats(volume: ScalarVolume,
     whole reference region, not a sample from it)."""
     vals = volume.values
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+        mask = checked_mask(mask, "blood-pool mask")
         if mask.shape != vals.shape:
             raise ValueError("blood-pool mask shape must match the volume")
         if not mask.any():
@@ -236,5 +235,9 @@ def blood_pool_stats(volume: ScalarVolume,
 
 def threshold_mask(projected: np.ndarray, mean: float, sd: float,
                    factor: float) -> np.ndarray:
-    """Scar classification: projection strictly above mean + factor * sd."""
+    """Scar classification: projection strictly above mean + factor * sd;
+    ValueError, naming it, unless each of these three is a finite number."""
+    for name, value in (("mean", mean), ("sd", sd), ("factor", factor)):
+        if not is_real(value):
+            raise ValueError(f"{name} must be a finite number")
     return np.asarray(projected) > mean + factor * sd

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AreaError, ConfigError, TopologyError
+from .errors import AreaError, ConfigError, TopologyError, is_real
 from .gaps import EncirclingPath, build_graph, min_gap_path, route_limits
 from .geodesics import FieldBatch, PathCache
 from .mesh import SurfaceMesh, connected_components, save_mesh, write_atomic
@@ -49,9 +49,9 @@ def rgm_nauc(factors, values) -> float:
     v = np.asarray(values, dtype=np.float64)
     if f.ndim != 1 or f.shape != v.shape or len(f) < 2:
         raise ValueError("need matching factor/value arrays of length >= 2")
-    for name, a in (("factors", f), ("values", v)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite")
+    for name, seq in (("factors", factors), ("values", values)):
+        if not all(map(is_real, seq)):
+            raise ValueError(f"{name} must be finite numbers")
     if not (np.diff(f) > 0).all():
         raise ValueError("threshold factors must be strictly ascending")
     # fsum keeps constant/linear curves exact at double precision
@@ -60,11 +60,12 @@ def rgm_nauc(factors, values) -> float:
 
 
 def check_factors(factors) -> tuple:
-    """The factors as floats; ConfigError unless finite, at least two and
-    strictly ascending at the 6 significant digits a report keeps."""
-    factors = tuple(float(k) for k in factors)
-    if not all(math.isfinite(k) for k in factors):
-        raise ConfigError("threshold factors must be finite")
+    """The factors as floats; ConfigError unless finite numbers, at least
+    two and strictly ascending at the 6 significant digits a report keeps."""
+    factors = tuple(factors)
+    if not all(map(is_real, factors)):
+        raise ConfigError("threshold factors must be finite numbers")
+    factors = tuple(map(float, factors))
     shown = _round6(factors)
     if len(factors) < 2 or not all(a < b for a, b in zip(shown, shown[1:])):
         raise ConfigError("need at least 2 thresholds, strictly ascending "
@@ -73,20 +74,13 @@ def check_factors(factors) -> tuple:
 
 
 def check_blood_pool(mean: float, sd: float) -> None:
-    """ConfigError unless the blood-pool mean is finite and its SD finite
-    and positive; a bool is neither, and the error names it."""
-    _refuse_bool(bp_mean=mean, bp_sd=sd)
-    if not (math.isfinite(mean) and math.isfinite(sd) and sd > 0):
-        raise ConfigError("blood pool mean must be finite and its SD "
-                          "finite and positive")
-
-
-def _refuse_bool(**values) -> None:
-    """ConfigError naming the first of the keyword values that is a bool,
-    which Python would otherwise take as the number 0 or 1."""
-    for name, value in values.items():
-        if isinstance(value, (bool, np.bool_)):
-            raise ConfigError(f"{name} must be a number, not a bool")
+    """ConfigError, naming the value, unless the blood-pool mean is a
+    finite number and its SD a finite positive number."""
+    for name, value in (("bp_mean", mean), ("bp_sd", sd)):
+        if not is_real(value):
+            raise ConfigError(f"blood pool {name} must be a finite number")
+    if sd <= 0:
+        raise ConfigError("blood pool bp_sd must be positive")
 
 
 @dataclass(frozen=True)
@@ -211,9 +205,10 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
         raise ConfigError("mesh carries no intensity values")
     check_blood_pool(bp_mean, bp_sd)
     factors = check_factors(factors)
-    _refuse_bool(ref_factor=ref_factor)
     if ref_factor is None:
         ref_factor = 3.3 if 3.3 in factors else factors[0]
+    elif not is_real(ref_factor):
+        raise ConfigError("ref_factor must be a finite number")
     if ref_factor not in factors:
         raise ConfigError(f"reference factor {ref_factor} is not swept")
     if strategy not in ("independent", "joint", "both"):

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
+from .errors import is_count, is_real
 from .mesh import _FMT, SurfaceMesh, _block
 from .regions import AreaSpec, RegionConfig
 from .scar import ScalarVolume
@@ -51,20 +51,13 @@ HEALTHY_SD = -8.0  # healthy intensity, in blood-pool SDs off the mean
 SCAR_SD = 16.0  # scar intensity, in blood-pool SDs off the mean
 
 
-def _is_count(v) -> bool:
-    """An integer >= 0: bool is an int subclass, but True counts nothing."""
-    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 0
-
-
 def _is_arc(arc) -> bool:
-    """A (start, width) pair of finite numbers, not bools, width >= 0."""
+    """A (start, width) pair of finite numbers, width >= 0."""
     try:
         start, width = arc
     except (TypeError, ValueError):
         return False
-    return (all(isinstance(v, Real) and not isinstance(v, bool)
-                and math.isfinite(v) for v in (start, width))
-            and width >= 0.0)
+    return is_real(start) and is_real(width) and width >= 0.0
 
 
 @dataclass(frozen=True)
@@ -86,9 +79,9 @@ class PhantomSpec:
         if self.base_shape not in SHAPES:
             raise ValueError(f"base_shape must be one of {SHAPES}")
         for name in ("target_edge_mm", "band_inner_mm", "band_outer_mm",
-                     "blood_pool_mean", "blood_pool_sd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                     "keep_fraction", "blood_pool_mean", "blood_pool_sd"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if not 0.0 <= self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must lie in [0, 1]")
         if not 0.0 < self.band_inner_mm < self.band_outer_mm:
@@ -96,7 +89,7 @@ class PhantomSpec:
         if self.target_edge_mm <= 0.0:
             raise ValueError("target_edge_mm must be positive")
         for name in ("patchiness", "seed"):
-            if not _is_count(getattr(self, name)):
+            if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 0")
         if self.removed_intervals is not None:
             try:
@@ -109,8 +102,8 @@ class PhantomSpec:
         if self.taper is not None:
             if len(self.taper) != 2:
                 raise ValueError("taper must be (edge_sd, center_sd)")
-            if not all(math.isfinite(v) and v > 0.0 for v in self.taper):
-                raise ValueError("taper SDs must be finite and positive")
+            if not all(is_real(v) and v > 0.0 for v in self.taper):
+                raise ValueError("taper SDs must be finite positive numbers")
         if self.blood_pool_sd <= 0.0:
             raise ValueError("blood_pool_sd must be positive")
 
@@ -506,10 +499,10 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0) -> SurfaceMesh:
     Raises ValueError unless subdivisions is an integer >= 0 and radius is
     finite and positive.
     """
-    if not _is_count(subdivisions):
+    if not is_count(subdivisions):
         raise ValueError("subdivisions must be an integer >= 0")
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError("radius must be finite and positive")
+    if not (is_real(radius) and radius > 0.0):
+        raise ValueError("radius must be a finite positive number")
     g = (1.0 + math.sqrt(5.0)) / 2.0
     verts = [(-1, g, 0), (1, g, 0), (-1, -g, 0), (1, -g, 0),
              (0, -1, g), (0, 1, g), (0, -1, -g), (0, 1, -g),

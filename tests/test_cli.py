@@ -327,6 +327,31 @@ def test_io_errors_exit_2(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, values", [("spacing", "nan 0.5 1"),
+                                           ("origin", "inf 0 0")])
+def test_non_finite_volume_geometry_exits_2_without_a_report(
+        field, values, workdir, tmp_path, capsys):
+    # a nan spacing once projected every vertex to -inf: rgm_nauc 1.0
+    ph = workdir / "ph"
+    mesh = load_mesh(ph / "mesh.vtk")
+    bare = tmp_path / "bare.vtk"
+    save_mesh(SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
+                          region=mesh.region, name=mesh.name), bare)
+    head, sep, payload = (ph / "volume.vol").read_bytes().partition(
+        b"\ndata\n")
+    lines = [f"{field} {values}".encode() if ln.startswith(field.encode())
+             else ln for ln in head.split(b"\n")]
+    volume = tmp_path / "bad.vol"
+    volume.write_bytes(b"\n".join(lines) + sep + payload)
+    out = tmp_path / "report.json"
+    assert main(["quantify", "--mesh", str(bare), "--volume", str(volume),
+                 "--config", str(ph / "regions.cfg"),
+                 "--bp-mean", "100", "--bp-sd", "10",
+                 "--thresholds", THRESH, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bp", [("100", "nan"), ("100", "0"),
                                 ("inf", "10")])
 def test_blood_pool_values_are_refused_before_the_mesh_is_read(

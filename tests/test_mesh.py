@@ -496,7 +496,10 @@ def test_load_mesh_rejects_garbage(tmp_path):
                      ("POINT_DATA 9", "POINT_DATA"),
                      ("POINT_DATA 9", "POINT_DATA nine"),
                      ("SCALARS intensity float 1",
-                      "SCALARS intensity float one")):
+                      "SCALARS intensity float one"),
+                     # region labels are integers, never truncated floats
+                     ("SCALARS intensity float 1",
+                      "SCALARS region float 1")):
         assert old in text
         bad = tmp_path / "count.vtk"
         bad.write_text(text.replace(old, new))
