@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_real
+from .errors import ConfigError, is_count, is_real
 from .mesh import write_atomic
+from .regions import STRATEGIES
 
 METRICS = ("rgm_nauc", "gap_count", "gap_length")
 
@@ -47,37 +48,70 @@ class CohortTable:
         return len(self.rows)
 
 
+def _is_length(v) -> bool:
+    return is_real(v) and v >= 0.0
+
+
+# the rule for each report value a cohort reads, and what its message asks
+_RULES = {
+    "mesh_name": (lambda v: isinstance(v, str), "a string"),
+    "reference_threshold": (is_real, "a finite number"),
+    "factor": (is_real, "a finite number"),
+    "strategy": (STRATEGIES.__contains__, f"one of {STRATEGIES}"),
+    "labels": (lambda v: isinstance(v, list) and all(map(is_count, v)),
+               "a list of integers >= 0"),
+    "status": (("ok", "failed").__contains__, "'ok' or 'failed'"),
+    "rgm_nauc": (lambda v: is_real(v) and 0.0 <= v <= 1.0,
+                 "a number in [0, 1]"),
+    "gap_count_mean": (_is_length, "a number >= 0"),
+    "gap_length_mm_mean": (_is_length, "a number >= 0"),
+    "length_mm": (_is_length, "a number >= 0"),
+    "midpoint_region": (is_count, "an integer >= 0"),
+}
+
+
 def _case_row(report: dict) -> tuple:
-    """(CaseRow, area -> (strategy, labels)) of one report; a missing key
-    or a value of the wrong type raises ConfigError."""
+    """(CaseRow, area -> (strategy, labels)) of one report; a missing key,
+    a value of the wrong type or one out of range (`_RULES`) raises
+    ConfigError naming the case and the field. Numbers are stored as
+    floats, region ids as ints."""
+    case = ""
+
+    def value(obj, key, where=""):
+        v = obj[key]
+        ok, want = _RULES[key]
+        if not ok(v):
+            raise ConfigError(f"malformed gap report{case}: {where}{key} "
+                              f"must be {want}, got {v!r}")
+        return v
+
     try:
-        case_id = report["mesh_name"]
-        ref = report["reference_threshold"]
-        if not isinstance(case_id, str):
-            raise TypeError(f"mesh_name must be a string, got {case_id!r}")
-        if not is_real(ref):
-            raise ValueError("reference_threshold must be a finite number, "
-                             f"got {ref!r}")
+        case_id = value(report, "mesh_name")
+        case = f" {case_id!r}"
+        ref = value(report, "reference_threshold")
         nauc, counts, lens, gaps = {}, {}, {}, {}
         meta = {}
         for name, area in report["areas"].items():
-            meta[name] = (area["strategy"], tuple(area["labels"]))
-            if area["status"] != "ok":
+            at = f"area {name!r} "
+            meta[name] = (value(area, "strategy", at),
+                          tuple(value(area, "labels", at)))
+            if value(area, "status", at) != "ok":
                 continue
-            nauc[name] = float(area["rgm_nauc"])
-            counts[name] = float(area["gap_count_mean"])
-            lens[name] = float(area["gap_length_mm_mean"])
-            at_ref = [p for p in area["per_threshold"] if p["factor"] == ref]
+            nauc[name] = float(value(area, "rgm_nauc", at))
+            counts[name] = float(value(area, "gap_count_mean", at))
+            lens[name] = float(value(area, "gap_length_mm_mean", at))
+            at_ref = [p for p in area["per_threshold"]
+                      if value(p, "factor", at) == ref]
             if len(at_ref) != 1:
                 raise ConfigError(f"{case_id}: area {name!r} lacks the "
                                   f"reference threshold {ref}")
-            gaps[name] = tuple((float(g["length_mm"]),
-                                int(g["midpoint_region"]))
+            gaps[name] = tuple((float(value(g, "length_mm", at)),
+                                int(value(g, "midpoint_region", at)))
                                for g in at_ref[0]["gaps"])
     except KeyError as exc:
-        raise ConfigError(f"gap report lacks the key {exc}") from None
+        raise ConfigError(f"gap report{case} lacks the key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed gap report: {exc}") from None
+        raise ConfigError(f"malformed gap report{case}: {exc}") from None
     row = CaseRow(case_id=case_id, nauc=nauc, gap_count_mean=counts,
                   gap_length_mean=lens, ref_gaps=gaps)
     return row, meta

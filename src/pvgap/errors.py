@@ -2,6 +2,7 @@
 counts as a number or a count at the public entry points."""
 
 import math
+from contextlib import contextmanager
 from numbers import Integral, Real
 
 
@@ -44,3 +45,15 @@ def is_count(value) -> bool:
     """An integer >= 0, Python or numpy scalar, and not a bool."""
     return (isinstance(value, Integral) and not isinstance(value, bool)
             and value >= 0)
+
+
+@contextmanager
+def in_file(path):
+    """Name path in the message of a GapQuantError raised inside, unless
+    the message names it already; the error keeps its type."""
+    try:
+        yield
+    except GapQuantError as exc:
+        if str(path) not in str(exc):
+            exc.args = (f"{path}: {exc}",)
+        raise

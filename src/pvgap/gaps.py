@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AreaError, TopologyError
-from .geodesics import (DistanceField, FieldBatch, PathCache,
+from .geodesics import (FieldBatch, PathCache, TracedPath,
                         distance_transform, geodesic_path,
                         min_interset_distance, polyline_length, trace_path)
 from .mesh import PatchLabeling, checked_mask, connected_components
@@ -230,16 +230,8 @@ class EncirclingPath:
     segment_ids: tuple  # (kind, vertex ids) in loop order, for annotation
 
 
-def _polyline(field: DistanceField, start: int, reverse: bool = False):
-    tp = trace_path(field, start)
-    ids, pts = tp.vertex_ids, tp.points
-    if reverse:
-        ids, pts = ids[::-1], pts[::-1]
-    return ids, pts, tp.length
-
-
-def _gap_segment(mesh, ids: np.ndarray, points: np.ndarray,
-                 wraps: bool) -> GapSegment:
+def _gap_segment(mesh, path: TracedPath, wraps: bool) -> GapSegment:
+    ids, points = path.vertex_ids, path.points
     length = polyline_length(points)
     if mesh.region is not None:
         labels = mesh.region[ids]
@@ -263,75 +255,66 @@ def _gap_segment(mesh, ids: np.ndarray, points: np.ndarray,
                       wraps_seam=wraps)
 
 
-def _link(mesh, src: int, dst: int, paths: PathCache | None = None):
+def _link(mesh, src: int, dst: int,
+          paths: PathCache | None = None) -> TracedPath:
     """Unconstrained geodesic polyline src -> dst."""
     isd = geodesic_path(mesh, src, dst, paths)
     if not np.isfinite(isd.distance):
         raise TopologyError(f"vertex {dst} is unreachable from the sources")
-    return isd.path.vertex_ids, isd.path.points, isd.path.length
+    return isd.path
 
 
 def assemble_geometry(graph: GapGraph, pair_index: int, node_seq: tuple,
                       paths: PathCache | None = None) -> EncirclingPath:
     """Expand a solved route into the explicit encircling polyline.
 
-    paths, a `PathCache` on the opened mesh, keeps the links' transforms
-    for later links from the same vertex, as for a caller that assembles
-    several routes of one area; the path is the same with or without it.
+    The pieces, each oriented along the loop, are the stub from the side_a
+    twin to the first patch, the route's gaps and the stub from the last
+    patch to the side_b twin; a link joins the end of each piece to the
+    start of the next. paths, a `PathCache` on the opened mesh, keeps the
+    links' transforms for later links from the same vertex, as for a caller
+    that assembles several routes of one area; the path is the same with or
+    without it.
     """
     opened = graph.opened
     mesh = opened.mesh
     p_a = int(opened.side_a[pair_index])
     p_b = int(opened.side_b[pair_index])
-    crossing_scar = bool(graph.scar_mask[p_a])
-
-    gaps_open = []  # interior gap segments, loop order
-    segments = []  # (kind, ids) incl. stubs/links, loop order
-    non_gap = 0.0
-
-    first, last = node_seq[0], node_seq[-1]
-    a_ids, a_pts, a_len = _polyline(graph.fields[first], p_a)  # p_a -> patch
-    b_ids, b_pts, b_len = _polyline(graph.fields[last], p_b, reverse=True)
-
-    segments.append(("stub", a_ids))
-    arrival = int(a_ids[-1])
+    stub_a = trace_path(graph.fields[node_seq[0]], p_a)
+    stub_b = trace_path(graph.fields[node_seq[-1]], p_b).reversed()
+    route = []  # stored geometry runs lo -> hi
     for prev, nxt in zip(node_seq, node_seq[1:]):
-        lo, hi = (prev, nxt) if prev < nxt else (nxt, prev)
-        isd = graph.geometry[(lo, hi)]
-        ids, pts = isd.path.vertex_ids, isd.path.points
-        if prev > nxt:  # stored geometry runs lo -> hi
-            ids, pts = ids[::-1], pts[::-1]
-        link_ids, _link_pts, link_len = _link(mesh, arrival, int(ids[0]),
-                                              paths)
-        non_gap += link_len
-        segments.append(("link", link_ids))
-        segments.append(("gap", ids))
-        gaps_open.append(_gap_segment(mesh, ids, pts, wraps=False))
-        arrival = int(ids[-1])
-    link_ids, _link_pts, link_len = _link(mesh, arrival, int(b_ids[0]),
-                                          paths)
-    non_gap += link_len
-    segments.append(("link", link_ids))
-    segments.append(("stub", b_ids))
+        gap = graph.geometry[(min(prev, nxt), max(prev, nxt))].path
+        route.append(gap.reversed() if prev > nxt else gap)
 
-    gap_records = []
-    if crossing_scar:
+    pieces = [("stub", stub_a), *[("gap", g) for g in route],
+              ("stub", stub_b)]
+    segments = [("stub", stub_a.vertex_ids)]  # (kind, ids), loop order
+    non_gap = 0.0
+    for (_kind, prev), (kind, piece) in zip(pieces, pieces[1:]):
+        link = _link(mesh, int(prev.vertex_ids[-1]),
+                     int(piece.vertex_ids[0]), paths)
+        non_gap += link.length
+        segments += [("link", link.vertex_ids), (kind, piece.vertex_ids)]
+
+    gaps_open = [_gap_segment(mesh, g, wraps=False) for g in route]
+    stub_gap = stub_a.length + stub_b.length
+    if graph.scar_mask[p_a]:
         # the seam point is scar: each rim stub is its own gap
-        if a_len > 0.0:
-            gap_records.append(_gap_segment(mesh, a_ids, a_pts, wraps=False))
-        gap_records.extend(gaps_open)
-        if b_len > 0.0:
-            gap_records.append(_gap_segment(mesh, b_ids, b_pts, wraps=False))
+        # (a stub of length 0 gives a segment that EPS_GAP drops)
+        gap_records = [_gap_segment(mesh, stub_a, wraps=False), *gaps_open,
+                       _gap_segment(mesh, stub_b, wraps=False)]
     else:
         # healthy seam point: the two stubs are one gap wrapping the seam
-        ids = np.concatenate([b_ids, a_ids[1:]])
-        pts = np.concatenate([b_pts, a_pts[1:]])  # twins share coordinates
-        gap_records.append(_gap_segment(mesh, ids, pts, wraps=True))
-        gap_records.extend(gaps_open)
+        # (twins share coordinates)
+        wrap = TracedPath(
+            vertex_ids=np.concatenate([stub_b.vertex_ids,
+                                       stub_a.vertex_ids[1:]]),
+            points=np.concatenate([stub_b.points, stub_a.points[1:]]),
+            length=stub_gap)
+        gap_records = [_gap_segment(mesh, wrap, wraps=True)] + gaps_open
 
-    stub_gap = a_len + b_len
-    interior_gap = float(sum(g.length for g in gaps_open))
-    gap_length = stub_gap + interior_gap
+    gap_length = stub_gap + float(sum(g.length for g in gaps_open))
     total = gap_length + non_gap
     if total <= 0.0:
         raise AreaError("degenerate encircling path of zero length")
@@ -370,12 +353,12 @@ def _no_patch_loop(opened: OpenedArea) -> EncirclingPath:
         raise AreaError("cut rims are not connected in the opened area")
     _d, k, path = best
     p_a, p_b = int(opened.side_a[k]), int(opened.side_b[k])
-    ids, pts, length = path.vertex_ids, path.points, path.length
-    gap = _gap_segment(mesh, ids, pts, wraps=True)
-    return EncirclingPath(total_length=length, gap_length=length, rgm=1.0,
-                          gap_count=1, gaps=(gap,), non_gap_length=0.0,
-                          node_sequence=(), crossing_pair=(p_a, p_b),
-                          segment_ids=(("gap", ids),))
+    return EncirclingPath(total_length=path.length, gap_length=path.length,
+                          rgm=1.0, gap_count=1,
+                          gaps=(_gap_segment(mesh, path, wraps=True),),
+                          non_gap_length=0.0, node_sequence=(),
+                          crossing_pair=(p_a, p_b),
+                          segment_ids=(("gap", path.vertex_ids),))
 
 
 def min_gap_path(graph: GapGraph,

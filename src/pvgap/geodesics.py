@@ -249,17 +249,20 @@ class TracedPath:
     points: np.ndarray
     length: float
 
+    def reversed(self) -> TracedPath:
+        """The same polyline run the other way; length is kept as traced,
+        not summed again in the new order."""
+        return TracedPath(vertex_ids=self.vertex_ids[::-1],
+                          points=self.points[::-1], length=self.length)
+
 
 @dataclass(frozen=True)
 class InterSetDistance:
-    """Minimum geodesic distance between two vertex sets.
-
-    path runs from endpoint_a (in set a) to endpoint_b (in set b).
-    distance is +inf (with empty path, endpoints -1) when unreachable.
+    """Minimum geodesic distance between two vertex sets, and a path that
+    runs from a vertex of set a to one of set b. distance is +inf, with an
+    empty path, when unreachable.
     """
     distance: float
-    endpoint_a: int
-    endpoint_b: int
     path: TracedPath
 
 
@@ -464,16 +467,10 @@ def _best_at(dist: np.ndarray, where: np.ndarray):
     return float(vals[j]), int(where[j])
 
 
-def _reverse(path: TracedPath) -> TracedPath:
-    return TracedPath(vertex_ids=path.vertex_ids[::-1],
-                      points=path.points[::-1], length=path.length)
-
-
 def _unreachable() -> InterSetDistance:
-    empty = TracedPath(vertex_ids=np.empty(0, dtype=np.int64),
-                       points=np.empty((0, 3)), length=np.inf)
-    return InterSetDistance(distance=np.inf, endpoint_a=-1, endpoint_b=-1,
-                            path=empty)
+    return InterSetDistance(distance=np.inf, path=TracedPath(
+        vertex_ids=np.empty(0, dtype=np.int64), points=np.empty((0, 3)),
+        length=np.inf))
 
 
 class PathCache:
@@ -524,8 +521,7 @@ def geodesic_path(mesh: SurfaceMesh, src: int, dst: int,
     if src == dst:
         point = TracedPath(vertex_ids=np.asarray([src], dtype=np.int64),
                            points=mesh.vertices[[src]], length=0.0)
-        return InterSetDistance(distance=0.0, endpoint_a=src, endpoint_b=dst,
-                                path=point)
+        return InterSetDistance(distance=0.0, path=point)
     dist = None if paths is None else paths.exact_at(src, dst)
     if dist is None:
         dist = _sweep(mesh, [np.asarray([src], dtype=np.int64)], [dst])[0][0]
@@ -533,9 +529,8 @@ def geodesic_path(mesh: SurfaceMesh, src: int, dst: int,
             paths.keep(src, dst, dist)
     if not np.isfinite(dist[dst]):
         return _unreachable()
-    path = _reverse(_descend(mesh, dist, dst))  # now runs src -> dst
-    return InterSetDistance(distance=float(dist[dst]), endpoint_a=src,
-                            endpoint_b=dst, path=path)
+    return InterSetDistance(distance=float(dist[dst]),
+                            path=_descend(mesh, dist, dst).reversed())
 
 
 def min_interset_distance(field_a: DistanceField,
@@ -552,14 +547,9 @@ def min_interset_distance(field_a: DistanceField,
                          "same mesh")
     d_ab, end_b = _best_at(field_a.dist, field_b.sources)
     d_ba, end_a = _best_at(field_b.dist, field_a.sources)
-    dist = min(d_ab, d_ba)
-    if not np.isfinite(dist):
+    if not np.isfinite(min(d_ab, d_ba)):
         return _unreachable()
     if d_ab <= d_ba:
-        path = _reverse(trace_path(field_a, end_b))  # now runs a -> b
         return InterSetDistance(distance=d_ab,
-                                endpoint_a=int(path.vertex_ids[0]),
-                                endpoint_b=end_b, path=path)
-    path = trace_path(field_b, end_a)  # runs a -> b already
-    return InterSetDistance(distance=d_ba, endpoint_a=end_a,
-                            endpoint_b=int(path.vertex_ids[-1]), path=path)
+                                path=trace_path(field_a, end_b).reversed())
+    return InterSetDistance(distance=d_ba, path=trace_path(field_b, end_a))

@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AttributeLengthError, MeshFormatError, TopologyError
+from .errors import (AttributeLengthError, MeshFormatError, TopologyError,
+                     in_file)
 
 # Writer emits 9 significant digits; one load/save round trip is idempotent.
 _FMT = "%.9g"
@@ -607,9 +608,10 @@ def load_mesh(path) -> SurfaceMesh:
         raise MeshFormatError(f"{path}: missing POINTS or POLYGONS section")
     intensity = scalars.pop("intensity", (None, None))[0]
     region_arr = scalars.pop("region", (None, None))[0]
-    mesh = SurfaceMesh(verts, tris, intensity=intensity, region=region_arr,
-                       name=name, point_data=scalars)
-    mesh.check_topology()
+    with in_file(path):
+        mesh = SurfaceMesh(verts, tris, intensity=intensity,
+                           region=region_arr, name=name, point_data=scalars)
+        mesh.check_topology()
     return mesh
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AreaError, ConfigError, is_count
+from .errors import AreaError, ConfigError, in_file, is_count
 from .mesh import (SurfaceMesh, connected_components, cut_mesh, edge_path,
                    is_token, write_atomic)
 
@@ -170,7 +170,8 @@ def load_config(path) -> RegionConfig:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read region config {path}: {exc}") from exc
-    return config_from_dict(data)
+    with in_file(path):
+        return config_from_dict(data)
 
 
 def save_config(config: RegionConfig, path) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TopologyError, VolumeFormatError, is_real
+from .errors import TopologyError, VolumeFormatError, in_file, is_real
 from .mesh import SurfaceMesh, checked_mask, write_atomic
 
 THRESHOLD_FACTORS = (2.0, 3.3, 4.0, 5.0, 6.0)
@@ -122,8 +122,9 @@ def load_volume(path) -> ScalarVolume:
         raise VolumeFormatError(f"{path}: expected {4 * count} data bytes,"
                                 f" found {len(payload)}")
     vals = np.frombuffer(payload, dtype="<f4").reshape(nz, ny, nx)
-    return ScalarVolume(values=vals, spacing=spacing, origin=origin,
-                        direction=np.asarray(dirv).reshape(3, 3))
+    with in_file(path):
+        return ScalarVolume(values=vals, spacing=spacing, origin=origin,
+                            direction=np.asarray(dirv).reshape(3, 3))
 
 
 def save_volume(volume: ScalarVolume, path) -> None:

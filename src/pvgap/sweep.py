@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AreaError, ConfigError, TopologyError, is_real
+from .errors import AreaError, ConfigError, TopologyError, in_file, is_real
 from .gaps import EncirclingPath, build_graph, min_gap_path, route_limits
 from .geodesics import FieldBatch, PathCache
 from .mesh import SurfaceMesh, connected_components, save_mesh, write_atomic
@@ -297,13 +297,17 @@ def write_report(case: CaseResult, path) -> None:
 
 def load_report(path) -> dict:
     """A gap report; the non-strict constants NaN and Infinity, which
-    write_report never emits, are rejected."""
+    write_report never emits, are rejected, and a file that is not JSON is
+    a ConfigError."""
     def strict(name):
-        raise ConfigError(f"{path}: {name} is not strict JSON")
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_constant=strict)
-    if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
-        raise ConfigError(f"{path}: not a {REPORT_FORMAT} file")
+        raise ConfigError(f"{name} is not strict JSON")
+    with in_file(path), open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh, parse_constant=strict)
+        except ValueError as exc:  # a syntax error or bytes that are not UTF-8
+            raise ConfigError(str(exc)) from None
+        if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
+            raise ConfigError(f"not a {REPORT_FORMAT} file")
     return data
 
 

@@ -504,9 +504,12 @@ def test_cohort_rejects_malformed_reports(cohort_dir, tmp_path, capsys):
                     if k != "reference_threshold"}
     not_finite = ('{"format": "gap-report 1", "mesh_name": "x", '
                   '"reference_threshold": NaN, "areas": {}}')
+    syntax = '{"format": "gap-report 1",\n}'
     for name, text, why in (("missing", json.dumps(unreferenced),
                              "lacks the key 'reference_threshold'"),
-                            ("nan", not_finite, "NaN is not strict JSON")):
+                            ("nan", not_finite, "NaN is not strict JSON"),
+                            ("syntax", syntax, f"{tmp_path / 'syntax.json'}: "
+                             "Expecting property name")):
         src = tmp_path / f"{name}.json"
         src.write_text(text)
         out = tmp_path / f"t_{name}"
@@ -514,6 +517,27 @@ def test_cohort_rejects_malformed_reports(cohort_dir, tmp_path, capsys):
                      "--out", str(out)]) == 1
         assert not out.exists()
         assert why in capsys.readouterr().err
+
+
+def test_cohort_refuses_a_bad_report_value_before_any_table(
+        cohort_dir, tmp_path, capsys):
+    # values that the histogram, the statistics or the regional map took
+    # as numbers: refused while the reports are read, so no table is written
+    reports, _out = cohort_dir
+    good = json.loads((reports / "a.json").read_text())
+    for field, bad in (("rgm_nauc", 1.5), ("rgm_nauc", True),
+                       ("gap_count_mean", "3"), ("status", "done")):
+        report = json.loads(json.dumps(good))
+        report["areas"]["LSPV"][field] = bad
+        src = tmp_path / f"bad_{field}"
+        src.mkdir(exist_ok=True)
+        (src / "a.json").write_text(json.dumps(report))
+        out = tmp_path / f"t_{field}"
+        assert main(["cohort", "--reports", str(src),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{good['mesh_name']!r}" in err and f"'LSPV' {field}" in err
 
 
 def test_cohort_rejects_duplicate_cases(cohort_dir, tmp_path, capsys):

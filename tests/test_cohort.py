@@ -4,6 +4,7 @@ import csv
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,33 @@ def test_aggregate_rejections():
             aggregate([_report("c1", areas)])
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("rgm_nauc", True), ("rgm_nauc", "0.25"), ("rgm_nauc", math.inf),
+    ("rgm_nauc", math.nan), ("rgm_nauc", 1.5), ("rgm_nauc", -0.1),
+    ("gap_count_mean", "3"), ("gap_count_mean", -1.0),
+    ("gap_length_mm_mean", math.inf), ("labels", [True, 2.5]),
+    ("labels", [-1]), ("labels", "12"), ("status", "done"),
+    ("strategy", "mixed"), ("midpoint_region", 2.7),
+    ("midpoint_region", -1), ("midpoint_region", True), ("length_mm", "5"),
+    ("length_mm", -5.0), ("factor", True),
+])
+def test_aggregate_refuses_a_report_value_off_the_input_rule(field, bad):
+    # numbers are finite and never a bool or a string, rgm_nauc lies in
+    # [0, 1], lengths and counts are >= 0, labels and regions are counts
+    area = _area(0.2, gaps=((4.0, 1),))
+    if field in ("length_mm", "midpoint_region"):
+        area["per_threshold"][1]["gaps"][0][field] = bad
+    elif field == "factor":
+        area["per_threshold"][0][field] = bad
+    else:
+        area[field] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^malformed gap report 'c1': "
+                           f"area 'A' {field} must be"):
+            aggregate([_report("c1", {"A": area})])
+
+
 def test_aggregate_skips_failed_areas():
     reports = [_report("c1", {"A": _area(0.2), "B": _failed_area(
                    labels=(5, 6))}),
@@ -279,7 +307,7 @@ def test_one_vs_rest_pools_other_independents():
             "A": _area(a_vals[i]),
             "B": _area(b_vals[i], labels=(3, 4)),
             "C": _area(c_vals[i], labels=(5, 6)),
-            "J": _area(9.9, strategy="joint", labels=(7, 8)),
+            "J": _area(0.99, strategy="joint", labels=(7, 8)),
         }))
     table = aggregate(reports)
     res = one_vs_rest(table, "A")

@@ -272,9 +272,46 @@ def test_link_to_an_unreachable_vertex_raises():
     with pytest.raises(TopologyError,
                        match="^vertex 20 is unreachable from the sources$"):
         _link(mesh, 3, 20)
-    ids, pts, length = _link(mesh, 3, 3)
-    assert ids.tolist() == [3] and length == 0.0
-    assert np.array_equal(pts, mesh.vertices[[3]])
+    point = _link(mesh, 3, 3)
+    assert point.vertex_ids.tolist() == [3] and point.length == 0.0
+    assert np.array_equal(point.points, mesh.vertices[[3]])
+
+
+@pytest.mark.parametrize("spec, scar_crossing", [
+    (PhantomSpec(keep_fraction=0.6, patchiness=3, seed=5), None),
+    (PhantomSpec(keep_fraction=0.75, patchiness=4, taper=(2.5, 9.0)), None),
+    (PhantomSpec(base_shape="two-hole-plate", keep_fraction=0.75,
+                 patchiness=2), None),
+    (PhantomSpec(keep_fraction=0.5), True),
+    (PhantomSpec(removed_intervals=((0.5 * math.pi, math.pi),)), False),
+    (PhantomSpec(keep_fraction=0.0), False),
+], ids=["patchy", "tapered", "plate", "scar-crossing", "healthy-crossing",
+        "no-patch"])
+def test_encircling_path_is_one_connected_loop(spec, scar_crossing):
+    mesh, config, _ = make_phantom(spec)
+    opened = open_area(build_search_area(mesh, config.areas[0]))
+    for factor in (2.0, 3.3, 5.0):
+        mask = threshold_mask(opened.mesh.intensity, spec.blood_pool_mean,
+                              spec.blood_pool_sd, factor)
+        graph = build_graph(opened, mask)
+        path = min_gap_path(graph)
+        kinds = [kind for kind, _ids in path.segment_ids]
+        seq = path.node_sequence
+        assert kinds == (["stub"] + ["link", "gap"] * (len(seq) - 1)
+                         + ["link", "stub"] if seq else ["gap"])
+        # each gap leaves the patch it follows for the next one
+        gaps = [ids for kind, ids in path.segment_ids if kind == "gap"]
+        for ids, a, b in zip(gaps, seq, seq[1:]):
+            assert graph.patches.labels[ids[[0, -1]]].tolist() == [a, b]
+        if scar_crossing is not None:
+            assert bool(mask[path.crossing_pair[0]]) == scar_crossing
+        pieces = [ids.tolist() for _kind, ids in path.segment_ids]
+        assert pieces[0][0] == path.crossing_pair[0]
+        assert pieces[-1][-1] == path.crossing_pair[1]
+        for prev, nxt in zip(pieces, pieces[1:]):
+            assert nxt[0] == prev[-1]
+        assert path.gap_length + path.non_gap_length == pytest.approx(
+            path.total_length, rel=1e-12)
 
 
 def test_full_scar_ring_has_no_gaps():

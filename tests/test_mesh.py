@@ -503,8 +503,10 @@ def test_load_mesh_rejects_garbage(tmp_path):
         assert old in text
         bad = tmp_path / "count.vtk"
         bad.write_text(text.replace(old, new))
-        with pytest.raises(MeshFormatError):
+        with pytest.raises(MeshFormatError) as info:
             load_mesh(bad)
+        # parser and constructor errors alike name the file, once
+        assert str(info.value).count(str(bad)) == 1
         assert main(["quantify", "--mesh", str(bad), "--bp-mean", "100",
                      "--bp-sd", "10",
                      "--out", str(tmp_path / "r.json")]) == 2

@@ -47,9 +47,15 @@ def test_config_round_trip():
     {"vein_seeds": [0, 0]},
     {"extra_key": 1},
 ])
-def test_config_rejects_invalid_areas(bad):
+def test_config_rejects_invalid_areas(bad, tmp_path):
     with pytest.raises(ConfigError):
         config_from_dict(_area_dict(**bad))
+    # read from a file, the error names the file once
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_area_dict(**bad)))
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value).count(str(p)) == 1
 
 
 @pytest.mark.parametrize("key, value, ints", [

@@ -158,10 +158,14 @@ def test_volume_loader_rejects_corruption(tmp_path):
     raw = p.read_bytes()
     assert b"dims 2 2 4\n" in raw
     save_mesh(plane_grid(3, 3), tmp_path / "m.vtk")
-    for dims in (b"-2 -2 4", b"-4 2 -2"):
-        (tmp_path / "neg.svol").write_bytes(raw.replace(b"2 2 4", dims, 1))
-        with pytest.raises(VolumeFormatError):
+    for old, new in ((b"2 2 4", b"-2 -2 4"), (b"2 2 4", b"-4 2 -2"),
+                     (b"spacing 1 1 1", b"spacing nan 0.5 1")):
+        assert old in raw
+        (tmp_path / "neg.svol").write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(VolumeFormatError) as info:
             load_volume(tmp_path / "neg.svol")
+        # parser and constructor errors alike name the file, once
+        assert str(info.value).count(str(tmp_path / "neg.svol")) == 1
         # a format error, so exit 2
         assert main(["project", "--mesh", str(tmp_path / "m.vtk"),
                      "--volume", str(tmp_path / "neg.svol"),

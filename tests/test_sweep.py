@@ -439,8 +439,12 @@ def test_write_and_load_report(disk_case, tmp_path):
     assert on_disk == _round6(case_report(case))
     assert load_report(path) == on_disk
     (tmp_path / "other.json").write_text(json.dumps({"format": "nope"}))
-    with pytest.raises(ConfigError):
-        load_report(tmp_path / "other.json")
+    (tmp_path / "syntax.json").write_text('{"format": "gap-report 1",\n}')
+    (tmp_path / "bytes.json").write_bytes(b'{"format": "\xff"}')
+    for name in ("other.json", "syntax.json", "bytes.json"):
+        with pytest.raises(ConfigError) as info:
+            load_report(tmp_path / name)
+        assert str(info.value).count(str(tmp_path / name)) == 1
     # reports are strict JSON: a NaN is refused before anything is written
     bad = CaseResult(mesh_name="m", factors=(2.0, 3.3), ref_factor=3.3,
                      bp_mean=100.0, bp_sd=math.nan, areas=(), veins=())
