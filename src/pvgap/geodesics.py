@@ -62,7 +62,19 @@ sweep count; every other step is elementwise, reading and writing only the
 field's own values. So a field's bits are those of
 the same transform run alone, by construction rather than by replay: the
 batch only shares the per-sweep numpy call overhead, which dominates on
-fronts of a few dozen vertices.
+fronts of a few dozen vertices. A lone field (K = 1: every route link,
+every no-scar loop field) skips the batch bookkeeping: its bucket minimum
+and cap are single values and its vertex ids need no offset. That is what
+the batch arithmetic gives for one field, whose offset is 0.
+
+The pending set is kept as an index list, so that a sweep costs in
+proportion to its front rather than to K*n: the vertices the sweep
+deferred, then its improved targets that were not pending yet, each once.
+Its order cannot change a bit. The list is only ever used as a set (the
+expanded vertices are marked, the dropped ones unmarked) or to scatter a
+minimum, and a minimum does not depend on the order it is taken in; the
+values are never NaN, since a triangle update is made only from finite
+supports and an edge relaxation from an unreached one is +inf.
 
 A point-to-point transform (`geodesic_path`) runs the same sweeps but,
 after each one, drops the pending vertices whose dist is not below the
@@ -113,7 +125,7 @@ corner q = r*m + t is vertex r of triangle t, and the triangle's next two
 vertices are its supports A and B. Every per-corner table is one flat array
 of length 3m in this order. Vertex v's incidences are ptr[v]:ptr[v + 1] of
 a CSR over `triangles.ravel()`; for each, qa and qb hold the corner of that
-triangle where v is support A or B.
+triangle where v is support A or B, and qbA the support A of corner qb.
 
 A field holds distances only. Polylines are traced from them on demand by
 steepest descent along edges: from vertex v, step to the neighbour u with
@@ -140,7 +152,8 @@ LIMIT_CADENCE = 8  # sweeps between two calls of a batch's limit hook
 def _corner_tables(mesh: SurfaceMesh) -> dict:
     """Flat per-corner geometry of the wavefront update, the sweeps' bucket
     width delta and the vertex -> triangle incidence CSR: ptr, and for each
-    incidence the corners qa and qb where its vertex is support A or B."""
+    incidence the corners qa and qb where its vertex is support A or B, and
+    qbA, support A of corner qb."""
     cached = _TABLES.get(mesh)
     if cached is not None:
         return cached
@@ -162,30 +175,42 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     # incidence j of the CSR is vertex r of triangle tri; that vertex is
     # support A of the triangle's corner r - 1 and support B of corner r + 1
     tri, r = np.divmod(np.argsort(corners, kind="stable"), 3)
+    qb = (r + 1) % 3 * m + tri
     out = {"C": C, "A": A, "B": B, "la": la, "lb": lb, "cos": cos,
            "sin2": 1.0 - cos * cos,
            "csq": np.einsum("ij,ij->i", ea - eb, ea - eb),
-           "ptr": ptr, "qa": (r + 2) % 3 * m + tri,
-           "qb": (r + 1) % 3 * m + tri,
+           "ptr": ptr, "qa": (r + 2) % 3 * m + tri, "qb": qb, "qbA": A[qb],
            "delta": 4.0 * np.median(mesh.adjacency.data)}
     _TABLES[mesh] = out
     return out
 
 
-def _proposals(tab: dict, dist: np.ndarray, q: np.ndarray, base):
-    """(targets, values) of the updates at corners q that lower dist; a
-    target vertex may repeat. base offsets each corner's vertex ids into
-    its field's part of a flat batch (see `_sweep`), as do the targets."""
-    C = tab["C"][q] + base
+def _proposals(tab: dict, dist: np.ndarray, q: np.ndarray, base=None):
+    """(targets, values): for each corner of q whose least update (edge
+    relaxation from A or B, triangle update) lowers dist, its vertex C and
+    that value; a target vertex may repeat. base, if given, offsets each
+    corner's vertex ids into its field's part of a flat batch (see
+    `_sweep`), as it does the targets."""
+    C, A, B = tab["C"][q], tab["A"][q], tab["B"][q]
+    if base is not None:
+        C += base
+        A += base
+        B += base
     la = tab["la"][q]
     lb = tab["lb"][q]
-    dA = dist[tab["A"][q] + base]
-    dB = dist[tab["B"][q] + base]
+    dA = dist[A]
+    dB = dist[B]
     dC = dist[C]
+    # the corner's three updates all propose a value for its vertex C, so
+    # only their least counts; edge relaxations from unreached supports give
+    # inf and drop out below
+    best = np.minimum(dA + la, dB + lb)
     # a valid triangle update is never below its farther support (t > u,
     # and u = dhi - dlo rounded to nearest), so only corners whose supports
-    # are both closer than C need it; both are then finite, too
+    # are both closer than C need it; both are then finite, too, and so is
+    # every operand below (csq > 0 on a checked mesh)
     idx = np.flatnonzero(np.maximum(dA, dB) < dC)
+    qi = q[idx]
     dlo = dA[idx]
     dhi = dB[idx]
     llo = la[idx]
@@ -196,26 +221,23 @@ def _proposals(tab: dict, dist: np.ndarray, q: np.ndarray, base):
     b = np.where(sw, lhi, llo)  # edge to the earlier support
     a = np.where(sw, llo, lhi)  # edge to the later support
     u = dhi2 - dlo2
-    cos = tab["cos"][q[idx]]
-    sin2 = tab["sin2"][q[idx]]
-    csq = tab["csq"][q[idx]]
+    cos = tab["cos"][qi]
+    sin2 = tab["sin2"][qi]
+    csq = tab["csq"][qi]
     Bq = 2.0 * b * u * (a * cos - b)
     Cq = b * b * (u * u - a * a * sin2)
     disc = Bq * Bq - 4.0 * csq * Cq
     ok = disc >= 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = (-Bq + np.sqrt(np.where(ok, disc, 0.0))) / (2.0 * csq)
-        valid = ok & (u < t)
-        valid &= a * cos * t < b * (t - u)
-        # front must leave through the opposite edge; obtuse corners
-        # (cos < 0) are rejected and fall back to edge updates
-        valid &= np.where(cos > 0.0, b * (t - u) * cos < a * t, cos == 0.0)
+    t = (-Bq + np.sqrt(np.where(ok, disc, 0.0))) / (2.0 * csq)
+    valid = ok & (u < t)
+    valid &= a * cos * t < b * (t - u)
+    # front must leave through the opposite edge; obtuse corners
+    # (cos < 0) are rejected and fall back to edge updates
+    valid &= np.where(cos > 0.0, b * (t - u) * cos < a * t, cos == 0.0)
     idx = idx[valid]
-    # edge relaxations from unreached supports give inf and drop out here
-    targets = np.concatenate([C, C, C[idx]])
-    values = np.concatenate([dA + la, dB + lb, dlo2[valid] + t[valid]])
-    lower = values < np.concatenate([dC, dC, dC[idx]])
-    return targets[lower], values[lower]
+    best[idx] = np.minimum(best[idx], dlo2[valid] + t[valid])
+    lower = best < dC
+    return C[lower], best[lower]
 
 
 @dataclass(frozen=True)
@@ -276,16 +298,20 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
     docstring). At most one of targets and limit is given."""
     n = mesh.n_vertices
     tab = _corner_tables(mesh)
-    ptr, qa, qb, delta = tab["ptr"], tab["qa"], tab["qb"], tab["delta"]
+    ptr, qa, qb, qbA = tab["ptr"], tab["qa"], tab["qb"], tab["qbA"]
+    delta = tab["delta"]
 
-    # field k's vertex v is k*n + v
+    # field k's vertex v is k*n + v; a lone field needs no offsets and has
+    # one bucket minimum
     k = len(srcs)
+    one = k == 1
     pending = np.concatenate([s + f * n for f, s in enumerate(srcs)])
     dist = np.full(k * n, np.inf)
     dist[pending] = 0.0
-    queued = np.zeros(k * n, dtype=bool)  # improved and not yet expanded
+    queued = np.zeros(k * n, dtype=bool)  # marks the pending list
     queued[pending] = True
     act = np.zeros(k * n, dtype=bool)  # expanded in this sweep
+    slot = np.empty(k * n, dtype=np.int32)  # de-duplicates a sweep's targets
     if targets is not None:
         targets = np.asarray(targets, dtype=np.int64) + np.arange(k) * n
     # a pending vertex at or above its field's cap is dropped
@@ -293,6 +319,7 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
     sweeps = np.zeros(k, dtype=np.int64)
     max_sweeps = 6 * n + 64
     it = 0
+    d = dist[pending]
     while pending.size:
         it += 1
         if it > max_sweeps:
@@ -300,36 +327,51 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
         # expand each field's pending vertices within delta of its lowest;
         # a field sweeps while it has any, so a field's last live sweep is
         # its own count
-        field = pending // n
-        d = dist[pending]
-        top = np.full(k, np.inf)
-        np.minimum.at(top, field, d)
-        sweeps[top < np.inf] = it
-        keep = d <= (top + delta)[field]
-        active = pending[keep]
+        if one:
+            sweeps[0] = it
+            keep = d <= d.min() + delta
+            vert = active = pending[keep]
+        else:
+            field = pending // n
+            top = np.full(k, np.inf)
+            np.minimum.at(top, field, d)
+            sweeps[top < np.inf] = it
+            keep = d <= (top + delta)[field]
+            active = pending[keep]
+            field = field[keep]
+            vert = active - field * n
+        pending = pending[~keep]
         queued[active] = False
-        field = field[keep]
-        vert = active - field * n
         lo = ptr[vert]
         cnt = ptr[vert + 1] - lo
         ends = np.cumsum(cnt)
         pos = np.repeat(lo + cnt - ends, cnt) + np.arange(ends[-1])
-        base = np.repeat(field * n, cnt)
         # each corner with an expanded support, once: where the vertex is
         # support A, or support B while A was not expanded; the other
         # corners propose nothing (module docstring)
         q_b = qb[pos]
+        sup = qbA[pos]
+        if not one:
+            base = np.repeat(field * n, cnt)
+            sup += base
         act[active] = True
-        fresh = ~act[tab["A"][q_b] + base]
+        fresh = ~act[sup]
         act[active] = False
         tgt, val = _proposals(tab, dist, np.concatenate([qa[pos], q_b[fresh]]),
+                              None if one else
                               np.concatenate([base, base[fresh]]))
         # every proposal is below its target's dist as it stood before this
         # sweep, so each target improves to the least of its proposals:
         # scattering them straight into dist is exact
         np.minimum.at(dist, tgt, val)
+        # the improved targets not yet pending join the list, once each
+        tgt = tgt[~queued[tgt]]
+        j = np.arange(tgt.size, dtype=np.int32)
+        slot[tgt] = j
+        tgt = tgt[slot[tgt] == j]
         queued[tgt] = True
-        pending = np.flatnonzero(queued)
+        pending = np.concatenate([pending, tgt])
+        d = dist[pending]
         if cap is None:
             continue
         if targets is not None:
@@ -337,9 +379,11 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
         elif it % LIMIT_CADENCE == 0:
             # drop only what lies strictly above the bound
             cap = np.nextafter(limit(dist.reshape(k, n)), np.inf)
-        far = dist[pending] >= cap[pending // n]
+        far = d >= (cap if one else cap[pending // n])
         queued[pending[far]] = False
-        pending = pending[~far]
+        near = ~far
+        pending = pending[near]
+        d = d[near]
     return dist.reshape(k, n), sweeps
 
 

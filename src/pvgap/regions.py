@@ -165,11 +165,15 @@ def config_to_dict(config: RegionConfig) -> dict:
 
 
 def load_config(path) -> RegionConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    """The region config in JSON file path. An unreadable file raises the
+    OSError, which names the path; text that is not JSON, or a config that
+    breaks `config_from_dict`'s rules, raises ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read region config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cannot read region config {path}: {exc}") \
+                from exc
     with in_file(path):
         return config_from_dict(data)
 

@@ -15,8 +15,7 @@ from pvgap.mesh import SurfaceMesh, load_mesh, save_mesh
 from pvgap.synth import TWO_PI, PhantomSpec, expected_rgm
 
 THRESH = "2,3.3,4"
-GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / \
-    "tapered_patchy_report.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -163,19 +162,28 @@ def test_blood_pool_from_mask_volume(workdir, tmp_path, monkeypatch):
     assert abs(got - want) < 0.05
 
 
-def test_tapered_patchy_report_matches_the_golden_file(tmp_path):
+@pytest.mark.parametrize("synth_args, golden", [
     # six scar patches that change at every default factor, so each factor
-    # runs new whole-mesh patch fields; the expected report was written by
-    # an earlier kernel schedule, and any change that moves a report byte
-    # (an ulp that flips a 6-digit rounding, a different path) fails here
+    # runs new whole-mesh patch fields
+    (["--keep", "0.75", "--patchiness", "4", "--edge", "0.5",
+      "--taper", "2.5,9"], "tapered_patchy_report.json"),
+    # no patch: the loop is a multi-source whole field plus bounded
+    # single-source transforms
+    (["--keep", "0", "--edge", "0.5"], "disk_keep0_report.json"),
+    # one patch, whose route link runs the whole loop
+    (["--keep", "1", "--edge", "0.5"], "disk_keep1_report.json"),
+], ids=["tapered-patchy", "disk-keep0", "disk-keep1"])
+def test_report_matches_the_golden_file(synth_args, golden, tmp_path):
+    # the expected reports were written by earlier kernel schedules, and any
+    # change that moves a report byte (an ulp that flips a rounding, a
+    # different path) fails here
     ph = tmp_path / "ph"
-    assert main(["synth", "--keep", "0.75", "--patchiness", "4",
-                 "--edge", "0.5", "--taper", "2.5,9", "--out", str(ph)]) == 0
+    assert main(["synth"] + synth_args + ["--out", str(ph)]) == 0
     out = tmp_path / "report.json"
     assert main(["quantify", "--mesh", str(ph / "mesh.vtk"),
                  "--config", str(ph / "regions.cfg"),
                  "--bp-mean", "100", "--bp-sd", "10", "--out", str(out)]) == 0
-    assert out.read_bytes() == GOLDEN_REPORT.read_bytes()
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_annotated_mesh_output(workdir, tmp_path):
@@ -324,6 +332,16 @@ def test_io_errors_exit_2(workdir, tmp_path, capsys):
                  str(tmp_path / "r.json")] + bp) == 2
     assert main(["cohort", "--reports", str(tmp_path / "void.json"),
                  "--out", str(tmp_path / "c")]) == 2
+    assert main(["quantify", "--mesh", str(ph / "mesh.vtk"), "--config",
+                 str(tmp_path / "none.cfg"), "--out",
+                 str(tmp_path / "r.json")] + bp) == 2
+    assert "none.cfg" in capsys.readouterr().err
+    # a config that is not JSON is a configuration error, not an I/O one
+    broken = tmp_path / "broken.cfg"
+    broken.write_text("{")
+    assert main(["quantify", "--mesh", str(ph / "mesh.vtk"), "--config",
+                 str(broken), "--out", str(tmp_path / "r.json")] + bp) == 1
+    assert not (tmp_path / "r.json").exists()
     capsys.readouterr()
 
 

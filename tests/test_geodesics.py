@@ -431,11 +431,13 @@ def test_determinism_same_inputs_same_bits():
     assert f1.sweeps >= 1 and f1.sweeps == f2.sweeps
 
 
-@pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
+@pytest.mark.parametrize("case", ["sphere", "jittered-grid", "two-fields"])
 def test_bounded_transform_is_exact_below_its_target(case):
     # a transform pruned at dist[target] must give the full transform's bits
     # wherever either is below that bound, hence the same target distance and
-    # the same descent, vertex for vertex
+    # the same descent, vertex for vertex; two-fields also runs each bounded
+    # transform next to another in a K = 2 batch, which takes the kernel's
+    # offset path rather than its one-field path
     if case == "sphere":
         mesh = icosphere(subdivisions=3, radius=10.0)
     else:
@@ -450,6 +452,16 @@ def test_bounded_transform_is_exact_below_its_target(case):
                 continue
             bound = field.dist[dst]
             bounded = _sweep(mesh, [np.asarray([src])], [dst])[0][0]
+            if case == "two-fields":
+                # the second field runs to dst from another source
+                src2 = (src + 3 * dst) % mesh.n_vertices
+                pair = _sweep(mesh, [np.asarray([src]), np.asarray([src2])],
+                              [dst, dst])[0]
+                alone = _sweep(mesh, [np.asarray([src2])], [dst])[0][0]
+                cut = alone[dst]
+                assert (np.minimum(pair[1], cut).tobytes()
+                        == np.minimum(alone, cut).tobytes()), (src2, dst)
+                bounded = pair[0]
             assert (np.minimum(bounded, bound).tobytes()
                     == np.minimum(field.dist, bound).tobytes()), (src, dst)
             pruned += not np.array_equal(bounded, field.dist)
