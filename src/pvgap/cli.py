@@ -17,7 +17,7 @@ from . import cohort as cohort_mod
 from . import sweep
 from .errors import (AreaError, ConfigError, MeshFormatError, TopologyError,
                      VolumeFormatError)
-from .mesh import SurfaceMesh, load_mesh, save_mesh, write_atomic
+from .mesh import load_mesh, save_mesh, write_atomic
 from .regions import default_config, load_config, save_config
 from .scar import (THRESHOLD_FACTORS, blood_pool_stats, load_volume,
                    mip_project, save_volume)
@@ -39,12 +39,6 @@ def _parse_thresholds(text: str) -> tuple:
         raise ConfigError(f"--thresholds: {e}") from None
 
 
-def _with_intensity(mesh: SurfaceMesh, values) -> SurfaceMesh:
-    return SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
-                       intensity=values, region=mesh.region, name=mesh.name,
-                       point_data=mesh.point_data)
-
-
 def _load_intensity_source(args) -> tuple:
     """(mesh, volume): the per-vertex intensity is the embedded attribute or
     a projection from --volume, never both; volume is None without it."""
@@ -54,7 +48,7 @@ def _load_intensity_source(args) -> tuple:
             raise ConfigError("mesh already carries intensity values; "
                               "drop --volume or strip the attribute")
         volume = load_volume(args.volume)
-        return _with_intensity(mesh, mip_project(mesh, volume)), volume
+        return mesh.with_intensity(mip_project(mesh, volume)), volume
     if mesh.intensity is None:
         raise ConfigError("mesh has no intensity attribute; supply --volume")
     return mesh, None
@@ -85,7 +79,7 @@ def cmd_project(args) -> int:
     mesh = load_mesh(args.mesh)
     volume = load_volume(args.volume)
     projected = mip_project(mesh, volume)
-    save_mesh(_with_intensity(mesh, projected), args.out)
+    save_mesh(mesh.with_intensity(projected), args.out)
     if args.verbose:
         _err(f"projected {mesh.n_vertices} vertices -> {args.out}")
     return 0

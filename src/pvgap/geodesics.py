@@ -147,6 +147,10 @@ from .mesh import SurfaceMesh, checked_ids
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 LIMIT_CADENCE = 8  # sweeps between two calls of a batch's limit hook
+# corners per block of `_corner_tables`' geometry: whole-mesh (3m, 3)
+# temporaries (5.4 MB each at 38k vertices) added ~12 MB to the peak, one
+# block's take ~100 kB each
+_CORNER_BLOCK = 4096
 
 
 def _corner_tables(mesh: SurfaceMesh) -> dict:
@@ -162,11 +166,19 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     C = t.T.ravel()
     A = t[:, [1, 2, 0]].T.ravel()
     B = t[:, [2, 0, 1]].T.ravel()
-    ea = v[A] - v[C]
-    eb = v[B] - v[C]
-    la = np.linalg.norm(ea, axis=1)
-    lb = np.linalg.norm(eb, axis=1)
-    cos = np.einsum("ij,ij->i", ea, eb) / (la * lb)
+    la, lb, cos, csq = (np.empty(len(C)) for _ in range(4))
+    # each corner's geometry is computed on its own, so blocks give the
+    # same bits as one pass over all corners
+    for lo in range(0, len(C), _CORNER_BLOCK):
+        s = slice(lo, lo + _CORNER_BLOCK)
+        vc = v[C[s]]
+        ea = v[A[s]] - vc
+        eb = v[B[s]] - vc
+        la[s] = np.linalg.norm(ea, axis=1)
+        lb[s] = np.linalg.norm(eb, axis=1)
+        cos[s] = np.einsum("ij,ij->i", ea, eb) / (la[s] * lb[s])
+        ea -= eb
+        csq[s] = np.einsum("ij,ij->i", ea, ea)
     np.clip(cos, -1.0, 1.0, out=cos)
     m = mesh.n_triangles
     corners = t.ravel()
@@ -177,8 +189,7 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     tri, r = np.divmod(np.argsort(corners, kind="stable"), 3)
     qb = (r + 1) % 3 * m + tri
     out = {"C": C, "A": A, "B": B, "la": la, "lb": lb, "cos": cos,
-           "sin2": 1.0 - cos * cos,
-           "csq": np.einsum("ij,ij->i", ea - eb, ea - eb),
+           "sin2": 1.0 - cos * cos, "csq": csq,
            "ptr": ptr, "qa": (r + 2) % 3 * m + tri, "qb": qb, "qbA": A[qb],
            "delta": 4.0 * np.median(mesh.adjacency.data)}
     _TABLES[mesh] = out

@@ -27,6 +27,7 @@ paths run a heap Dijkstra over the CSR rows.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import re
 from dataclasses import dataclass
@@ -46,6 +47,15 @@ _FMT = "%.9g"
 _HEADER = re.compile(r"(?:[^\n\v\f\x1c-\x1e]*[\n\v\f\x1c-\x1e]){4}")
 # An array name is one body token: printable ASCII without whitespace.
 _TOKEN = re.compile(r"[!-~]+")
+# Whitespace as str.split() sees it (within ASCII the two agree).
+_SPACE = re.compile(r"\s")
+# The body is split into tokens about this many characters at a time: one
+# chunk's tokens are a few thousand Python strings, where those of a whole
+# 38k-vertex mesh (452k tokens) took ~30 MB.
+_TOKEN_CHUNK = 1 << 16
+# Rows formatted by one `%` call when writing a mesh: the call holds one
+# Python number per value of its rows.
+_SAVE_BLOCK = 4096
 
 
 def is_token(name: str) -> bool:
@@ -109,10 +119,7 @@ class SurfaceMesh:
         self.vertices = _lock(v)
         self.triangles = _lock(t)
         self.name = str(name)
-        self.intensity = self._checked(intensity, np.float64, "intensity")
-        # -inf is legal: it marks a vertex with no in-volume sample
-        if self.intensity is not None and np.isnan(self.intensity).any():
-            raise MeshFormatError("intensity contains NaN")
+        self.intensity = self._checked_intensity(intensity)
         self.region = self._checked(region, np.int64, "region")
         self.point_data = {}
         for key, (arr, kind) in (point_data or {}).items():
@@ -132,6 +139,21 @@ class SurfaceMesh:
             raise AttributeLengthError(
                 f"{label} has length {out.shape}, expected ({len(self.vertices)},)")
         return _lock(out)
+
+    def _checked_intensity(self, intensity):
+        out = self._checked(intensity, np.float64, "intensity")
+        # -inf is legal: it marks a vertex with no in-volume sample
+        if out is not None and np.isnan(out).any():
+            raise MeshFormatError("intensity contains NaN")
+        return out
+
+    def with_intensity(self, intensity) -> SurfaceMesh:
+        """This mesh with `intensity` in place of its own. Every other array
+        and the connectivity derived so far are shared, not rebuilt."""
+        out = copy.copy(self)
+        out.intensity = self._checked_intensity(intensity)
+        out.point_data = dict(self.point_data)
+        return out
 
     def derive(self, parent, triangles, name=None) -> SurfaceMesh:
         """The mesh on `triangles` whose vertex i is this mesh's vertex
@@ -519,7 +541,9 @@ def load_mesh(path) -> SurfaceMesh:
     in VTK's own reader: POINTS / POLYGONS with triangle cells, then
     optional POINT_DATA with SCALARS arrays, each with a named LOOKUP_TABLE.
     'intensity' (float) and 'region' (int) are mapped to the corresponding
-    mesh attributes; other scalars land in point_data.
+    mesh attributes; other scalars land in point_data. The stream is split
+    a chunk at a time (`_token_chunks`), so a large body is never held as
+    one list of tokens.
     """
     path = Path(path)
     try:
@@ -537,22 +561,41 @@ def load_mesh(path) -> SurfaceMesh:
         raise MeshFormatError(f"{path}: only ASCII encoding is supported")
     if lines[3].split() != ["DATASET", "POLYDATA"]:
         raise MeshFormatError(f"{path}: expected DATASET POLYDATA")
-    tokens = text[head.end():].split()
-    pos = 0
+    chunks = _token_chunks(text, head.end())
+    tokens, pos = [], 0  # the current chunk's tokens, the next one's index
+
+    def more():
+        """True if a token is left, reading chunks as needed."""
+        nonlocal tokens, pos
+        while pos == len(tokens):
+            chunk = next(chunks, None)
+            if chunk is None:
+                return False
+            tokens, pos = chunk, 0
+        return True
 
     def take(count, dtype=None):
-        """The next `count` tokens: a list, or one array cast to dtype."""
+        """The next `count` tokens: a list, or one array cast to dtype. Too
+        few tokens is reported before a bad value, as in one whole read."""
         nonlocal pos
-        if pos + count > len(tokens):
-            raise MeshFormatError(f"{path}: unexpected end of file")
-        block = tokens[pos:pos + count]
-        pos += count
-        if dtype is None:
-            return block
-        try:
-            return np.array(block, dtype=dtype)
-        except (ValueError, OverflowError):
-            raise MeshFormatError(f"{path}: bad numeric value") from None
+        out = [] if dtype is None else np.empty(count, dtype=dtype)
+        got, bad = 0, False
+        while got < count:
+            if not more():
+                raise MeshFormatError(f"{path}: unexpected end of file")
+            piece = tokens[pos:pos + count - got]
+            pos += len(piece)
+            if dtype is None:
+                out += piece
+            elif not bad:
+                try:
+                    out[got:got + len(piece)] = np.array(piece, dtype=dtype)
+                except (ValueError, OverflowError):
+                    bad = True
+            got += len(piece)
+        if bad:
+            raise MeshFormatError(f"{path}: bad numeric value")
+        return out
 
     def parse_count(token):
         if not token.isdigit():
@@ -562,7 +605,7 @@ def load_mesh(path) -> SurfaceMesh:
     verts = tris = None
     n_points = 0
     scalars = {}
-    while pos < len(tokens):
+    while more():
         key = take(1)[0].upper()
         if key == "POINTS":
             n_points = parse_count(take(2)[0])  # the value type is ignored
@@ -615,9 +658,23 @@ def load_mesh(path) -> SurfaceMesh:
     return mesh
 
 
+def _token_chunks(text: str, start: int):
+    """str.split() of text[start:], as successive lists of the tokens of
+    about _TOKEN_CHUNK characters each, every cut made at whitespace."""
+    while start < len(text):
+        cut = _SPACE.search(text, start + _TOKEN_CHUNK)
+        end = cut.start() if cut else len(text)
+        yield text[start:end].split()
+        start = end
+
+
 def _block(values: np.ndarray, row: str) -> str:
-    """One line per row of `values`, all rendered by a single `%` call."""
-    return ((row + "\n") * len(values)) % tuple(values.ravel().tolist())
+    """One line per row of `values`; each _SAVE_BLOCK rows are rendered by
+    one `%` call."""
+    line = row + "\n"
+    return "".join((line * len(rows)) % tuple(rows.ravel().tolist())
+                   for rows in (values[lo:lo + _SAVE_BLOCK]
+                                for lo in range(0, len(values), _SAVE_BLOCK)))
 
 
 def save_mesh(mesh: SurfaceMesh, path) -> None:

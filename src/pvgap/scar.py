@@ -4,10 +4,13 @@ Late-enhancement intensity lives in a regular scalar volume; the mesh is a
 wall segmentation. Each vertex samples the volume along its outward normal
 within a fixed reach on both sides and keeps the maximum (a normal-line
 maximum-intensity projection), so the projected value is robust to small
-registration offsets between wall and image. Samples are trilinear, an
-order-1 `scipy.ndimage.map_coordinates` imported on the first projection.
-Sample points outside the volume are skipped; a vertex with no in-volume
-sample projects to -inf, which no threshold can classify as scar.
+registration offsets between wall and image. Samples are trilinear, a
+numpy eight-corner sum with the arithmetic of an order-1
+`scipy.ndimage.map_coordinates` (see `_sample_trilinear`), so projection
+needs no scipy. Vertices are sampled in fixed blocks that bound the
+temporaries. Sample points outside the volume are skipped; a vertex with
+no in-volume sample projects to -inf, which no threshold can classify as
+scar.
 
 Scar masks come from blood-pool statistics: a vertex is scar at factor k
 when its projection strictly exceeds mean + k * sd. Masks are nested by
@@ -16,6 +19,7 @@ construction: raising k can only shrink them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,9 +32,10 @@ THRESHOLD_FACTORS = (2.0, 3.3, 4.0, 5.0, 6.0)
 
 MIP_REACH_MM = 3.0
 MIP_STEP_MM = 0.2
-# vertices sampled per block: the samples of one block take a few MB, where
-# those of a 38k-vertex mesh at once took ~80 MB of temporaries
-_MIP_BLOCK = 4096
+# vertices sampled per block: the temporaries of one block (31 samples per
+# vertex) stay within a few hundred kB each, so they are served from cache
+# and a freed block's memory is reused by the next
+_MIP_BLOCK = 1024
 
 _MAGIC = "scalar-volume 1"
 _FMT = "%.9g"
@@ -117,11 +122,11 @@ def load_volume(path) -> ScalarVolume:
     if min(nx, ny, nz) < 1:
         raise VolumeFormatError(f"{path}: dims {nx} {ny} {nz} must be positive")
     count = nx * ny * nz
-    payload = raw[pos:]
-    if len(payload) != 4 * count:
+    if len(raw) - pos != 4 * count:
         raise VolumeFormatError(f"{path}: expected {4 * count} data bytes,"
-                                f" found {len(payload)}")
-    vals = np.frombuffer(payload, dtype="<f4").reshape(nz, ny, nx)
+                                f" found {len(raw) - pos}")
+    # a view of the file's bytes: the payload is not copied
+    vals = np.frombuffer(raw, dtype="<f4", offset=pos).reshape(nz, ny, nx)
     with in_file(path):
         return ScalarVolume(values=vals, spacing=spacing, origin=origin,
                             direction=np.asarray(dirv).reshape(3, 3))
@@ -179,17 +184,37 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
 
 
 def _sample_trilinear(volume: ScalarVolume, pts: np.ndarray):
-    """Values and validity of world-space points; invalid = outside grid."""
-    # imported here: it loads scipy.special, and only projection needs it
-    from scipy import ndimage
+    """Values and validity of world-space points; invalid = outside grid.
+
+    The arithmetic is that of `scipy.ndimage.map_coordinates(order=1,
+    mode="nearest", prefilter=False)`, to the bit: per axis the fraction is
+    x = c - floor(c) with weights w0 = 1 - x and w1 = 1 - w0, each corner
+    term is ((v * wz) * wy) * wx in float64, and the eight terms are summed
+    from 0.0 in z, y, x corner order, x fastest. The upper corner index is
+    clamped to n - 1, as mode "nearest" clamps it, so a sample on a top face
+    (c = n - 1, w1 = 0) reads the same voxels as there.
+    """
     rel = (pts - np.asarray(volume.origin)) @ volume.direction
-    idx = rel / np.asarray(volume.spacing)
-    nx, ny, nz = volume.dims
-    hi = np.asarray([nx - 1, ny - 1, nz - 1], dtype=np.float64)
-    valid = (idx >= 0.0).all(axis=1) & (idx <= hi).all(axis=1)
-    out = ndimage.map_coordinates(volume.values, idx[:, ::-1].T, order=1,
-                                  mode="nearest", prefilter=False,
-                                  output=np.float64)
+    # rows z, y, x of index coordinates, each contiguous
+    idx = np.ascontiguousarray((rel / np.asarray(volume.spacing)).T[::-1])
+    shape = volume.values.shape
+    strides = (shape[1] * shape[2], shape[2], 1)
+    valid = np.ones(len(pts), dtype=bool)
+    axes = []
+    for c, n, stride in zip(idx, shape, strides):
+        valid &= (c >= 0.0) & (c <= n - 1)
+        # an invalid sample is read at the nearest in-grid point, so its
+        # weights stay in [0, 1] however far out it lies
+        c = np.clip(c, 0, n - 1)
+        lo = np.floor(c)
+        w0 = 1.0 - (c - lo)
+        i0 = lo.astype(np.intp)
+        i1 = np.minimum(i0 + 1, n - 1)
+        axes.append(((i0 * stride, w0), (i1 * stride, 1.0 - w0)))
+    flat = volume.values.ravel()
+    out = np.zeros(len(pts))
+    for (oz, wz), (oy, wy), (ox, wx) in itertools.product(*axes):
+        out += flat[oz + oy + ox] * wz * wy * wx
     return out, valid
 
 

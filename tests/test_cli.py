@@ -68,19 +68,43 @@ def test_quantify_report_matches_truth(workdir):
     assert abs(at_ref[0]["rgm"] - truth["expected_rgm"]) < 0.1
 
 
-def test_quantify_without_a_volume_loads_no_scipy(workdir, tmp_path):
-    # scipy is imported only by --volume projection and the cohort Welch
-    # test; a fresh process shows what a quantify run loads
-    ph, out = workdir / "ph", tmp_path / "report.json"
+def _fresh_process(*argv):
+    """What `pvgap argv` run in a new process prints: its exit code and
+    the scipy modules it loaded."""
     code = ("import sys; from pvgap.cli import main; rc = main(sys.argv[1:]); "
             "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
-    run = subprocess.run(
-        [sys.executable, "-c", code, "quantify",
-         "--mesh", str(ph / "mesh.vtk"), "--config", str(ph / "regions.cfg"),
-         "--bp-mean", "100", "--bp-sd", "10", "--thresholds", THRESH,
-         "--out", str(out)], capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "0 []"
+    run = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                         capture_output=True, text=True, check=True)
+    return run.stdout.strip()
+
+
+def test_quantify_without_a_volume_loads_no_scipy(workdir, tmp_path):
+    # scipy is imported only by the cohort Welch test; a fresh process
+    # shows what a quantify run loads, with or without a volume to project
+    ph, out = workdir / "ph", tmp_path / "report.json"
+    assert _fresh_process(
+        "quantify", "--mesh", ph / "mesh.vtk", "--config", ph / "regions.cfg",
+        "--bp-mean", "100", "--bp-sd", "10", "--thresholds", THRESH,
+        "--out", out) == "0 []"
     assert out.read_bytes() == (workdir / "report.json").read_bytes()
+    mesh = load_mesh(ph / "mesh.vtk")
+    bare = tmp_path / "bare.vtk"
+    save_mesh(SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
+                          region=mesh.region, name=mesh.name), bare)
+    assert _fresh_process("project", "--mesh", bare, "--volume",
+                          ph / "volume.vol", "--out",
+                          tmp_path / "projected.vtk") == "0 []"
+    assert _fresh_process(
+        "quantify", "--mesh", bare, "--volume", ph / "volume.vol",
+        "--config", ph / "regions.cfg", "--bp-mean", "100", "--bp-sd", "10",
+        "--thresholds", THRESH, "--out", tmp_path / "projected.json",
+        "--annotated-mesh", tmp_path / "annotated.vtk") == "0 []"
+    # the same outputs as an in-process run
+    assert main(["project", "--mesh", str(bare), "--volume",
+                 str(ph / "volume.vol"), "--out",
+                 str(tmp_path / "again.vtk")]) == 0
+    assert (tmp_path / "again.vtk").read_bytes() \
+        == (tmp_path / "projected.vtk").read_bytes()
 
 
 def test_reruns_are_byte_identical(workdir, tmp_path):

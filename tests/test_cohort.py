@@ -169,8 +169,8 @@ def test_welch_null_distribution():
 
 def test_import_loads_no_scipy_stats_or_special():
     # scipy costs import time and memory in every quantify run: the Welch
-    # test imports scipy.special, and projection scipy.ndimage, only when
-    # they run; no other module imports scipy at all
+    # test imports scipy.special only when it runs; no other module imports
+    # scipy at all
     code = ("import sys, pvgap, pvgap.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -327,6 +327,25 @@ def test_matches_the_whole_mesh_reference_bit_for_bit():
     assert all(bucketed[-len(source_sets):])
 
 
+def test_corner_tables_in_blocks_equal_one_block_bit_for_bit(monkeypatch):
+    # every corner's geometry is computed on its own, so the block size,
+    # here one that leaves a short last block, cannot change a bit
+    grid, jittered = _jittered_grid()
+    opened, _ = _tapered_patchy_sources()
+    for mesh in (jittered, opened):
+        assert 3 * mesh.n_triangles % 7
+        tables = []
+        for block in (3 * mesh.n_triangles, 7):
+            monkeypatch.setattr(geodesics, "_CORNER_BLOCK", block)
+            geodesics._TABLES.pop(mesh, None)
+            tables.append(_corner_tables(mesh))
+        whole, blocked = tables
+        assert list(blocked) == list(whole)
+        for key, value in whole.items():
+            assert np.asarray(blocked[key]).tobytes() \
+                == np.asarray(value).tobytes(), key
+
+
 def _batch_case(case):
     """(mesh, source sets) of one batch. On the tapered phantom: its rim and
     patch fields, a lone far vertex and every other vertex, whose sweep

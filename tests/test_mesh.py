@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph, csr_matrix
 
+from pvgap import mesh as mesh_module
 from pvgap.cli import main
 from pvgap.errors import MeshFormatError, TopologyError
 from pvgap.mesh import (SurfaceMesh, connected_components, cut_mesh,
@@ -394,6 +395,30 @@ def test_derive_takes_every_attribute_along_the_parent_map():
     assert bare.point_data == {}
 
 
+def test_with_intensity_shares_arrays_and_derived_connectivity():
+    grid = plane_grid(4, 3)
+    n = grid.n_vertices
+    mesh = SurfaceMesh(grid.vertices, grid.triangles, region=np.arange(n),
+                       name="src", point_data={"tag": (np.ones(n), "float")})
+    mesh.check_topology()
+    adjacency = mesh.adjacency
+    out = mesh.with_intensity(np.arange(n) * 0.5)
+    assert out.intensity.tolist() == (np.arange(n) * 0.5).tolist()
+    assert not out.intensity.flags.writeable
+    assert mesh.intensity is None and out.name == "src"
+    for a, b in ((out.vertices, mesh.vertices), (out.triangles, mesh.triangles),
+                 (out.region, mesh.region)):
+        assert a is b
+    assert out.adjacency is adjacency and out.edges is mesh.edges
+    assert out.point_data == mesh.point_data
+    assert out.point_data is not mesh.point_data
+    # the new values pass the constructor's checks
+    with pytest.raises(MeshFormatError, match="NaN"):
+        mesh.with_intensity(np.full(n, np.nan))
+    with pytest.raises(MeshFormatError, match="length"):
+        mesh.with_intensity(np.zeros(n - 1))
+
+
 def test_cut_mesh_carries_every_attribute_to_its_parent_vertex():
     mesh, path = _cut_fixture()
     n = mesh.n_vertices
@@ -569,6 +594,73 @@ def test_load_mesh_reads_the_body_as_one_token_stream(tmp_path):
     _same_mesh(got, want)
     save_mesh(got, tmp_path / "again.vtk")
     assert (tmp_path / "again.vtk").read_text() == GOLDEN
+
+
+def _rewrapped_variants():
+    """(name, text) of the golden file, wrapped in other ways and broken in
+    ways that each give one loader error."""
+    lines = GOLDEN.splitlines(keepends=True)
+    head = "".join(lines[:4])
+    return [("golden", GOLDEN),
+            ("one-line body", head + " ".join(GOLDEN[len(head):].split())),
+            ("separators", head + "\x1c\t".join(GOLDEN[len(head):].split())
+             + "\x1f"),
+            ("truncated", GOLDEN[:GOLDEN.index("3 0 2 3")]),
+            ("bad value", GOLDEN.replace("100.123457", "100.1.23457")),
+            ("bad value, then truncated", GOLDEN[:GOLDEN.index("1 1 0")]
+             .replace("1 0 0", "1 x 0")),
+            ("index beyond int64", GOLDEN.replace("3 0 2 3",
+                                                 "3 0 2 99999999999999999999"))]
+
+
+def _load_outcome(path):
+    try:
+        mesh = load_mesh(path)
+    except MeshFormatError as exc:
+        return str(exc)
+    save_mesh(mesh, path.with_suffix(".out"))
+    return path.with_suffix(".out").read_bytes()
+
+
+def test_load_mesh_reads_the_same_in_any_chunk_size(tmp_path, monkeypatch):
+    # the body is split a chunk at a time, cut at whitespace: a chunk
+    # boundary inside a section, a token or a run of separators changes no
+    # value and no error, and too few tokens is still reported before a
+    # bad value
+    want = {}
+    for name, text in _rewrapped_variants():
+        (tmp_path / "f.vtk").write_text(text)
+        want[name] = _load_outcome(tmp_path / "f.vtk")
+    assert want["one-line body"] == want["separators"] == GOLDEN.encode()
+    path = str(tmp_path / "f.vtk")
+    assert want["truncated"] == f"{path}: unexpected end of file"
+    assert want["bad value, then truncated"] == want["truncated"]
+    assert want["bad value"] == f"{path}: bad numeric value"
+    assert want["index beyond int64"] == want["bad value"]
+    for chunk in (1, 2, 3, 5, 8, 13, 64):
+        monkeypatch.setattr(mesh_module, "_TOKEN_CHUNK", chunk)
+        for name, text in _rewrapped_variants():
+            (tmp_path / "f.vtk").write_text(text)
+            assert _load_outcome(tmp_path / "f.vtk") == want[name], \
+                (chunk, name)
+
+
+def test_save_mesh_writes_the_same_bytes_in_any_block_size(tmp_path,
+                                                           monkeypatch):
+    mesh = _golden_mesh()
+    grid = plane_grid(6, 5)
+    grid = SurfaceMesh(grid.vertices * np.pi, grid.triangles,
+                       intensity=np.linspace(-1.0, 1.0, grid.n_vertices))
+    want = []
+    for m in (mesh, grid):
+        save_mesh(m, tmp_path / "whole.vtk")
+        want.append((tmp_path / "whole.vtk").read_bytes())
+    assert want[0] == GOLDEN.encode("ascii")
+    for block in (1, 2, 7):
+        monkeypatch.setattr(mesh_module, "_SAVE_BLOCK", block)
+        for m, data in zip((mesh, grid), want):
+            save_mesh(m, tmp_path / "blocked.vtk")
+            assert (tmp_path / "blocked.vtk").read_bytes() == data
 
 
 def test_load_mesh_rejects_a_bare_lookup_table(tmp_path):

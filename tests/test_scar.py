@@ -2,8 +2,9 @@
 thresholds.
 
 The trilinear sampler is checked against a direct eight-corner expansion
-written out by hand, and against the exact-reproduction property on
-linear fields. Threshold masks must be strictly above the cutoff and
+written out by hand, bit for bit against scipy's order-1
+`map_coordinates`, and against the exact-reproduction property on linear
+fields. Threshold masks must be strictly above the cutoff and
 nested across ascending factors.
 """
 
@@ -90,6 +91,43 @@ def test_trilinear_hand_oracle():
     assert ok.tolist() == [True] * len(inside) + [False] * len(outside)
     np.testing.assert_allclose(got[:len(inside)], _eight_corners(vals, inside),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rot, exact", [
+    (np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), True),
+    (np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0],
+     False)])
+def test_trilinear_is_map_coordinates_bit_for_bit(rot, exact):
+    # the numpy sampler does scipy's order-1 arithmetic, to the last bit;
+    # a signed-permutation direction with dyadic spacing and origin puts
+    # grid nodes and top faces exactly where they are meant to be (exact)
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(23)
+    nx, ny, nz = 9, 6, 5
+    vals = rng.uniform(-50.0, 150.0, (nz, ny, nx)).astype(np.float32)
+    spacing, origin = np.array([0.5, 1.25, 2.0]), np.array([-3.5, 2.25, 5.0])
+    vol = ScalarVolume(values=vals, spacing=tuple(spacing),
+                       origin=tuple(origin), direction=rot)
+    hi = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
+    parts = [rng.uniform(-0.5, hi + 0.5, (3000, 3)),
+             np.array(list(itertools.product(*map(range, (nx, ny, nz)))),
+                      dtype=np.float64)]
+    for axis in range(3):
+        face = rng.uniform(0.0, hi, (300, 3))
+        face[:, axis] = hi[axis]
+        parts.append(face)
+    world = origin + (np.vstack(parts) * spacing) @ rot.T
+    got, ok = _sample_trilinear(vol, world)
+    idx = ((world - origin) @ rot) / spacing
+    assert ok.tolist() == ((idx >= 0.0).all(axis=1)
+                           & (idx <= hi).all(axis=1)).tolist()
+    want = ndimage.map_coordinates(vals, idx[:, ::-1].T, order=1,
+                                   mode="nearest", prefilter=False,
+                                   output=np.float64)
+    assert ok.sum() > 2000
+    if exact:
+        assert ok[3000:].all()  # every grid node and top-face point
+    assert got[ok].tobytes() == want[ok].tobytes()
 
 
 def test_trilinear_reproduces_linear_fields():
