@@ -1,8 +1,14 @@
 """Cohort statistics over per-case gap reports.
 
 Aggregates report dictionaries into a case table, computes per-area mean
-and sample SD, runs one-vs-rest Welch tests, bins rgm_nauc histograms, and
-builds per-region gap occurrence maps from the reference-threshold gaps.
+and sample SD, runs one-vs-rest Welch tests on rgm_nauc, bins rgm_nauc
+histograms, and builds per-region gap occurrence maps from the
+reference-threshold gaps.
+
+Each case holds one record per ok area, metric -> value. `_NAMES` gives
+each metric its report key, which also ends its `cohort.csv` column, and
+its `area_stats.csv` column stem. Area names follow `regions.is_area_name`,
+as each names a file `hist_<area>.csv`.
 
 Convention notes. Cohort statistics use the sample standard deviation
 (n-1); a single-case cohort reports SD 0. Two-sided p-values come from
@@ -21,18 +27,21 @@ import numpy as np
 
 from .errors import ConfigError, is_count, is_real
 from .mesh import write_atomic
-from .regions import STRATEGIES
+from .regions import AREA_NAME_RULE, STRATEGIES, is_area_name
 
-METRICS = ("rgm_nauc", "gap_count", "gap_length")
+# metric -> (report key, area_stats.csv column stem)
+_NAMES = {"rgm_nauc": ("rgm_nauc", "rgm_nauc"),
+          "gap_count": ("gap_count_mean", "gap_count"),
+          "gap_length": ("gap_length_mm_mean", "gap_length_mm")}
+METRICS = tuple(_NAMES)
+_BIN_WIDTH = 0.1  # of the rgm_nauc histograms
 
 
 @dataclass(frozen=True)
 class CaseRow:
     case_id: str
-    # per ok area: scalar summaries and the reference-threshold gap list
-    nauc: dict
-    gap_count_mean: dict
-    gap_length_mean: dict
+    # per ok area: metric -> value, and the reference-threshold gap list
+    values: dict
     ref_gaps: dict  # area -> tuple of (length_mm, midpoint_region)
 
 
@@ -71,10 +80,10 @@ _RULES = {
 
 
 def _case_row(report: dict) -> tuple:
-    """(CaseRow, area -> (strategy, labels)) of one report; a missing key,
-    a value of the wrong type or one out of range (`_RULES`) raises
-    ConfigError naming the case and the field. Numbers are stored as
-    floats, region ids as ints."""
+    """(CaseRow, area -> (strategy, labels)) of one report; an area name
+    off `regions.is_area_name`, a missing key, a value of the wrong type or
+    one out of range (`_RULES`) raises ConfigError naming the case and the
+    area or field. Numbers are stored as floats, region ids as ints."""
     case = ""
 
     def value(obj, key, where=""):
@@ -89,17 +98,18 @@ def _case_row(report: dict) -> tuple:
         case_id = value(report, "mesh_name")
         case = f" {case_id!r}"
         ref = value(report, "reference_threshold")
-        nauc, counts, lens, gaps = {}, {}, {}, {}
-        meta = {}
+        values, gaps, meta = {}, {}, {}
         for name, area in report["areas"].items():
             at = f"area {name!r} "
+            if not is_area_name(name):
+                raise ConfigError(f"malformed gap report{case}: {at}name "
+                                  f"must be {AREA_NAME_RULE}")
             meta[name] = (value(area, "strategy", at),
                           tuple(value(area, "labels", at)))
             if value(area, "status", at) != "ok":
                 continue
-            nauc[name] = float(value(area, "rgm_nauc", at))
-            counts[name] = float(value(area, "gap_count_mean", at))
-            lens[name] = float(value(area, "gap_length_mm_mean", at))
+            values[name] = {metric: float(value(area, key, at))
+                            for metric, (key, _stem) in _NAMES.items()}
             at_ref = [p for p in area["per_threshold"]
                       if value(p, "factor", at) == ref]
             if len(at_ref) != 1:
@@ -112,9 +122,7 @@ def _case_row(report: dict) -> tuple:
         raise ConfigError(f"gap report{case} lacks the key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed gap report{case}: {exc}") from None
-    row = CaseRow(case_id=case_id, nauc=nauc, gap_count_mean=counts,
-                  gap_length_mean=lens, ref_gaps=gaps)
-    return row, meta
+    return CaseRow(case_id=case_id, values=values, ref_gaps=gaps), meta
 
 
 def aggregate(reports) -> CohortTable:
@@ -149,11 +157,8 @@ def metric_values(table: CohortTable, area: str, metric: str) -> np.ndarray:
         raise ConfigError(f"unknown metric {metric!r}; pick from {METRICS}")
     if area not in table.areas:
         raise ConfigError(f"no area named {area!r} in the cohort")
-    src = {"rgm_nauc": "nauc", "gap_count": "gap_count_mean",
-           "gap_length": "gap_length_mean"}[metric]
-    vals = [getattr(r, src)[area] for r in table.rows
-            if area in getattr(r, src)]
-    return np.asarray(vals, dtype=np.float64)
+    return np.asarray([r.values[area][metric] for r in table.rows
+                       if area in r.values], dtype=np.float64)
 
 
 def area_stats(table: CohortTable) -> dict:
@@ -230,7 +235,7 @@ def one_vs_rest(table: CohortTable, area: str,
 # ----------------------------------------------------------------------
 # distributions and regional maps
 
-def histogram(values, bin_width: float = 0.1) -> np.ndarray:
+def histogram(values, bin_width: float = _BIN_WIDTH) -> np.ndarray:
     """Counts over [0, 1]: left-closed bins, the last bin also closed on
     the right."""
     v = np.asarray(values, dtype=np.float64)
@@ -301,63 +306,42 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_cohort_csv(table: CohortTable, path) -> None:
-    header = ["case_id"]
-    for a in table.areas:
-        header += [f"{a}_rgm_nauc", f"{a}_gap_count_mean",
-                   f"{a}_gap_length_mm_mean"]
-    rows = []
-    for r in table.rows:
-        row = [r.case_id]
-        for a in table.areas:
-            row += [_fmt(r.nauc[a]) if a in r.nauc else "",
-                    _fmt(r.gap_count_mean[a]) if a in r.gap_count_mean
-                    else "",
-                    _fmt(r.gap_length_mean[a]) if a in r.gap_length_mean
-                    else ""]
-        rows.append(row)
+    header = ["case_id"] + [f"{a}_{key}" for a in table.areas
+                            for key, _stem in _NAMES.values()]
+    rows = [[r.case_id] + [r.values[a][m] if a in r.values else ""
+                           for a in table.areas for m in METRICS]
+            for r in table.rows]
     _write_csv(path, header, rows)
-
-
-_CSV_COL = {"rgm_nauc": "rgm_nauc", "gap_count": "gap_count",
-            "gap_length": "gap_length_mm"}
 
 
 def write_area_stats_csv(table: CohortTable, path) -> None:
     stats = area_stats(table)
-    header = ["area", "strategy", "n"]
-    for m in METRICS:
-        header += [f"{_CSV_COL[m]}_mean", f"{_CSV_COL[m]}_sd"]
-    rows = []
-    for a in table.areas:
-        s = stats[a]
-        row = [a, s["strategy"], s["n_rgm_nauc"]]
-        for m in METRICS:
-            row += [s[f"{m}_mean"], s[f"{m}_sd"]]
-        rows.append(row)
+    header = ["area", "strategy", "n"] + [f"{stem}_{s}"
+                                          for _key, stem in _NAMES.values()
+                                          for s in ("mean", "sd")]
+    rows = [[a, stats[a]["strategy"], stats[a]["n_rgm_nauc"]]
+            + [stats[a][f"{m}_{s}"] for m in METRICS for s in ("mean", "sd")]
+            for a in table.areas]
     _write_csv(path, header, rows)
 
 
-def write_tests_csv(table: CohortTable, path,
-                    metric: str = "rgm_nauc") -> None:
+def write_tests_csv(table: CohortTable, path) -> None:
     independents = [a for a in table.areas
                     if table.strategy[a] == "independent"]
     rows = []
     if len(independents) >= 2:  # one area alone has nothing to compare to
         for a in independents:
             try:
-                res = one_vs_rest(table, a, metric)
+                res = one_vs_rest(table, a)
             except (ValueError, ConfigError):  # undefined test: empty cells
-                if metric not in METRICS:
-                    raise
                 res = WelchResult(t=math.nan, df=math.nan, p=math.nan)
-            rows.append([a, metric, res.t, res.df, res.p])
+            rows.append([a, "rgm_nauc", res.t, res.df, res.p])
     _write_csv(path, ["area", "metric", "t", "df", "p"], rows)
 
 
-def write_histogram_csv(table: CohortTable, area: str, path,
-                        bin_width: float = 0.1) -> None:
-    counts = histogram(metric_values(table, area, "rgm_nauc"), bin_width)
-    rows = [[f"{i * bin_width:.6g}", f"{(i + 1) * bin_width:.6g}", int(c)]
+def write_histogram_csv(table: CohortTable, area: str, path) -> None:
+    counts = histogram(metric_values(table, area, "rgm_nauc"))
+    rows = [[f"{i * _BIN_WIDTH:.6g}", f"{(i + 1) * _BIN_WIDTH:.6g}", int(c)]
             for i, c in enumerate(counts)]
     _write_csv(path, ["bin_low", "bin_high", "count"], rows)
 

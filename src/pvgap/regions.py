@@ -24,6 +24,7 @@ from .mesh import (SurfaceMesh, connected_components, cut_mesh, edge_path,
 
 MAX_LABEL = 27
 STRATEGIES = ("independent", "joint")
+AREA_NAME_RULE = "nonempty printable ASCII without whitespace, '/' or '\\'"
 
 # canonical vein names: each joint area covers one ipsilateral pair
 JOINT_OF_VEIN = {
@@ -32,6 +33,14 @@ JOINT_OF_VEIN = {
     "LSPV": "LeftPVs",
     "LIPV": "LeftPVs",
 }
+
+
+def is_area_name(name: str) -> bool:
+    """True if name can name a search area (`AREA_NAME_RULE`): a token
+    (`mesh.is_token`), as it names the annotated mesh's array
+    path_<name>, that holds no path separator, as it names the cohort
+    table hist_<name>.csv."""
+    return is_token(name) and "/" not in name and "\\" not in name
 
 
 def veins_of_joint(joint_name: str) -> tuple[str, ...]:
@@ -73,9 +82,8 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _area_from_dict(name: str, raw: dict) -> AreaSpec:
-    # the name becomes the annotated mesh's array name path_<name>
-    _require(is_token(name), f"area {name!r}: name must be nonempty "
-             "printable ASCII without whitespace")
+    _require(is_area_name(name), f"area {name!r}: name must be "
+             f"{AREA_NAME_RULE}")
     _require(isinstance(raw, dict), f"area {name!r}: entry must be an object")
     known = {"labels", "strategy", "cut", "vein_seeds"}
     extra = {k for k in raw if not k.startswith("_")} - known

@@ -242,6 +242,36 @@ def test_area_name_that_is_not_a_token_exits_1(name, workdir, tmp_path,
     assert not out.exists() and not marked.exists()
 
 
+@pytest.mark.parametrize("name", ["x/../../../escaped", "a\\b"])
+def test_area_name_with_a_path_separator_exits_1(name, workdir, tmp_path,
+                                                 capsys):
+    # the name would make `cohort` write hist_<name>.csv outside --out:
+    # quantify refuses it with the config, cohort with the report
+    ph = workdir / "ph"
+    cfg = json.loads((ph / "regions.cfg").read_text())
+    cfg["areas"] = {name: area for area in cfg["areas"].values()}
+    bad = tmp_path / "regions.cfg"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main(["quantify", "--mesh", str(ph / "mesh.vtk"),
+                 "--config", str(bad), "--bp-mean", "100", "--bp-sd", "10",
+                 "--thresholds", THRESH, "--out", str(out)]) == 1
+    assert "name must be" in capsys.readouterr().err
+    assert not out.exists()
+    report = _report(workdir / "report.json")
+    report["areas"] = {name: area for area in report["areas"].values()}
+    reports = tmp_path / "a" / "b" / "reports"
+    reports.mkdir(parents=True)
+    (reports / "case.json").write_text(json.dumps(report))
+    before = sorted(tmp_path.rglob("*"))
+    tables = reports.parent / "tables"
+    assert main(["cohort", "--reports", str(reports),
+                 "--out", str(tables)]) == 1
+    assert f"{report['mesh_name']!r}: area {name!r} name must be" \
+        in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_verbose_flag_both_positions(workdir, tmp_path, capsys):
     ph = workdir / "ph"
     args = ["quantify", "--mesh", str(ph / "mesh.vtk"),
@@ -497,6 +527,22 @@ def test_cohort_tables_match_reports(cohort_dir):
                                              "df", "p"]]
     assert (out / "regions_independent.csv").exists()
     assert not (out / "regions_joint.csv").exists()
+
+
+def test_cohort_tables_match_the_golden_files(tmp_path):
+    # the tables are what `pvgap cohort` wrote from the reports beside them:
+    # two independent areas (LIPV failed in one case), one joint area and
+    # one that failed in every case, so the tables hold Welch statistics,
+    # both regional maps and empty cells
+    golden = DATA / "cohort"
+    out = tmp_path / "tables"
+    assert main(["cohort", "--reports", str(golden / "reports"),
+                 "--out", str(out)]) == 0
+    names = sorted(p.name for p in (golden / "tables").iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() \
+            == (golden / "tables" / name).read_bytes(), name
 
 
 def _two_area_cases(report, naucs):

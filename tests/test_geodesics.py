@@ -548,6 +548,50 @@ def test_sweep_keeps_the_triangle_schedule(case):
         assert np.isinf(dist).any()
 
 
+def _relabelled(mesh, rng):
+    """(copy of mesh with its vertices and triangles permuted and each
+    triangle's corners rotated, orientation kept; the copy's id of each
+    vertex of mesh)."""
+    n, m = mesh.n_vertices, mesh.n_triangles
+    order = rng.permutation(n)  # the copy's vertex i is vertex order[i]
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.arange(n)
+    tris = new_id[mesh.triangles[rng.permutation(m)]]
+    turn = (np.arange(3) + rng.integers(0, 3, size=(m, 1))) % 3
+    tris = np.take_along_axis(tris, turn, axis=1)
+    return SurfaceMesh(mesh.vertices[order], tris), new_id
+
+
+def test_sweep_gives_the_same_bits_in_any_vertex_order():
+    # each kernel step is elementwise, a min-scatter or a set operation and
+    # delta is a median of edge lengths, so a relabelled mesh gives the
+    # same rows, mapped back, and the same sweep counts
+    opened, source_sets = _tapered_patchy_sources()
+    moved, new_id = _relabelled(opened, np.random.default_rng(5))
+    assert not np.array_equal(new_id, np.arange(opened.n_vertices))
+    rim, patches = source_sets[0], source_sets[1:]
+    bound = float(np.median(_sweep(opened, patches)[0]))
+    src = patches[0][:1]
+    mid = int(np.argsort(distance_transform(opened, src).dist)[
+        opened.n_vertices // 2])
+    cases = {"patch batch": (patches, None, None),
+             "limited patch batch": (
+                 patches, None, lambda rows: np.full(len(rows), bound)),
+             "bounded K = 1": ([src], [mid], None),
+             "whole K = 1": ([rim], None, None)}
+    for name, (srcs, targets, limit) in cases.items():
+        dist, sweeps = _sweep(opened, srcs, targets, limit)
+        got, got_sweeps = _sweep(
+            moved, [np.unique(new_id[s]) for s in srcs],
+            None if targets is None else new_id[targets], limit)
+        assert got[:, new_id].tobytes() == dist.tobytes(), name
+        assert got_sweeps.tolist() == sweeps.tolist(), name
+        # not vacuous: a bound leaves vertices unreached, on this connected
+        # mesh where a whole transform reaches every vertex
+        cut = targets is not None or limit is not None
+        assert np.isinf(dist).any() == cut, name
+
+
 def test_descent_that_stops_above_zero_raises():
     # a hand-built field whose only local minimum off the source, at the
     # centre, holds 1.0: descending into it cannot reach a source

@@ -72,9 +72,10 @@ def test_config_refuses_json_booleans_as_integers(key, value, ints):
 
 
 @pytest.mark.parametrize("name", ["Left PV", "L\u00dcPV", "", "A\tB",
-                                  "LSPV\n"])
+                                  "LSPV\n", "x/../../../escaped", "a\\b"])
 def test_config_rejects_area_names_that_are_not_tokens(name):
-    # the name becomes the annotated mesh's array name path_<name>
+    # the name becomes the annotated mesh's array name path_<name>, and the
+    # cohort table hist_<name>.csv, so it holds no path separator either
     data = {"areas": {name: _area_dict()["areas"]["A"]}}
     with pytest.raises(ConfigError, match="name"):
         config_from_dict(data)
