@@ -9,15 +9,16 @@ invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import cohort as cohort_mod
 from . import sweep
 from .errors import (AreaError, ConfigError, MeshFormatError, TopologyError,
                      VolumeFormatError)
-from .mesh import load_mesh, save_mesh, write_atomic
+from .mesh import load_mesh, save_mesh, write_json
 from .regions import default_config, load_config, save_config
 from .scar import (THRESHOLD_FACTORS, blood_pool_stats, load_volume,
                    mip_project, save_volume)
@@ -69,7 +70,12 @@ def _blood_pool(args, volume) -> tuple:
     """(mean, sd) of the source `_check_blood_pool_source` accepted."""
     if args.bp_mask is not None:
         mask_vol = load_volume(args.bp_mask)
-        if mask_vol.values.shape != volume.values.shape:
+        # the tolerance of ScalarVolume's rotation check
+        same = mask_vol.values.shape == volume.values.shape and all(
+            np.allclose(getattr(mask_vol, key), getattr(volume, key),
+                        atol=1e-6)
+            for key in ("spacing", "origin", "direction"))
+        if not same:
             raise ConfigError("--bp-mask grid does not match --volume")
         return blood_pool_stats(volume, mask_vol.values > 0.5)
     return float(args.bp_mean), float(args.bp_sd)
@@ -79,6 +85,7 @@ def cmd_project(args) -> int:
     mesh = load_mesh(args.mesh)
     volume = load_volume(args.volume)
     projected = mip_project(mesh, volume)
+    sweep.check_intensity(projected)
     save_mesh(mesh.with_intensity(projected), args.out)
     if args.verbose:
         _err(f"projected {mesh.n_vertices} vertices -> {args.out}")
@@ -141,8 +148,7 @@ def cmd_synth(args) -> int:
                        "sd": spec.blood_pool_sd},
         "seed": spec.seed,
     }
-    write_atomic(out / "truth.json",
-                 (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
+    write_json(out / "truth.json", sidecar)
     if args.volume:
         save_volume(phantom_volume(spec), args.volume)
     if args.verbose:

@@ -2,7 +2,8 @@
 
 Provides the mesh container used across the pipeline, legacy ASCII polydata
 reading/writing, topology queries (components, boundary loops, edge paths)
-and seam cutting with vertex duplication.
+and seam cutting with vertex duplication. Every file is written atomically,
+and every JSON file is read and written by `read_json` and `write_json`.
 
 Conventions: coordinates are millimetres, float64. Triangles are consistently
 oriented (counter-clockwise seen from outside); orientation is validated on
@@ -29,16 +30,18 @@ from __future__ import annotations
 
 import copy
 import heapq
+import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AttributeLengthError, MeshFormatError, TopologyError,
-                     in_file)
+from .errors import (AttributeLengthError, ConfigError, MeshFormatError,
+                     TopologyError, in_file)
 
 # Writer emits 9 significant digits; one load/save round trip is idempotent.
 _FMT = "%.9g"
@@ -54,7 +57,8 @@ _SPACE = re.compile(r"\s")
 # 38k-vertex mesh (452k tokens) took ~30 MB.
 _TOKEN_CHUNK = 1 << 16
 # Rows formatted by one `%` call when writing a mesh: the call holds one
-# Python number per value of its rows.
+# Python number per value of its rows. Reading casts tokens to an array
+# this many at a time.
 _SAVE_BLOCK = 4096
 
 
@@ -561,38 +565,25 @@ def load_mesh(path) -> SurfaceMesh:
         raise MeshFormatError(f"{path}: only ASCII encoding is supported")
     if lines[3].split() != ["DATASET", "POLYDATA"]:
         raise MeshFormatError(f"{path}: expected DATASET POLYDATA")
-    chunks = _token_chunks(text, head.end())
-    tokens, pos = [], 0  # the current chunk's tokens, the next one's index
-
-    def more():
-        """True if a token is left, reading chunks as needed."""
-        nonlocal tokens, pos
-        while pos == len(tokens):
-            chunk = next(chunks, None)
-            if chunk is None:
-                return False
-            tokens, pos = chunk, 0
-        return True
+    tokens = chain.from_iterable(_token_chunks(text, head.end()))
 
     def take(count, dtype=None):
         """The next `count` tokens: a list, or one array cast to dtype. Too
         few tokens is reported before a bad value, as in one whole read."""
-        nonlocal pos
         out = [] if dtype is None else np.empty(count, dtype=dtype)
-        got, bad = 0, False
-        while got < count:
-            if not more():
+        bad = False
+        for lo in range(0, count, _SAVE_BLOCK):
+            size = min(_SAVE_BLOCK, count - lo)
+            piece = list(islice(tokens, size))
+            if len(piece) < size:
                 raise MeshFormatError(f"{path}: unexpected end of file")
-            piece = tokens[pos:pos + count - got]
-            pos += len(piece)
             if dtype is None:
                 out += piece
             elif not bad:
                 try:
-                    out[got:got + len(piece)] = np.array(piece, dtype=dtype)
+                    out[lo:lo + size] = np.array(piece, dtype=dtype)
                 except (ValueError, OverflowError):
                     bad = True
-            got += len(piece)
         if bad:
             raise MeshFormatError(f"{path}: bad numeric value")
         return out
@@ -605,8 +596,8 @@ def load_mesh(path) -> SurfaceMesh:
     verts = tris = None
     n_points = 0
     scalars = {}
-    while more():
-        key = take(1)[0].upper()
+    for key in tokens:
+        key = key.upper()
         if key == "POINTS":
             n_points = parse_count(take(2)[0])  # the value type is ignored
             verts = take(3 * n_points, np.float64).reshape(n_points, 3)
@@ -726,3 +717,25 @@ def write_atomic(path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_json(path):
+    """The strict JSON value in file `path`: UTF-8 text without the
+    constants NaN and Infinity, which `write_json` never emits. Text that is
+    not such JSON raises ConfigError naming the file; an unreadable file
+    raises its OSError."""
+    def strict(name):
+        raise ConfigError(f"{name} is not strict JSON")
+    with in_file(path), open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_constant=strict)
+        except ValueError as exc:  # a syntax error or bytes that are not UTF-8
+            raise ConfigError(str(exc)) from None
+
+
+def write_json(path, obj) -> None:
+    """Publish `obj` at `path` as strict JSON with a two-space indent and a
+    final newline (see `write_atomic`). A NaN or infinite float raises
+    ValueError before anything is written."""
+    text = json.dumps(obj, indent=2, allow_nan=False)
+    write_atomic(path, (text + "\n").encode("utf-8"))

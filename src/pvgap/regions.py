@@ -12,7 +12,6 @@ remaining areas; malformed configs raise ConfigError.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import AreaError, ConfigError, in_file, is_count
 from .mesh import (SurfaceMesh, connected_components, cut_mesh, edge_path,
-                   is_token, write_atomic)
+                   is_token, read_json, write_json)
 
 MAX_LABEL = 27
 STRATEGIES = ("independent", "joint")
@@ -173,22 +172,15 @@ def config_to_dict(config: RegionConfig) -> dict:
 
 
 def load_config(path) -> RegionConfig:
-    """The region config in JSON file path. An unreadable file raises the
-    OSError, which names the path; text that is not JSON, or a config that
-    breaks `config_from_dict`'s rules, raises ConfigError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot read region config {path}: {exc}") \
-                from exc
+    """The region config in JSON file path. A file `read_json` refuses, or
+    a config that breaks `config_from_dict`'s rules, raises ConfigError
+    naming the file; an unreadable file raises its OSError."""
     with in_file(path):
-        return config_from_dict(data)
+        return config_from_dict(read_json(path))
 
 
 def save_config(config: RegionConfig, path) -> None:
-    text = json.dumps(config_to_dict(config), indent=2) + "\n"
-    write_atomic(path, text.encode("utf-8"))
+    write_json(path, config_to_dict(config))
 
 
 def default_config() -> RegionConfig:

@@ -25,7 +25,6 @@ from the combined curve.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,8 @@ import numpy as np
 from .errors import AreaError, ConfigError, TopologyError, in_file, is_real
 from .gaps import EncirclingPath, build_graph, min_gap_path, route_limits
 from .geodesics import FieldBatch, PathCache
-from .mesh import SurfaceMesh, connected_components, save_mesh, write_atomic
+from .mesh import (SurfaceMesh, connected_components, read_json, save_mesh,
+                   write_json)
 from .regions import (OpenedArea, RegionConfig, build_search_area,
                       open_area, veins_of_joint)
 from .scar import THRESHOLD_FACTORS, threshold_mask
@@ -162,33 +162,35 @@ def _run_area(mesh, spec, masks):
 
 def _vein_summaries(factors, area_results) -> tuple:
     """Pointwise-minimum combination of independent and joint measurements,
-    keyed by canonical vein names; other area names pass through as-is."""
-    by_name = {r.name: r for r in area_results if r.ok}
-    curves = {}  # vein -> list of (area name, rgm tuple)
-
-    def add(vein, res):
-        curves.setdefault(vein, []).append(
-            (res.name, tuple(t.path.rgm for t in res.results)))
-
+    keyed by canonical vein names; other area names pass through as-is.
+    Veins come in first-seen order, and each vein's sources by (strategy,
+    name), which puts a paired independent area first."""
+    groups = {}  # vein -> the ok area results that measure it
     for res in area_results:
-        if not res.ok:
-            continue
-        if res.strategy == "independent":
-            add(res.name, res)
-        else:
-            veins = veins_of_joint(res.name)
-            for v in (veins if veins else (res.name,)):
-                add(v, res)
-    # joint results already attached; make sure paired independents come
-    # first in the source list for readability
+        if res.ok:
+            veins = veins_of_joint(res.name) if res.strategy == "joint" else ()
+            for vein in veins or (res.name,):
+                groups.setdefault(vein, []).append(res)
     out = []
-    for vein, entries in curves.items():
-        entries = sorted(entries, key=lambda e: (by_name[e[0]].strategy, e[0]))
-        merged = tuple(min(vals) for vals in zip(*(e[1] for e in entries)))
+    for vein, group in groups.items():
+        group.sort(key=lambda r: (r.strategy, r.name))
+        merged = tuple(map(min, zip(*([t.path.rgm for t in r.results]
+                                      for r in group))))
         out.append(VeinSummary(vein=vein, rgm=merged,
                                nauc=rgm_nauc(factors, merged),
-                               sources=tuple(e[0] for e in entries)))
+                               sources=tuple(r.name for r in group)))
     return tuple(out)
+
+
+def check_intensity(values) -> None:
+    """ConfigError unless some vertex has a finite intensity. A mesh that
+    lies outside its volume projects every vertex to -inf, and would read
+    as one whole-loop gap, not as a missing input."""
+    if values is None:
+        raise ConfigError("mesh carries no intensity values")
+    if not np.isfinite(values).any():
+        raise ConfigError("no vertex has a finite intensity; "
+                          "does the mesh lie outside the volume?")
 
 
 def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
@@ -201,8 +203,7 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
     oriented surface without zero-length edges.
     """
     mesh.check_topology()
-    if mesh.intensity is None:
-        raise ConfigError("mesh carries no intensity values")
+    check_intensity(mesh.intensity)
     check_blood_pool(bp_mean, bp_sd)
     factors = check_factors(factors)
     if ref_factor is None:
@@ -291,21 +292,15 @@ def case_report(case: CaseResult) -> dict:
 
 
 def write_report(case: CaseResult, path) -> None:
-    text = json.dumps(_round6(case_report(case)), indent=2, allow_nan=False)
-    write_atomic(path, (text + "\n").encode("utf-8"))
+    write_json(path, _round6(case_report(case)))
 
 
 def load_report(path) -> dict:
-    """A gap report; the non-strict constants NaN and Infinity, which
-    write_report never emits, are rejected, and a file that is not JSON is
-    a ConfigError."""
-    def strict(name):
-        raise ConfigError(f"{name} is not strict JSON")
-    with in_file(path), open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, parse_constant=strict)
-        except ValueError as exc:  # a syntax error or bytes that are not UTF-8
-            raise ConfigError(str(exc)) from None
+    """A gap report. A file `read_json` refuses, or JSON that is not a
+    report, raises ConfigError naming the file; an unreadable file raises
+    its OSError."""
+    with in_file(path):
+        data = read_json(path)
         if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
             raise ConfigError(f"not a {REPORT_FORMAT} file")
     return data

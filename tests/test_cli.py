@@ -8,10 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pvgap import ConfigError, load_config, load_report
 from pvgap.cli import main
 from pvgap.mesh import SurfaceMesh, load_mesh, save_mesh
+from pvgap.scar import ScalarVolume, load_volume, save_volume
 from pvgap.synth import TWO_PI, PhantomSpec, expected_rgm
 
 THRESH = "2,3.3,4"
@@ -35,6 +38,16 @@ def workdir(tmp_path_factory):
 
 def _report(path):
     return json.loads(path.read_text())
+
+
+def _bare_mesh(workdir, path, shift=0.0):
+    """Write the phantom mesh without its intensity, moved `shift` mm along
+    each axis, to path: a run with --volume projects the intensity."""
+    mesh = load_mesh(workdir / "ph" / "mesh.vtk")
+    save_mesh(SurfaceMesh(vertices=mesh.vertices + shift,
+                          triangles=mesh.triangles, region=mesh.region,
+                          name=mesh.name), path)
+    return path
 
 
 def test_synth_outputs(workdir):
@@ -87,10 +100,7 @@ def test_quantify_without_a_volume_loads_no_scipy(workdir, tmp_path):
         "--bp-mean", "100", "--bp-sd", "10", "--thresholds", THRESH,
         "--out", out) == "0 []"
     assert out.read_bytes() == (workdir / "report.json").read_bytes()
-    mesh = load_mesh(ph / "mesh.vtk")
-    bare = tmp_path / "bare.vtk"
-    save_mesh(SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
-                          region=mesh.region, name=mesh.name), bare)
+    bare = _bare_mesh(workdir, tmp_path / "bare.vtk")
     assert _fresh_process("project", "--mesh", bare, "--volume",
                           ph / "volume.vol", "--out",
                           tmp_path / "projected.vtk") == "0 []"
@@ -125,10 +135,7 @@ def test_reruns_are_byte_identical(workdir, tmp_path):
 
 def test_project_then_quantify_from_volume(workdir, tmp_path):
     ph = workdir / "ph"
-    mesh = load_mesh(ph / "mesh.vtk")
-    bare_path = tmp_path / "bare.vtk"
-    save_mesh(SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
-                          region=mesh.region, name=mesh.name), bare_path)
+    bare_path = _bare_mesh(workdir, tmp_path / "bare.vtk")
     projected = tmp_path / "projected.vtk"
     assert main(["project", "--mesh", str(bare_path),
                  "--volume", str(ph / "volume.vol"),
@@ -148,7 +155,6 @@ def test_project_then_quantify_from_volume(workdir, tmp_path):
 
 def test_blood_pool_from_mask_volume(workdir, tmp_path, monkeypatch):
     from pvgap import cli
-    from pvgap.scar import ScalarVolume, load_volume, save_volume
     ph = workdir / "ph"
     vol = load_volume(ph / "volume.vol")
     mask = ((vol.values >= 85.0) & (vol.values <= 115.0)).astype(float)
@@ -156,10 +162,7 @@ def test_blood_pool_from_mask_volume(workdir, tmp_path, monkeypatch):
     save_volume(ScalarVolume(values=mask, origin=vol.origin,
                              spacing=vol.spacing, direction=vol.direction),
                 mask_path)
-    mesh = load_mesh(ph / "mesh.vtk")
-    bare_path = tmp_path / "bare.vtk"
-    save_mesh(SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
-                          region=mesh.region, name=mesh.name), bare_path)
+    bare_path = _bare_mesh(workdir, tmp_path / "bare.vtk")
     out = tmp_path / "report.json"
     loaded = []
 
@@ -184,6 +187,85 @@ def test_blood_pool_from_mask_volume(workdir, tmp_path, monkeypatch):
     want = _report(workdir / "report.json")
     want = want["areas"]["LSPV"]["per_threshold"][1]["rgm"]
     assert abs(got - want) < 0.05
+
+
+def test_a_bp_mask_on_another_grid_exits_1_without_a_report(
+        workdir, tmp_path, capsys):
+    # the same dims, but shifted: voxel (i, j, k) of the mask is not the
+    # volume's voxel (i, j, k)
+    ph = workdir / "ph"
+    vol = load_volume(ph / "volume.vol")
+    mask_path = tmp_path / "mask.vol"
+    save_volume(ScalarVolume(values=np.ones_like(vol.values),
+                             origin=tuple(o + 40.0 for o in vol.origin),
+                             spacing=vol.spacing, direction=vol.direction),
+                mask_path)
+    out = tmp_path / "report.json"
+    assert main(["quantify", "--mesh",
+                 str(_bare_mesh(workdir, tmp_path / "bare.vtk")),
+                 "--volume", str(ph / "volume.vol"),
+                 "--bp-mask", str(mask_path),
+                 "--config", str(ph / "regions.cfg"),
+                 "--thresholds", THRESH, "--out", str(out)]) == 1
+    assert "--bp-mask" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["project", "quantify"])
+def test_a_mesh_outside_the_volume_exits_1_and_writes_nothing(
+        command, workdir, tmp_path, capsys):
+    # no vertex samples a voxel, so every projected intensity is -inf: not
+    # a mesh without scar
+    ph = workdir / "ph"
+    far = _bare_mesh(workdir, tmp_path / "far.vtk", shift=1000.0)
+    volume = ["--volume", str(ph / "volume.vol")]
+    out = ["--out", str(tmp_path / "out")]
+    argv = {"project": ["project", "--mesh", str(far), *volume, *out],
+            "quantify": ["quantify", "--mesh", str(far), *volume, *out,
+                         "--config", str(ph / "regions.cfg"),
+                         "--bp-mean", "100", "--bp-sd", "10",
+                         "--annotated-mesh", str(tmp_path / "marked.vtk")]}
+    assert main(argv[command]) == 1
+    assert "finite intensity" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [far]
+
+
+# each row turns a valid config or report into one that is not strict JSON,
+# by a key the reader would otherwise ignore; None is a file that is missing
+STRICT_JSON_ROWS = [
+    ("not UTF-8", b'"_note": "\xff", ', 1),
+    ("syntax", b'"_note": 1,, ', 1),
+    ("NaN", b'"_note": NaN, ', 1),
+    ("Infinity", b'"_note": -Infinity, ', 1),
+    ("unreadable", None, 2),
+]
+
+
+@pytest.mark.parametrize("reader", ["load_config", "load_report"])
+@pytest.mark.parametrize("insert, code", [r[1:] for r in STRICT_JSON_ROWS],
+                         ids=[r[0] for r in STRICT_JSON_ROWS])
+def test_json_readers_refuse_what_is_not_strict_json(
+        reader, insert, code, workdir, tmp_path, capsys):
+    ph = workdir / "ph"
+    good = {"load_config": ph / "regions.cfg",
+            "load_report": workdir / "report.json"}[reader]
+    path = tmp_path / "in.json"
+    if insert is not None:
+        head, brace, rest = good.read_bytes().partition(b"{")
+        path.write_bytes(head + brace + insert + rest)
+    load = {"load_config": load_config, "load_report": load_report}[reader]
+    with pytest.raises(ConfigError if code == 1 else OSError) as info:
+        load(path)
+    assert str(info.value).count(str(path)) == 1
+    argv = {"load_config": ["quantify", "--mesh", str(ph / "mesh.vtk"),
+                            "--config", str(path), "--bp-mean", "100",
+                            "--bp-sd", "10", "--thresholds", THRESH,
+                            "--out", str(tmp_path / "out")],
+            "load_report": ["cohort", "--reports", str(path),
+                            "--out", str(tmp_path / "out")]}[reader]
+    assert main(argv) == code
+    assert capsys.readouterr().err.count(str(path)) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("synth_args, golden", [
@@ -405,10 +487,7 @@ def test_non_finite_volume_geometry_exits_2_without_a_report(
         field, values, workdir, tmp_path, capsys):
     # a nan spacing once projected every vertex to -inf: rgm_nauc 1.0
     ph = workdir / "ph"
-    mesh = load_mesh(ph / "mesh.vtk")
-    bare = tmp_path / "bare.vtk"
-    save_mesh(SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
-                          region=mesh.region, name=mesh.name), bare)
+    bare = _bare_mesh(workdir, tmp_path / "bare.vtk")
     head, sep, payload = (ph / "volume.vol").read_bytes().partition(
         b"\ndata\n")
     lines = [f"{field} {values}".encode() if ln.startswith(field.encode())

@@ -49,8 +49,9 @@ CALLS = {
     "icosphere": lambda c, **kw: icosphere(**kw),
     "histogram": lambda c, **kw: histogram(**{"values": [0.1], **kw}),
     "mip_project": lambda c, **kw: mip_project(c.mesh, c.volume, **kw),
-    "run_case": lambda c, **kw: run_case(
-        c.mesh, c.config, **{"bp_mean": 100.0, "bp_sd": 10.0, **kw}),
+    "run_case": lambda c, **kw: run_case(**{
+        "mesh": c.mesh, "config": c.config, "bp_mean": 100.0, "bp_sd": 10.0,
+        **kw}),
     "rgm_nauc": lambda c, **kw: rgm_nauc(
         **{"factors": [2.0, 3.0], "values": [0.1, 0.2], **kw}),
     "welch_t_test": lambda c, **kw: welch_t_test(
@@ -123,6 +124,9 @@ ROWS = [
     ("connected_components", "mask", _per_vertex(0.5), ValueError, "mask"),
     ("geodesic_path", "src", 1.0, ValueError, "source"),
     ("trace_path", "start", True, ValueError, "start"),
+    # a mesh outside its volume projects every vertex to -inf
+    ("run_case", "mesh", lambda mesh: mesh.with_intensity(
+        np.full(mesh.n_vertices, -INF)), ConfigError, "finite intensity"),
 ]
 
 
