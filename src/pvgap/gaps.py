@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AreaError, TopologyError
-from .geodesics import (FieldBatch, PathCache, TracedPath,
-                        distance_transform, geodesic_path,
-                        min_interset_distance, polyline_length, trace_path)
+from .geodesics import (FieldBatch, TracedPath, distance_transform,
+                        geodesic_path, geodesic_paths, min_interset_distance,
+                        polyline_length, trace_path)
 from .mesh import PatchLabeling, checked_mask, connected_components
 from .regions import OpenedArea
 
@@ -255,45 +255,67 @@ def _gap_segment(mesh, path: TracedPath, wraps: bool) -> GapSegment:
                       wraps_seam=wraps)
 
 
-def _link(mesh, src: int, dst: int,
-          paths: PathCache | None = None) -> TracedPath:
-    """Unconstrained geodesic polyline src -> dst."""
-    isd = geodesic_path(mesh, src, dst, paths)
-    if not np.isfinite(isd.distance):
-        raise TopologyError(f"vertex {dst} is unreachable from the sources")
-    return isd.path
+def _links(mesh, pairs) -> list:
+    """Unconstrained geodesic polyline src -> dst of each (src, dst) pair,
+    from one batched transform (`geodesic_paths`)."""
+    out = []
+    for (_src, dst), isd in zip(pairs, geodesic_paths(mesh, pairs)):
+        if not np.isfinite(isd.distance):
+            raise TopologyError(f"vertex {dst} is unreachable from the "
+                                "sources")
+        out.append(isd.path)
+    return out
 
 
-def assemble_geometry(graph: GapGraph, pair_index: int, node_seq: tuple,
-                      paths: PathCache | None = None) -> EncirclingPath:
-    """Expand a solved route into the explicit encircling polyline.
+@dataclass(frozen=True)
+class _RoutePlan:
+    """A solved route of a graph with patches, before its links run.
 
-    The pieces, each oriented along the loop, are the stub from the side_a
-    twin to the first patch, the route's gaps and the stub from the last
-    patch to the side_b twin; a link joins the end of each piece to the
-    start of the next. paths, a `PathCache` on the opened mesh, keeps the
-    links' transforms for later links from the same vertex, as for a caller
-    that assembles several routes of one area; the path is the same with or
-    without it.
+    pieces, each oriented along the loop, are the stub from the side_a twin
+    to the first patch, the route's gaps and the stub from the last patch
+    to the side_b twin; a link joins the end of each piece to the start of
+    the next, two vertices of one patch.
     """
+    graph: GapGraph
+    pair_index: int
+    node_sequence: tuple
+    pieces: tuple  # (kind, TracedPath) in loop order
+
+    @property
+    def links(self) -> list:
+        return [(int(prev.vertex_ids[-1]), int(nxt.vertex_ids[0]))
+                for (_, prev), (_, nxt) in zip(self.pieces, self.pieces[1:])]
+
+
+def _plan_route(graph: GapGraph) -> _RoutePlan:
+    """Solve the route, trace its stubs and orient its pieces."""
+    k, seq = solve_gap_graph(graph.weights, graph.start_w, graph.end_w)[1:]
     opened = graph.opened
-    mesh = opened.mesh
-    p_a = int(opened.side_a[pair_index])
-    p_b = int(opened.side_b[pair_index])
-    stub_a = trace_path(graph.fields[node_seq[0]], p_a)
-    stub_b = trace_path(graph.fields[node_seq[-1]], p_b).reversed()
+    stub_a = trace_path(graph.fields[seq[0]], int(opened.side_a[k]))
+    stub_b = trace_path(graph.fields[seq[-1]],
+                        int(opened.side_b[k])).reversed()
     route = []  # stored geometry runs lo -> hi
-    for prev, nxt in zip(node_seq, node_seq[1:]):
+    for prev, nxt in zip(seq, seq[1:]):
         gap = graph.geometry[(min(prev, nxt), max(prev, nxt))].path
         route.append(gap.reversed() if prev > nxt else gap)
+    return _RoutePlan(graph=graph, pair_index=k, node_sequence=seq,
+                      pieces=(("stub", stub_a), *[("gap", g) for g in route],
+                              ("stub", stub_b)))
 
-    pieces = [("stub", stub_a), *[("gap", g) for g in route],
-              ("stub", stub_b)]
+
+def _finish_route(plan: _RoutePlan, links: list) -> EncirclingPath:
+    """The encircling polyline of a planned route, given the polylines of
+    its links."""
+    graph = plan.graph
+    opened = graph.opened
+    mesh = opened.mesh
+    p_a = int(opened.side_a[plan.pair_index])
+    p_b = int(opened.side_b[plan.pair_index])
+    stub_a, stub_b = plan.pieces[0][1], plan.pieces[-1][1]
+    route = [g for _kind, g in plan.pieces[1:-1]]
     segments = [("stub", stub_a.vertex_ids)]  # (kind, ids), loop order
     non_gap = 0.0
-    for (_kind, prev), (kind, piece) in zip(pieces, pieces[1:]):
-        link = _link(mesh, int(prev.vertex_ids[-1]),
-                     int(piece.vertex_ids[0]), paths)
+    for link, (kind, piece) in zip(links, plan.pieces[1:]):
         non_gap += link.length
         segments += [("link", link.vertex_ids), (kind, piece.vertex_ids)]
 
@@ -322,9 +344,45 @@ def assemble_geometry(graph: GapGraph, pair_index: int, node_seq: tuple,
     return EncirclingPath(total_length=total, gap_length=gap_length,
                           rgm=gap_length / total,
                           gap_count=len(counted), gaps=counted,
-                          non_gap_length=non_gap, node_sequence=node_seq,
+                          non_gap_length=non_gap,
+                          node_sequence=plan.node_sequence,
                           crossing_pair=(p_a, p_b),
                           segment_ids=tuple(segments))
+
+
+class RouteBatch:
+    """The encircling paths of several patch graphs of one opened area,
+    assembled together: the route links of every graph run in one kernel
+    call (`geodesic_paths`), one field per distinct link source.
+
+    The batch solves its graphs' routes, runs their links and assembles the
+    paths when `min_gap_path` first asks it for one, so that work falls
+    inside that call. Each path is bit for bit the one that a lone
+    transform per link gives: a link reads only its own target's distance
+    and the values below it. Graphs without patches take no part; `min_gap_path` runs
+    their no-scar loop itself.
+    """
+
+    def __init__(self, graphs):
+        self._graphs = list(graphs)
+        if len({id(g.opened.mesh) for g in self._graphs}) > 1:
+            raise ValueError("route batch graphs are on different meshes")
+        self._paths = None  # id(graph) -> EncirclingPath
+
+    def path(self, graph: GapGraph) -> EncirclingPath:
+        """The path of graph; ValueError unless it is one of the batch's
+        graphs and has patches."""
+        if not (graph.n_patches and any(g is graph for g in self._graphs)):
+            raise ValueError("graph is not a route of the batch")
+        if self._paths is None:
+            plans = [_plan_route(g) for g in self._graphs if g.n_patches]
+            links = iter(_links(graph.opened.mesh,
+                                [pair for plan in plans
+                                 for pair in plan.links]))
+            self._paths = {id(plan.graph): _finish_route(
+                plan, [next(links) for _pair in plan.links])
+                for plan in plans}
+        return self._paths[id(graph)]
 
 
 def _no_patch_loop(opened: OpenedArea) -> EncirclingPath:
@@ -362,11 +420,12 @@ def _no_patch_loop(opened: OpenedArea) -> EncirclingPath:
 
 
 def min_gap_path(graph: GapGraph,
-                 paths: PathCache | None = None) -> EncirclingPath:
-    """Best encircling path of an opened area for one scar mask; paths is
-    passed to `assemble_geometry`."""
+                 routes: RouteBatch | None = None) -> EncirclingPath:
+    """Best encircling path of an opened area for one scar mask. routes, a
+    `RouteBatch` that holds graph, assembles it with the routes of the
+    area's other masks; by default graph forms a batch of its own."""
     if graph.n_patches == 0:
         return _no_patch_loop(graph.opened)
-    _cost, k, seq = solve_gap_graph(graph.weights, graph.start_w,
-                                    graph.end_w)
-    return assemble_geometry(graph, k, seq, paths)
+    if routes is None:
+        routes = RouteBatch([graph])
+    return routes.path(graph)

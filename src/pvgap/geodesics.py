@@ -31,8 +31,8 @@ x is expanded and neither y nor z is. Each of y and z is then
   dist[x], so neither its edge relaxation nor the triangle update, which
   needs both supports below dist[x], can lower x;
 - dropped by a bounded transform: its dist was at or above its field's
-  cap (dist[target], or just above the limit) when it was dropped, and
-  the cap never rises; x is still pending, so dist[x] is below the cap;
+  cap (the largest dist among its targets, or just above the limit) when
+  it was dropped, and the cap never rises; x is still pending, so dist[x] is below the cap;
 - unreached: its dist is inf.
 A proposal that reads a support of the other three kinds is not below
 dist[x]. So a skipped corner proposes nothing lower, and each sweep
@@ -54,15 +54,15 @@ Accuracy contract: within 2% of analytic geodesics on well-shaped
 plane/sphere meshes (asserted in the test suite).
 
 A `FieldBatch` runs the transforms of K source sets in one batch, and
-every transform is such a batch (a lone `distance_transform` and
-`geodesic_path` run K = 1). The batch state is flat over K*n vertices
-(vertex v of field k is k*n + v). Each field keeps its own pending set, its
-own bucket bound (the minimum over its own pending vertices) and its own
-sweep count; every other step is elementwise, reading and writing only the
-field's own values. So a field's bits are those of
-the same transform run alone, by construction rather than by replay: the
+every transform is such a batch (a lone `distance_transform` runs K = 1,
+`geodesic_paths` one field per distinct source). The batch state is flat
+over K*n vertices (vertex v of field k is k*n + v). Each field keeps its
+own pending set, its own bucket bound (the minimum over its own pending
+vertices), its own cap and its own sweep count; every other step is
+elementwise, reading and writing only the field's own values. So a
+field's bits are those of the same transform run alone, by construction rather than by replay: the
 batch only shares the per-sweep numpy call overhead, which dominates on
-fronts of a few dozen vertices. A lone field (K = 1: every route link,
+fronts of a few dozen vertices. A lone field (K = 1: a lone transform,
 every no-scar loop field) skips the batch bookkeeping: its bucket minimum
 and cap are single values and its vertex ids need no offset. That is what
 the batch arithmetic gives for one field, whose offset is 0.
@@ -76,29 +76,35 @@ minimum, and a minimum does not depend on the order it is taken in; the
 values are never NaN, since a triangle update is made only from finite
 supports and an edge relaxation from an unreached one is +inf.
 
-A point-to-point transform (`geodesic_path`) runs the same sweeps but,
-after each one, drops the pending vertices whose dist is not below the
-current dist[target], so it stops once the lowest pending dist passes the
-target's. This is exact below that bound: every proposal is at
-least its support's value (an edge relaxation adds a length, a valid
-triangle update is never below its farther support), so a dropped vertex
-can never lower anything below the bound, and the descent from the target
-reads only values below it. The values above the bound are left unfinished,
-so such a transform yields its target's distance and path, never a field.
+A point-to-point transform (`geodesic_paths`) gives each field a set of
+targets and runs the same sweeps but, after each one, drops the pending
+vertices whose dist is not below the field's cap: the largest current dist
+among its targets. So a field stops once its lowest pending dist passes
+its farthest target's. This is exact below the final cap: every proposal
+is at least its support's value (an edge relaxation adds a length, a
+valid triangle update is never below its farther support), so a dropped
+vertex can never lower anything below the cap. Nor can it lower a target,
+whose dist is at most the cap, so every target's dist is exact too. The
+descent from a target reads only values below that target's dist. So each
+target's distance and path are those of the whole field, whatever other
+targets share its field, and the targets of one source need one field:
+`geodesic_paths` runs every pair it is given in one batch, one field per
+distinct source. The values above the cap are left unfinished, so such a
+transform yields its targets' distances and paths, never a field.
 
 A batch may instead carry a limit hook (`FieldBatch`): every
 LIMIT_CADENCE sweeps it maps the current rows to one bound per field, and
 from then on each sweep drops the pending vertices strictly above their
-field's bound. That is the same drop rule: the cap is dist[target] for a
-point-to-point transform and the next float above the bound for a limit.
-The patch fields of one scar mask use `gaps.route_limits`: their bound is
-U(1 + 1e-9), where U is the least start + patch-to-patch + end cost over
-the patch graph those rows give (`gaps.route_limit`). Exactness:
+field's bound. That is the same drop rule, with the next float above the
+bound as the cap. The patch fields of one scar mask use
+`gaps.route_limits`: their bound is U(1 + 1e-9), where U is the least
+start + patch-to-patch + end cost over the patch graph those rows give
+(`gaps.route_limit`). Exactness:
 - Values only fall, so U from current values is never below the final
   route cost C*; the margin absorbs the solver's other summation order.
   The bounds therefore never rise, and stay at or above C*.
-- By the argument above, with the last bound in place of the target's
-  dist, every value at or below that bound is bit-equal to the whole
+- By the argument above, with the last bound in place of the targets'
+  cap, every value at or below that bound is bit-equal to the whole
   field's. That includes C* = 0, so only values strictly above it drop.
 - A route that reads an entry above the bound costs more than C*, so the
   solve finds the same cost, twin pair and sequence, ties included. Its
@@ -109,16 +115,6 @@ the patch graph those rows give (`gaps.route_limit`). Exactness:
   fields' bits and sweep counts.
 Each field records the hook's bound on the final rows as its `limit`. It
 is at most the last bound used, so the field is exact at or below it.
-
-A `PathCache` keeps, per source vertex, the bounded transform with the
-largest bound run from it so far, so that later targets from the same
-source can read it. It serves a target dst from the kept row in two cases,
-both exact by the argument above: dst is the run's own target, which is
-the lone call's own result; or the kept dist[dst] lies strictly below the
-bound, where the row is exact, and the descent from dst reads only values
-below dist[dst]. Otherwise the kept dist[dst] is at or above the bound, so
-dst's distance is too, and a new transform to dst runs; its bound is at
-least the kept one, and it replaces that.
 
 Corners follow the half-edge numbering of `SurfaceMesh`: with m triangles,
 corner q = r*m + t is vertex r of triangle t, and the triangle's next two
@@ -302,11 +298,13 @@ class InterSetDistance:
 def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
     """(dist, sweeps) of the transforms from each array of checked source
     ids in srcs: dist has one row and sweeps one count per field. With
-    targets, one vertex per field, field k is exact only below its final
-    dist[targets[k]]. With limit, a hook that maps the current (K, n) rows
-    to one upper bound per field and is called every LIMIT_CADENCE sweeps,
-    field k is exact at or below the last bound it returned for k (module
-    docstring). At most one of targets and limit is given."""
+    targets, one non-empty array of target ids per field, field k stops at
+    the largest current dist among its targets and is exact below that
+    final cap and at each of its targets. With limit, a hook that maps the
+    current (K, n) rows to one upper bound per field and is called every
+    LIMIT_CADENCE sweeps, field k is exact at or below the last bound it
+    returned for k (module docstring). At most one of targets and limit is
+    given."""
     n = mesh.n_vertices
     tab = _corner_tables(mesh)
     ptr, qa, qb, qbA = tab["ptr"], tab["qa"], tab["qb"], tab["qbA"]
@@ -324,7 +322,11 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
     act = np.zeros(k * n, dtype=bool)  # expanded in this sweep
     slot = np.empty(k * n, dtype=np.int32)  # de-duplicates a sweep's targets
     if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64) + np.arange(k) * n
+        # every field's targets in one flat list, offset into the batch,
+        # and where each field's run of them starts
+        heads = np.cumsum([0] + [len(t) for t in targets[:-1]])
+        targets = np.concatenate([np.asarray(t, dtype=np.int64) + f * n
+                                  for f, t in enumerate(targets)])
     # a pending vertex at or above its field's cap is dropped
     cap = None if targets is None and limit is None else np.full(k, np.inf)
     sweeps = np.zeros(k, dtype=np.int64)
@@ -386,7 +388,7 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
         if cap is None:
             continue
         if targets is not None:
-            cap = dist[targets]
+            cap = np.maximum.reduceat(dist[targets], heads)
         elif it % LIMIT_CADENCE == 0:
             # drop only what lies strictly above the bound
             cap = np.nextafter(limit(dist.reshape(k, n)), np.inf)
@@ -528,64 +530,50 @@ def _unreachable() -> InterSetDistance:
         length=np.inf))
 
 
-class PathCache:
-    """The bounded transforms `geodesic_path` ran on one mesh, kept per
-    source vertex: for each source, the dist row of the run with the
-    largest bound (its target's final dist) so far, its target and that
-    bound. A later call from the same source reads the kept row where it
-    is exact (module docstring). The rows live as long as the cache.
-    """
-
-    def __init__(self, mesh: SurfaceMesh):
-        self.mesh = mesh
-        self._runs = {}  # source -> (dist row, target, bound)
-
-    def exact_at(self, src: int, dst: int):
-        """A kept dist row from src that is exact at dst and below its
-        dist[dst], or None."""
-        run = self._runs.get(src)
-        if run is not None:
-            dist, target, bound = run
-            if dst == target or dist[dst] < bound:
-                return dist
-        return None
-
-    def keep(self, src: int, dst: int, dist: np.ndarray) -> None:
-        """Keep the run from src to dst unless the kept one reaches
-        further."""
-        run = self._runs.get(src)
-        if run is None or dist[dst] >= run[2]:
-            self._runs[src] = (dist, dst, dist[dst])
-
-
-def geodesic_path(mesh: SurfaceMesh, src: int, dst: int,
-                  paths: PathCache | None = None) -> InterSetDistance:
-    """Geodesic distance from vertex src to vertex dst and its src -> dst
-    polyline, by a transform from src that stops at dst.
-
-    Distance and path equal those of `distance_transform(mesh, [src])`
-    traced from dst; an unreachable dst gives the +inf result of
-    `InterSetDistance`. paths, a `PathCache` on mesh, supplies a kept
-    transform from src where one is exact at dst and keeps the one this
-    call runs; ValueError if it is on another mesh.
-    """
-    src = checked_ids(mesh, src, "source").item()
-    dst = checked_ids(mesh, dst, "target").item()
-    if paths is not None and paths.mesh is not mesh:
-        raise ValueError("path cache is on another mesh")
+def _path(mesh: SurfaceMesh, dist, src: int, dst: int) -> InterSetDistance:
+    """The src -> dst result of a dist row from src that is exact at dst
+    and below it; dist is not read when src == dst."""
     if src == dst:
         point = TracedPath(vertex_ids=np.asarray([src], dtype=np.int64),
                            points=mesh.vertices[[src]], length=0.0)
         return InterSetDistance(distance=0.0, path=point)
-    dist = None if paths is None else paths.exact_at(src, dst)
-    if dist is None:
-        dist = _sweep(mesh, [np.asarray([src], dtype=np.int64)], [dst])[0][0]
-        if paths is not None:
-            paths.keep(src, dst, dist)
     if not np.isfinite(dist[dst]):
         return _unreachable()
     return InterSetDistance(distance=float(dist[dst]),
                             path=_descend(mesh, dist, dst).reversed())
+
+
+def geodesic_paths(mesh: SurfaceMesh, pairs) -> list:
+    """Geodesic distance and src -> dst polyline of each (src, dst) vertex
+    pair, as a list of `InterSetDistance`.
+
+    One batched transform runs, with one field per distinct source of the
+    pairs whose src differs from dst; each field stops at the farthest of
+    its targets (module docstring). Each result equals that of
+    `distance_transform(mesh, [src])` traced from dst, bit for bit; an
+    unreachable dst gives the +inf result of `InterSetDistance`.
+    """
+    pairs = [(checked_ids(mesh, src, "source").item(),
+              checked_ids(mesh, dst, "target").item()) for src, dst in pairs]
+    targets = {}  # source -> {target: None}, each once, first seen first
+    for src, dst in pairs:
+        if src != dst:
+            targets.setdefault(src, {})[dst] = None
+    rows = {}
+    if targets:
+        dist = _sweep(mesh, [np.asarray([src], dtype=np.int64)
+                             for src in targets],
+                      [list(dsts) for dsts in targets.values()])[0]
+        rows = dict(zip(targets, dist))
+    done = {(src, dst): _path(mesh, rows.get(src), src, dst)
+            for src, dst in dict.fromkeys(pairs)}
+    return [done[pair] for pair in pairs]
+
+
+def geodesic_path(mesh: SurfaceMesh, src: int, dst: int) -> InterSetDistance:
+    """Geodesic distance from vertex src to vertex dst and its src -> dst
+    polyline: the one-pair case of `geodesic_paths`."""
+    return geodesic_paths(mesh, [(src, dst)])[0]
 
 
 def min_interset_distance(field_a: DistanceField,

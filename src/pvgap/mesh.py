@@ -721,14 +721,24 @@ def write_atomic(path, data: bytes) -> None:
 
 def read_json(path):
     """The strict JSON value in file `path`: UTF-8 text without the
-    constants NaN and Infinity, which `write_json` never emits. Text that is
-    not such JSON raises ConfigError naming the file; an unreadable file
-    raises its OSError."""
+    constants NaN and Infinity, which `write_json` never emits, and without
+    a key held twice by one object, whose first value `json.load` would
+    drop. Text that is not such JSON raises ConfigError naming the file;
+    an unreadable file raises its OSError."""
     def strict(name):
         raise ConfigError(f"{name} is not strict JSON")
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"duplicate key {json.dumps(key)}")
+            obj[key] = value
+        return obj
     with in_file(path), open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=strict)
+            return json.load(fh, parse_constant=strict,
+                             object_pairs_hook=unique)
         except ValueError as exc:  # a syntax error or bytes that are not UTF-8
             raise ConfigError(str(exc)) from None
 

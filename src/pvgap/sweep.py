@@ -10,9 +10,10 @@ patch fields of an area's distinct masks are computed in one batched
 transform, and each mask's fields stop above a bound on that mask's route
 cost (`gaps.route_limits`): at or below it they are bit for bit those of
 one whole transform per patch, which is all the route and its path read.
-The route links of all its masks share one `PathCache`, so a link from a
-vertex that an earlier link left from reads that link's transform where it
-is exact.
+The routes of all its masks are then solved, and their links, which join
+the pieces of each route into one loop, run in one more batched transform,
+one field per distinct link source, each stopped at the farthest of its
+targets (`gaps.RouteBatch`); every link reads only values that are exact.
 Failures of one area (bad labels, unresolvable cuts, missing connectivity,
 a solver that does not converge) are recorded and do not abort the
 remaining areas.
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AreaError, ConfigError, TopologyError, in_file, is_real
-from .gaps import EncirclingPath, build_graph, min_gap_path, route_limits
-from .geodesics import FieldBatch, PathCache
+from .gaps import (EncirclingPath, RouteBatch, build_graph, min_gap_path,
+                   route_limits)
+from .geodesics import FieldBatch
 from .mesh import (SurfaceMesh, connected_components, read_json, save_mesh,
                    write_json)
 from .regions import (OpenedArea, RegionConfig, build_search_area,
@@ -142,11 +144,12 @@ def _run_area(mesh, spec, masks):
         batch = FieldBatch(opened.mesh,
                            [p for lab in labelings for p in lab.patches],
                            route_limits(opened, labelings))
-        # route links from one vertex share their transforms across masks
-        links = PathCache(opened.mesh)
-        paths = {key: min_gap_path(build_graph(opened, sub, lab, batch),
-                                   links)
-                 for (key, sub), lab in zip(subs.items(), labelings)}
+        graphs = [build_graph(opened, sub, lab, batch)
+                  for sub, lab in zip(subs.values(), labelings)]
+        # the route links of every distinct mask run in one kernel call
+        routes = RouteBatch(graphs)
+        paths = {key: min_gap_path(graph, routes)
+                 for key, graph in zip(subs, graphs)}
         results = [ThresholdResult(factor=factor, path=paths[key])
                    for (factor, _mask), key in zip(masks, keys)]
         nauc = rgm_nauc([r.factor for r in results],

@@ -268,6 +268,34 @@ def test_json_readers_refuse_what_is_not_strict_json(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("reader", ["load_config", "load_report"])
+def test_an_area_listed_twice_is_refused(reader, workdir, tmp_path, capsys):
+    # json.load keeps the last value of a key an object holds twice, so
+    # one of the two areas would be dropped without a word
+    ph = workdir / "ph"
+    good = {"load_config": ph / "regions.cfg",
+            "load_report": workdir / "report.json"}[reader]
+    name, area = next(iter(json.loads(good.read_text())["areas"].items()))
+    head, areas, rest = good.read_text().partition('"areas": {')
+    path = tmp_path / "in.json"
+    path.write_text(f"{head}{areas}{json.dumps(name)}: {json.dumps(area)}, "
+                    f"{rest}")
+    load = {"load_config": load_config, "load_report": load_report}[reader]
+    with pytest.raises(ConfigError, match=f'duplicate key "{name}"') as info:
+        load(path)
+    assert str(info.value).count(str(path)) == 1
+    argv = {"load_config": ["quantify", "--mesh", str(ph / "mesh.vtk"),
+                            "--config", str(path), "--bp-mean", "100",
+                            "--bp-sd", "10", "--thresholds", THRESH,
+                            "--out", str(tmp_path / "out")],
+            "load_report": ["cohort", "--reports", str(path),
+                            "--out", str(tmp_path / "out")]}[reader]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f'"{name}"' in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("synth_args, golden", [
     # six scar patches that change at every default factor, so each factor
     # runs new whole-mesh patch fields

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pvgap.errors import AreaError, TopologyError
-from pvgap.gaps import (EPS_GAP, _link, build_graph, min_gap_path,
-                        solve_gap_graph)
+from pvgap.gaps import (EPS_GAP, RouteBatch, _links, build_graph,
+                        min_gap_path, solve_gap_graph)
 from pvgap.geodesics import FieldBatch, distance_transform, trace_path
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
@@ -189,6 +189,37 @@ def test_build_graph_takes_a_labeling_and_a_batch_of_several_masks():
 
 # --- assembled encircling paths ---
 
+def _assert_same_route(got, want):
+    assert got.rgm == want.rgm and got.total_length == want.total_length
+    assert got.node_sequence == want.node_sequence
+    assert got.crossing_pair == want.crossing_pair
+    assert len(got.segment_ids) == len(want.segment_ids)
+    for (kind, ids), (want_kind, want_ids) in zip(got.segment_ids,
+                                                  want.segment_ids):
+        assert kind == want_kind and np.array_equal(ids, want_ids)
+
+
+def test_route_batch_assembles_each_graph_like_a_lone_route():
+    spec = PhantomSpec(keep_fraction=0.75, patchiness=2, seed=3)
+    opened, mask, _ = _opened_with_mask(spec)
+    other = mask.copy()
+    other[connected_components(opened.mesh, mask).patches[-1][0]] = False
+    graphs = [build_graph(opened, m)
+              for m in (mask, other, np.zeros_like(mask))]
+    routes = RouteBatch(graphs)
+    for graph in graphs:
+        _assert_same_route(min_gap_path(graph, routes), min_gap_path(graph))
+    # a graph without patches, or outside the batch, is not its route
+    with pytest.raises(ValueError, match="not a route of the batch"):
+        routes.path(graphs[2])
+    with pytest.raises(ValueError, match="not a route of the batch"):
+        min_gap_path(build_graph(opened, mask), routes)
+    # an equal but distinct opened mesh is another mesh
+    twin, twin_mask, _ = _opened_with_mask(spec)
+    with pytest.raises(ValueError, match="different meshes"):
+        RouteBatch([graphs[0], build_graph(twin, twin_mask)])
+
+
 def test_single_gap_phantom_geometry():
     spec = PhantomSpec(keep_fraction=0.5)
     opened, mask, truth = _opened_with_mask(spec)
@@ -271,8 +302,8 @@ def test_link_to_an_unreachable_vertex_raises():
         np.concatenate([grid.triangles, grid.triangles + 16]))
     with pytest.raises(TopologyError,
                        match="^vertex 20 is unreachable from the sources$"):
-        _link(mesh, 3, 20)
-    point = _link(mesh, 3, 3)
+        _links(mesh, [(3, 4), (3, 20)])
+    (point,) = _links(mesh, [(3, 3)])
     assert point.vertex_ids.tolist() == [3] and point.length == 0.0
     assert np.array_equal(point.points, mesh.vertices[[3]])
 

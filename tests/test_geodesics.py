@@ -17,8 +17,8 @@ from scipy.sparse import csgraph, csr_matrix
 from pvgap import geodesics
 from pvgap.errors import TopologyError
 from pvgap.geodesics import (_corner_tables, _proposals, _sweep,
-                             DistanceField, FieldBatch, PathCache,
-                             distance_transform, geodesic_path,
+                             DistanceField, FieldBatch, distance_transform,
+                             geodesic_path, geodesic_paths,
                              min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
@@ -470,13 +470,13 @@ def test_bounded_transform_is_exact_below_its_target(case):
             if dst == src:
                 continue
             bound = field.dist[dst]
-            bounded = _sweep(mesh, [np.asarray([src])], [dst])[0][0]
+            bounded = _sweep(mesh, [np.asarray([src])], [[dst]])[0][0]
             if case == "two-fields":
                 # the second field runs to dst from another source
                 src2 = (src + 3 * dst) % mesh.n_vertices
                 pair = _sweep(mesh, [np.asarray([src]), np.asarray([src2])],
-                              [dst, dst])[0]
-                alone = _sweep(mesh, [np.asarray([src2])], [dst])[0][0]
+                              [[dst], [dst]])[0]
+                alone = _sweep(mesh, [np.asarray([src2])], [[dst]])[0][0]
                 cut = alone[dst]
                 assert (np.minimum(pair[1], cut).tobytes()
                         == np.minimum(alone, cut).tobytes()), (src2, dst)
@@ -494,7 +494,7 @@ def test_bounded_transform_is_exact_below_its_target(case):
     assert pruned > 0
 
 
-def _triangle_schedule(mesh, sources, target=None):
+def _triangle_schedule(mesh, sources, targets=None):
     """(dist, sweeps) of `_sweep`'s bucket schedule as it stood when each
     sweep evaluated every corner of every triangle touching an expanded
     vertex, written out for one field. `_sweep` evaluates only the corners
@@ -518,8 +518,8 @@ def _triangle_schedule(mesh, sources, target=None):
                               0)
         np.minimum.at(dist, tgt, val)
         pending = np.union1d(pending[~near], tgt)
-        if target is not None:
-            pending = pending[dist[pending] < dist[target]]
+        if targets is not None:
+            pending = pending[dist[pending] < dist[targets].max()]
     return dist, sweeps
 
 
@@ -533,14 +533,17 @@ def test_sweep_keeps_the_triangle_schedule(case):
         rng = np.random.default_rng(8)
         pairs = rng.integers(0, mesh.n_vertices, size=(12, 2))
         source_sets = [[src] for src in pairs[:, 0]]
-        targets = pairs[:, 1]
+        # two fields in three stop at the farthest of several targets
+        extra = rng.integers(0, mesh.n_vertices, size=(12, 2))
+        targets = [[dst, *more[:k % 3]]
+                   for k, (dst, more) in enumerate(zip(pairs[:, 1], extra))]
     else:
         mesh, source_sets = _batch_case(case)
         targets = [None] * len(source_sets)
     srcs = [np.unique(np.asarray(s, dtype=np.int64)) for s in source_sets]
     dist, sweeps = _sweep(mesh, srcs, None if targets[0] is None else targets)
-    for src, target, row, count in zip(srcs, targets, dist, sweeps):
-        want, want_sweeps = _triangle_schedule(mesh, src, target)
+    for src, dsts, row, count in zip(srcs, targets, dist, sweeps):
+        want, want_sweeps = _triangle_schedule(mesh, src, dsts)
         assert row.tobytes() == want.tobytes()
         assert count == want_sweeps
     if case == "bounded-jittered-grid":
@@ -577,7 +580,7 @@ def test_sweep_gives_the_same_bits_in_any_vertex_order():
     cases = {"patch batch": (patches, None, None),
              "limited patch batch": (
                  patches, None, lambda rows: np.full(len(rows), bound)),
-             "bounded K = 1": ([src], [mid], None),
+             "bounded K = 1": ([src], [[mid]], None),
              "whole K = 1": ([rim], None, None)}
     for name, (srcs, targets, limit) in cases.items():
         dist, sweeps = _sweep(opened, srcs, targets, limit)
@@ -634,14 +637,16 @@ def test_geodesic_path_validation_and_edge_cases(monkeypatch):
     assert np.array_equal(point.path.points, mesh.vertices[[7]])
 
 
-# --- kept bounded transforms ---
+# --- point-to-point transforms with several targets per source ---
 
 def _counted_sweeps(monkeypatch):
-    """The targets of every `_sweep` call from now on."""
+    """(sources, targets) of every `_sweep` call from now on, one source
+    and a list of targets per field."""
     calls = []
 
     def counting(mesh, srcs, targets=None):
-        calls.append(targets)
+        calls.append(([int(src[0]) for src in srcs],
+                      [sorted(map(int, dsts)) for dsts in targets]))
         return _sweep(mesh, srcs, targets)
 
     monkeypatch.setattr(geodesics, "_sweep", counting)
@@ -654,76 +659,60 @@ def _assert_same_path(got, want):
     assert got.path.points.tobytes() == want.path.points.tobytes()
 
 
+def _fields_of(pairs):
+    """The (sources, targets) of the fields `geodesic_paths` runs for
+    pairs: one per distinct source, first seen first."""
+    fields = {}
+    for src, dst in pairs:
+        if src != dst:
+            fields.setdefault(src, set()).add(dst)
+    return list(fields), [sorted(dsts) for dsts in fields.values()]
+
+
 @pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
-def test_path_cache_gives_the_lone_paths(case, monkeypatch):
+def test_path_batch_gives_the_lone_paths(case, monkeypatch):
+    # one field from src holds targets at every rank of distance from it,
+    # so most are read below a cap that a farther target set; random pairs
+    # add sources with several targets and repeated pairs, in any order
     if case == "sphere":
         mesh = icosphere(subdivisions=3, radius=10.0)
     else:
         mesh = _jittered_grid()[1]
-    src = 5
-    # targets by rank of their distance from src
-    by_dist = np.argsort(distance_transform(mesh, [src]).dist, kind="stable")
     n = mesh.n_vertices
-    near, mid, between, far = (int(by_dist[n * k // 10]) for k in (2, 5, 7, 9))
-    lone = {t: geodesic_path(mesh, src, t) for t in (near, mid, between, far)}
-    calls = _counted_sweeps(monkeypatch)
-    paths = PathCache(mesh)
-
-    def check(dst, new_calls):
-        before = len(calls)
-        _assert_same_path(geodesic_path(mesh, src, dst, paths), lone[dst])
-        assert len(calls) - before == new_calls, dst
-
-    check(mid, 1)
-    check(mid, 0)  # the kept run's own target
-    check(near, 0)  # below the kept bound
-    check(far, 1)  # at or above it: a new transform
-    check(between, 0)  # the cache now keeps the farther run's bound
-    check(mid, 0)
-    assert calls == [[mid], [far]]
-
-
-@pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
-def test_path_cache_reads_equal_lone_paths_in_any_order(case, monkeypatch):
-    if case == "sphere":
-        mesh = icosphere(subdivisions=3, radius=10.0)
-    else:
-        mesh = _jittered_grid()[1]
+    src = 5
+    by_dist = np.argsort(distance_transform(mesh, [src]).dist, kind="stable")
+    pairs = [(src, int(by_dist[n * k // 10])) for k in (5, 2, 9, 7)]
     rng = np.random.default_rng(11)
-    pairs = [(int(src), int(dst))
-             for src in rng.integers(0, mesh.n_vertices, size=6)
-             for dst in rng.integers(0, mesh.n_vertices, size=8)]
-    lone = [geodesic_path(mesh, src, dst) for src, dst in pairs]
+    pairs += [(int(a), int(b)) for a in rng.integers(0, n, size=6)
+              for b in rng.integers(0, n, size=8)]
+    pairs += pairs[:3]
+    lone = [geodesic_path(mesh, a, b) for a, b in pairs]
     calls = _counted_sweeps(monkeypatch)
-    paths = PathCache(mesh)
-    for (src, dst), want in zip(pairs, lone):
-        _assert_same_path(geodesic_path(mesh, src, dst, paths), want)
-    # not vacuous: most targets read a kept run
-    assert len(calls) < len(pairs) / 2
+    for order in (1, -1):
+        got = geodesic_paths(mesh, pairs[::order])
+        assert len(got) == len(pairs)
+        for isd, want in zip(got, lone[::order]):
+            _assert_same_path(isd, want)
+    assert calls == [_fields_of(pairs), _fields_of(pairs[::-1])]
+    # not vacuous: sources with several targets
+    assert max(map(len, calls[0][1])) >= 4
 
 
-def test_path_cache_with_an_unreachable_target(monkeypatch):
+def test_path_batch_with_a_point_path_and_an_unreachable_target(
+        monkeypatch):
     mesh = _two_grids()
-    lone = {t: geodesic_path(mesh, 0, t) for t in (30, 24, 40)}
+    pairs = [(0, 30), (0, 24), (7, 7), (0, 40), (7, 24), (0, 3)]
+    lone = [geodesic_path(mesh, a, b) for a, b in pairs]
     calls = _counted_sweeps(monkeypatch)
-    paths = PathCache(mesh)
-    # an unreachable target never stops the transform, so its run holds
-    # every reachable vertex
-    for dst, total in ((30, 1), (24, 1), (30, 1), (40, 2)):
-        _assert_same_path(geodesic_path(mesh, 0, dst, paths), lone[dst])
-        assert len(calls) == total, dst
-    assert lone[30].distance == np.inf and lone[40].distance == np.inf
-
-
-def test_path_cache_point_path_and_mesh_check(monkeypatch):
-    mesh = _two_grids()
-    calls = _counted_sweeps(monkeypatch)
-    paths = PathCache(mesh)
-    _assert_same_path(geodesic_path(mesh, 7, 7, paths),
-                      geodesic_path(mesh, 7, 7))
-    assert calls == []
-    other = PathCache(_two_grids())
-    for dst in (7, 24):
-        with pytest.raises(ValueError, match="another mesh"):
-            geodesic_path(mesh, 7, dst, other)
-    assert calls == []
+    for isd, want in zip(geodesic_paths(mesh, pairs), lone):
+        _assert_same_path(isd, want)
+    # an unreachable target never stops its field; a point path needs none
+    assert calls == [([0, 7], [[3, 24, 30, 40], [24]])]
+    for far in (lone[0], lone[3]):
+        assert far.distance == np.inf and far.path.vertex_ids.size == 0
+    point = lone[2]
+    assert point.distance == 0.0 and point.path.length == 0.0
+    assert point.path.vertex_ids.tolist() == [7]
+    assert geodesic_paths(mesh, [(7, 7), (30, 30)])[1].distance == 0.0
+    assert geodesic_paths(mesh, []) == []
+    assert len(calls) == 1

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pvgap import gaps, geodesics, sweep
+from pvgap import geodesics, sweep
 from pvgap.errors import ConfigError, TopologyError
 from pvgap.gaps import build_graph, min_gap_path
 from pvgap.mesh import SurfaceMesh, connected_components, load_mesh
@@ -359,33 +359,38 @@ def test_batched_graphs_equal_one_mask_graphs(monkeypatch):
 def test_route_links_share_transforms_across_masks(monkeypatch):
     # projected from its volume, a coarse sharp disk has graded scar
     # borders, so its masks differ by a few vertices and the routes of
-    # several masks leave from the same vertices, as on large-projected
+    # several masks hold the same links, as on large-projected; the links
+    # of every mask run in one point-to-point transform, with one field
+    # per distinct link source
     spec = PhantomSpec(keep_fraction=0.5)
     mesh, config, _ = make_phantom(spec)
     mesh = SurfaceMesh(mesh.vertices, mesh.triangles,
                        intensity=mip_project(mesh, phantom_volume(spec)),
                        region=mesh.region, name=mesh.name)
-    links = []
     bounded = []
-    real_link, real_sweep = gaps._link, geodesics._sweep
-
-    def link(mesh, src, dst, paths):
-        links.append((src, dst))
-        return real_link(mesh, src, dst, paths)
+    real_sweep = geodesics._sweep
 
     def sweep_(mesh, srcs, targets=None, limit=None):
         if targets is not None:
-            bounded.append(targets)
+            bounded.append({int(src[0]): set(map(int, dsts))
+                            for src, dsts in zip(srcs, targets)})
         return real_sweep(mesh, srcs, targets, limit)
 
-    monkeypatch.setattr(gaps, "_link", link)
     monkeypatch.setattr(geodesics, "_sweep", sweep_)
     (res,) = run_case(mesh, config, spec.blood_pool_mean,
                       spec.blood_pool_sd).areas
     masks = _open_masks(res, mesh, spec, FACTORS)
     assert _distinct(masks) > 1
-    assert len({src for src, _dst in links}) < len(links)
-    assert len(bounded) < len(links)
+    # every mask has a patch, so no no-scar loop runs a transform
+    assert all(tr.path.node_sequence for tr in res.results)
+    links = {(int(ids[0]), int(ids[-1])) for tr in res.results
+             for kind, ids in tr.path.segment_ids if kind == "link"}
+    want = {}
+    for src, dst in links:
+        if src != dst:
+            want.setdefault(src, set()).add(dst)
+    assert len(links) >= 2
+    assert bounded == [want]
     _assert_paths_match_fresh_solves(res, masks)
 
 
