@@ -669,22 +669,42 @@ def _fields_of(pairs):
     return list(fields), [sorted(dsts) for dsts in fields.values()]
 
 
-@pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
-def test_path_batch_gives_the_lone_paths(case, monkeypatch):
-    # one field from src holds targets at every rank of distance from it,
-    # so most are read below a cap that a farther target set; random pairs
-    # add sources with several targets and repeated pairs, in any order
+def _path_mesh(case):
     if case == "sphere":
-        mesh = icosphere(subdivisions=3, radius=10.0)
-    else:
-        mesh = _jittered_grid()[1]
+        return icosphere(subdivisions=3, radius=10.0)
+    return _jittered_grid()[1]
+
+
+# The path_cache tests check that the paths read from one batched field
+# per source equal the lone paths, as the per-source cache of transforms
+# that the batch replaced had to.
+
+@pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
+def test_path_cache_gives_the_lone_paths(case, monkeypatch):
+    # one field from src holds targets at every rank of distance from it,
+    # so most are read below a cap that a farther target set
+    mesh = _path_mesh(case)
     n = mesh.n_vertices
     src = 5
     by_dist = np.argsort(distance_transform(mesh, [src]).dist, kind="stable")
-    pairs = [(src, int(by_dist[n * k // 10])) for k in (5, 2, 9, 7)]
+    near, mid, between, far = (int(by_dist[n * k // 10]) for k in (2, 5, 7, 9))
+    pairs = [(src, dst) for dst in (mid, mid, near, far, between, mid)]
+    lone = [geodesic_path(mesh, a, b) for a, b in pairs]
+    calls = _counted_sweeps(monkeypatch)
+    for got, want in zip(geodesic_paths(mesh, pairs), lone):
+        _assert_same_path(got, want)
+    assert calls == [([src], [sorted((near, mid, between, far))])]
+
+
+@pytest.mark.parametrize("case", ["sphere", "jittered-grid"])
+def test_path_cache_reads_equal_lone_paths_in_any_order(case, monkeypatch):
+    # random pairs give sources with several targets; repeated pairs and
+    # both orders of the batch give the same paths
+    mesh = _path_mesh(case)
+    n = mesh.n_vertices
     rng = np.random.default_rng(11)
-    pairs += [(int(a), int(b)) for a in rng.integers(0, n, size=6)
-              for b in rng.integers(0, n, size=8)]
+    pairs = [(int(a), int(b)) for a in rng.integers(0, n, size=6)
+             for b in rng.integers(0, n, size=8)]
     pairs += pairs[:3]
     lone = [geodesic_path(mesh, a, b) for a, b in pairs]
     calls = _counted_sweeps(monkeypatch)
@@ -698,10 +718,9 @@ def test_path_batch_gives_the_lone_paths(case, monkeypatch):
     assert max(map(len, calls[0][1])) >= 4
 
 
-def test_path_batch_with_a_point_path_and_an_unreachable_target(
-        monkeypatch):
+def test_path_cache_with_an_unreachable_target(monkeypatch):
     mesh = _two_grids()
-    pairs = [(0, 30), (0, 24), (7, 7), (0, 40), (7, 24), (0, 3)]
+    pairs = [(0, 30), (0, 24), (7, 7), (0, 40), (7, 24), (0, 3), (0, 30)]
     lone = [geodesic_path(mesh, a, b) for a, b in pairs]
     calls = _counted_sweeps(monkeypatch)
     for isd, want in zip(geodesic_paths(mesh, pairs), lone):
@@ -710,9 +729,19 @@ def test_path_batch_with_a_point_path_and_an_unreachable_target(
     assert calls == [([0, 7], [[3, 24, 30, 40], [24]])]
     for far in (lone[0], lone[3]):
         assert far.distance == np.inf and far.path.vertex_ids.size == 0
-    point = lone[2]
+
+
+def test_path_cache_point_path_and_mesh_check(monkeypatch):
+    mesh = _two_grids()
+    calls = _counted_sweeps(monkeypatch)
+    point = geodesic_paths(mesh, [(7, 7)])[0]
     assert point.distance == 0.0 and point.path.length == 0.0
     assert point.path.vertex_ids.tolist() == [7]
+    assert np.array_equal(point.path.points, mesh.vertices[[7]])
     assert geodesic_paths(mesh, [(7, 7), (30, 30)])[1].distance == 0.0
     assert geodesic_paths(mesh, []) == []
-    assert len(calls) == 1
+    # every pair is checked against this mesh before any transform runs
+    for bad in ((0, mesh.n_vertices), (mesh.n_vertices, 7)):
+        with pytest.raises(TopologyError, match="out of range"):
+            geodesic_paths(mesh, [(0, 24), bad])
+    assert calls == []
