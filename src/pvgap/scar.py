@@ -7,10 +7,13 @@ maximum-intensity projection), so the projected value is robust to small
 registration offsets between wall and image. Samples are trilinear, a
 numpy eight-corner sum with the arithmetic of an order-1
 `scipy.ndimage.map_coordinates` (see `_sample_trilinear`), so projection
-needs no scipy. Vertices are sampled in fixed blocks that bound the
-temporaries. Sample points outside the volume are skipped; a vertex with
-no in-volume sample projects to -inf, which no threshold can classify as
-scar.
+needs no scipy. A projection pads the volume once by one edge-replicated
+plane past each top face, so a sample's eight corners sit at fixed
+offsets from one flat index and no upper corner needs a clamp; the
+float32 copy lives only as long as the call. Vertices are sampled in
+fixed blocks that bound the other temporaries. Sample points outside the
+volume are skipped; a vertex with no in-volume sample projects to -inf,
+which no threshold can classify as scar. Voxel values must be finite.
 
 Scar masks come from blood-pool statistics: a vertex is scar at factor k
 when its projection strictly exceeds mean + k * sd. Masks are nested by
@@ -33,9 +36,9 @@ THRESHOLD_FACTORS = (2.0, 3.3, 4.0, 5.0, 6.0)
 MIP_REACH_MM = 3.0
 MIP_STEP_MM = 0.2
 # vertices sampled per block: the temporaries of one block (31 samples per
-# vertex) stay within a few hundred kB each, so they are served from cache
-# and a freed block's memory is reused by the next
-_MIP_BLOCK = 1024
+# vertex) stay within ~130 kB each, so they are served from cache and a
+# freed block's memory is reused by the next; 512 to 1024 read fastest
+_MIP_BLOCK = 512
 
 _MAGIC = "scalar-volume 1"
 _FMT = "%.9g"
@@ -47,7 +50,9 @@ class ScalarVolume:
 
     values is indexed [iz, iy, ix]; world = origin + direction @ (index *
     spacing) with x the fastest-varying storage axis. direction is a
-    rotation (orthonormal, rows are world axes).
+    rotation (orthonormal, rows are world axes). Every voxel value must be
+    finite: a nan or inf voxel would turn every sample that reads it, even
+    at weight 0, into nan or inf.
     """
     values: np.ndarray
     spacing: tuple
@@ -58,6 +63,13 @@ class ScalarVolume:
         vals = np.ascontiguousarray(self.values, dtype=np.float32)
         if vals.ndim != 3 or min(vals.shape) < 2:
             raise VolumeFormatError("volume needs at least 2 voxels per axis")
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            iz, iy, ix = np.argwhere(bad)[0]
+            raise VolumeFormatError(
+                f"values must be finite: voxel [iz, iy, ix] = [{iz}, {iy},"
+                f" {ix}] holds {vals[iz, iy, ix]} (non-finite voxels:"
+                f" {bad.sum()})")
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (3, 3) or not np.allclose(d @ d.T, np.eye(3), atol=1e-6):
             raise VolumeFormatError("direction must be a 3x3 rotation")
@@ -151,14 +163,22 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
     """Area-weighted vertex normals.
 
     Raw triangle cross products are summed per vertex, so larger triangles
-    weigh more. Vertices whose sum cancels out (folded fans) fall back to
-    the average of already-resolved neighbor normals.
+    weigh more: one `np.bincount` per axis over corner 0 of every triangle,
+    then corner 1, then corner 2, the order in which `np.add.at` would add
+    them, so the sums keep its bits. Vertices whose sum cancels out (folded
+    fans) fall back to the average of already-resolved neighbor normals;
+    a TopologyError names the first vertex that cannot be resolved.
     """
-    p = mesh.vertices[mesh.triangles]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    acc = np.zeros((mesh.n_vertices, 3))
-    for c in range(3):
-        np.add.at(acc, mesh.triangles[:, c], cross)
+    # rows x, y, z; the cross product is np.cross's arithmetic
+    xyz = np.ascontiguousarray(mesh.vertices.T)
+    corners = np.ascontiguousarray(mesh.triangles.T)
+    p0 = xyz[:, corners[0]]
+    ax, ay, az = xyz[:, corners[1]] - p0
+    bx, by, bz = xyz[:, corners[2]] - p0
+    cross = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    acc = np.stack([np.bincount(corners.ravel(), weights=np.tile(c, 3),
+                                minlength=mesh.n_vertices)
+                    for c in cross], axis=1)
     norms = np.linalg.norm(acc, axis=1)
     good = norms > 1e-12
     out = np.zeros_like(acc)
@@ -177,30 +197,49 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
             else:
                 still.append(v)
         if len(still) == len(todo):
-            raise TopologyError("cannot resolve degenerate vertex normals")
+            raise TopologyError("cannot resolve the degenerate normal of"
+                                f" vertex {int(still[0])}")
         todo = np.asarray(still, dtype=np.int64)
     out.flags.writeable = False
     return out
 
 
-def _sample_trilinear(volume: ScalarVolume, pts: np.ndarray):
+def _padded_grid(volume: ScalarVolume) -> np.ndarray:
+    """The volume's values with one edge-replicated plane past each top
+    face, flattened: a float32 copy of (nz + 1) * (ny + 1) * (nx + 1)."""
+    return np.pad(volume.values, ((0, 1),) * 3, mode="edge").ravel()
+
+
+def _sample_trilinear(volume: ScalarVolume, pts: np.ndarray, grid=None):
     """Values and validity of world-space points; invalid = outside grid.
 
     The arithmetic is that of `scipy.ndimage.map_coordinates(order=1,
     mode="nearest", prefilter=False)`, to the bit: per axis the fraction is
     x = c - floor(c) with weights w0 = 1 - x and w1 = 1 - w0, each corner
     term is ((v * wz) * wy) * wx in float64, and the eight terms are summed
-    from 0.0 in z, y, x corner order, x fastest. The upper corner index is
-    clamped to n - 1, as mode "nearest" clamps it, so a sample on a top face
-    (c = n - 1, w1 = 0) reads the same voxels as there.
+    from 0.0 in z, y, x corner order, x fastest. The corners are read from
+    `_padded_grid`'s copy (grid, built here unless given) at eight fixed
+    offsets from one base index per sample. A sample on a top face
+    (c = n - 1, w1 = 0) reads the padding plane there, which holds the face
+    voxel that mode "nearest" reads when it clamps the upper corner to
+    n - 1.
     """
-    rel = (pts - np.asarray(volume.origin)) @ volume.direction
-    # rows z, y, x of index coordinates, each contiguous
-    idx = np.ascontiguousarray((rel / np.asarray(volume.spacing)).T[::-1])
+    flat = _padded_grid(volume) if grid is None else grid
+    pts = np.asarray(pts, dtype=np.float64)
+    # one axis at a time: a broadcast along rows of 3 costs 3x as much
+    rel = np.empty((len(pts), 3))
+    for a, o in enumerate(volume.origin):
+        np.subtract(pts[:, a], o, out=rel[:, a])
+    rel = rel @ volume.direction
+    # z, y, x index coordinates
+    idx = [rel[:, a] / volume.spacing[a] for a in (2, 1, 0)]
     shape = volume.values.shape
-    strides = (shape[1] * shape[2], shape[2], 1)
+    strides = ((shape[1] + 1) * (shape[2] + 1), shape[2] + 1, 1)
+    corners = [dz * strides[0] + dy * strides[1] + dx
+               for dz, dy, dx in itertools.product((0, 1), repeat=3)]
     valid = np.ones(len(pts), dtype=bool)
-    axes = []
+    base = np.zeros(len(pts), dtype=np.intp)
+    weights = []
     for c, n, stride in zip(idx, shape, strides):
         valid &= (c >= 0.0) & (c <= n - 1)
         # an invalid sample is read at the nearest in-grid point, so its
@@ -208,13 +247,20 @@ def _sample_trilinear(volume: ScalarVolume, pts: np.ndarray):
         c = np.clip(c, 0, n - 1)
         lo = np.floor(c)
         w0 = 1.0 - (c - lo)
-        i0 = lo.astype(np.intp)
-        i1 = np.minimum(i0 + 1, n - 1)
-        axes.append(((i0 * stride, w0), (i1 * stride, 1.0 - w0)))
-    flat = volume.values.ravel()
+        base += lo.astype(np.intp) * stride
+        weights.append((w0, 1.0 - w0))
+    voxel = np.empty(len(pts), dtype=flat.dtype)
+    term = np.empty(len(pts))
     out = np.zeros(len(pts))
-    for (oz, wz), (oy, wy), (ox, wx) in itertools.product(*axes):
-        out += flat[oz + oy + ox] * wz * wy * wx
+    for off, (wz, wy, wx) in zip(corners, itertools.product(*weights)):
+        # every index is in range, so "wrap" never wraps; unlike the
+        # default "raise" it writes straight into out, and it reads
+        # faster than "clip"
+        np.take(flat[off:], base, out=voxel, mode="wrap")
+        np.multiply(voxel, wz, out=term)
+        term *= wy
+        term *= wx
+        out += term
     return out, valid
 
 
@@ -228,17 +274,22 @@ def mip_project(mesh: SurfaceMesh, volume: ScalarVolume,
     if reach_mm <= 0.0 or step_mm <= 0.0 or step_mm > reach_mm:
         raise ValueError("need 0 < step_mm <= reach_mm")
     normals = vertex_normals(mesh)
+    grid = _padded_grid(volume)
     k = int(round(reach_mm / step_mm))
     offsets = step_mm * np.arange(-k, k + 1)
     proj = np.empty(mesh.n_vertices)
     # every sample is computed on its own, so blocks give the same bits
     for lo in range(0, mesh.n_vertices, _MIP_BLOCK):
         hi = lo + _MIP_BLOCK
-        pts = (mesh.vertices[lo:hi, None, :]
-               + offsets[None, :, None] * normals[lo:hi, None, :])
-        vals, valid = _sample_trilinear(volume, pts.reshape(-1, 3))
-        vals = np.where(valid, vals, -np.inf).reshape(-1, len(offsets))
-        proj[lo:hi] = vals.max(axis=1)
+        # vertex + offset * normal, filled one axis at a time
+        verts, norms = mesh.vertices[lo:hi], normals[lo:hi]
+        pts = np.empty((len(verts), len(offsets), 3))
+        for a in range(3):
+            np.multiply(offsets, norms[:, a, None], out=pts[..., a])
+            pts[..., a] += verts[:, a, None]
+        vals, valid = _sample_trilinear(volume, pts.reshape(-1, 3), grid)
+        vals[~valid] = -np.inf
+        proj[lo:hi] = vals.reshape(-1, len(offsets)).max(axis=1)
     proj.flags.writeable = False
     return proj
 

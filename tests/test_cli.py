@@ -531,6 +531,39 @@ def test_non_finite_volume_geometry_exits_2_without_a_report(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, bad", [("project", math.nan),
+                                          ("quantify", math.inf),
+                                          ("bp-mask", -math.inf)])
+def test_a_non_finite_voxel_exits_2_and_writes_nothing(
+        command, bad, workdir, tmp_path, capsys):
+    # a nan or inf voxel was refused only once a sample read it, with a
+    # message naming neither the file nor the voxel
+    ph = workdir / "ph"
+    vol = load_volume(ph / "volume.vol")
+    vals = vol.values.copy()
+    vals[0, 0, 0] = bad
+    volume = tmp_path / "bad.vol"
+    save_volume(vol, volume)
+    raw = volume.read_bytes()
+    head = raw[:len(raw) - vals.nbytes]
+    volume.write_bytes(head + vals.astype("<f4").tobytes())
+    bare = _bare_mesh(workdir, tmp_path / "bare.vtk")
+    out = ["--out", str(tmp_path / "out")]
+    quantify = ["quantify", "--mesh", str(bare), *out,
+                "--config", str(ph / "regions.cfg"),
+                "--annotated-mesh", str(tmp_path / "marked.vtk")]
+    argv = {"project": ["project", "--mesh", str(bare),
+                        "--volume", str(volume), *out],
+            "quantify": [*quantify, "--volume", str(volume),
+                         "--bp-mean", "100", "--bp-sd", "10"],
+            "bp-mask": [*quantify, "--volume", str(ph / "volume.vol"),
+                        "--bp-mask", str(volume)]}
+    assert main(argv[command]) == 2
+    assert (f"{volume}: values must be finite: voxel [iz, iy, ix]"
+            f" = [0, 0, 0] holds {bad}") in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [volume, bare]
+
+
 @pytest.mark.parametrize("bp", [("100", "nan"), ("100", "0"),
                                 ("inf", "10")])
 def test_blood_pool_values_are_refused_before_the_mesh_is_read(

@@ -127,6 +127,8 @@ ROWS = [
     # a mesh outside its volume projects every vertex to -inf
     ("run_case", "mesh", lambda mesh: mesh.with_intensity(
         np.full(mesh.n_vertices, -INF)), ConfigError, "finite intensity"),
+    ("ScalarVolume", "values", np.full((2, 2, 2), NAN), VolumeFormatError,
+     "values"),
 ]
 
 

@@ -4,8 +4,10 @@ thresholds.
 The trilinear sampler is checked against a direct eight-corner expansion
 written out by hand, bit for bit against scipy's order-1
 `map_coordinates`, and against the exact-reproduction property on linear
-fields. Threshold masks must be strictly above the cutoff and
-nested across ascending factors.
+fields; the whole projection is checked bit for bit against a MIP of
+scipy's samples, and vertex normals against a sequential `np.add.at`.
+Threshold masks must be strictly above the cutoff and nested across
+ascending factors.
 """
 
 import itertools
@@ -16,11 +18,12 @@ import pytest
 
 from pvgap import scar
 from pvgap.cli import main
-from pvgap.errors import VolumeFormatError
-from pvgap.mesh import save_mesh
-from pvgap.scar import (THRESHOLD_FACTORS, ScalarVolume, _sample_trilinear,
-                        blood_pool_stats, load_volume, mip_project,
-                        save_volume, threshold_mask, vertex_normals)
+from pvgap.errors import TopologyError, VolumeFormatError
+from pvgap.mesh import SurfaceMesh, save_mesh
+from pvgap.scar import (MIP_REACH_MM, MIP_STEP_MM, THRESHOLD_FACTORS,
+                        ScalarVolume, _sample_trilinear, blood_pool_stats,
+                        load_volume, mip_project, save_volume,
+                        threshold_mask, vertex_normals)
 from pvgap.synth import PhantomSpec, icosphere, make_phantom, phantom_volume, \
     plane_grid
 
@@ -211,6 +214,32 @@ def test_volume_loader_rejects_corruption(tmp_path):
         assert not (tmp_path / "out.vtk").exists()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_volume_refuses_a_non_finite_voxel(bad):
+    # a nan or inf voxel made every sample reading it nan, and projection
+    # died later with a message naming neither the voxel nor the file
+    vals = np.zeros((3, 4, 5), dtype=np.float32)
+    vals[1, 2, 3] = bad
+    with pytest.raises(VolumeFormatError,
+                       match=r"values must be finite: voxel \[iz, iy, ix\]"
+                             rf" = \[1, 2, 3\] holds {bad}"):
+        _volume(vals)
+
+
+def test_volume_loader_names_the_file_of_a_non_finite_voxel(tmp_path):
+    p = tmp_path / "v.svol"
+    save_volume(_volume(np.ones((2, 3, 4))), p)
+    raw = bytearray(p.read_bytes())
+    # the last voxel, [1, 2, 3], is the last four bytes
+    raw[-4:] = np.float32(math.nan).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(VolumeFormatError) as info:
+        load_volume(p)
+    assert str(info.value) == (f"{p}: values must be finite: voxel"
+                               " [iz, iy, ix] = [1, 2, 3] holds nan"
+                               " (non-finite voxels: 1)")
+
+
 def test_vertex_normals_plane_and_sphere():
     plane = plane_grid(6, 6)
     n = vertex_normals(plane)
@@ -221,6 +250,50 @@ def test_vertex_normals_plane_and_sphere():
     radial = sphere.vertices / 5.0
     align = np.abs(np.sum(n * radial, axis=1))
     assert align.min() > 0.99
+
+
+def test_vertex_normals_sum_as_a_sequential_add_at():
+    # one bincount per axis adds each vertex's cross products in the order
+    # np.add.at adds them: corner 0 of every triangle, then 1, then 2
+    mesh, _, _ = make_phantom(PhantomSpec(base_shape="dome-with-hole"))
+    p = mesh.vertices[mesh.triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    acc = np.zeros((mesh.n_vertices, 3))
+    for c in range(3):
+        np.add.at(acc, mesh.triangles[:, c], cross)
+    want = acc / np.linalg.norm(acc, axis=1)[:, None]
+    assert vertex_normals(mesh).tobytes() == want.tobytes()
+
+
+def _folded_fan(extra_vertex=False):
+    """Vertex 0 with two triangles facing +z and one facing -z whose cross
+    products cancel; its neighbors 1, 2, 3 face +z and 4, 5 face -z."""
+    verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+             [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [2.0, 0.0, 0.0]]
+    if extra_vertex:
+        verts.append([5.0, 5.0, 5.0])
+    return SurfaceMesh(vertices=np.array(verts),
+                       triangles=np.array([[0, 1, 2], [0, 2, 3], [0, 5, 4]]))
+
+
+def test_vertex_normals_resolve_a_folded_fan_from_its_neighbors():
+    n = vertex_normals(_folded_fan())
+    # vertex 0's own sum cancels; three +z neighbors outvote two -z ones
+    assert n[0].tolist() == [0.0, 0.0, 1.0]
+    assert n[1:4, 2].tolist() == [1.0] * 3 and n[4:, 2].tolist() == [-1.0] * 2
+
+
+def test_vertex_normals_name_the_vertex_they_cannot_resolve(tmp_path):
+    # vertex 6 is in no triangle: no sum and no neighbor to fall back to
+    mesh = _folded_fan(extra_vertex=True)
+    with pytest.raises(TopologyError, match="normal of vertex 6$"):
+        vertex_normals(mesh)
+    save_mesh(mesh, tmp_path / "m.vtk")
+    save_volume(_volume(np.ones((3, 3, 3))), tmp_path / "v.svol")
+    assert main(["project", "--mesh", str(tmp_path / "m.vtk"),
+                 "--volume", str(tmp_path / "v.svol"),
+                 "--out", str(tmp_path / "out.vtk")]) == 1
+    assert not (tmp_path / "out.vtk").exists()
 
 
 def test_mip_takes_maximum_along_normal():
@@ -271,6 +344,56 @@ def test_mip_blocks_give_the_bits_of_one_block(monkeypatch):
     monkeypatch.setattr(scar, "_MIP_BLOCK", 7)
     assert mesh.n_vertices % 7
     assert whole.tobytes() == mip_project(mesh, vol).tobytes()
+
+
+@pytest.mark.parametrize("rot, exact", [
+    (np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), True),
+    (np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))[0],
+     False)])
+def test_mip_project_matches_map_coordinates_bit_for_bit(rot, exact,
+                                                         monkeypatch):
+    # a plane lying on the volume's top iy face and reaching past the grid
+    # in ix and iz: rays that leave the grid halfway, rays wholly outside
+    # (-inf vertices) and, with a signed-permutation direction and dyadic
+    # geometry (exact), samples exactly on top faces. The projection must
+    # be the MIP of scipy's order-1 samples, byte for byte, over blocks of
+    # 7 vertices with a short last one
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(29)
+    nx, ny, nz = 9, 7, 6
+    vals = rng.uniform(-50.0, 150.0, (nz, ny, nx)).astype(np.float32)
+    spacing, origin = np.array([0.5, 1.25, 2.0]), np.array([-3.5, 2.25, 5.0])
+    vol = ScalarVolume(values=vals, spacing=tuple(spacing),
+                       origin=tuple(origin), direction=rot)
+    plane = plane_grid(25, 27, spacing=0.5)
+    u, w = plane.vertices[:, 0] - 1.5, plane.vertices[:, 1] - 1.5
+    local = np.stack([u, np.full_like(u, (ny - 1) * 1.25), w], axis=1)
+    mesh = SurfaceMesh(vertices=origin + local @ rot.T,
+                       triangles=plane.triangles)
+    monkeypatch.setattr(scar, "_MIP_BLOCK", 7)
+    assert mesh.n_vertices % 7
+    got = mip_project(mesh, vol)
+
+    k = round(MIP_REACH_MM / MIP_STEP_MM)
+    offsets = MIP_STEP_MM * np.arange(-k, k + 1)
+    normals = vertex_normals(mesh)
+    pts = (mesh.vertices[:, None, :]
+           + offsets[None, :, None] * normals[:, None, :]).reshape(-1, 3)
+    idx = ((pts - origin) @ rot) / spacing
+    hi = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
+    valid = (idx >= 0.0).all(axis=1) & (idx <= hi).all(axis=1)
+    samples = ndimage.map_coordinates(vals, idx[:, ::-1].T, order=1,
+                                      mode="nearest", prefilter=False,
+                                      output=np.float64)
+    samples[~valid] = -np.inf
+    want = samples.reshape(-1, len(offsets)).max(axis=1)
+    assert got.tobytes() == want.tobytes()
+
+    per_vertex = valid.reshape(-1, len(offsets))
+    assert np.isneginf(got).any() and np.isfinite(got).any()
+    assert (per_vertex.any(axis=1) & ~per_vertex.all(axis=1)).any()
+    if exact:
+        assert (idx[valid] == hi).any(axis=0).all()  # a top face per axis
 
 
 def test_blood_pool_stats_population_sd():
