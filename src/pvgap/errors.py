@@ -49,11 +49,12 @@ def is_count(value) -> bool:
 
 @contextmanager
 def in_file(path):
-    """Name path in the message of a GapQuantError raised inside, unless
-    the message names it already; the error keeps its type."""
+    """Prefix the message of a GapQuantError raised inside with "path: ",
+    unless it starts so already (an inner `in_file` of the same path); the
+    error keeps its type."""
     try:
         yield
     except GapQuantError as exc:
-        if str(path) not in str(exc):
+        if not str(exc).startswith(f"{path}: "):
             exc.args = (f"{path}: {exc}",)
         raise

@@ -231,28 +231,23 @@ class EncirclingPath:
 
 
 def _gap_segment(mesh, path: TracedPath, wraps: bool) -> GapSegment:
+    # an opened area is cut from a labelled submesh, so it has regions
     ids, points = path.vertex_ids, path.points
     length = polyline_length(points)
-    if mesh.region is not None:
-        labels = mesh.region[ids]
-        regions = tuple(sorted(set(int(v) for v in labels)))
-        if len(ids) == 1:
-            mid = 0
-        else:
-            steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-            cum = np.concatenate([[0.0], np.cumsum(steps)])
-            half = 0.5 * length
-            seg = int(np.searchsorted(cum, half, side="right") - 1)
-            seg = min(seg, len(steps) - 1)
-            # nearer endpoint of the half-way segment
-            mid = seg if half - cum[seg] <= cum[seg + 1] - half else seg + 1
-        midpoint_region = int(mesh.region[ids[mid]])
+    regions = tuple(sorted(set(int(v) for v in mesh.region[ids])))
+    if len(ids) == 1:
+        mid = 0
     else:
-        regions = ()
-        midpoint_region = -1
+        steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(steps)])
+        half = 0.5 * length
+        seg = int(np.searchsorted(cum, half, side="right") - 1)
+        seg = min(seg, len(steps) - 1)
+        # nearer endpoint of the half-way segment
+        mid = seg if half - cum[seg] <= cum[seg + 1] - half else seg + 1
     return GapSegment(length=length, vertex_ids=ids, points=points,
-                      midpoint_region=midpoint_region, regions=regions,
-                      wraps_seam=wraps)
+                      midpoint_region=int(mesh.region[ids[mid]]),
+                      regions=regions, wraps_seam=wraps)
 
 
 def _links(mesh, pairs) -> list:
@@ -269,12 +264,13 @@ def _links(mesh, pairs) -> list:
 
 @dataclass(frozen=True)
 class _RoutePlan:
-    """A solved route of a graph with patches, before its links run.
+    """A solved route, before its links run.
 
     pieces, each oriented along the loop, are the stub from the side_a twin
     to the first patch, the route's gaps and the stub from the last patch
     to the side_b twin; a link joins the end of each piece to the start of
-    the next, two vertices of one patch.
+    the next, two vertices of one patch. A route without patches
+    (`_plan_loop`) has two stubs and one link, the side_a twin itself.
     """
     graph: GapGraph
     pair_index: int
@@ -287,8 +283,44 @@ class _RoutePlan:
                 for (_, prev), (_, nxt) in zip(self.pieces, self.pieces[1:])]
 
 
+def _plan_loop(graph: GapGraph) -> _RoutePlan:
+    """No scar anywhere: the route is the shortest encircling loop itself,
+    a_k -> b_k, after a stub that is the side_a twin a_k alone; the seam is
+    healthy, so `_finish_route` makes the two stubs one gap.
+
+    A single transform from all side_a rims gives a lower bound per twin
+    pair; exact point-to-point loops are then evaluated in bound order until
+    the bound passes the best exact length.
+    """
+    opened = graph.opened
+    mesh = opened.mesh
+    combo = distance_transform(mesh, opened.side_a)
+    lb = combo.dist[opened.side_b]
+    order = np.lexsort((np.arange(len(lb)), lb))
+    best = None  # (length, pair index, path)
+    for k in order:
+        k = int(k)
+        if not np.isfinite(lb[k]):
+            continue
+        if best is not None and lb[k] > best[0]:
+            break
+        loop = geodesic_path(mesh, opened.side_a[k], opened.side_b[k])
+        d = loop.distance
+        if np.isfinite(d) and (best is None or (d, k) < best[:2]):
+            best = (d, k, loop.path)
+    if best is None:
+        raise AreaError("cut rims are not connected in the opened area")
+    _d, k, loop = best
+    twin = TracedPath(vertex_ids=loop.vertex_ids[:1], points=loop.points[:1],
+                      length=0.0)
+    return _RoutePlan(graph=graph, pair_index=k, node_sequence=(),
+                      pieces=(("stub", twin), ("stub", loop)))
+
+
 def _plan_route(graph: GapGraph) -> _RoutePlan:
     """Solve the route, trace its stubs and orient its pieces."""
+    if not graph.n_patches:
+        return _plan_loop(graph)
     k, seq = solve_gap_graph(graph.weights, graph.start_w, graph.end_w)[1:]
     opened = graph.opened
     stub_a = trace_path(graph.fields[seq[0]], int(opened.side_a[k]))
@@ -355,12 +387,12 @@ class RouteBatch:
     assembled together: the route links of every graph run in one kernel
     call (`geodesic_paths`), one field per distinct link source.
 
-    The batch solves its graphs' routes, runs their links and assembles the
-    paths when `min_gap_path` first asks it for one, so that work falls
-    inside that call. Each path is bit for bit the one that a lone
-    transform per link gives: a link reads only its own target's distance
-    and the values below it. Graphs without patches take no part; `min_gap_path` runs
-    their no-scar loop itself.
+    The batch plans every graph's route (`_plan_route`), runs their links
+    and assembles the paths when `min_gap_path` first asks it for one, so
+    that work falls inside that call. Each path is bit for bit the one that
+    a lone transform per link gives: a link reads only its own target's
+    distance and the values below it. The one link of a graph without
+    patches is a point, which needs no transform.
     """
 
     def __init__(self, graphs):
@@ -371,11 +403,11 @@ class RouteBatch:
 
     def path(self, graph: GapGraph) -> EncirclingPath:
         """The path of graph; ValueError unless it is one of the batch's
-        graphs and has patches."""
-        if not (graph.n_patches and any(g is graph for g in self._graphs)):
+        graphs."""
+        if not any(g is graph for g in self._graphs):
             raise ValueError("graph is not a route of the batch")
         if self._paths is None:
-            plans = [_plan_route(g) for g in self._graphs if g.n_patches]
+            plans = [_plan_route(g) for g in self._graphs]
             links = iter(_links(graph.opened.mesh,
                                 [pair for plan in plans
                                  for pair in plan.links]))
@@ -385,47 +417,13 @@ class RouteBatch:
         return self._paths[id(graph)]
 
 
-def _no_patch_loop(opened: OpenedArea) -> EncirclingPath:
-    """No scar anywhere: the gap is the shortest encircling loop itself.
-
-    A single transform from all side_a rims gives a lower bound per twin
-    pair; exact point-to-point loops are then evaluated in bound order until
-    the bound passes the best exact length.
-    """
-    mesh = opened.mesh
-    combo = distance_transform(mesh, opened.side_a)
-    lb = combo.dist[opened.side_b]
-    order = np.lexsort((np.arange(len(lb)), lb))
-    best = None  # (length, pair index, path)
-    for k in order:
-        k = int(k)
-        if not np.isfinite(lb[k]):
-            continue
-        if best is not None and lb[k] > best[0]:
-            break
-        loop = geodesic_path(mesh, opened.side_a[k], opened.side_b[k])
-        d = loop.distance
-        if np.isfinite(d) and (best is None or (d, k) < best[:2]):
-            best = (d, k, loop.path)
-    if best is None:
-        raise AreaError("cut rims are not connected in the opened area")
-    _d, k, path = best
-    p_a, p_b = int(opened.side_a[k]), int(opened.side_b[k])
-    return EncirclingPath(total_length=path.length, gap_length=path.length,
-                          rgm=1.0, gap_count=1,
-                          gaps=(_gap_segment(mesh, path, wraps=True),),
-                          non_gap_length=0.0, node_sequence=(),
-                          crossing_pair=(p_a, p_b),
-                          segment_ids=(("gap", path.vertex_ids),))
-
-
 def min_gap_path(graph: GapGraph,
                  routes: RouteBatch | None = None) -> EncirclingPath:
-    """Best encircling path of an opened area for one scar mask. routes, a
-    `RouteBatch` that holds graph, assembles it with the routes of the
-    area's other masks; by default graph forms a batch of its own."""
-    if graph.n_patches == 0:
-        return _no_patch_loop(graph.opened)
+    """Best encircling path of an opened area for one scar mask: the least
+    route through the mask's patches, or the shortest encircling loop when
+    the mask has none. routes, a `RouteBatch` that holds graph, assembles
+    it with the routes of the area's other masks; by default graph forms a
+    batch of its own."""
     if routes is None:
         routes = RouteBatch([graph])
     return routes.path(graph)

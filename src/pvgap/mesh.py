@@ -97,7 +97,9 @@ class SurfaceMesh:
     region : optional (n,) int array (parcellation labels).
     name : dataset name (goes into the file header title line).
     point_data : optional dict of extra named per-vertex arrays; values are
-        (array, kind) with kind "float" or "int".
+        (array, kind) with kind "float" or "int". The keys "intensity" and
+        "region" name the attributes above in a file, so point_data may not
+        hold them (MeshFormatError).
 
     An int array of another dtype (float or bool) is a MeshFormatError
     naming it, never truncated.
@@ -127,6 +129,9 @@ class SurfaceMesh:
         self.region = self._checked(region, np.int64, "region")
         self.point_data = {}
         for key, (arr, kind) in (point_data or {}).items():
+            if key in ("intensity", "region"):
+                raise MeshFormatError(f"point_data key {key!r} is reserved "
+                                      f"for the mesh's {key}")
             dt = np.int64 if kind == "int" else np.float64
             label = f"point_data[{key!r}]"
             self.point_data[key] = (self._checked(arr, dt, label), kind)
@@ -545,26 +550,34 @@ def load_mesh(path) -> SurfaceMesh:
     in VTK's own reader: POINTS / POLYGONS with triangle cells, then
     optional POINT_DATA with SCALARS arrays, each with a named LOOKUP_TABLE.
     'intensity' (float) and 'region' (int) are mapped to the corresponding
-    mesh attributes; other scalars land in point_data. The stream is split
+    mesh attributes; other scalars land in point_data. A second POINTS,
+    POLYGONS or POINT_DATA section, or a second SCALARS array of one name,
+    is a MeshFormatError: it would overwrite the first. The stream is split
     a chunk at a time (`_token_chunks`), so a large body is never held as
-    one list of tokens.
+    one list of tokens. Every error the file's content raises names the
+    file.
     """
     path = Path(path)
+    with in_file(path):
+        return _read_mesh(path)
+
+
+def _read_mesh(path: Path) -> SurfaceMesh:
     try:
         text = path.read_text(encoding="ascii")
     except UnicodeDecodeError as e:
-        raise MeshFormatError(f"{path}: not an ASCII polydata file") from e
+        raise MeshFormatError("not an ASCII polydata file") from e
     head = _HEADER.match(text)
     if head is None:
-        raise MeshFormatError(f"{path}: truncated header")
+        raise MeshFormatError("truncated header")
     lines = head[0].splitlines()
     if not lines[0].startswith("# vtk DataFile"):
-        raise MeshFormatError(f"{path}: missing polydata header line")
+        raise MeshFormatError("missing polydata header line")
     name = lines[1].strip()
     if lines[2].strip().upper() != "ASCII":
-        raise MeshFormatError(f"{path}: only ASCII encoding is supported")
+        raise MeshFormatError("only ASCII encoding is supported")
     if lines[3].split() != ["DATASET", "POLYDATA"]:
-        raise MeshFormatError(f"{path}: expected DATASET POLYDATA")
+        raise MeshFormatError("expected DATASET POLYDATA")
     tokens = chain.from_iterable(_token_chunks(text, head.end()))
 
     def take(count, dtype=None):
@@ -576,7 +589,7 @@ def load_mesh(path) -> SurfaceMesh:
             size = min(_SAVE_BLOCK, count - lo)
             piece = list(islice(tokens, size))
             if len(piece) < size:
-                raise MeshFormatError(f"{path}: unexpected end of file")
+                raise MeshFormatError("unexpected end of file")
             if dtype is None:
                 out += piece
             elif not bad:
@@ -585,48 +598,55 @@ def load_mesh(path) -> SurfaceMesh:
                 except (ValueError, OverflowError):
                     bad = True
         if bad:
-            raise MeshFormatError(f"{path}: bad numeric value")
+            raise MeshFormatError("bad numeric value")
         return out
 
     def parse_count(token):
         if not token.isdigit():
-            raise MeshFormatError(f"{path}: bad count {token!r}")
+            raise MeshFormatError(f"bad count {token!r}")
         return int(token)
 
     verts = tris = None
     n_points = 0
     scalars = {}
+    seen = set()
     for key in tokens:
         key = key.upper()
+        if key in ("POINTS", "POLYGONS", "POINT_DATA"):
+            if key in seen:
+                raise MeshFormatError(f"repeated {key} section")
+            seen.add(key)
         if key == "POINTS":
             n_points = parse_count(take(2)[0])  # the value type is ignored
             verts = take(3 * n_points, np.float64).reshape(n_points, 3)
         elif key == "POLYGONS":
             if verts is None:
-                raise MeshFormatError(f"{path}: malformed POLYGONS section")
+                raise MeshFormatError("malformed POLYGONS section")
             m, total = map(parse_count, take(2))
             if total != 4 * m:
                 raise MeshFormatError(
-                    f"{path}: POLYGONS size {total} != 4*{m}; only triangles "
-                    "are supported")
+                    f"POLYGONS size {total} != 4*{m}; only triangles are "
+                    "supported")
             arr = take(total, np.int64).reshape(m, 4)
             if (arr[:, 0] != 3).any():
-                raise MeshFormatError(f"{path}: non-triangle cell present")
+                raise MeshFormatError("non-triangle cell present")
             tris = arr[:, 1:]
         elif key == "POINT_DATA":
             count = parse_count(take(1)[0])
             if count != n_points:
                 raise AttributeLengthError(
-                    f"{path}: POINT_DATA count {count} != {n_points}")
+                    f"POINT_DATA count {count} != {n_points}")
         elif key == "SCALARS":
             sname, stype, lut = take(3)
+            if sname in scalars:
+                raise MeshFormatError(f"repeated SCALARS array {sname!r}")
             if lut != "LOOKUP_TABLE":  # the optional component count
                 if parse_count(lut) != 1:
-                    raise MeshFormatError(
-                        f"{path}: multi-component scalars unsupported")
+                    raise MeshFormatError("multi-component scalars "
+                                          "unsupported")
                 lut = take(1)[0]
             if lut != "LOOKUP_TABLE":
-                raise MeshFormatError(f"{path}: SCALARS without LOOKUP_TABLE")
+                raise MeshFormatError("SCALARS without LOOKUP_TABLE")
             take(1)  # the table name
             stype = stype.lower()
             if stype in ("int", "long", "short", "vtkidtype"):
@@ -634,18 +654,17 @@ def load_mesh(path) -> SurfaceMesh:
             elif stype in ("float", "double"):
                 scalars[sname] = (take(n_points, np.float64), "float")
             else:
-                raise MeshFormatError(f"{path}: unsupported scalar type {stype}")
+                raise MeshFormatError(f"unsupported scalar type {stype}")
         else:
-            raise MeshFormatError(f"{path}: unsupported section {key!r}")
+            raise MeshFormatError(f"unsupported section {key!r}")
 
     if verts is None or tris is None:
-        raise MeshFormatError(f"{path}: missing POINTS or POLYGONS section")
+        raise MeshFormatError("missing POINTS or POLYGONS section")
     intensity = scalars.pop("intensity", (None, None))[0]
     region_arr = scalars.pop("region", (None, None))[0]
-    with in_file(path):
-        mesh = SurfaceMesh(verts, tris, intensity=intensity,
-                           region=region_arr, name=name, point_data=scalars)
-        mesh.check_topology()
+    mesh = SurfaceMesh(verts, tris, intensity=intensity, region=region_arr,
+                       name=name, point_data=scalars)
+    mesh.check_topology()
     return mesh
 
 

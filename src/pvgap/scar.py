@@ -93,55 +93,61 @@ class ScalarVolume:
 
 
 def load_volume(path) -> ScalarVolume:
+    """The scalar volume in file path; every VolumeFormatError names the
+    file, and an unreadable file raises its OSError."""
+    with in_file(path):
+        return _read_volume(path)
+
+
+def _read_volume(path) -> ScalarVolume:
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0 or raw[:nl].decode("ascii", "replace") != _MAGIC:
-        raise VolumeFormatError(f"{path}: not a scalar volume file")
+        raise VolumeFormatError("not a scalar volume file")
     fields = {}
     pos = nl + 1
     while True:
         nl = raw.find(b"\n", pos)
         if nl < 0:
-            raise VolumeFormatError(f"{path}: missing data section")
+            raise VolumeFormatError("missing data section")
         line = raw[pos:nl].decode("ascii", "replace").strip()
         pos = nl + 1
         if line == "data":
             break
         key, _, rest = line.partition(" ")
         if not rest or key in fields:
-            raise VolumeFormatError(f"{path}: bad header line {line!r}")
+            raise VolumeFormatError(f"bad header line {line!r}")
         fields[key] = rest
     required = {"dims", "spacing", "origin", "direction", "dtype", "order"}
     missing = required - fields.keys()
     extra = fields.keys() - required
     if missing or extra:
-        raise VolumeFormatError(f"{path}: header keys mismatch"
+        raise VolumeFormatError("header keys mismatch"
                                 f" (missing {sorted(missing)},"
                                 f" unknown {sorted(extra)})")
     if fields["dtype"] != "float32":
-        raise VolumeFormatError(f"{path}: unsupported dtype {fields['dtype']}")
+        raise VolumeFormatError(f"unsupported dtype {fields['dtype']}")
     if fields["order"] != "x-fastest":
-        raise VolumeFormatError(f"{path}: unsupported order {fields['order']}")
+        raise VolumeFormatError(f"unsupported order {fields['order']}")
     try:
         nx, ny, nz = (int(v) for v in fields["dims"].split())
         spacing = tuple(float(v) for v in fields["spacing"].split())
         origin = tuple(float(v) for v in fields["origin"].split())
         dirv = [float(v) for v in fields["direction"].split()]
     except ValueError as exc:
-        raise VolumeFormatError(f"{path}: bad header value: {exc}") from exc
+        raise VolumeFormatError(f"bad header value: {exc}") from exc
     if len(spacing) != 3 or len(origin) != 3 or len(dirv) != 9:
-        raise VolumeFormatError(f"{path}: bad header vector length")
+        raise VolumeFormatError("bad header vector length")
     if min(nx, ny, nz) < 1:
-        raise VolumeFormatError(f"{path}: dims {nx} {ny} {nz} must be positive")
+        raise VolumeFormatError(f"dims {nx} {ny} {nz} must be positive")
     count = nx * ny * nz
     if len(raw) - pos != 4 * count:
-        raise VolumeFormatError(f"{path}: expected {4 * count} data bytes,"
+        raise VolumeFormatError(f"expected {4 * count} data bytes,"
                                 f" found {len(raw) - pos}")
     # a view of the file's bytes: the payload is not copied
     vals = np.frombuffer(raw, dtype="<f4", offset=pos).reshape(nz, ny, nx)
-    with in_file(path):
-        return ScalarVolume(values=vals, spacing=spacing, origin=origin,
-                            direction=np.asarray(dirv).reshape(3, 3))
+    return ScalarVolume(values=vals, spacing=spacing, origin=origin,
+                        direction=np.asarray(dirv).reshape(3, 3))
 
 
 def save_volume(volume: ScalarVolume, path) -> None:

@@ -13,6 +13,7 @@ from pvgap.geodesics import FieldBatch, distance_transform, trace_path
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
+from pvgap.sweep import run_case
 from pvgap.synth import TWO_PI, PhantomSpec, make_phantom, plane_grid
 
 
@@ -209,9 +210,9 @@ def test_route_batch_assembles_each_graph_like_a_lone_route():
     routes = RouteBatch(graphs)
     for graph in graphs:
         _assert_same_route(min_gap_path(graph, routes), min_gap_path(graph))
-    # a graph without patches, or outside the batch, is not its route
-    with pytest.raises(ValueError, match="not a route of the batch"):
-        routes.path(graphs[2])
+    # a graph without patches is a route of the batch like any other
+    _assert_same_route(routes.path(graphs[2]), min_gap_path(graphs[2]))
+    # a graph outside the batch is not its route
     with pytest.raises(ValueError, match="not a route of the batch"):
         min_gap_path(build_graph(opened, mask), routes)
     # an equal but distinct opened mesh is another mesh
@@ -329,7 +330,7 @@ def test_encircling_path_is_one_connected_loop(spec, scar_crossing):
         kinds = [kind for kind, _ids in path.segment_ids]
         seq = path.node_sequence
         assert kinds == (["stub"] + ["link", "gap"] * (len(seq) - 1)
-                         + ["link", "stub"] if seq else ["gap"])
+                         + ["link", "stub"])
         # each gap leaves the patch it follows for the next one
         gaps = [ids for kind, ids in path.segment_ids if kind == "gap"]
         for ids, a, b in zip(gaps, seq, seq[1:]):
@@ -385,3 +386,47 @@ def test_graph_nesting_raises_ratio_with_threshold():
         path = min_gap_path(build_graph(opened, mask))
         assert path.rgm >= prev - 1e-12
         prev = path.rgm
+
+
+@pytest.fixture(scope="module")
+def planted():
+    """The keep-0 disk at 0.5 mm edge with six scar vertices near its outer
+    boundary, off the area's shortest encircling loop, and that loop."""
+    spec = PhantomSpec(keep_fraction=0.0, target_edge_mm=0.5)
+    mesh, config, _truth = make_phantom(spec)
+    v = mesh.vertices
+    outer = max(mesh.boundary_loops(),
+                key=lambda loop: np.hypot(*v[loop, :2].T).mean())
+    near = np.min(np.linalg.norm(v[:, None] - v[outer][None], axis=2), axis=1)
+    angle = np.arctan2(v[:, 1], v[:, 0])
+    planted = np.flatnonzero(~mesh.boundary_vertex_mask & (near <= 1.2)
+                             & (np.abs(angle) < 0.05))
+    intensity = mesh.intensity.copy()
+    intensity[planted] = 1000.0
+    case = run_case(mesh.with_intensity(intensity), config,
+                    spec.blood_pool_mean, spec.blood_pool_sd)
+    (res,) = case.areas
+    opened = res.opened
+    loop = min_gap_path(build_graph(opened,
+                                    np.zeros(opened.mesh.n_vertices, bool)))
+    return planted, res, loop
+
+
+def test_planted_case_holds_six_scar_vertices_off_the_loop(planted):
+    vertices, res, loop = planted
+    assert len(vertices) == 6 and res.ok
+    assert loop.rgm == 1.0 and loop.gap_length == pytest.approx(64.25,
+                                                                abs=0.01)
+    to_parent = res.opened.area.parent_vertex[res.opened.parent_vertex]
+    (gap,) = loop.gaps
+    assert not set(vertices) & set(to_parent[gap.vertex_ids])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1")
+def test_no_route_reports_more_gap_than_the_scar_free_loop(planted):
+    # the solve has no direct rim-to-rim edge, so the route detours through
+    # the planted patch: node sequence (0,), gap 85.37 mm, RGM 0.983
+    _vertices, res, loop = planted
+    for tr in res.results:
+        assert tr.path.gap_length <= loop.gap_length, tr.factor

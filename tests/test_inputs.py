@@ -129,6 +129,10 @@ ROWS = [
         np.full(mesh.n_vertices, -INF)), ConfigError, "finite intensity"),
     ("ScalarVolume", "values", np.full((2, 2, 2), NAN), VolumeFormatError,
      "values"),
+    # point data may not hold an array named like a mesh attribute
+    ("SurfaceMesh", "point_data",
+     lambda mesh: {"intensity": (np.zeros(mesh.n_vertices), "float")},
+     MeshFormatError, "intensity"),
 ]
 
 

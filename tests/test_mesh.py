@@ -12,9 +12,10 @@ from scipy.sparse import csgraph, csr_matrix
 
 from pvgap import mesh as mesh_module
 from pvgap.cli import main
-from pvgap.errors import MeshFormatError, TopologyError
+from pvgap.errors import ConfigError, MeshFormatError, TopologyError
 from pvgap.mesh import (SurfaceMesh, connected_components, cut_mesh,
-                        edge_path, load_mesh, save_mesh, write_atomic)
+                        edge_path, load_mesh, read_json, save_mesh,
+                        write_atomic)
 from pvgap.synth import SHAPES, PhantomSpec, make_phantom, plane_grid
 
 
@@ -723,3 +724,55 @@ def test_load_mesh_rejects_an_index_beyond_int64(tmp_path):
     bad.write_text(GOLDEN.replace("3 0 1 2", "3 0 1 99999999999999999999"))
     with pytest.raises(MeshFormatError):
         load_mesh(bad)
+
+
+@pytest.mark.parametrize("keyword, extra", [
+    ("POINTS", "POINTS 4 float\n9 9 9\n8 8 8\n7 7 7\n6 6 6\n"),
+    ("POLYGONS", "POLYGONS 2 8\n3 0 2 1\n3 0 3 2\n"),
+    ("POINT_DATA", "POINT_DATA 4\n"),
+    ("POINTS", "points 4 float\n9 9 9\n8 8 8\n7 7 7\n6 6 6\n"),
+    ("'w'", "SCALARS w float 1\nLOOKUP_TABLE default\n1\n1\n1\n1\n"),
+    ("'intensity'",
+     "SCALARS intensity float 1\nLOOKUP_TABLE default\n7\n7\n7\n7\n"),
+    ("'region'", "SCALARS region int 1\nLOOKUP_TABLE default\n0\n0\n0\n0\n"),
+], ids=["points", "polygons", "point-data", "points-lower-case", "scalars",
+        "intensity", "region"])
+def test_load_mesh_refuses_a_repeated_section_or_array(keyword, extra,
+                                                       tmp_path):
+    # the second copy used to overwrite the first without a word: two
+    # intensity arrays loaded the second, so scar came from other values
+    bad = tmp_path / "twice.vtk"
+    bad.write_text(GOLDEN + extra)
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(bad)
+    assert str(info.value).startswith(f"{bad}: repeated ")
+    assert keyword.strip("'").upper() in str(info.value).upper()
+    out = tmp_path / "r.json"
+    assert main(["quantify", "--mesh", str(bad), "--bp-mean", "100",
+                 "--bp-sd", "10", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["intensity", "region"])
+def test_surface_mesh_refuses_point_data_named_like_an_attribute(key):
+    # save_mesh wrote such a mesh as two arrays of one name, and load_mesh
+    # gave back the point-data copy in place of the attribute
+    mesh = _golden_mesh()
+    with pytest.raises(MeshFormatError, match=f"'{key}'"):
+        SurfaceMesh(mesh.vertices, mesh.triangles, intensity=mesh.intensity,
+                    region=mesh.region,
+                    point_data={key: (np.arange(mesh.n_vertices), "int")})
+
+
+def test_loader_errors_name_a_short_relative_path(tmp_path, monkeypatch):
+    # each name occurs inside its message ("missing ...", "duplicate ..."),
+    # which once kept the JSON reader from naming the file at all
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m").write_text("# vtk DataFile Version 3.0\nm\nASCII\n"
+                                "DATASET POLYDATA\n")
+    with pytest.raises(MeshFormatError,
+                       match="^m: missing POINTS or POLYGONS section$"):
+        load_mesh("m")
+    (tmp_path / "c").write_text('{"a": 1, "a": 2}')
+    with pytest.raises(ConfigError, match='^c: duplicate key "a"$'):
+        read_json("c")
