@@ -29,8 +29,7 @@ from .errors import AreaError, TopologyError
 from .geodesics import (FieldBatch, TracedPath, distance_transform,
                         geodesic_path, geodesic_paths, min_interset_distance,
                         polyline_length, trace_path)
-from .mesh import PatchLabeling, checked_mask, connected_components
-from .regions import OpenedArea
+from .mesh import CutMesh, PatchLabeling, checked_mask, connected_components
 
 EPS_GAP = 0.1  # mm; shorter healthy traverses are not counted as gaps
 
@@ -47,7 +46,7 @@ class GapGraph:
     and the graph is a function of the opened area and the mask alone,
     whether the patch fields were whole or stopped at a limit (`_sweep`).
     """
-    opened: OpenedArea
+    opened: CutMesh
     scar_mask: np.ndarray
     patches: PatchLabeling
     fields: tuple  # one DistanceField per patch
@@ -62,7 +61,7 @@ class GapGraph:
         return self.patches.count
 
 
-def _graph_arrays(rows: np.ndarray, patches, opened: OpenedArea):
+def _graph_arrays(rows: np.ndarray, patches, opened: CutMesh):
     """(weights, start_w, end_w) of the patch fields' rows, unbounded:
     weights[i, j] is the least of row i over patch j and of row j over
     patch i, as `min_interset_distance` symmetrizes them."""
@@ -98,10 +97,10 @@ def route_limit(weights: np.ndarray, start_w: np.ndarray,
     return u * (1.0 + 1e-9) if np.isfinite(u) else np.inf
 
 
-def route_limits(opened: OpenedArea, labelings):
-    """The limit hook of a `FieldBatch` that holds the patch fields of each
-    labeling in turn: each field's bound is `route_limit` of its own
-    labeling's rows."""
+def patch_fields(opened: CutMesh, labelings) -> FieldBatch:
+    """The `FieldBatch` on opened.mesh of every patch of each labeling, in
+    order, with a limit hook that bounds each field by `route_limit` of its
+    own labeling's rows."""
     def limits(dist: np.ndarray) -> np.ndarray:
         out = np.empty(len(dist))
         lo = 0
@@ -111,10 +110,11 @@ def route_limits(opened: OpenedArea, labelings):
                                                     opened))
             lo = hi
         return out
-    return limits
+    return FieldBatch(opened.mesh,
+                      [p for lab in labelings for p in lab.patches], limits)
 
 
-def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
+def build_graph(opened: CutMesh, scar_mask: np.ndarray,
                 patches: PatchLabeling | None = None,
                 batch: FieldBatch | None = None) -> GapGraph:
     """Patch graph of an opened area for one scar mask.
@@ -123,11 +123,11 @@ def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
     labeling `connected_components(opened.mesh, scar_mask)`: ValueError
     unless it labels exactly the mask's vertices, but a different partition
     of them is not detected. batch, a `FieldBatch` on opened.mesh holding
-    every patch, supplies the patch fields, as for a caller that batches
-    the transforms of several masks (ValueError if it is on another mesh or
-    lacks a patch); by default the mask's own patches form the batch, with
-    the `route_limits` hook. Whole or bounded fields give the same graph
-    (`GapGraph`).
+    every patch, supplies the patch fields, as `patch_fields` of several
+    masks' labelings does for a caller that batches their transforms
+    (ValueError if it is on another mesh or lacks a patch); by default it
+    is `patch_fields(opened, [patches])`. Whole or bounded fields give the
+    same graph (`GapGraph`).
     """
     mesh = opened.mesh
     scar_mask = checked_mask(scar_mask, "scar_mask")
@@ -138,8 +138,7 @@ def build_graph(opened: OpenedArea, scar_mask: np.ndarray,
     elif not np.array_equal(patches.labels >= 0, scar_mask):
         raise ValueError("patch labeling does not label the scar mask")
     if batch is None:
-        batch = FieldBatch(mesh, patches.patches,
-                           route_limits(opened, [patches]))
+        batch = patch_fields(opened, [patches])
     fields = tuple(distance_transform(mesh, p, batch)
                    for p in patches.patches)
     rows = np.stack([f.dist for f in fields]) if fields \
@@ -289,14 +288,14 @@ def _plan_loop(graph: GapGraph) -> _RoutePlan:
     healthy, so `_finish_route` makes the two stubs one gap.
 
     A single transform from all side_a rims gives a lower bound per twin
-    pair; exact point-to-point loops are then evaluated in bound order until
-    the bound passes the best exact length.
+    pair; exact point-to-point loops are then evaluated in bound order, ties
+    in pair order, until the bound passes the best exact length.
     """
     opened = graph.opened
     mesh = opened.mesh
     combo = distance_transform(mesh, opened.side_a)
     lb = combo.dist[opened.side_b]
-    order = np.lexsort((np.arange(len(lb)), lb))
+    order = np.argsort(lb, kind="stable")
     best = None  # (length, pair index, path)
     for k in order:
         k = int(k)

@@ -96,8 +96,8 @@ A batch may instead carry a limit hook (`FieldBatch`): every
 LIMIT_CADENCE sweeps it maps the current rows to one bound per field, and
 from then on each sweep drops the pending vertices strictly above their
 field's bound. That is the same drop rule, with the next float above the
-bound as the cap. The patch fields of one scar mask use
-`gaps.route_limits`: their bound is U(1 + 1e-9), where U is the least
+bound as the cap. The patch fields of one scar mask use the hook of
+`gaps.patch_fields`: their bound is U(1 + 1e-9), where U is the least
 start + patch-to-patch + end cost over the patch graph those rows give
 (`gaps.route_limit`). Exactness:
 - Values only fall, so U from current values is never below the final
@@ -517,10 +517,11 @@ def trace_path(field: DistanceField, start: int) -> TracedPath:
 
 
 def _best_at(dist: np.ndarray, where: np.ndarray):
-    """(value, vertex) minimizing dist over `where`, tie to smaller vertex."""
+    """(value, vertex) minimizing dist over `where`, tie to smaller vertex:
+    `where` is ascending, as a field's checked `sources` are, so the first
+    minimum is the smallest vertex."""
     vals = dist[where]
-    order = np.lexsort((where, vals))
-    j = order[0]
+    j = int(np.argmin(vals))
     return float(vals[j]), int(where[j])
 
 

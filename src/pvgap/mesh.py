@@ -449,7 +449,9 @@ class CutMesh:
     """Mesh cut open along a vertex path.
 
     mesh : the opened mesh (same triangle count, duplicated seam vertices).
-    parent_vertex : per-vertex index into the mesh the cut was applied to.
+    parent_vertex : per-vertex index into the mesh the cut was applied to;
+        for an opened search area (`regions.open_area`), into the mesh the
+        area was extracted from, not its submesh.
     side_a : all cut-path vertices, original copies, in path order.
     side_b : their duplicates, same order; side_a[i] and side_b[i] have
         identical coordinates and share no triangle.

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AreaError, ConfigError, in_file, is_count
-from .mesh import (SurfaceMesh, connected_components, cut_mesh, edge_path,
-                   is_token, read_json, write_json)
+from .errors import AreaError, ConfigError, GapQuantError, in_file, is_count
+from .mesh import (CutMesh, SurfaceMesh, connected_components, cut_mesh,
+                   edge_path, is_token, read_json, write_json)
 
 MAX_LABEL = 27
 STRATEGIES = ("independent", "joint")
@@ -331,37 +331,22 @@ def build_search_area(mesh: SurfaceMesh, spec: AreaSpec) -> SearchArea:
                       cut_paths=tuple(cut_paths))
 
 
-@dataclass(frozen=True)
-class OpenedArea:
-    """Search area opened into a topological disk.
-
-    side_a/side_b are the two rims of the primary cut in the opened mesh,
-    aligned twin-for-twin and ordered along the cut line; a closed loop
-    around the vein(s) corresponds to a path from one rim to the other.
-    parent_vertex maps opened-mesh vertices to search-area submesh vertices.
-    """
-    area: SearchArea
-    mesh: SurfaceMesh
-    parent_vertex: np.ndarray
-    side_a: np.ndarray
-    side_b: np.ndarray
-
-
-def open_area(area: SearchArea) -> OpenedArea:
-    try:
-        first = cut_mesh(area.mesh, np.asarray(area.cut_paths[0]))
-    except Exception as exc:
-        _fail(area.name, f"primary cut failed: {exc}")
-    if len(area.cut_paths) == 1:
-        return OpenedArea(area=area, mesh=first.mesh,
-                          parent_vertex=first.parent_vertex,
-                          side_a=first.side_a, side_b=first.side_b)
+def open_area(area: SearchArea) -> CutMesh:
+    """The search area opened into a topological disk, as a `CutMesh` of
+    the mesh the area was extracted from: parent_vertex maps opened-mesh
+    vertices to that mesh's vertices. side_a/side_b are the two rims of the
+    primary cut, aligned twin-for-twin and ordered along the cut line; a
+    closed loop around the vein(s) corresponds to a path from one rim to
+    the other. AreaError names the cut that cannot open the area."""
+    opened, parent, cuts = area.mesh, area.parent_vertex, []
     # joint: the inter-vein cut was derived on the uncut submesh; vertex ids
     # survive the first cut because the two cuts are vertex-disjoint
-    try:
-        second = cut_mesh(first.mesh, np.asarray(area.cut_paths[1]))
-    except Exception as exc:
-        _fail(area.name, f"inter-vein cut failed: {exc}")
-    parent = first.parent_vertex[second.parent_vertex]
-    return OpenedArea(area=area, mesh=second.mesh, parent_vertex=parent,
-                      side_a=first.side_a, side_b=first.side_b)
+    for path, what in zip(area.cut_paths, ("primary", "inter-vein")):
+        try:
+            cuts.append(cut_mesh(opened, np.asarray(path)))
+        except GapQuantError as exc:
+            _fail(area.name, f"{what} cut failed: {exc}")
+        opened, parent = cuts[-1].mesh, parent[cuts[-1].parent_vertex]
+    parent.flags.writeable = False  # read-only, as cut_mesh's maps are
+    return CutMesh(mesh=opened, parent_vertex=parent,
+                   side_a=cuts[0].side_a, side_b=cuts[0].side_b)

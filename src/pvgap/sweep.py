@@ -8,7 +8,7 @@ factor whose opened-area mask equals an earlier factor's reuses that
 factor's path instead of solving it again; the report is unchanged. The
 patch fields of an area's distinct masks are computed in one batched
 transform, and each mask's fields stop above a bound on that mask's route
-cost (`gaps.route_limits`): at or below it they are bit for bit those of
+cost (`gaps.patch_fields`): at or below it they are bit for bit those of
 one whole transform per patch, which is all the route and its path read.
 The routes of all its masks are then solved, and their links, which join
 the pieces of each route into one loop, run in one more batched transform,
@@ -33,12 +33,11 @@ import numpy as np
 
 from .errors import AreaError, ConfigError, TopologyError, in_file, is_real
 from .gaps import (EncirclingPath, RouteBatch, build_graph, min_gap_path,
-                   route_limits)
-from .geodesics import FieldBatch
-from .mesh import (SurfaceMesh, connected_components, read_json, save_mesh,
-                   write_json)
-from .regions import (OpenedArea, RegionConfig, build_search_area,
-                      open_area, veins_of_joint)
+                   patch_fields)
+from .mesh import (CutMesh, SurfaceMesh, connected_components, read_json,
+                   save_mesh, write_json)
+from .regions import (RegionConfig, build_search_area, open_area,
+                      veins_of_joint)
 from .scar import THRESHOLD_FACTORS, threshold_mask
 
 REPORT_FORMAT = "gap-report 1"
@@ -96,7 +95,7 @@ class AreaResult:
     name: str
     strategy: str
     labels: tuple
-    opened: OpenedArea | None
+    opened: CutMesh | None
     error: str | None
     results: tuple  # ThresholdResult per factor, factor-aligned
     nauc: float | None
@@ -128,22 +127,18 @@ class CaseResult:
 
 def _run_area(mesh, spec, masks):
     try:
-        area = build_search_area(mesh, spec)
-        opened = open_area(area)
-        sub_of_open = area.parent_vertex[opened.parent_vertex]
+        opened = open_area(build_search_area(mesh, spec))
         keys = []
         subs = {}  # opened-area mask bytes -> the mask, first factor first
         for _factor, mask in masks:
-            sub = mask[sub_of_open]
+            sub = mask[opened.parent_vertex]
             keys.append(sub.tobytes())
             subs.setdefault(keys[-1], sub)
         labelings = [connected_components(opened.mesh, sub)
                      for sub in subs.values()]
         # the patch fields of every distinct mask run in one kernel call,
         # each stopped above its own mask's route cost
-        batch = FieldBatch(opened.mesh,
-                           [p for lab in labelings for p in lab.patches],
-                           route_limits(opened, labelings))
+        batch = patch_fields(opened, labelings)
         graphs = [build_graph(opened, sub, lab, batch)
                   for sub, lab in zip(subs.values(), labelings)]
         # the route links of every distinct mask run in one kernel call
@@ -329,7 +324,7 @@ def annotated_mesh(mesh: SurfaceMesh, case: CaseResult) -> SurfaceMesh:
     for res in case.areas:
         if not res.ok:
             continue
-        to_orig = res.opened.area.parent_vertex[res.opened.parent_vertex]
+        to_orig = res.opened.parent_vertex
         marks = np.zeros(mesh.n_vertices, dtype=np.int64)
         ref = next(t for t in res.results if t.factor == case.ref_factor)
         for _kind, ids in ref.path.segment_ids:

@@ -417,7 +417,7 @@ def test_planted_case_holds_six_scar_vertices_off_the_loop(planted):
     assert len(vertices) == 6 and res.ok
     assert loop.rgm == 1.0 and loop.gap_length == pytest.approx(64.25,
                                                                 abs=0.01)
-    to_parent = res.opened.area.parent_vertex[res.opened.parent_vertex]
+    to_parent = res.opened.parent_vertex
     (gap,) = loop.gaps
     assert not set(vertices) & set(to_parent[gap.vertex_ids])
 

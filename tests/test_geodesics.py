@@ -133,7 +133,7 @@ def _tapered_patchy_sources():
     opened = open_area(area)
     mask = threshold_mask(mesh.intensity, spec.blood_pool_mean,
                           spec.blood_pool_sd, 3.3)
-    mask = mask[area.parent_vertex[opened.parent_vertex]]
+    mask = mask[opened.parent_vertex]
     patches = connected_components(opened.mesh, mask).patches
     return opened.mesh, [opened.side_a, *patches]
 
@@ -292,6 +292,21 @@ def test_min_interset_distance_symmetric_and_oriented():
     # the path is oriented from the first argument's side
     assert r_ab.path.vertex_ids[0] in set_a
     assert r_ab.path.vertex_ids[-1] in set_b
+
+
+@pytest.mark.parametrize("far_set", [(26, 22), (38, 10)])
+def test_min_interset_distance_ties_on_the_far_set_go_to_the_smaller_id(
+        far_set):
+    # vertex 24 is the centre of a 7x7 grid; each far set holds the two
+    # vertices two edges from it along one axis, at one distance
+    mesh = plane_grid(7, 7)
+    near = distance_transform(mesh, [24])
+    far = distance_transform(mesh, list(far_set))
+    small, large = sorted(far_set)
+    assert near.dist[small] == near.dist[large]
+    got = min_interset_distance(near, far)
+    assert got.distance == near.dist[small]
+    assert got.path.vertex_ids[0] == 24 and got.path.vertex_ids[-1] == small
 
 
 def test_min_interset_distance_rejects_mismatched_fields():

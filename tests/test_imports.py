@@ -1,4 +1,5 @@
-"""Every package module uses each name it imports.
+"""Every package module uses each name it imports, and the method's layers
+import only downward.
 
 Names in annotations count: `from __future__ import annotations` defers
 their evaluation, but they still parse as expressions.
@@ -34,3 +35,44 @@ def test_every_module_uses_its_imports():
     unused = {p.name: _unused_imports(p.read_text(encoding="utf-8"))
               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+# module -> the package modules it may not import: the patch graph and the
+# kernel know nothing of search areas or sweeps, and a sweep reaches the
+# kernel only through the patch graph
+BELOW = {"gaps": {"regions", "sweep"}, "geodesics": {"regions", "sweep"},
+         "sweep": {"geodesics"}}
+
+
+def _package_imports(source: str) -> set:
+    """The pvgap modules that source imports, relatively or by name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("pvgap.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "pvgap" and not module.startswith("pvgap."):
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                out.add(module.partition(".")[0])
+            else:  # from . import x
+                out |= {a.name for a in node.names}
+    return out
+
+
+def test_the_layer_scan_sees_every_form_of_package_import():
+    assert _package_imports(
+        "import numpy\nimport pvgap.mesh\nfrom .gaps import a\n"
+        "from . import regions\nfrom pvgap import sweep\n"
+        "from pvgap.scar import b\nfrom numpy import c\n") == {
+            "mesh", "gaps", "regions", "sweep", "scar"}
+
+
+def test_layers_import_only_downward():
+    found = {name: _package_imports((SRC / f"{name}.py").read_text(
+        encoding="utf-8")) & banned for name, banned in BELOW.items()}
+    assert {k: v for k, v in found.items() if v} == {}

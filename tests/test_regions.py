@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph, csr_matrix
 
-from pvgap.errors import AreaError, ConfigError
+from pvgap import regions
+from pvgap.errors import AreaError, ConfigError, TopologyError
 from pvgap.mesh import SurfaceMesh
-from pvgap.regions import (AreaSpec, _cut_from_labels, build_search_area,
-                           config_from_dict, config_to_dict, default_config,
-                           load_config, open_area, save_config,
-                           veins_of_joint)
+from pvgap.regions import (MAX_LABEL, AreaSpec, _cut_from_labels,
+                           build_search_area, config_from_dict,
+                           config_to_dict, default_config, load_config,
+                           open_area, save_config, veins_of_joint)
 from pvgap.synth import SHAPES, PhantomSpec, make_phantom, plane_grid
 
 
@@ -170,8 +171,8 @@ def test_open_area_independent_becomes_disk():
     assert np.allclose(opened.mesh.vertices[opened.side_a],
                        opened.mesh.vertices[opened.side_b])
     # parent chain maps opened ids to original mesh coordinates
-    orig = area.parent_vertex[opened.parent_vertex]
-    assert np.allclose(opened.mesh.vertices, mesh.vertices[orig])
+    assert np.allclose(opened.mesh.vertices,
+                       mesh.vertices[opened.parent_vertex])
 
 
 def test_open_area_joint_two_cuts_make_disk():
@@ -183,6 +184,52 @@ def test_open_area_joint_two_cuts_make_disk():
     assert len(opened.mesh.boundary_loops()) == 1
     # side arrays of the primary cut survive the second cut
     assert len(opened.side_a) == len(area.cut_paths[0])
+
+
+@pytest.mark.parametrize("shape", ["disk-with-hole", "two-hole-plate"])
+def test_open_area_maps_each_vertex_to_the_case_mesh(shape):
+    # the case mesh holds a piece outside the area first, so the ids of the
+    # area's submesh are not those of the case mesh
+    phantom, config, _ = make_phantom(PhantomSpec(base_shape=shape))
+    extra = plane_grid(3, 3)
+    k = extra.n_vertices
+    mesh = SurfaceMesh(
+        np.concatenate([extra.vertices - [100.0, 0.0, 0.0],
+                        phantom.vertices]),
+        np.concatenate([extra.triangles, phantom.triangles + k]),
+        intensity=np.concatenate([np.full(k, -1.0), phantom.intensity]),
+        region=np.concatenate([np.full(k, MAX_LABEL), phantom.region]))
+    (spec,) = config.areas
+    spec = dataclasses.replace(
+        spec, vein_seeds=tuple(s + k for s in spec.vein_seeds))
+    opened = open_area(build_search_area(mesh, spec))
+    to_mesh = opened.parent_vertex
+    assert np.array_equal(np.unique(to_mesh), np.arange(k, mesh.n_vertices))
+    assert opened.mesh.vertices.tobytes() == mesh.vertices[to_mesh].tobytes()
+    assert np.array_equal(opened.mesh.intensity, mesh.intensity[to_mesh])
+    assert np.array_equal(opened.mesh.region, mesh.region[to_mesh])
+    assert not to_mesh.flags.writeable
+
+
+def _cut_raising(monkeypatch, error):
+    def cut_mesh(mesh, path):
+        raise error("bad cut")
+    monkeypatch.setattr(regions, "cut_mesh", cut_mesh)
+    mesh, config, _ = make_phantom(PhantomSpec())
+    return build_search_area(mesh, config.areas[0])
+
+
+def test_open_area_fails_the_area_when_a_cut_cannot_open_it(monkeypatch):
+    area = _cut_raising(monkeypatch, TopologyError)
+    with pytest.raises(AreaError,
+                       match="^area LSPV: primary cut failed: bad cut$"):
+        open_area(area)
+
+
+def test_open_area_lets_a_bug_in_the_cut_through(monkeypatch):
+    area = _cut_raising(monkeypatch, IndexError)
+    with pytest.raises(IndexError, match="bad cut"):
+        open_area(area)
 
 
 def test_open_area_flood_cannot_cross_seam():
@@ -244,9 +291,9 @@ def test_search_area_carries_every_attribute_to_its_parent_vertex():
         got, got_kind = sub.point_data[key]
         assert got_kind == kind and got.dtype == arr.dtype
         assert np.array_equal(got, arr[parent])
-    # the opened area keeps them too, through both parent maps
+    # the opened area keeps them too, through its own parent map
     opened = open_area(area)
-    to_mesh = parent[opened.parent_vertex]
+    to_mesh = opened.parent_vertex
     assert np.array_equal(opened.mesh.intensity, mesh.intensity[to_mesh])
     assert np.array_equal(opened.mesh.point_data["tag"][0],
                           mesh.point_data["tag"][0][to_mesh])

@@ -13,7 +13,7 @@ import pytest
 
 from pvgap import sweep
 from pvgap.gaps import (GapGraph, build_graph, min_gap_path, route_limit,
-                        route_limits, solve_gap_graph)
+                        patch_fields, solve_gap_graph)
 from pvgap.geodesics import (LIMIT_CADENCE, FieldBatch, distance_transform,
                              min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
@@ -108,11 +108,11 @@ def test_bounded_fields_give_the_whole_fields_paths(name, monkeypatch):
     (res,) = case.areas
     assert res.ok
     opened = res.opened
-    sub_of_open = opened.area.parent_vertex[opened.parent_vertex]
+    to_mesh = opened.parent_vertex
     by_mask = {g.scar_mask.tobytes(): g for g in graphs}
     for tr in res.results:
         mask = threshold_mask(mesh.intensity, spec.blood_pool_mean,
-                              spec.blood_pool_sd, tr.factor)[sub_of_open]
+                              spec.blood_pool_sd, tr.factor)[to_mesh]
         graph = by_mask[mask.tobytes()]
         whole = _whole_graph(opened, mask)
         _assert_same_path(tr.path, min_gap_path(whole))
@@ -176,10 +176,10 @@ def test_a_masks_fields_are_the_same_batched_or_alone():
     mesh = opened.mesh
     patches = [p for lab in labelings for p in lab.patches]
     held = [p.tobytes() for p in patches]
-    batched = FieldBatch(mesh, patches, route_limits(opened, labelings))
+    batched = patch_fields(opened, labelings)
     shared = 0
     for lab in labelings:
-        alone = FieldBatch(mesh, lab.patches, route_limits(opened, [lab]))
+        alone = patch_fields(opened, [lab])
         for p in lab.patches:
             got = distance_transform(mesh, p, batched)
             want = distance_transform(mesh, p, alone)
