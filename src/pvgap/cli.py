@@ -70,10 +70,11 @@ def _blood_pool(args, volume) -> tuple:
     """(mean, sd) of the source `_check_blood_pool_source` accepted."""
     if args.bp_mask is not None:
         mask_vol = load_volume(args.bp_mask)
-        # the tolerance of ScalarVolume's rotation check
+        # the tolerance of ScalarVolume's rotation check, in absolute terms:
+        # a relative one would grow with the distance from the origin
         same = mask_vol.values.shape == volume.values.shape and all(
             np.allclose(getattr(mask_vol, key), getattr(volume, key),
-                        atol=1e-6)
+                        rtol=0.0, atol=1e-6)
             for key in ("spacing", "origin", "direction"))
         if not same:
             raise ConfigError("--bp-mask grid does not match --volume")

@@ -86,6 +86,20 @@ class Adjacency(NamedTuple):
     data: np.ndarray
 
 
+# dtype kinds of the arrays `_typed` accepts; a bool is never a number
+_KINDS = {"a numeric": "iuf", "an integer": "iu"}
+
+
+def _typed(arr, kind: str, label: str) -> np.ndarray:
+    """np.asarray(arr) if its dtype is of `kind` (a `_KINDS` key) or it is
+    empty; otherwise MeshFormatError naming label and the dtype."""
+    a = np.asarray(arr)
+    if a.size and a.dtype.kind not in _KINDS[kind]:
+        raise MeshFormatError(f"{label} must be {kind} array, got dtype "
+                              f"{a.dtype}")
+    return a
+
+
 class SurfaceMesh:
     """Edge-manifold oriented triangle mesh with optional per-vertex scalars.
 
@@ -101,14 +115,18 @@ class SurfaceMesh:
         "region" name the attributes above in a file, so point_data may not
         hold them (MeshFormatError).
 
-    An int array of another dtype (float or bool) is a MeshFormatError
-    naming it, never truncated.
+    An int array of another dtype (float or bool), or vertices that are not
+    numbers (bool or str), are a MeshFormatError naming the array and its
+    dtype, never truncated or parsed; an empty triangle list may have any
+    dtype.
     """
 
     def __init__(self, vertices, triangles, intensity=None, region=None,
                  name: str = "surface", point_data=None):
-        v = np.array(vertices, dtype=np.float64, order="C")
-        t = np.array(triangles, dtype=np.int64, order="C")
+        v = np.array(_typed(vertices, "a numeric", "vertices"),
+                     dtype=np.float64, order="C")
+        t = np.array(_typed(triangles, "an integer", "triangles"),
+                     dtype=np.int64, order="C")
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshFormatError("vertices must be an (n, 3) array")
         if not np.isfinite(v).all():
@@ -139,10 +157,8 @@ class SurfaceMesh:
     def _checked(self, arr, dtype, label):
         if arr is None:
             return None
-        a = np.asarray(arr)
-        if dtype is np.int64 and a.dtype.kind not in "iu":
-            raise MeshFormatError(f"{label} must be an integer array, got "
-                                  f"dtype {a.dtype}")
+        a = _typed(arr, "an integer", label) if dtype is np.int64 \
+            else np.asarray(arr)
         out = np.array(a, dtype=dtype, order="C")
         if out.shape != (len(self.vertices),):
             raise AttributeLengthError(

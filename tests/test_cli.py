@@ -92,8 +92,8 @@ def _fresh_process(*argv):
 
 
 def test_quantify_without_a_volume_loads_no_scipy(workdir, tmp_path):
-    # scipy is imported only by the cohort Welch test; a fresh process
-    # shows what a quantify run loads, with or without a volume to project
+    # pvgap imports no scipy; a fresh process shows what a quantify run
+    # loads, with or without a volume to project
     ph, out = workdir / "ph", tmp_path / "report.json"
     assert _fresh_process(
         "quantify", "--mesh", ph / "mesh.vtk", "--config", ph / "regions.cfg",
@@ -208,6 +208,32 @@ def test_a_bp_mask_on_another_grid_exits_1_without_a_report(
                  "--config", str(ph / "regions.cfg"),
                  "--thresholds", THRESH, "--out", str(out)]) == 1
     assert "--bp-mask" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_bp_mask_off_the_grid_by_1e_4_mm_exits_1_without_a_report(
+        workdir, tmp_path, capsys):
+    # README allows 1e-6 mm; at x = -26 mm numpy's default relative
+    # tolerance alone would let 2.6e-4 mm through
+    ph = workdir / "ph"
+    vol = load_volume(ph / "volume.vol")
+    ox, oy, oz = vol.origin
+    assert abs(ox) >= 10.0
+    mask_path = tmp_path / "mask.vol"
+    save_volume(ScalarVolume(values=np.ones_like(vol.values),
+                             origin=(ox + 1e-4, oy, oz),
+                             spacing=vol.spacing, direction=vol.direction),
+                mask_path)
+    assert load_volume(mask_path).origin[0] != ox
+    out = tmp_path / "report.json"
+    assert main(["quantify", "--mesh",
+                 str(_bare_mesh(workdir, tmp_path / "bare.vtk")),
+                 "--volume", str(ph / "volume.vol"),
+                 "--bp-mask", str(mask_path),
+                 "--config", str(ph / "regions.cfg"),
+                 "--thresholds", THRESH, "--out", str(out)]) == 1
+    assert "--bp-mask grid does not match --volume" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

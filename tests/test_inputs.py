@@ -56,8 +56,8 @@ CALLS = {
         **{"factors": [2.0, 3.0], "values": [0.1, 0.2], **kw}),
     "welch_t_test": lambda c, **kw: welch_t_test(
         **{"sample_a": [1.0, 2.0, 3.0], "sample_b": [1.0, 2.0, 4.0], **kw}),
-    "SurfaceMesh": lambda c, **kw: SurfaceMesh(
-        c.mesh.vertices, c.mesh.triangles, **kw),
+    "SurfaceMesh": lambda c, **kw: SurfaceMesh(**{
+        "vertices": c.mesh.vertices, "triangles": c.mesh.triangles, **kw}),
     "edge_path": lambda c, **kw: edge_path(
         c.mesh, **{"sources": [0], "targets": [1], **kw}),
     "connected_components": lambda c, **kw: connected_components(c.mesh,
@@ -133,6 +133,14 @@ ROWS = [
     ("SurfaceMesh", "point_data",
      lambda mesh: {"intensity": (np.zeros(mesh.n_vertices), "float")},
      MeshFormatError, "intensity"),
+    # a vertex id is an integer, and a coordinate is a number: neither is
+    # rounded, read from a bool or parsed from text
+    ("SurfaceMesh", "triangles", lambda mesh: mesh.triangles + 0.25,
+     MeshFormatError, "triangles .*float64"),
+    ("SurfaceMesh", "vertices", lambda mesh: mesh.vertices > 0.0,
+     MeshFormatError, "vertices .*bool"),
+    ("SurfaceMesh", "vertices", lambda mesh: mesh.vertices.astype(str),
+     MeshFormatError, "vertices .*<U"),
 ]
 
 

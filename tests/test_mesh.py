@@ -764,6 +764,28 @@ def test_surface_mesh_refuses_point_data_named_like_an_attribute(key):
                     point_data={key: (np.arange(mesh.n_vertices), "int")})
 
 
+def test_surface_mesh_takes_ids_as_integers_and_coordinates_as_numbers():
+    v = np.zeros((3, 3))
+    # 0.9, 1.2, 2.7 once truncated to the triangle 0, 1, 2
+    with pytest.raises(MeshFormatError,
+                       match="^triangles must be an integer array, got "
+                             "dtype float64$"):
+        SurfaceMesh(v, np.array([[0.9, 1.2, 2.7]]))
+    for bad, dtype in ((v > 0.0, "bool"), (v.astype(str), "<U32")):
+        with pytest.raises(MeshFormatError,
+                           match=f"^vertices must be a numeric array, got "
+                                 f"dtype {dtype}$"):
+            SurfaceMesh(bad, [[0, 1, 2]])
+    # integer ids and coordinates of any width pass, and an empty triangle
+    # list of any dtype
+    mesh = SurfaceMesh(np.arange(9, dtype=np.int32).reshape(3, 3),
+                       np.array([[0, 1, 2]], dtype=np.uint8))
+    assert mesh.vertices.dtype == np.float64
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+    for empty in ([], np.empty((0, 3)), np.empty(0, dtype=bool)):
+        assert SurfaceMesh(v, empty).triangles.shape == (0, 3)
+
+
 def test_loader_errors_name_a_short_relative_path(tmp_path, monkeypatch):
     # each name occurs inside its message ("missing ...", "duplicate ..."),
     # which once kept the JSON reader from naming the file at all
