@@ -262,7 +262,10 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
             return WelchResult(t=0.0, df=float(na + nb - 2), p=1.0)
         raise ValueError("degenerate samples: zero variance, unequal means")
     t = float((a.mean() - b.mean()) / math.sqrt(se2))
-    df = float(se2 * se2 / (sa * sa / (na - 1) + sb * sb / (nb - 1)))
+    # each variance's share of se2, in [0, 1]: squaring the shares rather
+    # than sa, sb and se2 keeps df finite where those squares underflow
+    ra, rb = sa / se2, sb / se2
+    df = float(1.0 / (ra * ra / (na - 1) + rb * rb / (nb - 1)))
     return WelchResult(t=t, df=df, p=_student_p(t, df))
 
 

@@ -287,23 +287,38 @@ def _plan_loop(graph: GapGraph) -> _RoutePlan:
     a_k -> b_k, after a stub that is the side_a twin a_k alone; the seam is
     healthy, so `_finish_route` makes the two stubs one gap.
 
-    A single transform from all side_a rims gives a lower bound per twin
-    pair; exact point-to-point loops are then evaluated in bound order, ties
-    in pair order, until the bound passes the best exact length.
+    The loop of one guessed twin pair j, the last (the vein end of a label
+    cut), runs in one `FieldBatch` with the field from all side_a rims,
+    whose value at b_k is a lower bound on pair k's loop. The batch's hook
+    bounds both fields by the guess's current value at b_j, so they stop at
+    the guess's length instead of covering the area; the guess's row is
+    exact at or below it, so its distance and path are those of
+    `geodesic_path(a_j, b_j)`, and so is every lower bound that does not
+    exceed it. The guess is the first candidate; exact point-to-point loops
+    of the other pairs are then evaluated in bound order, ties in pair
+    order, until the bound passes the best exact length. A pair whose
+    bound is unfinished lies above the guess and cannot win, so the least
+    (length, pair index) and its path do not depend on j.
     """
     opened = graph.opened
     mesh = opened.mesh
-    combo = distance_transform(mesh, opened.side_a)
-    lb = combo.dist[opened.side_b]
-    order = np.argsort(lb, kind="stable")
+    side_a, side_b = opened.side_a, opened.side_b
+    j = len(side_a) - 1
+    a_j, b_j = int(side_a[j]), int(side_b[j])
+    batch = FieldBatch(mesh, [[a_j], side_a],
+                       lambda dist: np.full(2, dist[0, b_j]))
+    guess = distance_transform(mesh, [a_j], batch)
+    lb = distance_transform(mesh, side_a, batch).dist[side_b]
     best = None  # (length, pair index, path)
-    for k in order:
+    if np.isfinite(guess.dist[b_j]):
+        best = (float(guess.dist[b_j]), j, trace_path(guess, b_j).reversed())
+    for k in np.argsort(lb, kind="stable"):
         k = int(k)
-        if not np.isfinite(lb[k]):
+        if k == j or not np.isfinite(lb[k]):
             continue
         if best is not None and lb[k] > best[0]:
             break
-        loop = geodesic_path(mesh, opened.side_a[k], opened.side_b[k])
+        loop = geodesic_path(mesh, side_a[k], side_b[k])
         d = loop.distance
         if np.isfinite(d) and (best is None or (d, k) < best[:2]):
             best = (d, k, loop.path)

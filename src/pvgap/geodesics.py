@@ -63,9 +63,10 @@ elementwise, reading and writing only the field's own values. So a
 field's bits are those of the same transform run alone, by construction rather than by replay: the
 batch only shares the per-sweep numpy call overhead, which dominates on
 fronts of a few dozen vertices. A lone field (K = 1: a lone transform,
-every no-scar loop field) skips the batch bookkeeping: its bucket minimum
-and cap are single values and its vertex ids need no offset. That is what
-the batch arithmetic gives for one field, whose offset is 0.
+or a point-to-point one from one source) skips the batch bookkeeping: its
+bucket minimum and cap are single values and its vertex ids need no
+offset. That is what the batch arithmetic gives for one field, whose
+offset is 0.
 
 The pending set is kept as an index list, so that a sweep costs in
 proportion to its front rather than to K*n: the vertices the sweep
@@ -99,7 +100,9 @@ field's bound. That is the same drop rule, with the next float above the
 bound as the cap. The patch fields of one scar mask use the hook of
 `gaps.patch_fields`: their bound is U(1 + 1e-9), where U is the least
 start + patch-to-patch + end cost over the patch graph those rows give
-(`gaps.route_limit`). Exactness:
+(`gaps.route_limit`). The two fields of an area without scar
+(`gaps._plan_loop`) share the current length of one guessed loop as their
+bound. Exactness of the patch fields:
 - Values only fall, so U from current values is never below the final
   route cost C*; the margin absorbs the solver's other summation order.
   The bounds therefore never rise, and stay at or above C*.
@@ -153,7 +156,10 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     """Flat per-corner geometry of the wavefront update, the sweeps' bucket
     width delta and the vertex -> triangle incidence CSR: ptr, and for each
     incidence the corners qa and qb where its vertex is support A or B, and
-    qbA, support A of corner qb."""
+    qbA, support A of corner qb. The geometry is computed one contiguous
+    coordinate column at a time, each sum of three products in a fixed
+    order: la and lb are np.linalg.norm(axis=1) of the corner's edge
+    vectors, bit for bit."""
     cached = _TABLES.get(mesh)
     if cached is not None:
         return cached
@@ -163,18 +169,28 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     A = t[:, [1, 2, 0]].T.ravel()
     B = t[:, [2, 0, 1]].T.ravel()
     la, lb, cos, csq = (np.empty(len(C)) for _ in range(4))
+    x, y, z = v.T.copy()  # one contiguous array per coordinate
     # each corner's geometry is computed on its own, so blocks give the
-    # same bits as one pass over all corners
+    # same bits as one pass over all corners. Each sum of three products
+    # is taken in a fixed order, so that the tables do not depend on how
+    # numpy reduces a row: a length adds (x + y) + z, as
+    # np.linalg.norm(axis=1) does; a dot product adds (x + z) + y, the
+    # order of np.einsum("ij,ij->i") over rows on numpy 2.4.6, so that the
+    # tables keep the bits that einsum gave them (the x, y, z order
+    # differs from it in 27% of the workload meshes' cos and 21% of csq).
     for lo in range(0, len(C), _CORNER_BLOCK):
         s = slice(lo, lo + _CORNER_BLOCK)
-        vc = v[C[s]]
-        ea = v[A[s]] - vc
-        eb = v[B[s]] - vc
-        la[s] = np.linalg.norm(ea, axis=1)
-        lb[s] = np.linalg.norm(eb, axis=1)
-        cos[s] = np.einsum("ij,ij->i", ea, eb) / (la[s] * lb[s])
-        ea -= eb
-        csq[s] = np.einsum("ij,ij->i", ea, ea)
+        c, a, b = C[s], A[s], B[s]
+        cx, cy, cz = x[c], y[c], z[c]
+        ax, ay, az = x[a] - cx, y[a] - cy, z[a] - cz
+        bx, by, bz = x[b] - cx, y[b] - cy, z[b] - cz
+        la[s] = np.sqrt((ax * ax + ay * ay) + az * az)
+        lb[s] = np.sqrt((bx * bx + by * by) + bz * bz)
+        cos[s] = ((ax * bx + az * bz) + ay * by) / (la[s] * lb[s])
+        ax -= bx
+        ay -= by
+        az -= bz
+        csq[s] = (ax * ax + az * az) + ay * ay
     np.clip(cos, -1.0, 1.0, out=cos)
     m = mesh.n_triangles
     corners = t.ravel()

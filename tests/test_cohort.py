@@ -162,6 +162,18 @@ def test_welch_degenerate_and_short():
         welch_t_test([[0.3, 0.4]], [[0.4, 0.5]])
 
 
+@pytest.mark.parametrize("spread", [1e-80, 1e-82, 1e-150])
+def test_welch_df_stays_finite_for_tiny_spreads(spread):
+    # one sample's variance alone makes se2, so df is n - 1 = 2 exactly;
+    # squaring se2 itself underflowed: df read 2.0089 at 1e-80, and nan
+    # (p nan, with a RuntimeWarning) at 1e-82 and below
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = welch_t_test([0.0, spread, 2 * spread], [5.0, 5.0, 5.0])
+    assert res.df == 2.0
+    assert math.isfinite(res.p) and res.p < 1e-100
+
+
 def test_welch_null_distribution():
     # same-distribution draws should rarely reach small p-values
     rng = np.random.default_rng(99)

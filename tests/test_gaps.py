@@ -1,5 +1,6 @@
 """Patch graph construction, routing, and encircling path assembly."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,7 +10,8 @@ import pytest
 from pvgap.errors import AreaError, TopologyError
 from pvgap.gaps import (EPS_GAP, RouteBatch, _links, build_graph,
                         min_gap_path, solve_gap_graph)
-from pvgap.geodesics import FieldBatch, distance_transform, trace_path
+from pvgap.geodesics import (FieldBatch, distance_transform, geodesic_path,
+                             trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
@@ -260,23 +262,44 @@ def test_healthy_crossing_merges_stubs_across_seam():
 
 
 def test_no_scar_loop_matches_per_pair_brute_force():
-    spec = PhantomSpec(keep_fraction=0.0)
-    opened, mask, _ = _opened_with_mask(spec)
-    assert not mask.any()
-    path = min_gap_path(build_graph(opened, mask))
-    assert path.rgm == 1.0
-    assert path.gap_count == 1
-    assert path.non_gap_length == 0.0
-    assert path.gaps[0].wraps_seam
-    best = None
-    for k in range(len(opened.side_a)):
-        field = distance_transform(opened.mesh, [int(opened.side_a[k])])
-        d = float(field.dist[opened.side_b[k]])
-        if math.isfinite(d) and (best is None or (d, k) < best):
-            best = (d, k)
-    assert path.crossing_pair == (int(opened.side_a[best[1]]),
-                                  int(opened.side_b[best[1]]))
-    assert path.total_length == pytest.approx(best[0], rel=1e-9)
+    # the loop's batch guesses the last twin pair (the vein end of a label
+    # cut); the reversed cut makes that the outer end, so that other pairs
+    # must be tried and the winner is not the guess
+    disk = PhantomSpec(keep_fraction=0.0)
+    dome = PhantomSpec(base_shape="dome-with-hole", keep_fraction=0.0)
+    mesh, config, _ = make_phantom(disk)
+    area = build_search_area(mesh, config.areas[0])
+    cut = area.parent_vertex[np.asarray(area.cut_paths[0])][::-1]
+    reversed_cut = dataclasses.replace(
+        config.areas[0], cut_labels=None,
+        cut_vertices=(tuple(int(v) for v in cut),))
+    guessed = []
+    for spec, area_spec in ((disk, None), (dome, None),
+                            (disk, reversed_cut)):
+        mesh, config, _ = make_phantom(spec)
+        opened = open_area(build_search_area(
+            mesh, area_spec or config.areas[0]))
+        mask = np.zeros(opened.mesh.n_vertices, dtype=bool)
+        path = min_gap_path(build_graph(opened, mask))
+        assert path.rgm == 1.0
+        assert path.gap_count == 1
+        assert path.non_gap_length == 0.0
+        assert path.gaps[0].wraps_seam
+        best = None
+        for k in range(len(opened.side_a)):
+            field = distance_transform(opened.mesh, [int(opened.side_a[k])])
+            d = float(field.dist[opened.side_b[k]])
+            if math.isfinite(d) and (best is None or (d, k) < best):
+                best = (d, k)
+        a, b = int(opened.side_a[best[1]]), int(opened.side_b[best[1]])
+        assert path.crossing_pair == (a, b)
+        loop = geodesic_path(opened.mesh, a, b)
+        assert loop.distance == best[0]
+        assert path.segment_ids[-1][1].tolist() == \
+            loop.path.vertex_ids.tolist()
+        assert path.total_length == pytest.approx(best[0], rel=1e-9)
+        guessed.append(best[1] == len(opened.side_a) - 1)
+    assert not all(guessed)
 
 
 def test_route_links_match_whole_mesh_traces():

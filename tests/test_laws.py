@@ -7,6 +7,7 @@ example database, so tier-1 stays deterministic and writes nothing.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from hypothesis import strategies as st  # noqa: E402
 from pvgap.errors import AreaError, MeshFormatError  # noqa: E402
 from pvgap.gaps import (_graph_arrays, build_graph, route_limit,  # noqa: E402
                         solve_gap_graph)
-from pvgap.geodesics import distance_transform  # noqa: E402
+from pvgap import mesh as mesh_module  # noqa: E402
+from pvgap.geodesics import _corner_tables, distance_transform  # noqa: E402
 from pvgap.mesh import (SurfaceMesh, load_mesh, read_json,  # noqa: E402
                         save_mesh, write_json)
 from pvgap.regions import build_search_area, open_area  # noqa: E402
-from pvgap.synth import PhantomSpec, make_phantom, plane_grid  # noqa: E402
+from pvgap.synth import (PhantomSpec, icosphere, make_phantom,  # noqa: E402
+                         plane_grid)
 from test_gaps import _enumerate_best  # noqa: E402
 
 LAW = settings(derandomize=True, deadline=None, database=None,
@@ -230,3 +233,151 @@ def test_json_round_trip_is_the_identity(tmp_path_factory, value):
     back = read_json(path)
     assert back == value
     assert json.dumps(back) == json.dumps(value)
+
+
+# tokens that may spoil a block of integers: a lone sign, runs of digits
+# (some beyond int64), tokens that are no integer at all and values just
+# beyond int64's extremes
+_SIGN = st.sampled_from(["+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=24)
+_JUNK = st.sampled_from(["1.5", "0x1F", "1e3", "--1", "+-1", "_1",
+                         "1_", "1__0", "5.", "nan", "1,2", "0b1", "12a"])
+_OVERFLOW = st.sampled_from([str(2**63), str(-2**63 - 1), "9" * 20,
+                             "-" + "9" * 24, "+0" + "9" * 19])
+
+
+@st.composite
+def _spelled(draw, value=None):
+    """A token that Python's int() reads as value (any integer if None)."""
+    if value is None:
+        value = draw(st.integers(-2**63, 2**63 - 1)
+                     | st.sampled_from([-2**63, 2**63 - 1, 0]))
+    digits = str(abs(value))
+    cuts = draw(st.sets(st.integers(1, len(digits) - 1), max_size=3)) \
+        if len(digits) > 1 else set()
+    for cut in sorted(cuts, reverse=True):
+        digits = digits[:cut] + "_" + digits[cut:]
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+", "-"])
+                                      if value == 0 else
+                                      st.sampled_from(["", "+"]))
+    return sign + "0" * draw(st.integers(0, 3)) + digits
+
+
+_GRID = plane_grid(3, 3)  # 9 vertices, 8 triangles
+
+
+def _vtk(triangle_tokens, region_tokens) -> str:
+    """A polydata file of _GRID with the given tokens as its triangles' 24
+    ids and its 9 region values."""
+    points = "\n".join(" ".join(repr(c) for c in row)
+                       for row in _GRID.vertices.tolist())
+    cells = "\n".join("3 " + " ".join(triangle_tokens[i:i + 3])
+                      for i in range(0, len(triangle_tokens), 3))
+    return (f"# vtk DataFile Version 3.0\nlaw\nASCII\nDATASET POLYDATA\n"
+            f"POINTS 9 double\n{points}\nPOLYGONS 8 32\n{cells}\n"
+            f"POINT_DATA 9\nSCALARS region int 1\nLOOKUP_TABLE default\n"
+            + " ".join(region_tokens) + "\n")
+
+
+def _as_numpy_reads(tokens):
+    """np.array(tokens, dtype=np.int64), or None where that raises."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _spoiled(tokens, spoilers):
+    out = list(tokens)
+    for at, token in spoilers:
+        out[at] = token
+    return out
+
+
+_IDS = [str(v) for v in _GRID.triangles.ravel().tolist()]
+_SPOILERS = st.lists(st.tuples(st.integers(0, 8),
+                               _SIGN | _DIGITS | _JUNK | _OVERFLOW),
+                     max_size=2)
+# a triangle id is spoiled only by a token that np.array refuses, as any
+# other value would fail the topology check instead
+_ID_SPOILERS = st.lists(st.tuples(st.integers(0, 23),
+                                  _SIGN | _JUNK | _OVERFLOW), max_size=2)
+
+
+@settings(LAW, max_examples=60)
+@given(region=st.lists(_spelled(), min_size=9, max_size=9),
+       region_spoilers=_SPOILERS,
+       ids=st.tuples(*[_spelled(int(v)) for v in _IDS]),
+       id_spoilers=_ID_SPOILERS,
+       block=st.sampled_from([1, 2, 3, 5, 4096]))
+# a lone sign reads 0 as a block's last token, and takes in the next
+# token elsewhere
+@example(region=["7"] * 9, region_spoilers=[(8, "-")], ids=tuple(_IDS),
+         id_spoilers=[], block=4096)
+@example(region=["7"] * 9, region_spoilers=[(2, "+")], ids=tuple(_IDS),
+         id_spoilers=[(23, "+")], block=5)
+def test_load_mesh_reads_integers_as_numpy_array_does(
+        tmp_path_factory, region, region_spoilers, ids, id_spoilers, block):
+    """Written as a mesh's region array, and as the triangle ids of a small
+    grid (each id spelled with a sign, leading zeros or `_`), integer
+    tokens with up to two replaced by a run of digits or by one that is no
+    int64 (`1.5`, a lone sign, a value beyond int64) load as
+    np.array(tokens, dtype=np.int64) reads them, or fail with `bad
+    numeric value` where np.array raises, at any block size of the
+    reader. The reader parses each block by one np.fromstring call and
+    re-reads it with np.array where that call may differ: a token it cannot
+    read, a lone sign, a value it saturates at int64's extremes. Under
+    tier-1's filters a DeprecationWarning from pvgap fails this test, as
+    numpy 1.24's fromstring warns on such tokens."""
+    path = tmp_path_factory.mktemp("ints") / "m.vtk"
+    plain = [str(v) for v in range(9)]
+    with mock.patch.object(mesh_module, "_SAVE_BLOCK", block):
+        for tris, regs in ((_IDS, _spoiled(region, region_spoilers)),
+                           (_spoiled(ids, id_spoilers), plain)):
+            path.write_text(_vtk(tris, regs))
+            want, want_ids = _as_numpy_reads(regs), _as_numpy_reads(tris)
+            if want is None or want_ids is None:
+                with pytest.raises(MeshFormatError,
+                                   match="bad numeric value$"):
+                    load_mesh(path)
+                continue
+            back = load_mesh(path)
+            assert back.region.tobytes() == want.tobytes()
+            assert back.triangles.ravel().tobytes() == want_ids.tobytes()
+
+
+@st.composite
+def _moved_meshes(draw):
+    """A jittered plane grid or an icosphere under a random rigid motion."""
+    if draw(st.booleans()):
+        grid = plane_grid(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+        n = grid.n_vertices
+        jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=3 * n,
+                               max_size=3 * n))
+        vertices = grid.vertices + np.reshape(jitter, (n, 3))
+    else:
+        grid = icosphere(draw(st.integers(0, 2)),
+                         draw(st.floats(1e-2, 1e3)))
+        vertices = grid.vertices
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    shift = rng.uniform(-100.0, 100.0, 3)
+    return SurfaceMesh(vertices @ rot.T + shift, grid.triangles)
+
+
+@LAW
+@given(mesh=_moved_meshes())
+def test_column_lengths_equal_row_norms(mesh):
+    """`_corner_tables`' la and lb and `SurfaceMesh.edge_lengths`, computed
+    one coordinate column at a time, equal np.linalg.norm(axis=1) of the
+    row differences bit for bit: norm sums a length-3 row in order, as
+    sqrt((x*x + y*y) + z*z) does, on every numpy."""
+    v, t = mesh.vertices, mesh.triangles
+    tab = _corner_tables(mesh)
+    corner = t.T.ravel()
+    for key, support in (("la", t[:, [1, 2, 0]]), ("lb", t[:, [2, 0, 1]])):
+        want = np.linalg.norm(v[support.T.ravel()] - v[corner], axis=1)
+        assert tab[key].tobytes() == want.tobytes()
+    edges = mesh.edges
+    want = np.linalg.norm(v[edges[:, 0]] - v[edges[:, 1]], axis=1)
+    assert mesh.edge_lengths.tobytes() == want.tobytes()
