@@ -578,11 +578,11 @@ def load_mesh(path) -> SurfaceMesh:
     POLYGONS or POINT_DATA section, or a second SCALARS array of one name,
     is a MeshFormatError: it would overwrite the first. The stream is split
     a chunk at a time (`_token_chunks`), so a large body is never held as
-    one list of tokens. Integers are cast _SAVE_BLOCK tokens at a time, each
-    block by one np.fromstring parse where that reads exactly what
-    np.array would (`_parse_ints`), by np.array otherwise, so every file
-    reads, and fails, as np.array alone makes it. Every error the file's
-    content raises names the file.
+    one list of tokens. Numbers are cast _SAVE_BLOCK tokens at a time. An
+    integer is an optional sign and decimal digits, within int64
+    (`_parse_ints`); a float is what Python's float() reads, without `_`
+    (`_parse_floats`). Any other token is a MeshFormatError, `bad numeric
+    value`. Every error the file's content raises names the file.
     """
     path = Path(path)
     with in_file(path):
@@ -608,12 +608,11 @@ def _read_mesh(path: Path) -> SurfaceMesh:
     tokens = chain.from_iterable(_token_chunks(text, head.end()))
 
     def take(count, dtype=None):
-        """The next `count` tokens: a list, or one array cast to dtype. Too
-        few tokens is reported before a bad value, as in one whole read.
-        Each block of int64 tokens is parsed once by `_parse_ints`, and by
-        `np.array` where that gives no answer; float blocks always go
-        through `np.array`."""
+        """The next `count` tokens: a list, or one array cast to dtype
+        (np.int64 or np.float64), each block parsed once. Too few tokens is
+        reported before a bad value, as in one whole read."""
         out = [] if dtype is None else np.empty(count, dtype=dtype)
+        parse = _parse_ints if dtype is np.int64 else _parse_floats
         bad = False
         for lo in range(0, count, _SAVE_BLOCK):
             size = min(_SAVE_BLOCK, count - lo)
@@ -623,13 +622,9 @@ def _read_mesh(path: Path) -> SurfaceMesh:
             if dtype is None:
                 out += piece
             elif not bad:
-                fast = _parse_ints(piece) if dtype is np.int64 else None
-                if fast is not None:
-                    out[lo:lo + size] = fast
-                    continue
                 try:
-                    out[lo:lo + size] = np.array(piece, dtype=dtype)
-                except (ValueError, OverflowError):
+                    out[lo:lo + size] = parse(piece)
+                except ValueError:
                     bad = True
         if bad:
             raise MeshFormatError("bad numeric value")
@@ -702,32 +697,40 @@ def _read_mesh(path: Path) -> SurfaceMesh:
     return mesh
 
 
-def _parse_ints(piece: list):
-    """The int64 values of a nonempty list of tokens from one
-    `np.fromstring` parse, or None where that parse may not give what
-    `np.array(piece, dtype=np.int64)` gives, which then decides the values
-    or the error.
+def _parse_ints(piece: list) -> np.ndarray:
+    """The int64 values of a nonempty list of tokens, each an optional sign
+    and decimal digits within int64; ValueError if any token is not.
 
-    np.fromstring reads a plain decimal token as np.array does, and about
-    twice as fast. It differs elsewhere, and each difference shows:
+    One np.fromstring parse reads the block, and every way it can misread
+    a token shows:
     - a token it cannot read to its end (`1.5`, `0x1F`, `1_000`) makes it
       raise ValueError; an older numpy (1.24) instead warns
       (DeprecationWarning) and returns the values read so far;
     - a lone sign takes in the token after it, so fewer values come back;
-      as the last token it reads 0, where np.array raises;
-    - a value beyond int64 saturates at int64's minimum or maximum, where
-      np.array raises OverflowError.
+      as the last token it reads 0;
+    - a value beyond int64 saturates at int64's minimum or maximum, so
+      only those values are read again, by int().
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
             out = np.fromstring(" ".join(piece), dtype=np.int64, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-    if (out.size != len(piece) or piece[-1] in ("+", "-")
-            or out.min() == _INT64.min or out.max() == _INT64.max):
-        return None
+        except DeprecationWarning as e:
+            raise ValueError(str(e)) from e
+    if out.size != len(piece) or piece[-1] in ("+", "-"):
+        raise ValueError("a lone sign")
+    for i in np.flatnonzero((out == _INT64.min) | (out == _INT64.max)):
+        if int(piece[i]) != out[i].item():
+            raise ValueError(f"{piece[i]!r} is beyond int64")
     return out
+
+
+def _parse_floats(piece: list) -> np.ndarray:
+    """The float64 values of a list of tokens, each read as Python's
+    float() reads it but without `_`; ValueError if any token is not."""
+    if "_" in "".join(piece):
+        raise ValueError("`_` in a number")
+    return np.array(piece, dtype=np.float64)
 
 
 def _token_chunks(text: str, start: int):

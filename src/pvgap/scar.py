@@ -129,6 +129,10 @@ def _read_volume(path) -> ScalarVolume:
         raise VolumeFormatError(f"unsupported dtype {fields['dtype']}")
     if fields["order"] != "x-fastest":
         raise VolumeFormatError(f"unsupported order {fields['order']}")
+    for key in ("dims", "spacing", "origin", "direction"):
+        # int() and float() read 0_5 as 5; no volume writer emits it
+        if "_" in fields[key]:
+            raise VolumeFormatError(f"bad {key} value {fields[key]!r}")
     try:
         nx, ny, nz = (int(v) for v in fields["dims"].split())
         spacing = tuple(float(v) for v in fields["spacing"].split())

@@ -726,6 +726,23 @@ def test_load_mesh_rejects_an_index_beyond_int64(tmp_path):
         load_mesh(bad)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("\n1 1 0\n", "\n1 1_0 0\n"), ("\n100.123457\n", "\n100.123_457\n"),
+    ("default\n1\n2\n", "default\n1_0\n2\n")],
+    ids=["coordinate", "intensity", "region"])
+def test_load_mesh_refuses_a_number_spelled_with_underscore(old, new,
+                                                             tmp_path):
+    # Python's int() and float() read 1_0 as 10, but no VTK writer emits it
+    assert GOLDEN.count(old) == 1
+    bad = tmp_path / "underscore.vtk"
+    bad.write_text(GOLDEN.replace(old, new))
+    with pytest.raises(MeshFormatError, match="bad numeric value$"):
+        load_mesh(bad)
+    assert main(["quantify", "--mesh", str(bad), "--bp-mean", "100",
+                 "--bp-sd", "10", "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("keyword, extra", [
     ("POINTS", "POINTS 4 float\n9 9 9\n8 8 8\n7 7 7\n6 6 6\n"),
     ("POLYGONS", "POLYGONS 2 8\n3 0 2 1\n3 0 3 2\n"),

@@ -215,6 +215,27 @@ def test_volume_loader_rejects_corruption(tmp_path):
         assert not (tmp_path / "out.vtk").exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    (b"dims 2 2 4", b"dims 2 2 0_4"), (b"spacing 1 1 1", b"spacing 0_5 1 1"),
+    (b"origin 0 0 0", b"origin 0 1_0 0"),
+    (b"direction 1 0 0", b"direction 1_0 0 0")],
+    ids=["dims", "spacing", "origin", "direction"])
+def test_volume_loader_refuses_an_underscore_in_a_header_value(old, new,
+                                                               tmp_path):
+    # int() and float() read 0_4 as 4 and 0_5 as 5.0, which no writer emits
+    p = tmp_path / "v.svol"
+    save_volume(_volume(np.zeros((4, 2, 2))), p)
+    raw = p.read_bytes()
+    assert raw.count(old) == 1
+    raw = raw.replace(old, new)
+    p.write_bytes(raw)
+    line = next(x for x in raw.split(b"\n") if x.startswith(new))
+    key, _, value = line.decode().partition(" ")
+    with pytest.raises(VolumeFormatError) as info:
+        load_volume(p)
+    assert str(info.value) == f"{p}: bad {key} value {value!r}"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_volume_refuses_a_non_finite_voxel(bad):
     # a nan or inf voxel made every sample reading it nan, and projection
