@@ -36,7 +36,7 @@ _NAMES = {"rgm_nauc": ("rgm_nauc", "rgm_nauc"),
           "gap_count": ("gap_count_mean", "gap_count"),
           "gap_length": ("gap_length_mm_mean", "gap_length_mm")}
 METRICS = tuple(_NAMES)
-_BIN_WIDTH = 0.1  # of the rgm_nauc histograms
+_BIN_WIDTH, _N_BINS = 0.1, 10  # of the rgm_nauc histograms, over [0, 1]
 # the incomplete beta's continued fraction: stop once a step moves it by
 # less than _CF_EPS relative; _CF_TINY stands in for a zero denominator
 _CF_EPS, _CF_TINY, _CF_MAXIT = 1e-15, 1e-300, 300
@@ -156,10 +156,8 @@ def aggregate(reports) -> CohortTable:
 
 
 def metric_values(table: CohortTable, area: str, metric: str) -> np.ndarray:
-    """Per-case scalars of one area; cases where the area failed are
-    skipped."""
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}; pick from {METRICS}")
+    """Per-case scalars of one area, metric one of METRICS; cases where
+    the area failed are skipped."""
     if area not in table.areas:
         raise ConfigError(f"no area named {area!r} in the cohort")
     return np.asarray([r.values[area][metric] for r in table.rows
@@ -269,12 +267,11 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
     return WelchResult(t=t, df=df, p=_student_p(t, df))
 
 
-def one_vs_rest(table: CohortTable, area: str,
-                metric: str = "rgm_nauc") -> WelchResult:
-    """Welch test of one area against the pooled values of the other
-    independent-strategy areas."""
-    target = metric_values(table, area, metric)
-    rest = [metric_values(table, other, metric) for other in table.areas
+def one_vs_rest(table: CohortTable, area: str) -> WelchResult:
+    """Welch test of one area's rgm_nauc against the pooled rgm_nauc of the
+    other independent-strategy areas."""
+    target = metric_values(table, area, "rgm_nauc")
+    rest = [metric_values(table, other, "rgm_nauc") for other in table.areas
             if other != area and table.strategy[other] == "independent"]
     rest = [v for v in rest if len(v)]
     if not rest:
@@ -286,37 +283,32 @@ def one_vs_rest(table: CohortTable, area: str,
 # ----------------------------------------------------------------------
 # distributions and regional maps
 
-def histogram(values, bin_width: float = _BIN_WIDTH) -> np.ndarray:
-    """Counts over [0, 1]: left-closed bins, the last bin also closed on
-    the right."""
+def histogram(values) -> np.ndarray:
+    """Counts in the ten 0.1-wide bins over [0, 1]: left-closed bins, the
+    last bin also closed on the right."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("values must be a 1-d array")
     if not all(map(is_real, values)):
         raise ValueError("values must be finite numbers")
-    if not (is_real(bin_width) and bin_width > 0.0):
-        raise ValueError("bin_width must be a finite positive number")
-    n_bins = int(round(1.0 / bin_width))
-    if n_bins < 1 or abs(n_bins * bin_width - 1.0) > 1e-9:
-        raise ValueError("bin width must divide [0, 1] evenly")
     if len(v) and (v.min() < 0.0 or v.max() > 1.0):
         raise ValueError("values outside [0, 1]")
-    idx = np.minimum(np.floor(v / bin_width).astype(np.int64), n_bins - 1)
-    return np.bincount(idx, minlength=n_bins)
+    idx = np.minimum(np.floor(v / _BIN_WIDTH).astype(np.int64), _N_BINS - 1)
+    return np.bincount(idx, minlength=_N_BINS)
 
 
-def regional_map(table: CohortTable, strategy: str | None = None) -> dict:
-    """Per-region gap occurrence at the reference threshold.
+def regional_map(table: CohortTable, strategy: str) -> dict:
+    """Per-region gap occurrence at the reference threshold over the areas
+    of one strategy, "independent" or "joint"; the two are not pooled, as
+    a gap that both an independent and a joint area find would count twice.
 
     Returns {label: {"percent_patients", "total_gaps",
-    "mean_gap_length_mm"}} over the region labels covered by the selected
-    areas; labels no area searches are absent from the result.
+    "mean_gap_length_mm"}} over the region labels covered by those areas;
+    labels no area searches are absent from the result.
     """
-    if strategy not in (None, "independent", "joint"):
-        raise ConfigError("strategy filter must be independent, joint, "
-                          "or None")
-    areas = [a for a in table.areas
-             if strategy is None or table.strategy[a] == strategy]
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {STRATEGIES}")
+    areas = [a for a in table.areas if table.strategy[a] == strategy]
     covered = sorted({lab for a in areas for lab in table.labels[a]})
     n_cases = table.n_cases
     out = {}
@@ -397,8 +389,7 @@ def write_histogram_csv(table: CohortTable, area: str, path) -> None:
     _write_csv(path, ["bin_low", "bin_high", "count"], rows)
 
 
-def write_regional_csv(table: CohortTable, path,
-                       strategy: str | None = None) -> None:
+def write_regional_csv(table: CohortTable, path, strategy: str) -> None:
     rmap = regional_map(table, strategy)
     rows = [[lab, rmap[lab]["percent_patients"], rmap[lab]["total_gaps"],
              rmap[lab]["mean_gap_length_mm"]] for lab in sorted(rmap)]

@@ -709,7 +709,8 @@ def _parse_ints(piece: list) -> np.ndarray:
     - a lone sign takes in the token after it, so fewer values come back;
       as the last token it reads 0;
     - a value beyond int64 saturates at int64's minimum or maximum, so
-      only those values are read again, by int().
+      each token read as one of those is checked to spell it: its sign and
+      its digits, leading zeros stripped, as str() gives the value.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -720,8 +721,11 @@ def _parse_ints(piece: list) -> np.ndarray:
     if out.size != len(piece) or piece[-1] in ("+", "-"):
         raise ValueError("a lone sign")
     for i in np.flatnonzero((out == _INT64.min) | (out == _INT64.max)):
-        if int(piece[i]) != out[i].item():
-            raise ValueError(f"{piece[i]!r} is beyond int64")
+        token = piece[i]
+        sign = "-" if token[0] == "-" else ""
+        digits = token[1:] if token[0] in "+-" else token
+        if sign + digits.lstrip("0") != str(out[i]):
+            raise ValueError(f"{token!r} is beyond int64")
     return out
 
 

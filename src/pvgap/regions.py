@@ -65,15 +65,6 @@ class AreaSpec:
 class RegionConfig:
     areas: tuple
 
-    def names(self) -> tuple:
-        return tuple(a.name for a in self.areas)
-
-    def area(self, name: str) -> AreaSpec:
-        for a in self.areas:
-            if a.name == name:
-                return a
-        raise ConfigError(f"no area named {name!r} in config")
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:

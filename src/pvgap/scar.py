@@ -304,19 +304,16 @@ def mip_project(mesh: SurfaceMesh, volume: ScalarVolume,
     return proj
 
 
-def blood_pool_stats(volume: ScalarVolume,
-                     mask: np.ndarray | None = None) -> tuple:
-    """(mean, sd) of blood-pool intensity; population sd (the pool is the
-    whole reference region, not a sample from it)."""
-    vals = volume.values
-    if mask is not None:
-        mask = checked_mask(mask, "blood-pool mask")
-        if mask.shape != vals.shape:
-            raise ValueError("blood-pool mask shape must match the volume")
-        if not mask.any():
-            raise ValueError("blood-pool mask is empty")
-        vals = vals[mask]
-    vals = vals.astype(np.float64)
+def blood_pool_stats(volume: ScalarVolume, mask: np.ndarray) -> tuple:
+    """(mean, sd) of the volume's intensity over the blood-pool mask, a
+    nonempty boolean array of the volume's shape; population sd (the pool
+    is the whole reference region, not a sample from it)."""
+    mask = checked_mask(mask, "blood-pool mask")
+    if mask.shape != volume.values.shape:
+        raise ValueError("blood-pool mask shape must match the volume")
+    if not mask.any():
+        raise ValueError("blood-pool mask is empty")
+    vals = volume.values[mask].astype(np.float64)
     return float(vals.mean()), float(vals.std(ddof=0))
 
 

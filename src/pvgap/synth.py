@@ -2,13 +2,14 @@
 
 Each phantom is a triangle mesh carrying intensity and region labels plus a
 matching region config, built so the true gap fraction of the encircling
-lesion is known in closed form. The scar is a band at a fixed offset from
-the vein rim; gaps are angular sectors where the band is left unablated.
-Healthy tissue reads HEALTHY_SD and scar SCAR_SD blood-pool SDs off the mean.
-With a taper, a scar vertex's level runs linearly from edge_sd at the ends
-of its kept arc to center_sd at the arc's middle; the kept arc is the one
-whose start is the last at or before the vertex's angle, and a vertex that
-lies within rounding outside that arc gets edge_sd.
+lesion is known in closed form. The scar is a band BAND_INNER_MM to
+BAND_OUTER_MM off the vein rim; gaps are angular sectors where the band is
+left unablated. Healthy tissue reads HEALTHY_SD and scar SCAR_SD
+blood-pool SDs off the mean. With a taper, a scar vertex's level runs
+linearly from edge_sd at the ends of its kept arc to center_sd at the arc's
+middle; the kept arc is the one whose start is the last at or before the
+vertex's angle, and a vertex that lies within rounding outside that arc
+gets edge_sd.
 
 The vein hole of the disk and dome phantoms is an oval (limacon) with its
 wide side at angle 0 and the opening cut on the narrow side at angle pi.
@@ -39,6 +40,8 @@ SHAPES = ("disk-with-hole", "dome-with-hole", "two-hole-plate")
 
 HOLE_RADIUS = 10.0  # mean vein radius of the oval hole, mm
 OVALITY = 0.3  # oval eccentricity of the hole rim
+BAND_INNER_MM, BAND_OUTER_MM = 2.0, 4.0  # scar band offsets from the rim
+BAND_MID_MM = 0.5 * (BAND_INNER_MM + BAND_OUTER_MM)  # its centerline
 RIM_MARGIN = 8.0  # tissue kept beyond the scar band, mm
 DOME_RADIUS = 25.0  # sphere radius of the dome phantom, mm
 
@@ -65,8 +68,6 @@ class PhantomSpec:
     """Recipe for one phantom mesh."""
     base_shape: str = "disk-with-hole"
     target_edge_mm: float = 1.0
-    band_inner_mm: float = 2.0  # scar band offset range from the vein rim
-    band_outer_mm: float = 4.0
     keep_fraction: float = 1.0  # angular fraction of the band left as scar
     removed_intervals: tuple | None = None  # explicit (start, width) radians
     patchiness: int = 0  # extra seeded slit gaps
@@ -78,14 +79,12 @@ class PhantomSpec:
     def __post_init__(self):
         if self.base_shape not in SHAPES:
             raise ValueError(f"base_shape must be one of {SHAPES}")
-        for name in ("target_edge_mm", "band_inner_mm", "band_outer_mm",
-                     "keep_fraction", "blood_pool_mean", "blood_pool_sd"):
+        for name in ("target_edge_mm", "keep_fraction", "blood_pool_mean",
+                     "blood_pool_sd"):
             if not is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
         if not 0.0 <= self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must lie in [0, 1]")
-        if not 0.0 < self.band_inner_mm < self.band_outer_mm:
-            raise ValueError("need 0 < band_inner_mm < band_outer_mm")
         if self.target_edge_mm <= 0.0:
             raise ValueError("target_edge_mm must be positive")
         for name in ("patchiness", "seed"):
@@ -181,8 +180,9 @@ def _kept_arcs(removed) -> tuple:
 
 
 def _slit_width(spec: PhantomSpec) -> float:
-    r_ref = 9.0 if spec.base_shape == "two-hole-plate" else HOLE_RADIUS + 3.0
-    return 2.5 * spec.target_edge_mm / r_ref
+    """A slit 2.5 edges wide on the band centerline of a round hole."""
+    rim = PLATE_HOLE_R if spec.base_shape == "two-hole-plate" else HOLE_RADIUS
+    return 2.5 * spec.target_edge_mm / (rim + BAND_MID_MM)
 
 
 def removal_arcs(spec: PhantomSpec) -> tuple:
@@ -223,10 +223,9 @@ def _rim_radius(theta):
 
 def _centerline_samples(spec: PhantomSpec):
     """(theta, weight) samples of the band centerline, weight = ds."""
-    mid = 0.5 * (spec.band_inner_mm + spec.band_outer_mm)
     if spec.base_shape in ("disk-with-hole", "dome-with-hole"):
         theta = np.linspace(0.0, TWO_PI, 40001)[:-1]
-        r = _rim_radius(theta) + mid
+        r = _rim_radius(theta) + BAND_MID_MM
         dr = -HOLE_RADIUS * OVALITY * np.sin(theta)
         if spec.base_shape == "disk-with-hole":
             w = np.sqrt(r * r + dr * dr)
@@ -235,9 +234,9 @@ def _centerline_samples(spec: PhantomSpec):
             w = DOME_RADIUS * np.sqrt((dr / DOME_RADIUS) ** 2
                                       + np.sin(phi) ** 2)
         return theta, w
-    # plate: centerline is two arcs of radius PLATE_HOLE_R + mid, one about
-    # each hole center, clipped where the other hole is closer
-    rad = PLATE_HOLE_R + mid
+    # plate: centerline is two arcs of radius PLATE_HOLE_R + BAND_MID_MM,
+    # one about each hole center, clipped where the other hole is closer
+    rad = PLATE_HOLE_R + BAND_MID_MM
     span = 2.0 * PLATE_HOLE_X
     cos_lim = 0.5 * span / rad  # beyond this the other center is closer
     psi0 = math.acos(min(1.0, cos_lim))
@@ -279,7 +278,7 @@ def _sector_labels(theta: np.ndarray) -> np.ndarray:
 def _build_ring_phantom(spec: PhantomSpec):
     """Shared lattice for the disk and dome shapes."""
     edge = spec.target_edge_mm
-    width = spec.band_outer_mm + RIM_MARGIN
+    width = BAND_OUTER_MM + RIM_MARGIN
     n_s = max(2, int(round(width / edge)) + 1)
     r_mid = HOLE_RADIUS + 0.5 * width
     n_t = max(16, 4 * math.ceil(TWO_PI * r_mid / (4.0 * edge)))
@@ -318,7 +317,7 @@ def _finish(spec: PhantomSpec, pts, tris, theta, s_off, region,
     ValueError if the recipe keeps part of the band but no vertex lies in
     it, where the truth would describe scar the mesh does not have."""
     arcs = removal_arcs(spec)
-    if _kept_arcs(arcs) and not _kept_band(spec, theta, s_off, arcs).any():
+    if _kept_arcs(arcs) and not _kept_band(theta, s_off, arcs).any():
         raise ValueError(f"no vertex lies in the kept scar band at "
                          f"target_edge_mm {spec.target_edge_mm:g}; use a "
                          f"finer edge")
@@ -387,12 +386,11 @@ def make_phantom(spec: PhantomSpec):
     return _build_ring_phantom(spec)
 
 
-def _kept_band(spec: PhantomSpec, theta: np.ndarray, s_off: np.ndarray,
-               arcs) -> np.ndarray:
+def _kept_band(theta: np.ndarray, s_off: np.ndarray, arcs) -> np.ndarray:
     """Whether each point at angle theta and band offset s_off lies in the
     scar band outside the removed arcs."""
-    return (s_off >= spec.band_inner_mm - 1e-9) \
-        & (s_off <= spec.band_outer_mm + 1e-9) & ~_removed_mask(theta, arcs)
+    return (s_off >= BAND_INNER_MM - 1e-9) \
+        & (s_off <= BAND_OUTER_MM + 1e-9) & ~_removed_mask(theta, arcs)
 
 
 def _surface_levels(spec: PhantomSpec, theta: np.ndarray,
@@ -401,7 +399,7 @@ def _surface_levels(spec: PhantomSpec, theta: np.ndarray,
     offset s_off: scar in the band outside the removed arcs, else healthy."""
     mean, sd = spec.blood_pool_mean, spec.blood_pool_sd
     arcs = removal_arcs(spec)
-    scar = _kept_band(spec, theta, s_off, arcs)
+    scar = _kept_band(theta, s_off, arcs)
     out = np.full(theta.shape, mean + HEALTHY_SD * sd)
     if not scar.any():
         return out
@@ -447,7 +445,7 @@ def phantom_volume(spec: PhantomSpec) -> ScalarVolume:
     else:
         if spec.base_shape == "disk-with-hole":
             ext_x = ext_y = HOLE_RADIUS * (1 + OVALITY) \
-                + spec.band_outer_mm + RIM_MARGIN + 1.0
+                + BAND_OUTER_MM + RIM_MARGIN + 1.0
         else:
             ext_x = PLATE_HALF_X + 1.0
             ext_y = PLATE_HALF_Y + 1.0
@@ -456,7 +454,7 @@ def phantom_volume(spec: PhantomSpec) -> ScalarVolume:
         zs = np.arange(-3.0, 3.5, 1.0)
     gz, gy, gx = np.meshgrid(zs, ys, xs, indexing="ij")  # x fastest
     theta = np.arctan2(gy, gx) % TWO_PI
-    s_hi = spec.band_outer_mm + RIM_MARGIN + 0.5
+    s_hi = BAND_OUTER_MM + RIM_MARGIN + 0.5
     if dome:
         rho = np.sqrt(gx * gx + gy * gy + gz * gz)
         with np.errstate(invalid="ignore"):

@@ -211,7 +211,7 @@ def test_criterion_07():
                         spec.blood_pool_sd, factors=(2.0, 3.3))
         reports.append(case_report(case))
     table = aggregate(reports)
-    rmap = regional_map(table)
+    rmap = regional_map(table, "independent")
     assert set(rmap) == {1, 2, 3, 4}
     assert rmap[1]["percent_patients"] == 100.0
     assert rmap[1]["total_gaps"] == 4

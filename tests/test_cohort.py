@@ -360,8 +360,6 @@ def test_aggregate_skips_failed_areas():
     stats = area_stats(table)
     assert stats["B"]["n_rgm_nauc"] == 1
     with pytest.raises(ConfigError):
-        metric_values(table, "A", "median")
-    with pytest.raises(ConfigError):
         metric_values(table, "Z", "rgm_nauc")
 
 
@@ -435,13 +433,11 @@ def test_one_vs_rest_needs_a_peer():
 def test_histogram_bin_rules():
     counts = histogram([0.0, 0.05, 0.1, 0.95, 1.0])
     assert counts.tolist() == [2, 1, 0, 0, 0, 0, 0, 0, 0, 2]
-    assert histogram([], 0.25).tolist() == [0, 0, 0, 0]
+    assert histogram([]).tolist() == [0] * 10
     with pytest.raises(ValueError):
         histogram([1.2])
     with pytest.raises(ValueError):
         histogram([-0.1])
-    with pytest.raises(ValueError):
-        histogram([0.5], bin_width=0.3)
     with pytest.raises(ValueError):
         histogram([[0.5]])
 
@@ -449,13 +445,9 @@ def test_histogram_bin_rules():
 @pytest.mark.parametrize("args,kw,name", [
     (([0.1, math.nan],), {}, "values"),
     (([0.1, math.inf],), {}, "values"),
-    (([0.1],), {"bin_width": 0.0}, "bin_width"),
-    (([0.1],), {"bin_width": -0.5}, "bin_width"),
-    (([0.1],), {"bin_width": math.nan}, "bin_width"),
 ])
 def test_histogram_names_what_it_refuses(args, kw, name):
-    # nan once failed in bincount after a RuntimeWarning, and a zero width
-    # with a ZeroDivisionError
+    # nan once failed in bincount after a RuntimeWarning
     with pytest.raises(ValueError, match=name):
         histogram(*args, **kw)
 
@@ -476,7 +468,7 @@ def test_regional_map_planted_region():
                                          labels=(7, 8))}),
                _report("c2", {"A": _area(0.5, gaps=((6.0, 7),),
                                          labels=(7, 8))})]
-    rmap = regional_map(aggregate(reports))
+    rmap = regional_map(aggregate(reports), "independent")
     assert set(rmap) == {7, 8}
     assert rmap[7] == {"percent_patients": 100.0, "total_gaps": 2,
                        "mean_gap_length_mm": 5.0}
@@ -490,22 +482,22 @@ def test_regional_map_strategy_filter():
         "J": _area(0.2, gaps=((2.0, 9),), strategy="joint", labels=(9,)),
     })]
     table = aggregate(reports)
-    both = regional_map(table)
-    assert set(both) == {1, 2, 9}
     indep = regional_map(table, strategy="independent")
     assert set(indep) == {1, 2}
     joint = regional_map(table, strategy="joint")
     assert set(joint) == {9}
     assert joint[9]["total_gaps"] == 1
-    with pytest.raises(ConfigError):
-        regional_map(table, strategy="all")
+    # no pooled map: a gap that both strategies find would count twice
+    for bad in ("all", None):
+        with pytest.raises(ConfigError):
+            regional_map(table, strategy=bad)
 
 
 def test_regional_map_multiple_gaps_per_case():
     reports = [_report("c1", {"A": _area(0.4,
                                          gaps=((4.0, 1), (6.0, 1)))}),
                _report("c2", {"A": _area(0.5, gaps=())})]
-    rmap = regional_map(aggregate(reports))
+    rmap = regional_map(aggregate(reports), "independent")
     assert rmap[1] == {"percent_patients": 50.0, "total_gaps": 2,
                        "mean_gap_length_mm": 5.0}
 

@@ -102,8 +102,10 @@ ROWS = [
     ("PhantomSpec", "patchiness", True, ValueError, "patchiness"),
     ("icosphere", "radius", True, ValueError, "radius"),
     ("icosphere", "subdivisions", -1, ValueError, "subdivisions"),
-    ("histogram", "bin_width", True, ValueError, "bin_width"),
-    ("histogram", "bin_width", 0.0, ValueError, "bin_width"),
+    ("blood_pool_stats", "mask", np.zeros((2, 2, 2), dtype=bool), ValueError,
+     "mask is empty"),
+    ("blood_pool_stats", "mask", np.ones((2, 2), dtype=bool), ValueError,
+     "mask shape"),
     ("histogram", "values", [0.1, NAN], ValueError, "values"),
     ("mip_project", "step_mm", True, ValueError, "step_mm"),
     ("mip_project", "reach_mm", NAN, ValueError, "reach_mm"),

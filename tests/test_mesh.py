@@ -726,6 +726,32 @@ def test_load_mesh_rejects_an_index_beyond_int64(tmp_path):
         load_mesh(bad)
 
 
+LONG_ZEROS = "0" * 5000  # past the 4300 digits int() reads from a string
+
+
+@pytest.mark.parametrize("token, value", [
+    (LONG_ZEROS + "9223372036854775807", 2**63 - 1),
+    ("+" + LONG_ZEROS + "9223372036854775807", 2**63 - 1),
+    ("-" + LONG_ZEROS + "9223372036854775808", -2**63)],
+    ids=["maximum", "plus-maximum", "minimum"])
+def test_load_mesh_reads_int64_extremes_behind_leading_zeros(token, value,
+                                                             tmp_path):
+    # np.fromstring reads a value beyond int64 as one of its extremes, so
+    # a token read as one is checked against its spelling
+    path = tmp_path / "extreme.vtk"
+    path.write_text(GOLDEN.replace("\n0\n-1\n7\n", f"\n0\n{token}\n7\n"))
+    labels, _kind = load_mesh(path).point_data["lbl"]
+    assert labels.tolist() == [0, value, 7, 12]
+
+
+def test_load_mesh_refuses_one_past_int64_behind_leading_zeros(tmp_path):
+    path = tmp_path / "past.vtk"
+    path.write_text(GOLDEN.replace(
+        "\n0\n-1\n7\n", f"\n0\n{LONG_ZEROS}9223372036854775808\n7\n"))
+    with pytest.raises(MeshFormatError, match="bad numeric value$"):
+        load_mesh(path)
+
+
 @pytest.mark.parametrize("old, new", [
     ("\n1 1 0\n", "\n1 1_0 0\n"), ("\n100.123457\n", "\n100.123_457\n"),
     ("default\n1\n2\n", "default\n1_0\n2\n")],

@@ -26,12 +26,12 @@ def _area_dict(**over):
 
 def test_config_round_trip():
     cfg = config_from_dict(_area_dict())
-    assert cfg.names() == ("A",)
-    spec = cfg.area("A")
+    (spec,) = cfg.areas
+    assert spec.name == "A"
     assert spec.labels == frozenset({1, 2})
     assert spec.n_veins == 1
     back = config_from_dict(config_to_dict(cfg))
-    assert back.area("A") == spec
+    assert back.areas == (spec,)
 
 
 @pytest.mark.parametrize("bad", [
@@ -81,14 +81,15 @@ def test_config_rejects_area_names_that_are_not_tokens(name):
     with pytest.raises(ConfigError, match="name"):
         config_from_dict(data)
     data["areas"]["Left-PV_2"] = data["areas"].pop(name)
-    assert config_from_dict(data).names() == ("Left-PV_2",)
+    assert [a.name for a in config_from_dict(data).areas] == ["Left-PV_2"]
 
 
 def test_joint_needs_two_seeds():
     with pytest.raises(ConfigError):
         config_from_dict(_area_dict(strategy="joint", vein_seeds=[0]))
     cfg = config_from_dict(_area_dict(strategy="joint", vein_seeds=[0, 5]))
-    assert cfg.area("A").n_veins == 2
+    (spec,) = cfg.areas
+    assert spec.name == "A" and spec.n_veins == 2
 
 
 def test_underscore_keys_ignored(tmp_path):
@@ -97,10 +98,10 @@ def test_underscore_keys_ignored(tmp_path):
     data["areas"]["_template"] = {"anything": "goes"}
     data["areas"]["A"]["_note"] = "also ignored"
     cfg = config_from_dict(data)
-    assert cfg.names() == ("A",)
+    assert [a.name for a in cfg.areas] == ["A"]
     p = tmp_path / "c.json"
     p.write_text(json.dumps(data))
-    assert load_config(p).names() == ("A",)
+    assert [a.name for a in load_config(p).areas] == ["A"]
 
 
 def test_config_file_round_trip(tmp_path):
@@ -111,17 +112,16 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_default_config_structure():
-    cfg = default_config()
-    names = set(cfg.names())
-    assert {"RSPV", "RIPV", "LSPV", "LIPV", "RightPVs", "LeftPVs"} == names
+    areas = {a.name: a for a in default_config().areas}
+    assert {"RSPV", "RIPV", "LSPV", "LIPV", "RightPVs", "LeftPVs"} == set(areas)
     for vein in ("RSPV", "RIPV", "LSPV", "LIPV"):
-        assert cfg.area(vein).strategy == "independent"
+        assert areas[vein].strategy == "independent"
     for joint in ("RightPVs", "LeftPVs"):
-        spec = cfg.area(joint)
+        spec = areas[joint]
         assert spec.strategy == "joint"
         # the joint area covers both of its veins' labels
         for vein in veins_of_joint(joint):
-            assert cfg.area(vein).labels <= spec.labels
+            assert areas[vein].labels <= spec.labels
 
 
 def test_build_search_area_independent():

@@ -422,7 +422,7 @@ def test_blood_pool_stats_population_sd():
     vals = np.array([[[1.0, 3.0], [5.0, 7.0]],
                      [[1.0, 3.0], [5.0, 7.0]]], dtype=np.float32)
     vol = _volume(vals)
-    mean, sd = blood_pool_stats(vol)
+    mean, sd = blood_pool_stats(vol, np.ones(vals.shape, dtype=bool))
     assert mean == pytest.approx(4.0)
     assert sd == pytest.approx(np.sqrt(5.0))  # ddof=0
     mask = vals > 2.0

@@ -9,11 +9,12 @@ from scipy.integrate import quad
 
 from pvgap.mesh import connected_components
 from pvgap.scar import threshold_mask
-from pvgap.synth import (HOLE_RADIUS, OVALITY, SHAPES, TWO_PI, PhantomSpec,
-                         _centerline_samples, _kept_arcs, _merge_arcs,
-                         _phantom_name, _quantize9, _removed_mask,
-                         _rim_radius, expected_rgm, icosphere, make_phantom,
-                         plane_grid, removal_arcs)
+from pvgap.synth import (BAND_INNER_MM, BAND_OUTER_MM, HOLE_RADIUS, OVALITY,
+                         SHAPES, TWO_PI, PhantomSpec, _centerline_samples,
+                         _kept_arcs, _merge_arcs, _phantom_name,
+                         _quantize9, _removed_mask, _rim_radius,
+                         expected_rgm, icosphere, make_phantom, plane_grid,
+                         removal_arcs)
 
 DOME_RADIUS = 25.0
 
@@ -132,7 +133,7 @@ def test_expected_rgm_extremes_exact():
 @pytest.mark.parametrize("keep", [0.3, 0.5, 0.8])
 def test_expected_rgm_against_quadrature(shape, keep):
     spec = PhantomSpec(base_shape=shape, keep_fraction=keep)
-    mid = 0.5 * (spec.band_inner_mm + spec.band_outer_mm)
+    mid = 0.5 * (BAND_INNER_MM + BAND_OUTER_MM)
 
     def ds(theta):
         r = _rim_radius(theta) + mid
@@ -174,8 +175,8 @@ def test_centerline_weights_positive():
     {"base_shape": "torus"},
     {"keep_fraction": 1.5},
     {"keep_fraction": -0.1},
-    {"band_inner_mm": 4.0, "band_outer_mm": 2.0},
-    {"band_inner_mm": 0.0},
+    {"target_edge_mm": -1.0},
+    {"blood_pool_sd": -10.0},
     {"target_edge_mm": 0.0},
     {"patchiness": -1},
     {"taper": (1.0, 2.0, 3.0)},
@@ -189,8 +190,8 @@ def test_spec_validation(kw):
 @pytest.mark.parametrize("field, kw", [
     ("target_edge_mm", {"target_edge_mm": math.inf}),
     ("target_edge_mm", {"target_edge_mm": math.nan}),
-    ("band_inner_mm", {"band_inner_mm": math.nan}),
-    ("band_outer_mm", {"band_outer_mm": math.inf}),
+    ("keep_fraction", {"keep_fraction": math.nan}),
+    ("keep_fraction", {"keep_fraction": math.inf}),
     ("blood_pool_mean", {"blood_pool_mean": -math.inf}),
     ("blood_pool_sd", {"blood_pool_sd": math.nan}),
     ("blood_pool_sd", {"blood_pool_sd": math.inf}),
@@ -237,7 +238,7 @@ def _scar_mask(mesh, spec, factor=3.3):
 
 def _ring_layout(spec):
     """Reproduce the ring lattice indexing from the recipe arithmetic."""
-    width = spec.band_outer_mm + 8.0
+    width = BAND_OUTER_MM + 8.0
     n_s = max(2, int(round(width / spec.target_edge_mm)) + 1)
     r_mid = HOLE_RADIUS + 0.5 * width
     n_t = max(16, 4 * math.ceil(TWO_PI * r_mid / (4.0 * spec.target_edge_mm)))
@@ -254,8 +255,7 @@ def test_ring_scar_set_matches_recipe(keep):
     idx = np.arange(mesh.n_vertices)
     ss = svals[idx // n_t]
     theta = TWO_PI * (idx % n_t) / n_t
-    band = (ss >= spec.band_inner_mm - 1e-9) \
-        & (ss <= spec.band_outer_mm + 1e-9)
+    band = (ss >= BAND_INNER_MM - 1e-9) & (ss <= BAND_OUTER_MM + 1e-9)
     want = band & ~_removed_mask(theta, truth.removed_arcs)
     assert np.array_equal(_scar_mask(mesh, spec), want)
 
@@ -382,8 +382,7 @@ def test_plate_scar_respects_band_offset():
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     d = np.minimum(np.hypot(x + 7.5, y), np.hypot(x - 7.5, y))
     off = d - 6.0
-    band = (off >= spec.band_inner_mm - 1e-9) \
-        & (off <= spec.band_outer_mm + 1e-9)
+    band = (off >= BAND_INNER_MM - 1e-9) & (off <= BAND_OUTER_MM + 1e-9)
     theta = np.arctan2(y, x) % TWO_PI
     want = band & ~_removed_mask(theta, truth.removed_arcs)
     assert np.array_equal(mask, want)
