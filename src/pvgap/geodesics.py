@@ -77,6 +77,15 @@ minimum, and a minimum does not depend on the order it is taken in; the
 values are never NaN, since a triangle update is made only from finite
 supports and an edge relaxation from an unreached one is +inf.
 
+Elements are selected by index, which numpy does faster than by mask: a
+boolean subscript is `compress`, a gather `take`, and the ordered supports
+of a triangle update are `np.minimum` and `np.maximum`. Each keeps the bits:
+compress, take and nonzero only move data; a min or max equals its np.where
+pick on values that are neither NaN nor -0.0, and no dist is (sources are
++0.0, every proposal adds a positive length or t > u >= 0); the clamp
+`maximum(disc, 0)` differs from the masked disc only in the sign of a zero,
+which moves t only when Bq = 0, and then t = +-0 fails u < t either way.
+
 A point-to-point transform (`geodesic_paths`) gives each field a set of
 targets and runs the same sweeps but, after each one, drops the pending
 vertices whose dist is not below the field's cap: the largest current dist
@@ -214,16 +223,16 @@ def _proposals(tab: dict, dist: np.ndarray, q: np.ndarray, base=None):
     that value; a target vertex may repeat. base, if given, offsets each
     corner's vertex ids into its field's part of a flat batch (see
     `_sweep`), as it does the targets."""
-    C, A, B = tab["C"][q], tab["A"][q], tab["B"][q]
+    C, A, B = tab["C"].take(q), tab["A"].take(q), tab["B"].take(q)
     if base is not None:
         C += base
         A += base
         B += base
-    la = tab["la"][q]
-    lb = tab["lb"][q]
-    dA = dist[A]
-    dB = dist[B]
-    dC = dist[C]
+    la = tab["la"].take(q)
+    lb = tab["lb"].take(q)
+    dA = dist.take(A)
+    dB = dist.take(B)
+    dC = dist.take(C)
     # the corner's three updates all propose a value for its vertex C, so
     # only their least counts; edge relaxations from unreached supports give
     # inf and drop out below
@@ -232,35 +241,36 @@ def _proposals(tab: dict, dist: np.ndarray, q: np.ndarray, base=None):
     # and u = dhi - dlo rounded to nearest), so only corners whose supports
     # are both closer than C need it; both are then finite, too, and so is
     # every operand below (csq > 0 on a checked mesh)
-    idx = np.flatnonzero(np.maximum(dA, dB) < dC)
-    qi = q[idx]
-    dlo = dA[idx]
-    dhi = dB[idx]
-    llo = la[idx]
-    lhi = lb[idx]
+    idx = (np.maximum(dA, dB) < dC).nonzero()[0]
+    qi = q.take(idx)
+    dlo = dA.take(idx)
+    dhi = dB.take(idx)
+    llo = la.take(idx)
+    lhi = lb.take(idx)
     sw = dhi < dlo
-    dlo2 = np.where(sw, dhi, dlo)
-    dhi2 = np.where(sw, dlo, dhi)
+    dlo2 = np.minimum(dlo, dhi)
+    dhi2 = np.maximum(dlo, dhi)
     b = np.where(sw, lhi, llo)  # edge to the earlier support
     a = np.where(sw, llo, lhi)  # edge to the later support
     u = dhi2 - dlo2
-    cos = tab["cos"][qi]
-    sin2 = tab["sin2"][qi]
-    csq = tab["csq"][qi]
+    cos = tab["cos"].take(qi)
+    sin2 = tab["sin2"].take(qi)
+    csq = tab["csq"].take(qi)
     Bq = 2.0 * b * u * (a * cos - b)
     Cq = b * b * (u * u - a * a * sin2)
     disc = Bq * Bq - 4.0 * csq * Cq
     ok = disc >= 0.0
-    t = (-Bq + np.sqrt(np.where(ok, disc, 0.0))) / (2.0 * csq)
+    t = (-Bq + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * csq)
     valid = ok & (u < t)
     valid &= a * cos * t < b * (t - u)
     # front must leave through the opposite edge; obtuse corners
     # (cos < 0) are rejected and fall back to edge updates
-    valid &= np.where(cos > 0.0, b * (t - u) * cos < a * t, cos == 0.0)
-    idx = idx[valid]
-    best[idx] = np.minimum(best[idx], dlo2[valid] + t[valid])
+    valid &= ((cos > 0.0) & (b * (t - u) * cos < a * t)) | (cos == 0.0)
+    idx = idx.compress(valid)
+    best[idx] = np.minimum(best.take(idx),
+                           dlo2.compress(valid) + t.compress(valid))
     lower = best < dC
-    return C[lower], best[lower]
+    return C.compress(lower), best.compress(lower)
 
 
 @dataclass(frozen=True)
@@ -348,7 +358,7 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
     sweeps = np.zeros(k, dtype=np.int64)
     max_sweeps = 6 * n + 64
     it = 0
-    d = dist[pending]
+    d = dist.take(pending)
     while pending.size:
         it += 1
         if it > max_sweeps:
@@ -359,60 +369,60 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
         if one:
             sweeps[0] = it
             keep = d <= d.min() + delta
-            vert = active = pending[keep]
+            vert = active = pending.compress(keep)
         else:
             field = pending // n
             top = np.full(k, np.inf)
             np.minimum.at(top, field, d)
             sweeps[top < np.inf] = it
-            keep = d <= (top + delta)[field]
-            active = pending[keep]
-            field = field[keep]
+            keep = d <= (top + delta).take(field)
+            active = pending.compress(keep)
+            field = field.compress(keep)
             vert = active - field * n
-        pending = pending[~keep]
+        pending = pending.compress(~keep)
         queued[active] = False
-        lo = ptr[vert]
-        cnt = ptr[vert + 1] - lo
+        lo = ptr.take(vert)
+        cnt = ptr.take(vert + 1) - lo
         ends = np.cumsum(cnt)
         pos = np.repeat(lo + cnt - ends, cnt) + np.arange(ends[-1])
         # each corner with an expanded support, once: where the vertex is
         # support A, or support B while A was not expanded; the other
         # corners propose nothing (module docstring)
-        q_b = qb[pos]
-        sup = qbA[pos]
+        q_b = qb.take(pos)
+        sup = qbA.take(pos)
         if not one:
             base = np.repeat(field * n, cnt)
             sup += base
         act[active] = True
-        fresh = ~act[sup]
+        fresh = ~act.take(sup)
         act[active] = False
-        tgt, val = _proposals(tab, dist, np.concatenate([qa[pos], q_b[fresh]]),
-                              None if one else
-                              np.concatenate([base, base[fresh]]))
+        tgt, val = _proposals(
+            tab, dist, np.concatenate([qa.take(pos), q_b.compress(fresh)]),
+            None if one else np.concatenate([base, base.compress(fresh)]))
         # every proposal is below its target's dist as it stood before this
         # sweep, so each target improves to the least of its proposals:
         # scattering them straight into dist is exact
         np.minimum.at(dist, tgt, val)
         # the improved targets not yet pending join the list, once each
-        tgt = tgt[~queued[tgt]]
+        tgt = tgt.compress(~queued.take(tgt))
         j = np.arange(tgt.size, dtype=np.int32)
         slot[tgt] = j
-        tgt = tgt[slot[tgt] == j]
+        tgt = tgt.compress(slot.take(tgt) == j)
         queued[tgt] = True
         pending = np.concatenate([pending, tgt])
-        d = dist[pending]
+        d = dist.take(pending)
         if cap is None:
             continue
         if targets is not None:
-            cap = np.maximum.reduceat(dist[targets], heads)
+            cap = np.maximum.reduceat(dist.take(targets), heads)
         elif it % LIMIT_CADENCE == 0:
             # drop only what lies strictly above the bound
             cap = np.nextafter(limit(dist.reshape(k, n)), np.inf)
-        far = d >= (cap if one else cap[pending // n])
-        queued[pending[far]] = False
+        far = d >= (cap if one else cap.take(pending // n))
+        queued[pending.compress(far)] = False
         near = ~far
-        pending = pending[near]
-        d = d[near]
+        pending = pending.compress(near)
+        d = d.compress(near)
     return dist.reshape(k, n), sweeps
 
 

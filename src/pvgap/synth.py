@@ -55,11 +55,10 @@ SCAR_SD = 16.0  # scar intensity, in blood-pool SDs off the mean
 
 
 def _is_arc(arc) -> bool:
-    """A (start, width) pair of finite numbers, width >= 0."""
-    try:
-        start, width = arc
-    except (TypeError, ValueError):
+    """A (start, width) tuple of finite numbers, width >= 0."""
+    if not isinstance(arc, tuple) or len(arc) != 2:
         return False
+    start, width = arc
     return is_real(start) and is_real(width) and width >= 0.0
 
 
@@ -90,17 +89,15 @@ class PhantomSpec:
         for name in ("patchiness", "seed"):
             if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 0")
-        if self.removed_intervals is not None:
-            try:
-                ok = all(map(_is_arc, self.removed_intervals))
-            except TypeError:  # not iterable
-                ok = False
-            if not ok:
-                raise ValueError("removed_intervals must hold finite "
-                                 "(start, width) pairs, width >= 0")
+        # tuples only, so that the frozen spec stays hashable
+        arcs = self.removed_intervals
+        if arcs is not None and not (isinstance(arcs, tuple)
+                                     and all(map(_is_arc, arcs))):
+            raise ValueError("removed_intervals must be a tuple of finite "
+                             "(start, width) tuples, width >= 0")
         if self.taper is not None:
-            if len(self.taper) != 2:
-                raise ValueError("taper must be (edge_sd, center_sd)")
+            if not isinstance(self.taper, tuple) or len(self.taper) != 2:
+                raise ValueError("taper must be a tuple (edge_sd, center_sd)")
             if not all(is_real(v) and v > 0.0 for v in self.taper):
                 raise ValueError("taper SDs must be finite positive numbers")
         if self.blood_pool_sd <= 0.0:

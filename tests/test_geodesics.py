@@ -66,6 +66,28 @@ def _jittered_grid():
     return grid, SurfaceMesh(grid.vertices + jitter, grid.triangles)
 
 
+def _plain_triangle_update(dA, dB, la, lb, cos, sin2, csq):
+    """(value, valid) of the Kimmel-Sethian update of corners whose supports
+    hold dA and dB, written out plainly with np.where and no pre-selection:
+    every corner is evaluated, and value is meaningful where valid only."""
+    sw = dB < dA
+    lo, hi = np.where(sw, dB, dA), np.where(sw, dA, dB)
+    near, far = np.where(sw, lb, la), np.where(sw, la, lb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = hi - lo
+        Bq = 2.0 * near * u * (far * cos - near)
+        Cq = near * near * (u * u - far * far * sin2)
+        disc = Bq * Bq - 4.0 * csq * Cq
+        ok = disc >= 0.0
+        tt = (-Bq + np.sqrt(np.where(ok, disc, 0.0))) / (2.0 * csq)
+        valid = (ok & np.isfinite(dA) & np.isfinite(dB) & (u < tt)
+                 & (far * cos * tt < near * (tt - u))
+                 & np.where(cos > 0.0,
+                            near * (tt - u) * cos < far * tt,
+                            cos == 0.0))
+        return lo + tt, valid
+
+
 def _reference_transform(mesh, sources):
     """(dist, widest) of the kernel's update written out plainly: every sweep
     evaluates every corner of every triangle with the previous sweep's
@@ -99,22 +121,9 @@ def _reference_transform(mesh, sources):
             dA, dB = dist[A], dist[B]
             np.minimum.at(best, C, dA + la)
             np.minimum.at(best, C, dB + lb)
-            sw = dB < dA
-            lo, hi = np.where(sw, dB, dA), np.where(sw, dA, dB)
-            near, far = np.where(sw, lb, la), np.where(sw, la, lb)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                u = hi - lo
-                Bq = 2.0 * near * u * (far * cos - near)
-                Cq = near * near * (u * u - far * far * sin2)
-                disc = Bq * Bq - 4.0 * csq * Cq
-                ok = disc >= 0.0
-                tt = (-Bq + np.sqrt(np.where(ok, disc, 0.0))) / (2.0 * csq)
-                valid = (ok & np.isfinite(dA) & np.isfinite(dB) & (u < tt)
-                         & (far * cos * tt < near * (tt - u))
-                         & np.where(cos > 0.0,
-                                    near * (tt - u) * cos < far * tt,
-                                    cos == 0.0))
-            np.minimum.at(best, C[valid], lo[valid] + tt[valid])
+            tri, valid = _plain_triangle_update(dA, dB, la, lb, cos, sin2,
+                                                csq)
+            np.minimum.at(best, C[valid], tri[valid])
         lowered = best[best < dist]
         if not lowered.size:
             return dist, widest

@@ -20,7 +20,8 @@ from pvgap.errors import AreaError, MeshFormatError  # noqa: E402
 from pvgap.gaps import (_graph_arrays, build_graph,  # noqa: E402
                         min_gap_path, route_limit, solve_gap_graph)
 from pvgap import mesh as mesh_module  # noqa: E402
-from pvgap.geodesics import _corner_tables, distance_transform  # noqa: E402
+from pvgap.geodesics import (_corner_tables, _proposals,  # noqa: E402
+                             distance_transform)
 from pvgap.mesh import (SurfaceMesh, load_mesh, read_json,  # noqa: E402
                         save_mesh, write_json)
 from pvgap.regions import build_search_area, open_area  # noqa: E402
@@ -28,6 +29,7 @@ from pvgap.sweep import run_case  # noqa: E402
 from pvgap.synth import (PhantomSpec, icosphere, make_phantom,  # noqa: E402
                          plane_grid)
 from test_gaps import _enumerate_best  # noqa: E402
+from test_geodesics import _plain_triangle_update  # noqa: E402
 
 LAW = settings(derandomize=True, deadline=None, database=None,
                max_examples=25)
@@ -450,3 +452,72 @@ def test_column_lengths_equal_row_norms(mesh):
     edges = mesh.edges
     want = np.linalg.norm(v[edges[:, 0]] - v[edges[:, 1]], axis=1)
     assert mesh.edge_lengths.tobytes() == want.tobytes()
+
+
+@st.composite
+def _corner_fields(draw):
+    """(mesh, dist, K): a plane grid (right and acute corners, cos == 0
+    exactly) or a jittered one (obtuse and acute), and K flat rows of
+    dist. Each row is a scaled distance from a drawn point, rounded to a
+    drawn step so that supports tie, with +0.0 sources, +inf unreached
+    vertices and raised vertices that the update can lower."""
+    nx, ny = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    mesh = plane_grid(nx, ny)
+    n = mesh.n_vertices
+    if draw(st.booleans()):
+        jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=2 * n,
+                               max_size=2 * n))
+        vertices = mesh.vertices.copy()
+        vertices[:, :2] += np.reshape(jitter, (n, 2))
+        mesh = SurfaceMesh(vertices, mesh.triangles)
+    k = draw(st.integers(1, 2))
+    rows = []
+    for _ in range(k):
+        point = np.array([draw(st.floats(-1.0, nx)),
+                          draw(st.floats(-1.0, ny)), 0.0])
+        row = (draw(st.floats(0.5, 1.5))
+               * np.linalg.norm(mesh.vertices - point, axis=1))
+        step = draw(st.sampled_from([0.0, 0.25, 1.0]))
+        if step:
+            row = np.round(row / step) * step
+        kinds = draw(st.lists(st.sampled_from(["field"] * 4 + [
+            "source", "unreached", "raised"]), min_size=n, max_size=n))
+        for v, kind in enumerate(kinds):
+            if kind == "source":
+                row[v] = 0.0
+            elif kind == "unreached":
+                row[v] = np.inf
+            elif kind == "raised":
+                row[v] += draw(st.sampled_from([0.5, 2.0, 10.0]))
+        rows.append(row)
+    return mesh, np.concatenate(rows), k
+
+
+@settings(LAW, max_examples=60)
+@given(case=_corner_fields())
+def test_proposals_equal_the_plain_update(case):
+    """`_proposals` over every corner of K fields gives, bit for bit, the
+    arithmetic of `test_geodesics._reference_transform` written with
+    np.where and boolean subscripts: each corner's least proposal (its two
+    edge relaxations and its triangle update, evaluated at every corner),
+    kept where it lies below dist[C], in corner order. The kernel selects
+    by index (compress, take, exact min and max) and evaluates the triangle
+    update only where both supports lie below dist[C]."""
+    mesh, dist, k = case
+    n = mesh.n_vertices
+    tab = _corner_tables(mesh)
+    m3 = 3 * mesh.n_triangles
+    q = np.tile(np.arange(m3), k)
+    base = None if k == 1 else np.repeat(np.arange(k) * n, m3)
+    off = 0 if base is None else base
+    C, A, B = tab["C"][q] + off, tab["A"][q] + off, tab["B"][q] + off
+    dA, dB, dC = dist[A], dist[B], dist[C]
+    la, lb = tab["la"][q], tab["lb"][q]
+    tri, valid = _plain_triangle_update(dA, dB, la, lb, tab["cos"][q],
+                                        tab["sin2"][q], tab["csq"][q])
+    best = np.minimum(np.minimum(dA + la, dB + lb),
+                      np.where(valid, tri, np.inf))
+    lower = best < dC
+    tgt, val = _proposals(tab, dist, q, base)
+    assert tgt.dtype == C.dtype and tgt.tobytes() == C[lower].tobytes()
+    assert val.dtype == best.dtype and val.tobytes() == best[lower].tobytes()

@@ -212,12 +212,33 @@ def test_spec_validation(kw):
     ("removed_intervals", {"removed_intervals": ((1.0, "a"),)}),
     ("removed_intervals", {"removed_intervals": 1.0}),
     ("removed_intervals", {"removed_intervals": ((0.0, True),)}),
+    # a float taper died with a TypeError from len(); a list was accepted
+    # and left the frozen spec unhashable
+    ("taper", {"taper": 5.0}),
+    ("taper", {"taper": [2.5, 9.0]}),
+    ("removed_intervals", {"removed_intervals": [(0.5, 1.0)]}),
+    ("removed_intervals", {"removed_intervals": ([0.5, 1.0],)}),
 ])
 def test_spec_names_the_field_it_refuses(field, kw):
     # each of these once built a phantom with a meaningless truth or died
     # deep inside the build
     with pytest.raises(ValueError, match=field):
         PhantomSpec(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"taper": (2.5, 9.0)},
+    {"taper": (np.float64(2.5), 9)},
+    {"removed_intervals": ()},
+    {"removed_intervals": ((0.5, 1.0), (np.float32(3.0), 0))},
+    {"keep_fraction": 0.75, "patchiness": 4, "taper": (2.5, 9.0),
+     "seed": np.int64(3)},
+])
+def test_accepted_spec_is_hashable(kw):
+    spec = PhantomSpec(**kw)
+    assert hash(spec) == hash(PhantomSpec(**kw))
+    assert {spec: 1}[PhantomSpec(**kw)] == 1
 
 
 def test_phantom_names_unique():
