@@ -13,9 +13,11 @@ The solved node sequence is then re-expanded into an explicit encircling
 polyline: gap segments (healthy traverses, from the distance-field trace),
 in-patch links (unconstrained geodesics between consecutive gap extremes),
 and the two rim stubs, which are physically one gap wrapping across the
-seam whenever the crossing vertex itself is not scar. All reported lengths
-are re-measured from the polylines, so ratios are internally consistent
-even where the solver's field values differ at solver accuracy.
+seam whenever the crossing vertex itself is not scar. Every healthy
+traverse with an edge is a gap, however short, so no length unit changes
+the gap count. All reported lengths are re-measured from the polylines, so
+ratios are internally consistent even where the solver's field values
+differ at solver accuracy.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .geodesics import (FieldBatch, TracedPath, distance_transform,
                         geodesic_path, geodesic_paths, min_interset_distance,
                         polyline_length, trace_path)
 from .mesh import CutMesh, PatchLabeling, checked_mask, connected_components
-
-EPS_GAP = 0.1  # mm; shorter healthy traverses are not counted as gaps
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,15 @@ class EncirclingPath:
     total_length: float
     gap_length: float
     rgm: float
-    gap_count: int
-    gaps: tuple
+    gaps: tuple  # GapSegment per healthy traverse of positive length
     non_gap_length: float
     node_sequence: tuple
     crossing_pair: tuple  # (side_a id, side_b id) of the seam crossing
     segment_ids: tuple  # (kind, vertex ids) in loop order, for annotation
+
+    @property
+    def gap_count(self) -> int:
+        return len(self.gaps)
 
 
 def _gap_segment(mesh, path: TracedPath, wraps: bool) -> GapSegment:
@@ -234,16 +237,13 @@ def _gap_segment(mesh, path: TracedPath, wraps: bool) -> GapSegment:
     ids, points = path.vertex_ids, path.points
     length = polyline_length(points)
     regions = tuple(sorted(set(int(v) for v in mesh.region[ids])))
-    if len(ids) == 1:
-        mid = 0
-    else:
-        steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(steps)])
-        half = 0.5 * length
-        seg = int(np.searchsorted(cum, half, side="right") - 1)
-        seg = min(seg, len(steps) - 1)
-        # nearer endpoint of the half-way segment
-        mid = seg if half - cum[seg] <= cum[seg + 1] - half else seg + 1
+    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    half = 0.5 * length
+    seg = int(np.searchsorted(cum, half, side="right") - 1)
+    seg = min(seg, len(steps) - 1)
+    # nearer endpoint of the half-way segment
+    mid = seg if half - cum[seg] <= cum[seg + 1] - half else seg + 1
     return GapSegment(length=length, vertex_ids=ids, points=points,
                       midpoint_region=int(mesh.region[ids[mid]]),
                       regions=regions, wraps_seam=wraps)
@@ -368,10 +368,11 @@ def _finish_route(plan: _RoutePlan, links: list) -> EncirclingPath:
     gaps_open = [_gap_segment(mesh, g, wraps=False) for g in route]
     stub_gap = stub_a.length + stub_b.length
     if graph.scar_mask[p_a]:
-        # the seam point is scar: each rim stub is its own gap
-        # (a stub of length 0 gives a segment that EPS_GAP drops)
-        gap_records = [_gap_segment(mesh, stub_a, wraps=False), *gaps_open,
-                       _gap_segment(mesh, stub_b, wraps=False)]
+        # the seam point is scar: each rim stub is its own gap, unless it
+        # has no edge, as when its twin lies in the patch that it joins
+        first, last = ([_gap_segment(mesh, s, wraps=False)] if s.length > 0
+                       else [] for s in (stub_a, stub_b))
+        gaps = [*first, *gaps_open, *last]
     else:
         # healthy seam point: the two stubs are one gap wrapping the seam
         # (twins share coordinates)
@@ -380,16 +381,14 @@ def _finish_route(plan: _RoutePlan, links: list) -> EncirclingPath:
                                        stub_a.vertex_ids[1:]]),
             points=np.concatenate([stub_b.points, stub_a.points[1:]]),
             length=stub_gap)
-        gap_records = [_gap_segment(mesh, wrap, wraps=True)] + gaps_open
+        gaps = [_gap_segment(mesh, wrap, wraps=True), *gaps_open]
 
     gap_length = stub_gap + float(sum(g.length for g in gaps_open))
     total = gap_length + non_gap
     if total <= 0.0:
         raise AreaError("degenerate encircling path of zero length")
-    counted = tuple(g for g in gap_records if g.length > EPS_GAP)
     return EncirclingPath(total_length=total, gap_length=gap_length,
-                          rgm=gap_length / total,
-                          gap_count=len(counted), gaps=counted,
+                          rgm=gap_length / total, gaps=tuple(gaps),
                           non_gap_length=non_gap,
                           node_sequence=plan.node_sequence,
                           crossing_pair=(p_a, p_b),

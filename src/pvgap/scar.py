@@ -13,7 +13,9 @@ offsets from one flat index and no upper corner needs a clamp; the
 float32 copy lives only as long as the call. Vertices are sampled in
 fixed blocks that bound the other temporaries. Sample points outside the
 volume are skipped; a vertex with no in-volume sample projects to -inf,
-which no threshold can classify as scar. Voxel values must be finite.
+which no threshold can classify as scar. Its tissue is unknown, not
+healthy, so an area fails when a gap of its route at any factor crosses
+such a vertex (`sweep.run_case`). Voxel values must be finite.
 
 Scar masks come from blood-pool statistics: a vertex is scar at factor k
 when its projection strictly exceeds mean + k * sd. Masks are nested by

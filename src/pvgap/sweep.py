@@ -15,8 +15,8 @@ the pieces of each route into one loop, run in one more batched transform,
 one field per distinct link source, each stopped at the farthest of its
 targets (`gaps.RouteBatch`); every link reads only values that are exact.
 Failures of one area (bad labels, unresolvable cuts, missing connectivity,
-a solver that does not converge) are recorded and do not abort the
-remaining areas.
+a solver that does not converge, a gap over a vertex with no intensity
+sample) are recorded and do not abort the remaining areas.
 
 Veins measured both independently and jointly with their ipsilateral
 neighbor are combined conservatively: the final per-vein curve takes the
@@ -147,6 +147,14 @@ def _run_area(mesh, spec, masks):
                  for key, graph in zip(subs, graphs)}
         results = [ThresholdResult(factor=factor, path=paths[key])
                    for (factor, _mask), key in zip(masks, keys)]
+        for r in results:
+            for gap in r.path.gaps:
+                unsampled = np.isneginf(
+                    opened.mesh.intensity[gap.vertex_ids]).sum()
+                if unsampled:
+                    raise AreaError(f"a gap at factor {r.factor:g} crosses "
+                                    f"{unsampled} vertices with no "
+                                    "intensity sample")
         nauc = rgm_nauc([r.factor for r in results],
                         [r.path.rgm for r in results])
         return AreaResult(name=spec.name, strategy=spec.strategy,

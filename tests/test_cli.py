@@ -16,6 +16,8 @@ from pvgap.cli import main
 from pvgap.mesh import SurfaceMesh, load_mesh, save_mesh
 from pvgap.scar import ScalarVolume, load_volume, save_volume
 from pvgap.synth import TWO_PI, PhantomSpec, expected_rgm
+from test_gaps import METRES_GAPS, METRES_SPEC, in_metres
+from test_sweep import cropped_ring
 
 THRESH = "2,3.3,4"
 DATA = Path(__file__).resolve().parent / "data"
@@ -79,6 +81,29 @@ def test_quantify_report_matches_truth(workdir):
     assert entry["status"] == "ok"
     at_ref = [p for p in entry["per_threshold"] if p["factor"] == 3.3]
     assert abs(at_ref[0]["rgm"] - truth["expected_rgm"]) < 0.1
+
+
+def test_quantify_lists_every_gap_of_a_mesh_in_metres(tmp_path):
+    # the METRES_SPEC disk, written in metres: its three gaps are listed at
+    # every factor, with the same RGM as in mm
+    spec = METRES_SPEC
+    ph = tmp_path / "ph"
+    assert main(["synth", "--keep", str(spec.keep_fraction), "--patchiness",
+                 str(spec.patchiness), "--seed", str(spec.seed), "--edge",
+                 str(spec.target_edge_mm), "--out", str(ph)]) == 0
+    save_mesh(in_metres(load_mesh(ph / "mesh.vtk")), ph / "metres.vtk")
+    out = tmp_path / "report.json"
+    assert main(["quantify", "--mesh", str(ph / "metres.vtk"),
+                 "--config", str(ph / "regions.cfg"),
+                 "--bp-mean", str(spec.blood_pool_mean),
+                 "--bp-sd", str(spec.blood_pool_sd), "--out", str(out)]) == 0
+    per = _report(out)["areas"]["LSPV"]["per_threshold"]
+    assert [p["factor"] for p in per] == [2.0, 3.3, 4.0, 5.0, 6.0]
+    for p in per:
+        assert p["gap_count"] == 3
+        assert [g["length_mm"] for g in p["gaps"]] == pytest.approx(
+            METRES_GAPS, abs=5e-7)
+        assert p["rgm"] == pytest.approx(0.5812, abs=5e-5)
 
 
 def _fresh_process(*argv):
@@ -639,6 +664,29 @@ def test_all_areas_failed_exit_3(workdir, tmp_path, capsys):
     # the report is still written, carrying the failure
     report = _report(out)
     assert report["areas"]["GHOST"]["status"] == "failed"
+
+
+def test_a_gap_over_unsampled_tissue_exits_3_with_the_reason(tmp_path,
+                                                             capsys):
+    # the keep-1 ring's volume cut to 73 of its 105 x-columns leaves 29.9%
+    # of the vertices unsampled, and the route's one gap crosses 49 of them
+    bare, cropped, _config = cropped_ring(73)
+    ph = tmp_path / "ph"
+    assert main(["synth", "--keep", "1", "--edge", "0.5",
+                 "--out", str(ph)]) == 0
+    save_mesh(bare, ph / "bare.vtk")
+    save_volume(cropped, ph / "cropped.vol")
+    out = tmp_path / "r.json"
+    code = main(["quantify", "--mesh", str(ph / "bare.vtk"),
+                 "--volume", str(ph / "cropped.vol"),
+                 "--config", str(ph / "regions.cfg"),
+                 "--bp-mean", "100", "--bp-sd", "10", "--out", str(out)])
+    assert code == 3
+    assert "all areas failed" in capsys.readouterr().err
+    entry = _report(out)["areas"]["LSPV"]
+    assert entry["status"] == "failed"
+    assert entry["error"] == ("a gap at factor 2 crosses 49 vertices with "
+                              "no intensity sample")
 
 
 # --- cohort aggregation over real reports ---

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from pvgap.errors import AreaError, TopologyError
-from pvgap.gaps import (EPS_GAP, RouteBatch, _links, build_graph,
-                        min_gap_path, solve_gap_graph)
+from pvgap.gaps import (RouteBatch, _links, build_graph, min_gap_path,
+                        solve_gap_graph)
 from pvgap.geodesics import (FieldBatch, distance_transform, geodesic_path,
                              trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
@@ -241,9 +241,9 @@ def test_single_gap_phantom_geometry():
     gap = path.gaps[0]
     assert gap.midpoint_region in (1, 4)
     assert not gap.wraps_seam
-    assert gap.length > EPS_GAP
+    assert gap.length == pytest.approx(path.gap_length, rel=1e-12)
     # crossing sits on scar (kept arc holds the seam): stubs have zero
-    # length and are dropped from the count
+    # length and are no gaps
     assert bool(mask[path.crossing_pair[0]])
 
 
@@ -386,7 +386,8 @@ def test_patchy_phantom_counts_and_ratio():
     # lumping short arcs is allowed, splitting is not
     assert 1 <= path.gap_count <= truth.designed_gap_count
     assert abs(path.rgm - truth.expected_rgm) < 0.12
-    assert all(g.length > EPS_GAP for g in path.gaps)
+    assert sum(g.length for g in path.gaps) == pytest.approx(
+        path.gap_length, rel=1e-12)
     assert sum(g.length for g in path.gaps) <= path.gap_length + 1e-9
     # interior gap polylines realize the inter-patch weights they route
     graph = build_graph(opened, mask)
@@ -397,6 +398,38 @@ def test_patchy_phantom_counts_and_ratio():
         isd = graph.geometry[(lo, hi)]
         # traced vertex polylines can only overshoot the field distance
         assert isd.distance - 1e-9 <= isd.path.length <= 1.1 * isd.distance
+
+
+# the keep-0.5, patchiness-2, seed-3 disk at 0.5 mm lists gaps of 1.153,
+# 43.396 and 1.173 mm at every default factor, with RGM 0.5812
+METRES_SPEC = PhantomSpec(keep_fraction=0.5, patchiness=2, seed=3,
+                          target_edge_mm=0.5)
+METRES_GAPS = (1.153e-3, 43.396e-3, 1.173e-3)
+
+
+def in_metres(mesh):
+    """The mesh with its coordinates in metres rather than mm."""
+    return SurfaceMesh(1e-3 * mesh.vertices, mesh.triangles,
+                       intensity=mesh.intensity, region=mesh.region,
+                       name=mesh.name)
+
+
+def test_a_mesh_in_metres_lists_every_gap():
+    # a floor of 0.1 mesh units on a gap's length listed none of the three
+    # in metres, while the gap length and RGM still held them
+    mesh, config, _truth = make_phantom(METRES_SPEC)
+    case = run_case(in_metres(mesh), config, METRES_SPEC.blood_pool_mean,
+                    METRES_SPEC.blood_pool_sd)
+    (res,) = case.areas
+    assert [t.factor for t in res.results] == [2.0, 3.3, 4.0, 5.0, 6.0]
+    for tr in res.results:
+        path = tr.path
+        assert path.gap_count == 3
+        assert [g.length for g in path.gaps] == pytest.approx(
+            METRES_GAPS, abs=5e-7)
+        assert path.rgm == pytest.approx(0.5812, abs=5e-5)
+        assert sum(g.length for g in path.gaps) == pytest.approx(
+            path.gap_length, rel=1e-12)
 
 
 def test_graph_nesting_raises_ratio_with_threshold():

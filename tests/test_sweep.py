@@ -13,7 +13,8 @@ from pvgap.errors import ConfigError, TopologyError
 from pvgap.gaps import build_graph, min_gap_path
 from pvgap.mesh import SurfaceMesh, connected_components, load_mesh
 from pvgap.regions import AreaSpec, RegionConfig
-from pvgap.scar import THRESHOLD_FACTORS, mip_project, threshold_mask
+from pvgap.scar import (THRESHOLD_FACTORS, ScalarVolume, mip_project,
+                        threshold_mask)
 from pvgap.sweep import (REPORT_FORMAT, AreaResult, CaseResult,
                          ThresholdResult, _round6, _vein_summaries,
                          annotated_mesh, case_report, load_report, rgm_nauc,
@@ -202,6 +203,54 @@ def test_run_case_soft_area_failure(disk_case):
     entry = case_report(case)["areas"]["RIPV"]
     assert entry["status"] == "failed"
     assert "error" in entry and "per_threshold" not in entry
+
+
+# the keep-1 disk at 0.5 mm (a whole ring of scar); phantom_volume holds
+# 105 x-columns, and a volume cut to fewer leaves some vertices unsampled
+RING = PhantomSpec(keep_fraction=1.0, target_edge_mm=0.5)
+
+
+def cropped_ring(columns):
+    """(mesh without intensity, its volume cut to its first `columns`
+    x-columns, config) of the RING phantom."""
+    mesh, config, _truth = make_phantom(RING)
+    bare = SurfaceMesh(mesh.vertices, mesh.triangles, region=mesh.region,
+                       name=mesh.name)
+    vol = phantom_volume(RING)
+    cropped = ScalarVolume(values=vol.values[:, :, :columns],
+                           spacing=vol.spacing, origin=vol.origin,
+                           direction=vol.direction)
+    return bare, cropped, config
+
+
+def _ring_case(columns, unsampled):
+    """The RING case measured through its volume cut to `columns`, which
+    leaves the fraction `unsampled` of its vertices without a sample."""
+    bare, cropped, config = cropped_ring(columns)
+    intensity = mip_project(bare, cropped)
+    assert np.isneginf(intensity).mean() == pytest.approx(unsampled,
+                                                          abs=5e-4)
+    case = run_case(bare.with_intensity(intensity), config,
+                    RING.blood_pool_mean, RING.blood_pool_sd)
+    (res,) = case.areas
+    return res
+
+
+def test_a_gap_over_unsampled_tissue_fails_its_area():
+    # before this rule the area read status ok and RGM 0.299 at every
+    # factor: its one gap, 23.51 mm, ran over 49 unsampled vertices of 54
+    res = _ring_case(73, 0.299)
+    assert not res.ok and res.results == ()
+    assert res.error == ("a gap at factor 2 crosses 49 vertices with no "
+                         "intensity sample")
+
+
+def test_a_route_over_sampled_scar_keeps_its_area():
+    # 15.3% of the vertices have no sample, but the route stays on sampled
+    # scar, as the uncut volume's does
+    res = _ring_case(84, 0.153)
+    assert res.ok
+    assert [t.path.rgm for t in res.results] == [0.0] * len(FACTORS)
 
 
 def test_joint_case_covers_both_veins():
