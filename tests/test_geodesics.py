@@ -88,6 +88,14 @@ def _plain_triangle_update(dA, dB, la, lb, cos, sin2, csq):
         return lo + tt, valid
 
 
+def _corner_proposals(tab, dist, q):
+    """`_proposals` of one field's corners q, their vertices and values
+    gathered by corner id."""
+    C = tab["C"].take(q)
+    return _proposals(tab, q, C, dist.take(tab["A"].take(q)),
+                      dist.take(tab["B"].take(q)), dist.take(C))
+
+
 def _reference_transform(mesh, sources):
     """(dist, widest) of the kernel's update written out plainly: every sweep
     evaluates every corner of every triangle with the previous sweep's
@@ -452,13 +460,13 @@ def test_result_is_a_fixed_point_of_every_corner(case):
     field = distance_transform(mesh, sources)
     tab = _corner_tables(mesh)
     every_corner = np.arange(3 * mesh.n_triangles)
-    targets, values = _proposals(tab, field.dist, every_corner, 0)
+    targets, values = _corner_proposals(tab, field.dist, every_corner)
     assert targets.size == 0, values.min()
     # the check is not vacuous: a raised vertex gets a proposal at once
     raised = field.dist.copy()
     far = int(np.argmax(raised))
     raised[far] += 1.0
-    targets, values = _proposals(tab, raised, every_corner, 0)
+    targets, values = _corner_proposals(tab, raised, every_corner)
     assert far in targets
     assert values[targets == far].min() == pytest.approx(field.dist[far])
 
@@ -537,9 +545,8 @@ def _triangle_schedule(mesh, sources, targets=None):
         near = d <= d.min() + delta
         tris = np.unique(np.concatenate(
             [tri[ptr[v]:ptr[v + 1]] for v in pending[near]]))
-        tgt, val = _proposals(tab, dist,
-                              np.concatenate([tris, tris + m, tris + 2 * m]),
-                              0)
+        tgt, val = _corner_proposals(
+            tab, dist, np.concatenate([tris, tris + m, tris + 2 * m]))
         np.minimum.at(dist, tgt, val)
         pending = np.union1d(pending[~near], tgt)
         if targets is not None:
@@ -587,6 +594,37 @@ def _relabelled(mesh, rng):
     turn = (np.arange(3) + rng.integers(0, 3, size=(m, 1))) % 3
     tris = np.take_along_axis(tris, turn, axis=1)
     return SurfaceMesh(mesh.vertices[order], tris), new_id
+
+
+@pytest.mark.parametrize("case", ["plane", "icosphere", "relabelled"])
+def test_incidence_tables_name_the_two_corners_of_each_incidence(case):
+    # incidence j of the CSR is vertex x of a triangle (pv, x, nx) in its
+    # vertex order: x is support A of corner qa[j] and support B of corner
+    # qb[j]; pv = qbA[j] is vertex C of qa[j] and support A of qb[j]; nx =
+    # qaB[j] is support B of qa[j] and vertex C of qb[j]. The relabelled
+    # copy rotates each triangle's corners, so its x sits at every position
+    if case == "plane":
+        mesh = plane_grid(7, 5)
+    elif case == "icosphere":
+        mesh = icosphere(subdivisions=2)
+    else:
+        mesh = _relabelled(_jittered_grid()[1], np.random.default_rng(3))[0]
+    tab = _corner_tables(mesh)
+    C, A, B = tab["C"], tab["A"], tab["B"]
+    qa, qb, pv, nx = tab["qa"], tab["qb"], tab["qbA"], tab["qaB"]
+    x = np.repeat(np.arange(mesh.n_vertices), np.diff(tab["ptr"]))
+    assert x.size == qa.size == qb.size == 3 * mesh.n_triangles
+    assert np.array_equal(A[qa], x) and np.array_equal(B[qb], x)
+    assert np.array_equal(pv, C[qa]) and np.array_equal(pv, A[qb])
+    assert np.array_equal(nx, B[qa]) and np.array_equal(nx, C[qb])
+    # (pv, x, nx) is the triangle of both corners, in its vertex order
+    m = mesh.n_triangles
+    assert np.array_equal(qa % m, qb % m)
+    rows = mesh.triangles[qa % m]
+    r = (rows == x[:, None]).argmax(axis=1)
+    j = np.arange(x.size)
+    assert np.array_equal(rows[j, (r + 1) % 3], nx)
+    assert np.array_equal(rows[j, (r + 2) % 3], pv)
 
 
 def test_sweep_gives_the_same_bits_in_any_vertex_order():

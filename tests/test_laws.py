@@ -20,8 +20,8 @@ from pvgap.errors import AreaError, MeshFormatError  # noqa: E402
 from pvgap.gaps import (_graph_arrays, build_graph,  # noqa: E402
                         min_gap_path, route_limit, solve_gap_graph)
 from pvgap import mesh as mesh_module  # noqa: E402
-from pvgap.geodesics import (_corner_tables, _proposals,  # noqa: E402
-                             distance_transform)
+from pvgap.geodesics import (_corner_tables, _front,  # noqa: E402
+                             _proposals, distance_transform)
 from pvgap.mesh import (SurfaceMesh, load_mesh, read_json,  # noqa: E402
                         save_mesh, write_json)
 from pvgap.regions import build_search_area, open_area  # noqa: E402
@@ -532,8 +532,7 @@ def test_proposals_equal_the_plain_update(case):
     tab = _corner_tables(mesh)
     m3 = 3 * mesh.n_triangles
     q = np.tile(np.arange(m3), k)
-    base = None if k == 1 else np.repeat(np.arange(k) * n, m3)
-    off = 0 if base is None else base
+    off = np.repeat(np.arange(k) * n, m3)  # each field's vertex offset
     C, A, B = tab["C"][q] + off, tab["A"][q] + off, tab["B"][q] + off
     dA, dB, dC = dist[A], dist[B], dist[C]
     la, lb = tab["la"][q], tab["lb"][q]
@@ -542,6 +541,53 @@ def test_proposals_equal_the_plain_update(case):
     best = np.minimum(np.minimum(dA + la, dB + lb),
                       np.where(valid, tri, np.inf))
     lower = best < dC
-    tgt, val = _proposals(tab, dist, q, base)
+    tgt, val = _proposals(tab, q, C, dA, dB, dC)
     assert tgt.dtype == C.dtype and tgt.tobytes() == C[lower].tobytes()
     assert val.dtype == best.dtype and val.tobytes() == best[lower].tobytes()
+
+
+@settings(LAW, max_examples=60)
+@given(case=_corner_fields())
+def test_corners_behind_the_front_propose_nothing(case):
+    """A corner whose vertex C lies at or below both supports, dist[C] <=
+    min(dist[A], dist[B]), proposes nothing below dist[C] by the plain
+    np.where arithmetic: an edge relaxation adds a positive length to its
+    support, and the triangle update runs only where both supports are
+    below dist[C]. So `_front`, which reads every corner of every incidence
+    of K fields (the qb corner only where its support A is not expanded;
+    here the sources count as expanded) and drops those behind the front,
+    keeps exactly the other corners, in order, and `_proposals` over them
+    gives the bytes and order of `_proposals` over all of them. Checked on
+    mutants: `_front` keeping the corners with min(dA, dB) <= dC fails the
+    kept corners; keeping those with max(dA, dB) < dC fails them and the
+    proposals too; and max for min in `behind` fails the first assert."""
+    mesh, dist, k = case
+    n = mesh.n_vertices
+    tab = _corner_tables(mesh)
+    m3 = 3 * mesh.n_triangles
+    pos = np.tile(np.arange(m3), k)
+    base = np.repeat(np.arange(k) * n, m3)
+    x = np.repeat(np.arange(n), np.diff(tab["ptr"]))[pos] + base
+    act = dist == 0.0
+    q = np.concatenate([tab["qa"][pos], tab["qb"][pos]])
+    off = np.concatenate([base, base])
+    C, A, B = tab["C"][q] + off, tab["A"][q] + off, tab["B"][q] + off
+    dA, dB, dC = dist[A], dist[B], dist[C]
+    la, lb = tab["la"][q], tab["lb"][q]
+    tri, valid = _plain_triangle_update(dA, dB, la, lb, tab["cos"][q],
+                                        tab["sin2"][q], tab["csq"][q])
+    best = np.minimum(np.minimum(dA + la, dB + lb),
+                      np.where(valid, tri, np.inf))
+    behind = dC <= np.minimum(dA, dB)
+    assert not (best < dC)[behind].any()
+    fresh = np.ones(len(q), dtype=bool)
+    fresh[len(pos):] = ~act[A[len(pos):]]
+    kept = fresh & ~behind
+    got = _front(tab, dist, pos, base, dist[x], act)
+    for have, want in zip(got, (q, C, dA, dB, dC)):
+        assert have.tobytes() == want[kept].tobytes()
+    tgt, val = _proposals(tab, *got)
+    want_tgt, want_val = _proposals(tab, q[fresh], C[fresh], dA[fresh],
+                                    dB[fresh], dC[fresh])
+    assert tgt.tobytes() == want_tgt.tobytes()
+    assert val.tobytes() == want_val.tobytes()
