@@ -345,7 +345,7 @@ def _write_csv(path, header, rows) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    write_atomic(path, text.getvalue().encode("utf-8"))
+    write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
 def write_cohort_csv(table: CohortTable, path) -> None:

@@ -130,11 +130,30 @@ is at most the last bound used, so the field is exact at or below it.
 
 Corners follow the half-edge numbering of `SurfaceMesh`: with m triangles,
 corner q = r*m + t is vertex r of triangle t, and the triangle's next two
-vertices are its supports A and B. Every per-corner table is one flat array
-of length 3m in this order. Vertex v's incidences are ptr[v]:ptr[v + 1] of
-a CSR over `triangles.ravel()`; for each, qa and qb hold the corner of that
-triangle where v is support A or B, qbA the support A of corner qb and qaB
-the support B of corner qa.
+vertices, vertex C of corners q + m and q + 2m (mod 3m), are its supports A
+and B. `_corner_tables` keeps only what a sweep reads, each per-corner table
+one flat array of length 3m in corner order:
+- la and lb, the lengths of the edges from C to A and to B: the edge
+  relaxations and the triangle update;
+- cos, the cosine of the angle at C, and csq, the squared length of the
+  edge AB: the triangle update;
+- ptr, a CSR over `triangles.ravel()` whose ptr[v]:ptr[v + 1] are vertex
+  v's incidences, and for each incidence qa and qb, the corners of that
+  triangle where v is support A or B, qbA, the support A of corner qb, and
+  qaB, the support B of corner qa: they take a sweep from an expanded
+  vertex to its corners and their vertices (below);
+- delta, the bucket width.
+Nothing else is kept. The corners' vertex ids are not: a sweep reaches
+them per incidence. lb has no buffer of its own: corner q's support B is
+vertex C of corner q - m (mod 3m), and its vertex C is that corner's
+support A, so lb of corner q is la of corner q - m, an edge vector negated
+exactly, whose squares, their sum and its root are the same bits. So la
+and lb are two views of one buffer L of 4m values, la = L[m:] and lb =
+L[:3m], with L[:m] a copy of L[3m:]. Nor is sin^2 of the angle kept:
+`_proposals` computes 1.0 - cos * cos from the cos it gathers, the same
+expression on the same operand as a table of it would hold, so the same
+bits. The tables hold 60 B per corner, about 350 B per vertex of the
+benchmark disks (13.5 MB at 38k vertices).
 
 A sweep reads the corners of an expanded vertex x per incidence, not per
 corner. Incidence j places x in a triangle (pv, x, nx), in the triangle's
@@ -173,17 +192,19 @@ from .mesh import SurfaceMesh, checked_ids
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 LIMIT_CADENCE = 8  # sweeps between two calls of a batch's limit hook
-# corners per block of `_corner_tables`' geometry: whole-mesh (3m, 3)
-# temporaries (5.4 MB each at 38k vertices) added ~12 MB to the peak, one
-# block's take ~100 kB each
+# corners per block of `_corner_tables`' geometry: a block gathers its
+# corners' vertex ids and coordinates into about fifteen arrays of 32 kB
+# each, which over all 3m corners at once would be 1.8 MB each at 38k
+# vertices
 _CORNER_BLOCK = 4096
 
 
 def _corner_tables(mesh: SurfaceMesh) -> dict:
-    """Flat per-corner geometry of the wavefront update, the sweeps' bucket
-    width delta and the vertex -> triangle incidence CSR: ptr, and for each
-    incidence the corners qa and qb where its vertex is support A or B,
-    qbA, support A of corner qb, and qaB, support B of corner qa. The
+    """Flat per-corner geometry of the wavefront update (la, lb, cos and
+    csq; lb is a view of la's buffer), the sweeps' bucket width delta and
+    the vertex -> triangle incidence CSR: ptr, and for each incidence the
+    corners qa and qb where its vertex is support A or B, qbA, support A of
+    corner qb, and qaB, support B of corner qa (module docstring). The
     geometry is computed one contiguous coordinate column at a time, each
     sum of three products in a fixed order: la and lb are
     np.linalg.norm(axis=1) of the corner's edge vectors, bit for bit."""
@@ -191,12 +212,17 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     if cached is not None:
         return cached
     t = mesh.triangles
-    v = mesh.vertices
-    C = t.T.ravel()
-    A = t[:, [1, 2, 0]].T.ravel()
-    B = t[:, [2, 0, 1]].T.ravel()
-    la, lb, cos, csq = (np.empty(len(C)) for _ in range(4))
-    x, y, z = v.T.copy()  # one contiguous array per coordinate
+    m = mesh.n_triangles
+    m3 = 3 * m
+    # vertex C of corner q is ring[q], and its supports A and B, vertex C
+    # of corners q + m and q + 2m (mod 3m), are ring[q + m] and ring[q + 2m]
+    ring = t[:, [0, 1, 2, 0, 1]].T.ravel()
+    # la is L[m:] and lb is L[:3m]: lb of corner q is la of corner q - m
+    # (mod 3m), so L[:m] repeats L[3m:] (module docstring)
+    L = np.empty(4 * m)
+    la = L[m:]
+    cos, csq = np.empty(m3), np.empty(m3)
+    x, y, z = mesh.vertices.T.copy()  # one contiguous array per coordinate
     # each corner's geometry is computed on its own, so blocks give the
     # same bits as one pass over all corners. Each sum of three products
     # is taken in a fixed order, so that the tables do not depend on how
@@ -205,32 +231,36 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
     # order of np.einsum("ij,ij->i") over rows on numpy 2.4.6, so that the
     # tables keep the bits that einsum gave them (the x, y, z order
     # differs from it in 27% of the workload meshes' cos and 21% of csq).
-    for lo in range(0, len(C), _CORNER_BLOCK):
-        s = slice(lo, lo + _CORNER_BLOCK)
-        c, a, b = C[s], A[s], B[s]
+    for lo in range(0, m3, _CORNER_BLOCK):
+        hi = min(lo + _CORNER_BLOCK, m3)
+        s = slice(lo, hi)
+        c, a, b = ring[s], ring[lo + m:hi + m], ring[lo + 2 * m:hi + 2 * m]
         cx, cy, cz = x[c], y[c], z[c]
         ax, ay, az = x[a] - cx, y[a] - cy, z[a] - cz
         bx, by, bz = x[b] - cx, y[b] - cy, z[b] - cz
         la[s] = np.sqrt((ax * ax + ay * ay) + az * az)
-        lb[s] = np.sqrt((bx * bx + by * by) + bz * bz)
-        cos[s] = ((ax * bx + az * bz) + ay * by) / (la[s] * lb[s])
+        # the same bits as la of corner q - m, whose edge vector is the
+        # exact negation of this one
+        lb = np.sqrt((bx * bx + by * by) + bz * bz)
+        cos[s] = ((ax * bx + az * bz) + ay * by) / (la[s] * lb)
         ax -= bx
         ay -= by
         az -= bz
         csq[s] = (ax * ax + az * az) + ay * ay
+    L[:m] = L[m3:]
     np.clip(cos, -1.0, 1.0, out=cos)
-    m = mesh.n_triangles
     corners = t.ravel()
     ptr = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(corners, minlength=mesh.n_vertices), out=ptr[1:])
     # incidence j of the CSR is vertex r of triangle tri; that vertex is
-    # support A of the triangle's corner r - 1 and support B of corner r + 1
+    # support A of the triangle's corner r - 1 (qa) and support B of its
+    # corner r + 1 (qb). Corner qa's vertex C is qb's support A (qbA), and
+    # qb's vertex C is qa's support B (qaB)
     tri, r = np.divmod(np.argsort(corners, kind="stable"), 3)
     qa = (r + 2) % 3 * m + tri
     qb = (r + 1) % 3 * m + tri
-    out = {"C": C, "A": A, "B": B, "la": la, "lb": lb, "cos": cos,
-           "sin2": 1.0 - cos * cos, "csq": csq,
-           "ptr": ptr, "qa": qa, "qb": qb, "qbA": A[qb], "qaB": B[qa],
+    out = {"la": la, "lb": L[:m3], "cos": cos, "csq": csq, "ptr": ptr,
+           "qa": qa, "qb": qb, "qbA": ring.take(qa), "qaB": ring.take(qb),
            "delta": 4.0 * np.median(mesh.adjacency.data)}
     _TABLES[mesh] = out
     return out
@@ -293,7 +323,7 @@ def _proposals(tab: dict, q: np.ndarray, C: np.ndarray, dA: np.ndarray,
     a = np.where(sw, llo, lhi)  # edge to the later support
     u = dhi2 - dlo2
     cos = tab["cos"].take(qi)
-    sin2 = tab["sin2"].take(qi)
+    sin2 = 1.0 - cos * cos
     csq = tab["csq"].take(qi)
     Bq = 2.0 * b * u * (a * cos - b)
     Cq = b * b * (u * u - a * a * sin2)

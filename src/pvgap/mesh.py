@@ -16,6 +16,16 @@ for r = 0, 1, 2. The next half-edge around the same triangle is (h + m) % 3m.
 A directed edge (a, b) of a mesh with n vertices has the int64 key a*n + b,
 and its reversed half-edge is `SurfaceMesh.opposite[h]` (-1 on a boundary).
 
+Derived tables are cached on the mesh, so each is built once, but only
+those a later stage reads. The (3m, 2) `directed_edges` table is cached
+only on a mesh whose half-edges are walked: `opposite`,
+`boundary_vertex_mask` and `boundary_loops` read it, and `cut_mesh` reads
+those of the mesh it cuts: a search-area submesh, dropped once the area is
+open. The undirected edge table, the orientation check of
+`check_topology` and the seam check of `cut_mesh` build their keys from
+`triangles` as locals. So a case mesh and an opened mesh, which live to the
+end of a case, never cache it (3.6 MB each at 38k vertices).
+
 A seam cut and a search-area submesh are derived meshes, built only by
 `SurfaceMesh.derive(parent, triangles)`: vertex i is the source's vertex
 parent[i], with its coordinates, intensity, region and point data.
@@ -206,11 +216,16 @@ class SurfaceMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
+    def _half_edge_ends(self) -> tuple:
+        """(tails, heads) of the 3m half-edges in their numbering, built
+        from `triangles` and not cached: the columns of `directed_edges`."""
+        t = self.triangles
+        return t.T.ravel(), t[:, [1, 2, 0]].T.ravel()
+
     @cached_property
     def directed_edges(self) -> np.ndarray:
         """(3m, 2) directed edges (a,b),(b,c),(c,a) per triangle."""
-        t = self.triangles
-        return _lock(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]))
+        return _lock(np.stack(self._half_edge_ends(), axis=1))
 
     def _key(self, tails, heads) -> np.ndarray:
         return tails * self.n_vertices + heads
@@ -218,9 +233,10 @@ class SurfaceMesh:
     @cached_property
     def _edge_table(self) -> tuple:
         """Unique undirected edges and the number of triangles using each."""
-        de = self.directed_edges
+        tails, heads = self._half_edge_ends()
         keys, counts = np.unique(
-            self._key(de.min(axis=1), de.max(axis=1)), return_counts=True)
+            self._key(np.minimum(tails, heads), np.maximum(tails, heads)),
+            return_counts=True)
         edges = np.stack(np.divmod(keys, self.n_vertices), axis=1)
         return _lock(edges), _lock(counts)
 
@@ -290,8 +306,7 @@ class SurfaceMesh:
             e = self.edges[int(np.argmax(counts > 2))]
             raise TopologyError(f"non-manifold edge {tuple(e.tolist())} "
                                 "shared by more than 2 triangles")
-        de = self.directed_edges
-        keys = np.sort(self._key(de[:, 0], de[:, 1]))
+        keys = np.sort(self._key(*self._half_edge_ends()))
         twice = np.flatnonzero(keys[1:] == keys[:-1])
         if len(twice):
             e = divmod(int(keys[twice[0]]), self.n_vertices)
@@ -557,8 +572,8 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
     # post: the seam is really open (no edge joins side 1 to side 2)
     side = np.zeros(n_new, dtype=np.int8)
     side[side_a], side[side_b] = 1, 2
-    de = out.directed_edges
-    if (side[de[:, 0]] * side[de[:, 1]] == 2).any():
+    tails, heads = out._half_edge_ends()
+    if (side[tails] * side[heads] == 2).any():
         raise TopologyError("cut failed: an edge still crosses the seam")
     return CutMesh(mesh=out, parent_vertex=_lock(parent),
                    side_a=_lock(side_a), side_b=_lock(side_b))
@@ -747,19 +762,20 @@ def _token_chunks(text: str, start: int):
         start = end
 
 
-def _block(values: np.ndarray, row: str) -> str:
-    """One line per row of `values`; each _SAVE_BLOCK rows are rendered by
-    one `%` call."""
+def _block(values: np.ndarray, row: str):
+    """One line per row of `values`, yielded as one string per _SAVE_BLOCK
+    rows, each rendered by one `%` call."""
     line = row + "\n"
-    return "".join((line * len(rows)) % tuple(rows.ravel().tolist())
-                   for rows in (values[lo:lo + _SAVE_BLOCK]
-                                for lo in range(0, len(values), _SAVE_BLOCK)))
+    for lo in range(0, len(values), _SAVE_BLOCK):
+        rows = values[lo:lo + _SAVE_BLOCK]
+        yield (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def save_mesh(mesh: SurfaceMesh, path) -> None:
     """Write legacy ASCII polydata with LF endings and 9 significant digits.
 
-    Writing is atomic (see `write_atomic`).
+    Writing is atomic (see `write_atomic`), one block of rows at a time:
+    the file's text is never held whole.
     Raises MeshFormatError, before anything is written, if the name is not
     one line of ASCII (the title is one header line) or a point-data key is
     not a token (see `is_token`).
@@ -771,11 +787,17 @@ def save_mesh(mesh: SurfaceMesh, path) -> None:
     if bad:
         raise MeshFormatError(f"point-data name {bad[0]!r} is not printable "
                               "ASCII without whitespace")
-    out = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\n"
-           f"POINTS {mesh.n_vertices} float\n",
-           _block(mesh.vertices, " ".join([_FMT] * 3)),
-           f"POLYGONS {mesh.n_triangles} {4 * mesh.n_triangles}\n",
-           _block(mesh.triangles, "3 %d %d %d")]
+    write_atomic(path, (text.encode("ascii")
+                        for text in _mesh_text(mesh, title)))
+
+
+def _mesh_text(mesh: SurfaceMesh, title: str):
+    """The text of `save_mesh`'s file: its section lines and row blocks."""
+    yield (f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\n"
+           f"POINTS {mesh.n_vertices} float\n")
+    yield from _block(mesh.vertices, " ".join([_FMT] * 3))
+    yield f"POLYGONS {mesh.n_triangles} {4 * mesh.n_triangles}\n"
+    yield from _block(mesh.triangles, "3 %d %d %d")
     arrays = []
     if mesh.intensity is not None:
         arrays.append(("intensity", mesh.intensity, "float"))
@@ -784,23 +806,25 @@ def save_mesh(mesh: SurfaceMesh, path) -> None:
     for key, (arr, kind) in mesh.point_data.items():
         arrays.append((key, arr, kind))
     if arrays:
-        out.append(f"POINT_DATA {mesh.n_vertices}\n")
-        for key, arr, kind in arrays:
-            vtype, row = ("int", "%d") if kind == "int" else ("float", _FMT)
-            out += [f"SCALARS {key} {vtype} 1\nLOOKUP_TABLE default\n",
-                    _block(arr, row)]
-    write_atomic(path, "".join(out).encode("ascii"))
+        yield f"POINT_DATA {mesh.n_vertices}\n"
+    for key, arr, kind in arrays:
+        vtype, row = ("int", "%d") if kind == "int" else ("float", _FMT)
+        yield f"SCALARS {key} {vtype} 1\nLOOKUP_TABLE default\n"
+        yield from _block(arr, row)
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Publish `data` at `path` whole or not at all: write `<name>.tmp`
-    beside it, creating the directory, then rename it over the target. On
-    any error the temp file is removed and the error re-raised."""
+def write_atomic(path, chunks) -> None:
+    """Publish the bytes of `chunks`, an iterable of bytes-like objects,
+    at `path` whole or not at all: write each chunk as it comes to
+    `<name>.tmp` beside the target, creating the directory, then rename it
+    over the target. On any error, one the iterable raises included, the
+    temp file is removed and the error re-raised."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -836,4 +860,4 @@ def write_json(path, obj) -> None:
     final newline (see `write_atomic`). A NaN or infinite float raises
     ValueError before anything is written."""
     text = json.dumps(obj, indent=2, allow_nan=False)
-    write_atomic(path, (text + "\n").encode("utf-8"))
+    write_atomic(path, [(text + "\n").encode("utf-8")])

@@ -167,8 +167,10 @@ def save_volume(volume: ScalarVolume, path) -> None:
              "dtype float32",
              "order x-fastest",
              "data"]
-    payload = volume.values.astype("<f4").tobytes()
-    write_atomic(path, "\n".join(lines).encode("ascii") + b"\n" + payload)
+    # the values are float32 and C-contiguous (`ScalarVolume`), so on a
+    # little-endian host the payload is a view, not a copy
+    write_atomic(path, ["\n".join(lines + [""]).encode("ascii"),
+                        np.ascontiguousarray(volume.values, dtype="<f4")])
 
 
 def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:

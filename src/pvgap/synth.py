@@ -115,7 +115,7 @@ class PhantomTruth:
 
 def _quantize9(a: np.ndarray) -> np.ndarray:
     """The values a save_mesh/load_mesh round trip gives back."""
-    text = _block(a.ravel(), _FMT)
+    text = "".join(_block(a.ravel(), _FMT))
     return np.array(text.split(), dtype=np.float64).reshape(a.shape)
 
 

@@ -9,6 +9,7 @@ the scheme's inherent front-curvature error and are not asserted tightly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,12 +89,20 @@ def _plain_triangle_update(dA, dB, la, lb, cos, sin2, csq):
         return lo + tt, valid
 
 
-def _corner_proposals(tab, dist, q):
+def _corner_vertices(mesh):
+    """(C, A, B) in the corner order of `_corner_tables`: corner q = r*m + t
+    is vertex r of triangle t, and its supports A and B are the triangle's
+    next two vertices."""
+    t = mesh.triangles
+    return t.T.ravel(), t[:, [1, 2, 0]].T.ravel(), t[:, [2, 0, 1]].T.ravel()
+
+
+def _corner_proposals(mesh, dist, q):
     """`_proposals` of one field's corners q, their vertices and values
     gathered by corner id."""
-    C = tab["C"].take(q)
-    return _proposals(tab, q, C, dist.take(tab["A"].take(q)),
-                      dist.take(tab["B"].take(q)), dist.take(C))
+    C, A, B = (ids.take(q) for ids in _corner_vertices(mesh))
+    return _proposals(_corner_tables(mesh), q, C, dist.take(A),
+                      dist.take(B), dist.take(C))
 
 
 def _reference_transform(mesh, sources):
@@ -378,6 +387,51 @@ def test_corner_tables_in_blocks_equal_one_block_bit_for_bit(monkeypatch):
                 == np.asarray(value).tobytes(), key
 
 
+class _Reads(dict):
+    """A dict that records the keys read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_corner_tables_hold_only_what_the_kernel_reads():
+    # the tables of the 0.26 mm tapered disk (18k vertices) hold at most
+    # 64 B per corner, as traced by tracemalloc, which numpy reports its
+    # buffers to
+    mesh, _config, _truth = make_phantom(PhantomSpec(
+        target_edge_mm=0.26, keep_fraction=0.75, patchiness=4,
+        taper=(2.5, 9.0)))
+    # the adjacency is cached on the mesh, and the first median imports
+    # numpy.ma: neither is the tables'
+    mesh.adjacency
+    _corner_tables(plane_grid(3, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tab = _corner_tables(mesh)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    corners = 3 * mesh.n_triangles
+    assert held <= 64 * corners, held / corners
+    # lb of corner q is la of corner q - m (mod 3m), so both lie in one
+    # buffer (the law on their bits is test_laws'
+    # test_column_lengths_equal_row_norms)
+    m = mesh.n_triangles
+    assert tab["la"].base is tab["lb"].base is not None
+    assert tab["lb"][m:].tobytes() == tab["la"][:-m].tobytes()
+    # every table is read by the kernel: a transform reads them all
+    reads = _Reads(tab)
+    geodesics._TABLES[mesh] = reads
+    distance_transform(mesh, [0])
+    assert reads.read == set(tab)
+
+
 def _batch_case(case):
     """(mesh, source sets) of one batch. On the tapered phantom: its rim and
     patch fields, a lone far vertex and every other vertex, whose sweep
@@ -458,15 +512,14 @@ def test_result_is_a_fixed_point_of_every_corner(case):
     else:
         mesh, sources = plane_grid(23, 17, spacing=0.8), [0, 200, 390]
     field = distance_transform(mesh, sources)
-    tab = _corner_tables(mesh)
     every_corner = np.arange(3 * mesh.n_triangles)
-    targets, values = _corner_proposals(tab, field.dist, every_corner)
+    targets, values = _corner_proposals(mesh, field.dist, every_corner)
     assert targets.size == 0, values.min()
     # the check is not vacuous: a raised vertex gets a proposal at once
     raised = field.dist.copy()
     far = int(np.argmax(raised))
     raised[far] += 1.0
-    targets, values = _corner_proposals(tab, raised, every_corner)
+    targets, values = _corner_proposals(mesh, raised, every_corner)
     assert far in targets
     assert values[targets == far].min() == pytest.approx(field.dist[far])
 
@@ -546,7 +599,7 @@ def _triangle_schedule(mesh, sources, targets=None):
         tris = np.unique(np.concatenate(
             [tri[ptr[v]:ptr[v + 1]] for v in pending[near]]))
         tgt, val = _corner_proposals(
-            tab, dist, np.concatenate([tris, tris + m, tris + 2 * m]))
+            mesh, dist, np.concatenate([tris, tris + m, tris + 2 * m]))
         np.minimum.at(dist, tgt, val)
         pending = np.union1d(pending[~near], tgt)
         if targets is not None:
@@ -610,7 +663,7 @@ def test_incidence_tables_name_the_two_corners_of_each_incidence(case):
     else:
         mesh = _relabelled(_jittered_grid()[1], np.random.default_rng(3))[0]
     tab = _corner_tables(mesh)
-    C, A, B = tab["C"], tab["A"], tab["B"]
+    C, A, B = _corner_vertices(mesh)
     qa, qb, pv, nx = tab["qa"], tab["qb"], tab["qbA"], tab["qaB"]
     x = np.repeat(np.arange(mesh.n_vertices), np.diff(tab["ptr"]))
     assert x.size == qa.size == qb.size == 3 * mesh.n_triangles

@@ -29,7 +29,8 @@ from pvgap.sweep import run_case  # noqa: E402
 from pvgap.synth import (PhantomSpec, icosphere, make_phantom,  # noqa: E402
                          plane_grid)
 from test_gaps import _enumerate_best  # noqa: E402
-from test_geodesics import _plain_triangle_update  # noqa: E402
+from test_geodesics import (_corner_vertices,  # noqa: E402
+                            _plain_triangle_update)
 
 LAW = settings(derandomize=True, deadline=None, database=None,
                max_examples=25)
@@ -533,11 +534,11 @@ def test_proposals_equal_the_plain_update(case):
     m3 = 3 * mesh.n_triangles
     q = np.tile(np.arange(m3), k)
     off = np.repeat(np.arange(k) * n, m3)  # each field's vertex offset
-    C, A, B = tab["C"][q] + off, tab["A"][q] + off, tab["B"][q] + off
+    C, A, B = (ids[q] + off for ids in _corner_vertices(mesh))
     dA, dB, dC = dist[A], dist[B], dist[C]
-    la, lb = tab["la"][q], tab["lb"][q]
-    tri, valid = _plain_triangle_update(dA, dB, la, lb, tab["cos"][q],
-                                        tab["sin2"][q], tab["csq"][q])
+    la, lb, cos = tab["la"][q], tab["lb"][q], tab["cos"][q]
+    tri, valid = _plain_triangle_update(dA, dB, la, lb, cos, 1.0 - cos * cos,
+                                        tab["csq"][q])
     best = np.minimum(np.minimum(dA + la, dB + lb),
                       np.where(valid, tri, np.inf))
     lower = best < dC
@@ -571,11 +572,11 @@ def test_corners_behind_the_front_propose_nothing(case):
     act = dist == 0.0
     q = np.concatenate([tab["qa"][pos], tab["qb"][pos]])
     off = np.concatenate([base, base])
-    C, A, B = tab["C"][q] + off, tab["A"][q] + off, tab["B"][q] + off
+    C, A, B = (ids[q] + off for ids in _corner_vertices(mesh))
     dA, dB, dC = dist[A], dist[B], dist[C]
-    la, lb = tab["la"][q], tab["lb"][q]
-    tri, valid = _plain_triangle_update(dA, dB, la, lb, tab["cos"][q],
-                                        tab["sin2"][q], tab["csq"][q])
+    la, lb, cos = tab["la"][q], tab["lb"][q], tab["cos"][q]
+    tri, valid = _plain_triangle_update(dA, dB, la, lb, cos, 1.0 - cos * cos,
+                                        tab["csq"][q])
     best = np.minimum(np.minimum(dA + la, dB + lb),
                       np.where(valid, tri, np.inf))
     behind = dC <= np.minimum(dA, dB)

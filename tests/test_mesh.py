@@ -6,6 +6,8 @@ labeling for patches, scipy's shortest path for edge routes, and a re-glue
 pass (identify twins again) for cutting.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph, csr_matrix
@@ -664,6 +666,35 @@ def test_save_mesh_writes_the_same_bytes_in_any_block_size(tmp_path,
             assert (tmp_path / "blocked.vtk").read_bytes() == data
 
 
+def _traced_save_peak(mesh, path):
+    """The traced peak of save_mesh(mesh, path) above what was allocated
+    before it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_mesh(mesh, path)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_mesh_peak_does_not_grow_with_the_mesh(tmp_path):
+    # the text is formatted, encoded and written one block of rows at a
+    # time, so the writer's peak is about one block's, whatever the mesh:
+    # the 0.13 mm disk (72k vertices, a 5.0 MB file) may peak at most
+    # 64 KiB above the 0.26 mm disk (18k)
+    save_mesh(_golden_mesh(), tmp_path / "warm.vtk")
+    peaks, sizes = [], []
+    for edge in (0.26, 0.13):
+        mesh, _config, _truth = make_phantom(PhantomSpec(
+            target_edge_mm=edge, keep_fraction=0.75))
+        path = tmp_path / f"disk-{edge}.vtk"
+        peaks.append(_traced_save_peak(mesh, path))
+        sizes.append(path.stat().st_size)
+    assert sizes[1] > 3 * sizes[0]
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+
 def test_load_mesh_rejects_a_bare_lookup_table(tmp_path):
     # without a table name the first value would be taken for it
     lut = "LOOKUP_TABLE default\n"
@@ -707,16 +738,37 @@ def test_save_mesh_rejects_a_point_data_key_that_is_not_a_token(key,
 
 def test_write_atomic_creates_the_directory_and_cleans_up(tmp_path):
     target = tmp_path / "new" / "dir" / "out.bin"
-    write_atomic(target, b"payload")
+    write_atomic(target, [b"pay", b"load"])
     assert target.read_bytes() == b"payload"
     assert [p.name for p in target.parent.iterdir()] == ["out.bin"]
     # a directory in the way fails the rename; the temp file goes
     taken = tmp_path / "taken"
     taken.mkdir()
     with pytest.raises(OSError):
-        write_atomic(taken, b"payload")
+        write_atomic(taken, [b"payload"])
     assert taken.is_dir()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "taken"]
+
+
+def test_write_atomic_keeps_the_target_when_its_chunks_raise(tmp_path):
+    # the chunks are written as they come, so a failure part-way has
+    # already written some of them: the temp file goes and the target stays
+    target = tmp_path / "out.vtk"
+    target.write_bytes(b"old contents\n")
+
+    def chunks():
+        yield b"new "
+        yield b"contents"
+        raise MeshFormatError("failed part-way")
+
+    with pytest.raises(MeshFormatError, match="part-way"):
+        write_atomic(target, chunks())
+    assert target.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.vtk"]
+    # the same with no target yet: nothing is published
+    with pytest.raises(MeshFormatError, match="part-way"):
+        write_atomic(tmp_path / "new.vtk", chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.vtk"]
 
 
 def test_load_mesh_rejects_an_index_beyond_int64(tmp_path):
