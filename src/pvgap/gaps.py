@@ -97,21 +97,78 @@ def route_limit(weights: np.ndarray, start_w: np.ndarray,
     return u * (1.0 + 1e-9) if np.isfinite(u) else np.inf
 
 
+def _patch_rims(mesh, lab: PatchLabeling) -> list:
+    """Each patch's vertices with a mesh neighbour outside the patch, or all
+    of its vertices where it has none; one sorted array per patch."""
+    ends = lab.labels[mesh.edges]
+    rim = np.zeros(mesh.n_vertices, dtype=bool)
+    rim[mesh.edges[ends[:, 0] != ends[:, 1]]] = True
+    return [p[rim[p]] if rim[p].any() else p for p in lab.patches]
+
+
 def patch_fields(opened: CutMesh, labelings) -> FieldBatch:
     """The `FieldBatch` on opened.mesh of every patch of each labeling, in
     order, with a limit hook that bounds each field by `route_limit` of its
-    own labeling's rows."""
+    own labeling's rows, bit for bit.
+
+    The hook is planned once per batch: for every pair of a field row and
+    another patch of its labeling, the flat indices of that patch's
+    boundary (`_patch_rims`). Each call takes them all at once, reduces
+    each pair's run to its minimum, and runs one Floyd-Warshall over the
+    labelings' weights stacked in a (labelings, p, p) array, padded with
+    +inf off the diagonal and 0 on it. A boundary gives the whole patch's
+    minimum: a finite value that is not a source lies strictly above a
+    support in one of its triangles (an edge relaxation adds a positive
+    length, a triangle update exceeds its nearer support, and values only
+    fall), so a strictly falling chain of neighbours leads from any vertex
+    of another patch to a vertex on its boundary. A patch's own row is 0
+    on it, the diagonal.
+    """
+    mesh = opened.mesh
+    n = mesh.n_vertices
+    labs = [lab for lab in labelings if lab.count]
+    counts = [lab.count for lab in labs]
+    p = max(counts, default=0)
+    flat, size, pos, slot = [], [], [], []
+    row = 0
+    for s, lab in enumerate(labs):
+        rims = _patch_rims(mesh, lab)
+        for i in range(lab.count):
+            slot.append(s * p + i)
+            for j, rim in enumerate(rims):
+                if j != i:
+                    flat.append((row + i) * n + rim)
+                    size.append(len(rim))
+                    pos.append(slot[-1] * p + j)
+        row += lab.count
+    flat = np.concatenate(flat) if flat else np.zeros(0, dtype=np.int64)
+    cuts = np.cumsum([0] + size[:-1])
+    pos = np.asarray(pos, dtype=np.int64)
+    slot = np.asarray(slot, dtype=np.int64)
+    twins = np.concatenate([opened.side_a, opened.side_b])
+    pairs = len(opened.side_a)
+    blank = np.full((len(labs), p, p), np.inf)
+    blank[:, np.arange(p), np.arange(p)] = 0.0
+
     def limits(dist: np.ndarray) -> np.ndarray:
-        out = np.empty(len(dist))
-        lo = 0
-        for lab in labelings:
-            hi = lo + lab.count
-            out[lo:hi] = route_limit(*_graph_arrays(dist[lo:hi], lab.patches,
-                                                    opened))
-            lo = hi
-        return out
-    return FieldBatch(opened.mesh,
-                      [p for lab in labelings for p in lab.patches], limits)
+        if not pairs:
+            return np.full(len(dist), np.inf)
+        d = blank.copy()
+        if flat.size:
+            d.ravel()[pos] = np.minimum.reduceat(dist.take(flat), cuts)
+        d = np.minimum(d, d.transpose(0, 2, 1))
+        for m in range(p):  # Floyd-Warshall on each labeling's patches
+            np.minimum(d, d[:, :, m, None] + d[:, None, m, :], out=d)
+        w = np.full((len(labs) * p, 2 * pairs), np.inf)
+        w[slot] = dist.take(twins, axis=1)
+        w = w.reshape(len(labs), p, 2 * pairs)
+        start_w, end_w = w[:, :, :pairs], w[:, :, pairs:]
+        u = ((start_w[:, :, None, :] + d[:, :, :, None]).min(axis=1)
+             + end_w).min(axis=(1, 2))
+        u = np.where(np.isfinite(u), u * (1.0 + 1e-9), np.inf)
+        return u.repeat(counts)
+    return FieldBatch(mesh, [patch for lab in labelings
+                             for patch in lab.patches], limits)
 
 
 def build_graph(opened: CutMesh, scar_mask: np.ndarray,

@@ -14,17 +14,30 @@ Topology lives in one numbering of half-edges. With m triangles, half-edge
 h = r*m + t is edge r of triangle t: (t[0], t[1]), (t[1], t[2]) or (t[2], t[0])
 for r = 0, 1, 2. The next half-edge around the same triangle is (h + m) % 3m.
 A directed edge (a, b) of a mesh with n vertices has the int64 key a*n + b,
-and its reversed half-edge is `SurfaceMesh.opposite[h]` (-1 on a boundary).
+its undirected key is min(a, b)*n + max(a, b), and its reversed half-edge is
+`SurfaceMesh.opposite[h]` (-1 on a boundary).
+
+Every topology table comes from one sort per mesh: a stable argsort of the
+3m half-edges by undirected key (`SurfaceMesh._sort_half_edges`). A run of
+equal keys in that order is one edge. The run keys and lengths are `edges`
+and their triangle counts; the two half-edges of a run of two are each
+other's `opposite`, unless they share a tail, which is the orientation
+fault `check_topology` reports; `cut_mesh` finds a path's half-edges by
+searching the run keys.
 
 Derived tables are cached on the mesh, so each is built once, but only
-those a later stage reads. The (3m, 2) `directed_edges` table is cached
-only on a mesh whose half-edges are walked: `opposite`,
-`boundary_vertex_mask` and `boundary_loops` read it, and `cut_mesh` reads
-those of the mesh it cuts: a search-area submesh, dropped once the area is
-open. The undirected edge table, the orientation check of
-`check_topology` and the seam check of `cut_mesh` build their keys from
-`triangles` as locals. So a case mesh and an opened mesh, which live to the
-end of a case, never cache it (3.6 MB each at 38k vertices).
+those a later stage reads. The sorted order is cached only on a mesh whose
+half-edges are walked: `opposite` caches it, and `boundary_vertex_mask`,
+`boundary_loops` and `cut_mesh` read `opposite`. That is a search-area
+submesh (and a joint area's mesh between its two cuts), dropped once the
+area is open. The submesh reads `opposite` before its edge table, which
+then reads the cached order (`regions._extract_submesh`). Elsewhere the
+edge table sorts as a local. Half-edge tails and heads are built from
+`triangles` where they are read (`_half_edge_ends`), so no stage caches
+their (3m, 2) table `directed_edges`. A case mesh and an opened mesh, which
+live to the end of a case, thus cache neither (1.8 and 3.6 MB at 38k
+vertices). The edge table carries the orientation verdict, so a case mesh
+is sorted once, and `check_topology` records its verdict on the mesh.
 
 A seam cut and a search-area submesh are derived meshes, built only by
 `SurfaceMesh.derive(parent, triangles)`: vertex i is the source's vertex
@@ -218,9 +231,11 @@ class SurfaceMesh:
 
     def _half_edge_ends(self) -> tuple:
         """(tails, heads) of the 3m half-edges in their numbering, built
-        from `triangles` and not cached: the columns of `directed_edges`."""
-        t = self.triangles
-        return t.T.ravel(), t[:, [1, 2, 0]].T.ravel()
+        from `triangles` and not cached: the columns of `directed_edges`.
+        The head of half-edge h is the tail of the next, (h + m) % 3m."""
+        tails = self.triangles.T.ravel()
+        m = self.n_triangles
+        return tails, np.concatenate((tails[m:], tails[:m]))
 
     @cached_property
     def directed_edges(self) -> np.ndarray:
@@ -230,15 +245,49 @@ class SurfaceMesh:
     def _key(self, tails, heads) -> np.ndarray:
         return tails * self.n_vertices + heads
 
+    def _undirected_key(self, tails, heads) -> np.ndarray:
+        keys = np.minimum(tails, heads)
+        keys *= self.n_vertices
+        keys += np.maximum(tails, heads)
+        return keys
+
+    def _tails_and_keys(self) -> tuple:
+        """(tails, keys): the tail and the undirected key of each half-edge;
+        the heads are dropped, as `_half_edge_ends` derives them."""
+        tails, heads = self._half_edge_ends()
+        return tails, self._undirected_key(tails, heads)
+
+    def _sort_half_edges(self, keys) -> np.ndarray:
+        """The stable argsort of `keys`, the 3m half-edges' undirected keys:
+        the one sort of the mesh's topology (module docstring)."""
+        return np.argsort(keys, kind="stable")
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """The sorted order of the half-edges, cached: read only on a mesh
+        whose half-edges are walked (module docstring)."""
+        return _lock(self._sort_half_edges(self._tails_and_keys()[1]))
+
     @cached_property
     def _edge_table(self) -> tuple:
-        """Unique undirected edges and the number of triangles using each."""
-        tails, heads = self._half_edge_ends()
-        keys, counts = np.unique(
-            self._key(np.minimum(tails, heads), np.maximum(tails, heads)),
-            return_counts=True)
-        edges = np.stack(np.divmod(keys, self.n_vertices), axis=1)
-        return _lock(edges), _lock(counts)
+        """(edges, counts, flipped) from the sorted order of the half-edges:
+        the cached one if `opposite` has cached it, else one sorted here and
+        dropped. Each run of equal undirected keys is one edge, and its
+        length is the number of triangles using it: the keys and counts of
+        np.unique. flipped is the least directed key tail*n + head among the
+        runs of two whose half-edges share a tail, -1 if there is none."""
+        tails, keys = self._tails_and_keys()
+        order = vars(self).get("_order")
+        if order is None:
+            order = self._sort_half_edges(keys)
+        # the peak is the sum of these 3m-long locals: each goes when done
+        keys = keys.take(order)
+        runs, counts = _runs(keys)
+        del keys
+        flipped = _flipped(order, counts, tails, self.n_vertices)
+        edges = np.empty((len(runs), 2), dtype=runs.dtype)
+        np.divmod(runs, self.n_vertices, out=(edges[:, 0], edges[:, 1]))
+        return _lock(edges), _lock(counts), flipped
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -255,25 +304,47 @@ class SurfaceMesh:
         return _lock(np.sqrt((dx * dx + dy * dy) + dz * dz))
 
     def _half_edges(self, tails, heads) -> np.ndarray:
-        """Half-edge index of each directed edge tail -> head, -1 if none."""
-        de = self.directed_edges
-        keys = self._key(de[:, 0], de[:, 1])
-        order = np.argsort(keys, kind="stable")
-        query = self._key(np.asarray(tails), np.asarray(heads))
-        h = order[np.minimum(np.searchsorted(keys, query, sorter=order),
-                             len(keys) - 1)]
-        return np.where(keys[h] == query, h, -1)
+        """Half-edge index of each directed edge tail -> head, -1 if none.
+
+        The undirected key is searched among the run keys (`edges`), and of
+        the first two half-edges of its run the one whose tail is the asked
+        tail is taken; a run holds at most two on a mesh `check_topology`
+        accepts. Reads the cached order (`_order`)."""
+        tails, heads = np.asarray(tails), np.asarray(heads)
+        edges, counts, _flipped = self._edge_table
+        runs = self._key(edges[:, 0], edges[:, 1])
+        query = self._undirected_key(tails, heads)
+        r = np.minimum(np.searchsorted(runs, query), len(runs) - 1)
+        start = (np.cumsum(counts) - counts).take(r)
+        order, m, t = self._order, self.n_triangles, self.triangles
+        h = order.take(start)
+        other = order.take(start + (counts.take(r) > 1))
+        h = np.where(t[h % m, h // m] == tails, h, other)
+        return np.where((runs.take(r) == query) & (t[h % m, h // m] == tails),
+                        h, -1)
 
     @cached_property
     def opposite(self) -> np.ndarray:
-        """(3m,) reversed half-edge of each half-edge, -1 on the boundary."""
-        de = self.directed_edges
-        return _lock(self._half_edges(de[:, 1], de[:, 0]))
+        """(3m,) reversed half-edge of each half-edge, -1 on the boundary:
+        the two half-edges of a run of two with different tails are each
+        other's. Caches the sorted order (`_order`). On a mesh that
+        `check_topology` refuses, a run of three or more half-edges gives
+        -1 throughout, where a lookup by directed key would pair some."""
+        order, counts = self._order, self._edge_table[1]
+        first, second, twin = _runs_of_two(order, counts,
+                                           self.triangles.T.ravel())
+        first, second = first.compress(twin), second.compress(twin)
+        opp = np.full(len(order), -1, dtype=np.int64)
+        opp[first] = second
+        opp[second] = first
+        return _lock(opp)
 
     @cached_property
     def boundary_vertex_mask(self) -> np.ndarray:
+        border = self.opposite < 0
         mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self.directed_edges[self.opposite < 0].ravel()] = True
+        for ends in self._half_edge_ends():
+            mask[ends.compress(border)] = True
         return _lock(mask)
 
     @cached_property
@@ -300,21 +371,33 @@ class SurfaceMesh:
 
     def check_topology(self) -> None:
         """Raise TopologyError on non-manifold edges, inconsistent orientation
-        or zero-length edges."""
-        counts = self._edge_table[1]
+        or zero-length edges.
+
+        All three are read off the edge table. The non-manifold edge named
+        is the least undirected one with more than two half-edges; the
+        flipped edge named is the least directed key among the runs of two
+        half-edges that share a tail. The verdict is recorded on the mesh,
+        whose arrays are read-only: a second call reads it, and so does a
+        `with_intensity` copy made after the check."""
+        fault = self._topology_fault
+        if fault:
+            raise TopologyError(fault)
+
+    @cached_property
+    def _topology_fault(self) -> str:
+        """check_topology's message, "" if the mesh passes."""
+        edges, counts, flipped = self._edge_table
         if (counts > 2).any():
-            e = self.edges[int(np.argmax(counts > 2))]
-            raise TopologyError(f"non-manifold edge {tuple(e.tolist())} "
-                                "shared by more than 2 triangles")
-        keys = np.sort(self._key(*self._half_edge_ends()))
-        twice = np.flatnonzero(keys[1:] == keys[:-1])
-        if len(twice):
-            e = divmod(int(keys[twice[0]]), self.n_vertices)
-            raise TopologyError(
-                f"inconsistent orientation: directed edge {e} appears twice")
+            e = edges[int(np.argmax(counts > 2))]
+            return (f"non-manifold edge {tuple(e.tolist())} "
+                    "shared by more than 2 triangles")
+        if flipped >= 0:
+            e = divmod(flipped, self.n_vertices)
+            return f"inconsistent orientation: directed edge {e} appears twice"
         if self.n_triangles and self.edge_lengths.min() <= 0.0:
             e = self.edges[int(np.argmin(self.edge_lengths))]
-            raise TopologyError(f"zero-length edge {tuple(e.tolist())}")
+            return f"zero-length edge {tuple(e.tolist())}"
+        return ""
 
     # ------------------------------------------------------------------
     # boundary loops
@@ -326,11 +409,12 @@ class SurfaceMesh:
         are handled per surface corner. Each loop starts at its smallest
         (tail, head) boundary edge; loops are ordered by that key.
         """
-        de, opp = self.directed_edges, self.opposite
+        tails, heads = self._half_edge_ends()
+        opp = self.opposite
         m = self.n_triangles
         h3 = 3 * m
         border = np.flatnonzero(opp < 0)
-        border = border[np.argsort(self._key(de[border, 0], de[border, 1]),
+        border = border[np.argsort(self._key(tails[border], heads[border]),
                                    kind="stable")]
         # successor of a boundary half-edge (u, v): turn around v across
         # interior spokes until the next boundary half-edge leaving v
@@ -350,8 +434,40 @@ class SurfaceMesh:
                 if h is None:
                     raise TopologyError("boundary half-edges do not form loops")
                 loop.append(h)
-            loops.append(de[loop, 0])
+            loops.append(tails[loop])
         return loops
+
+
+def _runs(keys) -> tuple:
+    """(run keys, run lengths) of the runs of equal values in sorted keys:
+    the values and counts of np.unique."""
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return keys.take(starts), np.diff(starts, append=len(keys))
+
+
+def _runs_of_two(order, counts, tails) -> tuple:
+    """(first, second, twin) of the runs of two half-edges in the sorted
+    order of a mesh's half-edges, runs `counts` long: their half-edges in
+    that order, and whether their tails differ."""
+    start = np.cumsum(counts)
+    start -= counts
+    start = start.compress(counts == 2)
+    first, second = order.take(start), order.take(start + 1)
+    return first, second, tails.take(first) != tails.take(second)
+
+
+def _flipped(order, counts, tails, n) -> int:
+    """The least directed key tail*n + head among the runs of two
+    half-edges that share a tail, -1 if there is none; the head of
+    half-edge h is the tail of (h + m) % 3m."""
+    first, _second, twin = _runs_of_two(order, counts, tails)
+    bad = first.compress(~twin)
+    if not len(bad):
+        return -1
+    heads = tails.take((bad + len(tails) // 3) % len(tails))
+    return int((tails.take(bad) * n + heads).min())
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +650,7 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
     # like the two spokes split an interior fan. Leaving endpoints single
     # would pinch the seam there and let paths slip around its ends.
     n, m = mesh.n_vertices, mesh.n_triangles
-    de, opp = mesh.directed_edges, mesh.opposite
+    heads, opp = mesh._half_edge_ends()[1], mesh.opposite
     fan_size = np.bincount(mesh.triangles.ravel(), minlength=n)
     right = []  # half-edges (x, v) of the triangles right of the path at v
     for i, v in enumerate(path.tolist()):
@@ -548,7 +664,7 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
             right.append(h)
             if i < last:
                 h = (h + m) % (3 * m)  # (v, x) in the same triangle
-                if de[h, 1] == prv or opp[h] < 0:
+                if heads[h] == prv or opp[h] < 0:
                     break
                 h = int(opp[h])
             elif opp[h] < 0:
@@ -566,7 +682,7 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
     dup[side_a] = side_b
     right = np.asarray(right, dtype=np.int64)
     tris = mesh.triangles.copy()
-    tris[right % m, (right // m + 1) % 3] = dup[de[right, 1]]
+    tris[right % m, (right // m + 1) % 3] = dup[heads[right]]
     out = mesh.derive(parent, tris)
 
     # post: the seam is really open (no edge joins side 1 to side 2)

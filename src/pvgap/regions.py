@@ -215,10 +215,17 @@ def _extract_submesh(mesh: SurfaceMesh, spec: AreaSpec):
     if not tri_keep.any():
         _fail(spec.name, "labels select no whole triangle")
     tris = mesh.triangles[tri_keep]
-    used = np.unique(tris)  # drop label-selected vertices with no triangle
+    # the vertices of the kept triangles, ascending: the label-selected
+    # vertices with no triangle are dropped
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    used[tris] = True
+    used = np.flatnonzero(used)
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     sub = mesh.derive(used, remap[tris], name=f"{mesh.name}:{spec.name}")
+    # its half-edges are walked (boundary loops, cuts), so `opposite`
+    # caches their sorted order before the edge table reads it: one sort
+    sub.opposite
     comp = connected_components(sub, np.ones(sub.n_vertices, dtype=bool))
     if comp.count != 1:
         _fail(spec.name, f"labels select {comp.count} disconnected pieces")

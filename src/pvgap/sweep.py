@@ -206,7 +206,9 @@ def run_case(mesh: SurfaceMesh, config: RegionConfig, bp_mean: float,
     """Measure every configured area of one annotated mesh.
 
     Raises TopologyError if the mesh is not an edge-manifold, consistently
-    oriented surface without zero-length edges.
+    oriented surface without zero-length edges. A mesh that passed the
+    check, as `load_mesh` checks it, carries its verdict and is not
+    scanned again (`SurfaceMesh.check_topology`).
     """
     mesh.check_topology()
     check_intensity(mesh.intensity)

@@ -158,6 +158,30 @@ def test_reruns_are_byte_identical(workdir, tmp_path):
         == (ph / "truth.json").read_bytes()
 
 
+def test_quantify_sorts_each_mesh_once(workdir, tmp_path, monkeypatch):
+    """One quantify sorts the half-edges of the case mesh once: load_mesh's
+    check records its verdict, which the projected copy shares and
+    run_case reads. The area's submesh and opened mesh sort once each."""
+    ph = workdir / "ph"
+    bare_path = _bare_mesh(workdir, tmp_path / "bare.vtk")
+    sorts = []
+    real = SurfaceMesh._sort_half_edges
+
+    def counting(self, keys):
+        sorts.append(self)
+        return real(self, keys)
+    monkeypatch.setattr(SurfaceMesh, "_sort_half_edges", counting)
+    assert main(["quantify", "--mesh", str(bare_path),
+                 "--volume", str(ph / "volume.vol"),
+                 "--config", str(ph / "regions.cfg"),
+                 "--bp-mean", "100", "--bp-sd", "10",
+                 "--thresholds", THRESH,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    case = sorts[0].name
+    assert [m.name for m in sorts] == [case, f"{case}:LSPV", f"{case}:LSPV"]
+    assert len({id(m) for m in sorts}) == 3
+
+
 def test_project_then_quantify_from_volume(workdir, tmp_path):
     ph = workdir / "ph"
     bare_path = _bare_mesh(workdir, tmp_path / "bare.vtk")

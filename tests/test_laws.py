@@ -18,17 +18,20 @@ from hypothesis import strategies as st  # noqa: E402
 
 from pvgap.errors import AreaError, MeshFormatError  # noqa: E402
 from pvgap.gaps import (_graph_arrays, build_graph,  # noqa: E402
-                        min_gap_path, route_limit, solve_gap_graph)
+                        min_gap_path, patch_fields, route_limit,
+                        solve_gap_graph)
 from pvgap import mesh as mesh_module  # noqa: E402
 from pvgap.geodesics import (_corner_tables, _front,  # noqa: E402
                              _proposals, distance_transform)
-from pvgap.mesh import (SurfaceMesh, load_mesh, read_json,  # noqa: E402
-                        save_mesh, write_json)
+from pvgap.mesh import (SurfaceMesh, connected_components,  # noqa: E402
+                        load_mesh, read_json, save_mesh, write_json)
 from pvgap.regions import build_search_area, open_area  # noqa: E402
+from pvgap.scar import THRESHOLD_FACTORS, threshold_mask  # noqa: E402
 from pvgap.sweep import run_case  # noqa: E402
 from pvgap.synth import (PhantomSpec, icosphere, make_phantom,  # noqa: E402
                          plane_grid)
 from test_gaps import _enumerate_best  # noqa: E402
+from test_mesh import assert_one_sort_tables  # noqa: E402
 from test_geodesics import (_corner_vertices,  # noqa: E402
                             _plain_triangle_update)
 
@@ -190,6 +193,70 @@ def test_every_healthy_traverse_is_a_listed_gap(spec):
                 assert gap.length > 0.0 and len(gap.vertex_ids) >= 2
             assert sum(g.length for g in path.gaps) == pytest.approx(
                 path.gap_length, rel=1e-12)
+
+
+# every shape at two edge lengths
+SHAPED = st.builds(
+    PhantomSpec, base_shape=st.sampled_from(["disk-with-hole",
+                                             "dome-with-hole",
+                                             "two-hole-plate"]),
+    target_edge_mm=st.sampled_from([1.0, 0.5]),
+    keep_fraction=st.floats(0.3, 1.0), patchiness=st.integers(0, 2),
+    seed=st.integers(0, 3))
+
+
+@settings(LAW, max_examples=12)
+@given(spec=SHAPED)
+def test_one_sort_tables_equal_unique_and_searchsorted(spec):
+    """The case mesh, every area's submesh and every opened mesh have the
+    edges, counts, opposite and half-edge lookup of np.unique and a
+    searchsorted lookup by directed key, byte for byte
+    (`test_mesh.assert_one_sort_tables`)."""
+    mesh, config, _truth = make_phantom(spec)
+    assert_one_sort_tables(mesh)
+    for area_spec in config.areas:
+        area = build_search_area(mesh, area_spec)
+        assert_one_sort_tables(area.mesh)
+        assert_one_sort_tables(open_area(area).mesh)
+
+
+@settings(LAW, max_examples=10)
+@given(spec=PHANTOMS)
+def test_batched_limit_hook_equals_route_limit_per_mask(spec):
+    """Every call of `patch_fields`' hook, over all of one area's masks,
+    gives each field the `route_limit` of its own mask's rows by
+    `_graph_arrays`, bit for bit, though the hook reads each patch's
+    boundary only and runs one Floyd-Warshall for all masks. When this
+    law was added, its 10 drawn specs made 109 hook calls, on batches of
+    2 to 20 fields."""
+    mesh, config, _truth = make_phantom(spec)
+    opened = open_area(build_search_area(mesh, config.areas[0]))
+    intensity = opened.mesh.intensity
+    masks = {}
+    for k in THRESHOLD_FACTORS:
+        mask = threshold_mask(intensity, spec.blood_pool_mean,
+                              spec.blood_pool_sd, k)
+        masks.setdefault(mask.tobytes(), mask)
+    labs = [connected_components(opened.mesh, m) for m in masks.values()]
+    batch = patch_fields(opened, labs)
+    hook, calls = batch._limit, []
+
+    def checked(dist):
+        got = hook(dist)
+        want, lo = [], 0
+        for lab in labs:
+            rows = dist[lo:lo + lab.count]
+            lo += lab.count
+            want += [route_limit(*_graph_arrays(rows, lab.patches,
+                                                opened))] * lab.count
+        assert np.asarray(want).tobytes() == got.tobytes()
+        calls.append(len(dist))
+        return got
+    batch._limit = checked
+    for lab in labs:
+        for patch in lab.patches:
+            distance_transform(opened.mesh, patch, batch)
+    assert calls or not any(lab.count for lab in labs)
 
 
 # route table entries: few distinct values, so equal-cost routes abound

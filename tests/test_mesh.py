@@ -105,6 +105,205 @@ def test_load_mesh_rejects_bad_topology(make, why, tmp_path):
     assert not report.exists()
 
 
+def _two_orientation_faults():
+    """Triangle (0, 4, 3) of a 3x3 grid flipped: its half-edges (3, 4) and
+    (4, 0) each repeat a neighbour's. The least directed key is (3, 4)'s,
+    but edge {0, 4} comes first in undirected order."""
+    grid = plane_grid(3, 3)
+    tris = grid.triangles.copy()
+    assert tris[4].tolist() == [0, 4, 3]
+    tris[4] = tris[4, ::-1]
+    return grid.vertices, tris
+
+
+def _unique_rule(mesh):
+    """(edges, counts) by the rule the one-sort table replaced: np.unique of
+    the undirected keys, with counts."""
+    n = mesh.n_vertices
+    t, h = mesh.directed_edges.T
+    keys, counts = np.unique(np.minimum(t, h) * n + np.maximum(t, h),
+                             return_counts=True)
+    return np.stack(np.divmod(keys, n), axis=1), counts
+
+
+def _searchsorted_rule(mesh, tails, heads):
+    """The half-edge lookup the one-sort table replaced: the first
+    half-edge with directed key tail*n + head in a stable sort of those
+    keys, found by searchsorted; -1 if none."""
+    n = mesh.n_vertices
+    keys = mesh.directed_edges[:, 0] * n + mesh.directed_edges[:, 1]
+    order = np.argsort(keys, kind="stable")
+    query = np.asarray(tails) * n + np.asarray(heads)
+    h = order[np.minimum(np.searchsorted(keys, query, sorter=order),
+                         len(keys) - 1)]
+    return np.where(keys[h] == query, h, -1)
+
+
+def _directed_rule_fault(mesh):
+    """The first repeated directed key in sorted order, the orientation
+    fault the unique-based check named, as (tail, head); None if none."""
+    keys = np.sort(mesh.directed_edges[:, 0] * mesh.n_vertices
+                   + mesh.directed_edges[:, 1])
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    return divmod(int(keys[twice[0]]), mesh.n_vertices) if len(twice) \
+        else None
+
+
+def assert_one_sort_tables(mesh):
+    """edges, counts, opposite and the half-edge lookup of fresh copies of
+    mesh equal the replaced rules byte for byte, whether the edge table
+    sorts as a local or reads the order `opposite` cached."""
+    edges, counts = _unique_rule(mesh)
+    de = mesh.directed_edges
+    rng = np.random.default_rng(0)
+    stray = rng.integers(0, mesh.n_vertices, (2, 200))
+    tails = np.concatenate([de[:, 0], de[:, 1], stray[0]])
+    heads = np.concatenate([de[:, 1], de[:, 0], stray[1]])
+    for walked in (False, True):
+        fresh = SurfaceMesh(mesh.vertices, mesh.triangles)
+        if walked:
+            assert fresh.opposite is not None  # caches the order first
+        assert fresh.edges.dtype == edges.dtype
+        assert fresh.edges.tobytes() == edges.tobytes()
+        got = fresh._edge_table[1]
+        assert got.dtype == counts.dtype and got.tobytes() == counts.tobytes()
+        want = _searchsorted_rule(mesh, de[:, 1], de[:, 0])
+        assert fresh.opposite.dtype == want.dtype
+        assert fresh.opposite.tobytes() == want.tobytes()
+        assert np.array_equal(fresh._half_edges(tails, heads),
+                              _searchsorted_rule(mesh, tails, heads))
+
+
+def _relabelled(mesh, seed=0):
+    """mesh with its vertices renumbered at random and each triangle's
+    corners rotated by a random amount, so its orientation is kept."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.n_vertices)  # new id of each old vertex
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    shift = rng.integers(0, 3, mesh.n_triangles)
+    cols = (np.arange(3) + shift[:, None]) % 3
+    tris = perm[np.take_along_axis(mesh.triangles, cols, axis=1)]
+    return SurfaceMesh(verts, tris)
+
+
+def _bowtie():
+    verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]]
+    return SurfaceMesh(verts, [[0, 1, 2], [0, 3, 4]])
+
+
+def _joint_cut_meshes():
+    """Both meshes cut_mesh makes of the plate's joint area: after the
+    primary cut, and after the inter-vein cut as well."""
+    from pvgap.regions import build_search_area
+    mesh, config, _ = make_phantom(PhantomSpec(base_shape="two-hole-plate"))
+    area = build_search_area(mesh, config.areas[0])
+    first = cut_mesh(area.mesh, area.cut_paths[0]).mesh
+    return [first, cut_mesh(first, area.cut_paths[1]).mesh]
+
+
+def _strict_sub_area():
+    """The disk's area with its vertices numbered in reverse and its outer
+    ring given a foreign label: its submesh drops that ring, now the
+    lowest ids, so submesh ids are not the disk's, and the area still
+    opens."""
+    import dataclasses
+    from pvgap.regions import build_search_area, open_area
+    mesh, config, _ = make_phantom(PhantomSpec())
+    spec = config.areas[0]
+    last = mesh.n_vertices - 1
+    outer, = [loop for loop in mesh.boundary_loops()
+              if spec.vein_seeds[0] not in loop]
+    region = mesh.region.copy()
+    region[outer] = 9
+    mesh = SurfaceMesh(mesh.vertices[::-1], last - mesh.triangles,
+                       intensity=mesh.intensity[::-1], region=region[::-1])
+    spec = dataclasses.replace(
+        spec, vein_seeds=tuple(last - v for v in spec.vein_seeds))
+    area = build_search_area(mesh, spec)
+    assert area.parent_vertex[0] == len(outer)
+    return [area.mesh, open_area(area).mesh]
+
+
+@pytest.mark.parametrize("meshes", [
+    lambda: [_relabelled(make_phantom(PhantomSpec(patchiness=2))[0])],
+    lambda: [_bowtie()],
+    _joint_cut_meshes,
+    _strict_sub_area,
+    lambda: [SurfaceMesh(*_two_orientation_faults()),
+             SurfaceMesh(*_flipped_triangle())],
+], ids=["relabelled", "bowtie", "joint-cuts", "strict-sub-area",
+        "flipped"])
+def test_one_sort_tables_equal_unique_and_searchsorted(meshes):
+    for mesh in meshes():
+        assert_one_sort_tables(mesh)
+
+
+@pytest.mark.parametrize("make,message", [
+    (_flipped_triangle,
+     "inconsistent orientation: directed edge (0, 4) appears twice"),
+    (_edge_with_three_triangles,
+     "non-manifold edge (0, 4) shared by more than 2 triangles"),
+    (_zero_length_edge, "zero-length edge (0, 1)"),
+    (_two_orientation_faults,
+     "inconsistent orientation: directed edge (3, 4) appears twice"),
+])
+def test_check_topology_names_the_edge_the_unique_rules_named(make, message):
+    """The messages are those of the check by np.unique and a sort of the
+    directed keys, on the three bad fixtures and on two orientation
+    faults."""
+    mesh = SurfaceMesh(*make())
+    with pytest.raises(TopologyError) as exc:
+        mesh.check_topology()
+    assert str(exc.value) == message
+    if "orientation" in message:
+        assert f"edge {_directed_rule_fault(mesh)} " in message
+
+
+def test_orientation_fault_is_the_least_directed_key():
+    """Of two orientation faults, the report names the least directed key,
+    (3, 4), not the fault whose edge comes first in undirected order,
+    {0, 4}: a report in undirected order would name (4, 0)."""
+    mesh = SurfaceMesh(*_two_orientation_faults())
+    n = mesh.n_vertices
+    keys = mesh.directed_edges[:, 0] * n + mesh.directed_edges[:, 1]
+    held, count = np.unique(keys, return_counts=True)
+    faults = [divmod(int(k), n) for k in held[count == 2]]
+    assert sorted(faults) == [(3, 4), (4, 0)]
+    by_edge = min(faults, key=lambda e: (min(e), max(e)))
+    assert by_edge == (4, 0)
+    with pytest.raises(TopologyError, match=r"edge \(3, 4\) appears"):
+        mesh.check_topology()
+
+
+def test_check_topology_records_its_verdict():
+    """A passed check is recorded: a second call, and a with_intensity copy
+    made after the check, read no table; a refused mesh raises the same
+    error again."""
+    grid = plane_grid(4, 3)
+    grid.check_topology()
+    copy = grid.with_intensity(np.zeros(grid.n_vertices))
+    fresh = SurfaceMesh(grid.vertices, grid.triangles)
+    reads = []
+    cached = SurfaceMesh._edge_table
+
+    def read(self):
+        reads.append(self)
+        return cached.__get__(self, SurfaceMesh)
+    with pytest.MonkeyPatch.context() as mp:
+        # a property overrides the instance's cached table on every read
+        mp.setattr(SurfaceMesh, "_edge_table", property(read))
+        grid.check_topology()
+        copy.check_topology()
+        assert reads == []
+        fresh.check_topology()
+        assert reads and all(r is fresh for r in reads)
+    bad = SurfaceMesh(*_flipped_triangle())
+    for _ in range(2):
+        with pytest.raises(TopologyError, match="orientation"):
+            bad.check_topology()
+
+
 def test_constructor_leaves_caller_arrays_writeable():
     grid = plane_grid(3, 3)
     verts, tris = grid.vertices.copy(), grid.triangles.copy()

@@ -127,6 +127,29 @@ def test_run_case_structure(disk_case):
     assert vein.rgm == tuple(curve)
 
 
+def test_run_case_checks_a_mesh_built_in_memory(disk_case):
+    """A mesh built in memory carries no recorded check, so run_case checks
+    it: a flipped triangle raises the orientation fault, also through a
+    with_intensity copy, while a mesh that passed the check runs."""
+    mesh, config, _truth, case, spec = disk_case
+    flipped = mesh.triangles.copy()
+    flipped[0] = flipped[0, ::-1]
+    bad = SurfaceMesh(mesh.vertices, flipped, region=mesh.region)
+    for candidate in (bad.with_intensity(mesh.intensity),
+                      SurfaceMesh(mesh.vertices, flipped,
+                                  intensity=mesh.intensity,
+                                  region=mesh.region)):
+        with pytest.raises(TopologyError, match="orientation"):
+            run_case(candidate, config, spec.blood_pool_mean,
+                     spec.blood_pool_sd)
+    good = SurfaceMesh(mesh.vertices, mesh.triangles,
+                       intensity=mesh.intensity, region=mesh.region,
+                       name=mesh.name)
+    good.check_topology()
+    again = run_case(good, config, spec.blood_pool_mean, spec.blood_pool_sd)
+    assert case_report(again) == case_report(case)
+
+
 def test_run_case_validation(disk_case):
     mesh, config, _truth, _case, spec = disk_case
     mean, sd = spec.blood_pool_mean, spec.blood_pool_sd
