@@ -36,7 +36,7 @@ _NAMES = {"rgm_nauc": ("rgm_nauc", "rgm_nauc"),
           "gap_count": ("gap_count_mean", "gap_count"),
           "gap_length": ("gap_length_mm_mean", "gap_length_mm")}
 METRICS = tuple(_NAMES)
-_BIN_WIDTH, _N_BINS = 0.1, 10  # of the rgm_nauc histograms, over [0, 1]
+_BIN_EDGES = np.arange(11) / 10  # of the rgm_nauc histograms, k/10
 # the incomplete beta's continued fraction: stop once a step moves it by
 # less than _CF_EPS relative; _CF_TINY stands in for a zero denominator
 _CF_EPS, _CF_TINY, _CF_MAXIT = 1e-15, 1e-300, 300
@@ -284,8 +284,9 @@ def one_vs_rest(table: CohortTable, area: str) -> WelchResult:
 # distributions and regional maps
 
 def histogram(values) -> np.ndarray:
-    """Counts in the ten 0.1-wide bins over [0, 1]: left-closed bins, the
-    last bin also closed on the right."""
+    """Counts in the ten 0.1-wide bins over [0, 1] between the edges k/10:
+    left-closed bins, the last bin also closed on the right, so a value
+    equal to edge k lands in bin min(k, 9)."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("values must be a 1-d array")
@@ -293,8 +294,9 @@ def histogram(values) -> np.ndarray:
         raise ValueError("values must be finite numbers")
     if len(v) and (v.min() < 0.0 or v.max() > 1.0):
         raise ValueError("values outside [0, 1]")
-    idx = np.minimum(np.floor(v / _BIN_WIDTH).astype(np.int64), _N_BINS - 1)
-    return np.bincount(idx, minlength=_N_BINS)
+    # the count of inner edges at or below v; 1.0 falls in the last bin
+    idx = np.searchsorted(_BIN_EDGES[1:-1], v, side="right")
+    return np.bincount(idx, minlength=len(_BIN_EDGES) - 1)
 
 
 def regional_map(table: CohortTable, strategy: str) -> dict:
@@ -384,8 +386,8 @@ def write_tests_csv(table: CohortTable, path) -> None:
 
 def write_histogram_csv(table: CohortTable, area: str, path) -> None:
     counts = histogram(metric_values(table, area, "rgm_nauc"))
-    rows = [[f"{i * _BIN_WIDTH:.6g}", f"{(i + 1) * _BIN_WIDTH:.6g}", int(c)]
-            for i, c in enumerate(counts)]
+    rows = [[f"{lo:.6g}", f"{hi:.6g}", int(c)]
+            for lo, hi, c in zip(_BIN_EDGES, _BIN_EDGES[1:], counts)]
     _write_csv(path, ["bin_low", "bin_high", "count"], rows)
 
 

@@ -6,8 +6,8 @@ corresponds to a path from a cut vertex on one rim to its twin on the
 other. Scar patches cost nothing to traverse, healthy tissue costs its
 geodesic length, so the search runs on a small graph: one node per scar
 patch plus artificial start/end nodes for the two rims. Edge weights are
-minimum geodesic distances between patches; start/end attach to a single
-twin pair at a time and the solver sweeps all pairs.
+minimum geodesic distances between patches; start/end attach to one twin
+pair at a time, and one search over (pair, patch) states covers all pairs.
 
 The solved node sequence is then re-expanded into an explicit encircling
 polyline: gap segments (healthy traverses, from the distance-field trace),
@@ -213,52 +213,40 @@ def build_graph(opened: CutMesh, scar_mask: np.ndarray,
                     start_w=start_w, end_w=end_w, limit=limit)
 
 
-def _dijkstra_lex(weights: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Min-cost start->patches->end route; ties prefer the lexicographically
-    smallest patch sequence. Returns (cost, sequence) or (inf, ())."""
-    n = len(start)
-    target = n  # artificial end node
-    settled = set()
-    heap = []
-    for i in range(n):
-        if np.isfinite(start[i]):
-            heapq.heappush(heap, (float(start[i]), (i,), i))
-    while heap:
-        d, seq, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            return d, seq
-        if np.isfinite(end[node]):
-            heapq.heappush(heap, (d + float(end[node]), seq, target))
-        w = weights[node]
-        for j in range(n):
-            if j not in settled and j != node and np.isfinite(w[j]):
-                heapq.heappush(heap, (d + float(w[j]), seq + (j,), j))
-    return np.inf, ()
-
-
 def solve_gap_graph(weights: np.ndarray, start_w: np.ndarray,
                     end_w: np.ndarray):
     """Best (cost, pair index, patch sequence) over all twin pairs.
 
-    Pure graph solve; no direct start-end edge, so every route visits at
-    least one patch. Ties prefer the smaller pair index, then the
-    lexicographically smaller sequence.
+    Pure graph solve, one lexicographic Dijkstra: a state is a twin pair k
+    and a patch i, or pair k's end node n, and the heap orders entries by
+    (cost, k, sequence). Pairs share no state and weights are non-negative,
+    so each pair's states pop in the order of a search of its own, and the
+    first end state popped is the least (cost, k, sequence) over all pairs:
+    ties prefer the smaller pair index, then the lexicographically smaller
+    sequence. No direct start-end edge, so every route visits at least one
+    patch.
     """
-    n_pairs = start_w.shape[1]
-    best = None
-    for k in range(n_pairs):
-        d, seq = _dijkstra_lex(weights, start_w[:, k], end_w[:, k])
-        if not np.isfinite(d):
+    n = len(weights)
+    heap = [(float(start_w[i, k]), int(k), (int(i),), int(i))
+            for k, i in zip(*np.nonzero(np.isfinite(start_w.T)))]
+    heapq.heapify(heap)
+    settled = set()
+    while heap:
+        d, k, seq, node = heapq.heappop(heap)
+        if node == n:
+            if np.isfinite(d):
+                return d, k, seq
+            break  # every later route's cost overflows too
+        if (k, node) in settled:
             continue
-        cand = (d, k, seq)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        raise AreaError("no route between the cut rims touches any patch")
-    return best
+        settled.add((k, node))
+        if np.isfinite(end_w[node, k]):
+            heapq.heappush(heap, (d + float(end_w[node, k]), k, seq, n))
+        w = weights[node]
+        for j in range(n):
+            if (k, j) not in settled and j != node and np.isfinite(w[j]):
+                heapq.heappush(heap, (d + float(w[j]), k, seq + (j,), j))
+    raise AreaError("no route between the cut rims touches any patch")
 
 
 @dataclass(frozen=True)

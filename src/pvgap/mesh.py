@@ -34,7 +34,7 @@ area is open. The submesh reads `opposite` before its edge table, which
 then reads the cached order (`regions._extract_submesh`). Elsewhere the
 edge table sorts as a local. Half-edge tails and heads are built from
 `triangles` where they are read (`_half_edge_ends`), so no stage caches
-their (3m, 2) table `directed_edges`. A case mesh and an opened mesh, which
+their (3m, 2) table. A case mesh and an opened mesh, which
 live to the end of a case, thus cache neither (1.8 and 3.6 MB at 38k
 vertices). The edge table carries the orientation verdict, so a case mesh
 is sorted once, and `check_topology` records its verdict on the mesh.
@@ -192,9 +192,13 @@ class SurfaceMesh:
 
     def _checked_intensity(self, intensity):
         out = self._checked(intensity, np.float64, "intensity")
-        # -inf is legal: it marks a vertex with no in-volume sample
+        # -inf is legal: it marks a vertex with no in-volume sample; +inf
+        # would be scar at every factor
         if out is not None and np.isnan(out).any():
             raise MeshFormatError("intensity contains NaN")
+        if out is not None and (out == np.inf).any():
+            raise MeshFormatError("intensity is +inf at vertex "
+                                  f"{int(np.argmax(out == np.inf))}")
         return out
 
     def with_intensity(self, intensity) -> SurfaceMesh:
@@ -231,16 +235,12 @@ class SurfaceMesh:
 
     def _half_edge_ends(self) -> tuple:
         """(tails, heads) of the 3m half-edges in their numbering, built
-        from `triangles` and not cached: the columns of `directed_edges`.
-        The head of half-edge h is the tail of the next, (h + m) % 3m."""
+        from `triangles` and not cached, for the half-edges (a, b), (b, c)
+        and (c, a) of each triangle (a, b, c). The head of half-edge h is
+        the tail of the next, (h + m) % 3m."""
         tails = self.triangles.T.ravel()
         m = self.n_triangles
         return tails, np.concatenate((tails[m:], tails[:m]))
-
-    @cached_property
-    def directed_edges(self) -> np.ndarray:
-        """(3m, 2) directed edges (a,b),(b,c),(c,a) per triangle."""
-        return _lock(np.stack(self._half_edge_ends(), axis=1))
 
     def _key(self, tails, heads) -> np.ndarray:
         return tails * self.n_vertices + heads
@@ -637,13 +637,12 @@ def cut_mesh(mesh: SurfaceMesh, path) -> CutMesh:
     found = mesh._half_edges(np.concatenate([path[:-1], path[1:]]),
                              np.concatenate([path[1:], path[:-1]]))
     fwd, rev = found[:last], found[last:]  # (v, next) and (next, v)
-    bad = np.flatnonzero((fwd < 0) | (rev < 0))
+    # each path edge has an interior end, so both of its half-edges exist
+    # or neither does
+    bad = np.flatnonzero(fwd < 0)
     if len(bad):
-        i = int(bad[0])
-        ab = (int(path[i]), int(path[i + 1]))
-        if fwd[i] < 0 and rev[i] < 0:
-            raise TopologyError(f"cut path vertices {ab} are not edge-connected")
-        raise TopologyError(f"cut path edge {ab} lies on a boundary")
+        ab = (int(path[bad[0]]), int(path[bad[0] + 1]))
+        raise TopologyError(f"cut path vertices {ab} are not edge-connected")
 
     # Every path vertex is duplicated, endpoints included: the endpoint fans
     # open at the mesh boundary, so the path edge splits them in two exactly

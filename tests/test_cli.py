@@ -639,6 +639,30 @@ def test_a_non_finite_voxel_exits_2_and_writes_nothing(
     assert sorted(tmp_path.iterdir()) == [volume, bare]
 
 
+@pytest.mark.parametrize("token", ["inf", "Infinity"])
+def test_a_plus_inf_intensity_exits_2_without_a_report(token, workdir,
+                                                       tmp_path, capsys):
+    # +inf is scar at every factor: the keep-0 phantom with every second
+    # vertex at +inf read rgm_nauc 0.728 with status ok
+    ph = workdir / "ph"
+    mesh = load_mesh(ph / "mesh.vtk")
+    marked = mesh.intensity.copy()
+    marked[7] = -math.inf
+    path = tmp_path / "mesh.vtk"
+    save_mesh(mesh.with_intensity(marked), path)
+    text = path.read_text()
+    assert text.count("\n-inf\n") == 1
+    assert load_mesh(path).intensity[7] == -math.inf
+    path.write_text(text.replace("\n-inf\n", f"\n{token}\n"))
+    out = tmp_path / "report.json"
+    assert main(["quantify", "--mesh", str(path),
+                 "--config", str(ph / "regions.cfg"),
+                 "--bp-mean", "100", "--bp-sd", "10",
+                 "--thresholds", THRESH, "--out", str(out)]) == 2
+    assert f"{path}: intensity is +inf at vertex 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bp", [("100", "nan"), ("100", "0"),
                                 ("inf", "10")])
 def test_blood_pool_values_are_refused_before_the_mesh_is_read(

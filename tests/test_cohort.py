@@ -442,6 +442,14 @@ def test_histogram_bin_rules():
         histogram([[0.5]])
 
 
+def test_each_bin_edge_lands_in_its_own_bin():
+    # floor(v / 0.1) put 0.3, 0.6 and 0.7 in the bin below theirs
+    for k in range(11):
+        want = np.zeros(10, dtype=np.int64)
+        want[min(k, 9)] = 1
+        assert histogram([k / 10]).tolist() == want.tolist(), k
+
+
 @pytest.mark.parametrize("args,kw,name", [
     (([0.1, math.nan],), {}, "values"),
     (([0.1, math.inf],), {}, "values"),

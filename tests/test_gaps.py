@@ -123,6 +123,17 @@ def test_solver_tie_prefers_smaller_pair_then_sequence():
     assert solve_gap_graph(w, start, end) == (2.0, 1, (0,))
 
 
+def test_solver_skips_a_route_whose_cost_overflows():
+    # a pair whose only route sums to +inf has no route, as when each
+    # pair was searched alone
+    w = np.zeros((1, 1))
+    start = np.array([[1e308, 4.0]])
+    end = np.array([[1e308, 5.0]])
+    assert solve_gap_graph(w, start, end) == (9.0, 1, (0,))
+    with pytest.raises(AreaError):
+        solve_gap_graph(w, start[:, :1], end[:, :1])
+
+
 # --- graph construction on an opened area ---
 
 def test_build_graph_structure():

@@ -309,8 +309,8 @@ TOKENS = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7e),
 @st.composite
 def meshes(draw):
     """A plane grid, its vertices jittered well within their spacing so no
-    edge can round to zero length, with intensity (±inf included), region
-    and point data of both kinds."""
+    edge can round to zero length, with intensity (finite or -inf; +inf
+    and NaN are refused), region and point data of both kinds."""
     nx, ny = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     grid = plane_grid(nx, ny)
     n = grid.n_vertices
@@ -318,7 +318,7 @@ def meshes(draw):
                            max_size=3 * n))
     scale = draw(st.floats(1e-3, 1e6))
     vertices = (grid.vertices + np.reshape(jitter, (n, 3))) * scale
-    intensity = draw(st.lists(st.floats(allow_nan=False), min_size=n,
+    intensity = draw(st.lists(FINITE | st.just(-math.inf), min_size=n,
                               max_size=n))
     region = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n,
                            max_size=n))

@@ -31,6 +31,12 @@ def _csr(mesh):
     return csr_matrix((adj.data, adj.indices, adj.indptr), shape=(n, n))
 
 
+def _directed_edges(mesh):
+    """(3m, 2) half-edges (a, b), (b, c), (c, a) of the triangles, in the
+    mesh's half-edge numbering."""
+    return np.stack(mesh._half_edge_ends(), axis=1)
+
+
 def test_basic_counts_and_edges():
     mesh = _strip(3, 3)
     assert mesh.n_vertices == 9
@@ -58,7 +64,7 @@ def test_boundary_loops_split_at_a_pinch_vertex():
     mesh = SurfaceMesh(verts, [[0, 1, 2], [0, 3, 4]])
     loops = mesh.boundary_loops()
     assert [loop.tolist() for loop in loops] == [[0, 1, 2], [0, 3, 4]]
-    half_edges = {tuple(e) for e in mesh.directed_edges.tolist()}
+    half_edges = {tuple(e) for e in _directed_edges(mesh).tolist()}
     for loop in loops:
         for a, b in zip(loop.tolist(), np.roll(loop, -1).tolist()):
             assert (a, b) in half_edges and (b, a) not in half_edges
@@ -120,7 +126,7 @@ def _unique_rule(mesh):
     """(edges, counts) by the rule the one-sort table replaced: np.unique of
     the undirected keys, with counts."""
     n = mesh.n_vertices
-    t, h = mesh.directed_edges.T
+    t, h = _directed_edges(mesh).T
     keys, counts = np.unique(np.minimum(t, h) * n + np.maximum(t, h),
                              return_counts=True)
     return np.stack(np.divmod(keys, n), axis=1), counts
@@ -131,7 +137,7 @@ def _searchsorted_rule(mesh, tails, heads):
     half-edge with directed key tail*n + head in a stable sort of those
     keys, found by searchsorted; -1 if none."""
     n = mesh.n_vertices
-    keys = mesh.directed_edges[:, 0] * n + mesh.directed_edges[:, 1]
+    keys = _directed_edges(mesh)[:, 0] * n + _directed_edges(mesh)[:, 1]
     order = np.argsort(keys, kind="stable")
     query = np.asarray(tails) * n + np.asarray(heads)
     h = order[np.minimum(np.searchsorted(keys, query, sorter=order),
@@ -142,8 +148,8 @@ def _searchsorted_rule(mesh, tails, heads):
 def _directed_rule_fault(mesh):
     """The first repeated directed key in sorted order, the orientation
     fault the unique-based check named, as (tail, head); None if none."""
-    keys = np.sort(mesh.directed_edges[:, 0] * mesh.n_vertices
-                   + mesh.directed_edges[:, 1])
+    keys = np.sort(_directed_edges(mesh)[:, 0] * mesh.n_vertices
+                   + _directed_edges(mesh)[:, 1])
     twice = np.flatnonzero(keys[1:] == keys[:-1])
     return divmod(int(keys[twice[0]]), mesh.n_vertices) if len(twice) \
         else None
@@ -154,7 +160,7 @@ def assert_one_sort_tables(mesh):
     mesh equal the replaced rules byte for byte, whether the edge table
     sorts as a local or reads the order `opposite` cached."""
     edges, counts = _unique_rule(mesh)
-    de = mesh.directed_edges
+    de = _directed_edges(mesh)
     rng = np.random.default_rng(0)
     stray = rng.integers(0, mesh.n_vertices, (2, 200))
     tails = np.concatenate([de[:, 0], de[:, 1], stray[0]])
@@ -266,7 +272,7 @@ def test_orientation_fault_is_the_least_directed_key():
     {0, 4}: a report in undirected order would name (4, 0)."""
     mesh = SurfaceMesh(*_two_orientation_faults())
     n = mesh.n_vertices
-    keys = mesh.directed_edges[:, 0] * n + mesh.directed_edges[:, 1]
+    keys = _directed_edges(mesh)[:, 0] * n + _directed_edges(mesh)[:, 1]
     held, count = np.unique(keys, return_counts=True)
     faults = [divmod(int(k), n) for k in held[count == 2]]
     assert sorted(faults) == [(3, 4), (4, 0)]
@@ -333,10 +339,11 @@ def test_non_finite_values_rejected():
         v[4, 2] = bad
         with pytest.raises(MeshFormatError):
             SurfaceMesh(v, grid.triangles)
-    values = np.zeros(9)
-    values[2] = np.nan
-    with pytest.raises(MeshFormatError):
-        SurfaceMesh(grid.vertices, grid.triangles, intensity=values)
+    for bad in (np.nan, np.inf):
+        values = np.zeros(9)
+        values[2] = bad
+        with pytest.raises(MeshFormatError):
+            SurfaceMesh(grid.vertices, grid.triangles, intensity=values)
     # -inf marks a vertex without an in-volume sample and stays legal
     values = np.zeros(9)
     values[2] = -np.inf
@@ -738,6 +745,54 @@ def test_load_mesh_rejects_garbage(tmp_path):
                      "--bp-sd", "10",
                      "--out", str(tmp_path / "r.json")]) == 2
         assert not (tmp_path / "r.json").exists()
+
+
+def _swap_points_and_polygons(text):
+    head, rest = text.split("POINTS", 1)
+    points, rest = rest.split("POLYGONS", 1)
+    polygons, tail = rest.split("POINT_DATA", 1)
+    return f"{head}POLYGONS{polygons}POINTS{points}POINT_DATA{tail}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("# vtk DataFile", "# vtk Data File"),
+     "missing polydata header line"),
+    (lambda t: t.replace("\nASCII\n", "\nBINARY\n"),
+     "only ASCII encoding is supported"),
+    (lambda t: t.replace("DATASET POLYDATA", "DATASET UNSTRUCTURED_GRID"),
+     "expected DATASET POLYDATA"),
+    (_swap_points_and_polygons, "malformed POLYGONS section"),
+    (lambda t: t.replace("POLYGONS 8 32", "POLYGONS 8 33"),
+     "POLYGONS size 33 != 4*8; only triangles are supported"),
+    (lambda t: t.replace("POLYGONS 8 32\n3 ", "POLYGONS 8 32\n4 "),
+     "non-triangle cell present"),
+    (lambda t: t.replace("POINT_DATA 9", "POINT_DATA 8"),
+     "POINT_DATA count 8 != 9"),
+    (lambda t: t.replace("intensity float 1", "intensity float 3"),
+     "multi-component scalars unsupported"),
+    (lambda t: t.replace("LOOKUP_TABLE default", "LOOKUP default"),
+     "SCALARS without LOOKUP_TABLE"),
+    (lambda t: t.replace("intensity float 1", "intensity char 1"),
+     "unsupported scalar type char"),
+    (lambda t: t + "CELL_DATA 8\n", "unsupported section 'CELL_DATA'"),
+], ids=["header", "encoding", "dataset", "polygons-first", "polygons-size",
+        "quad", "point-data-count", "components", "lookup-table",
+        "scalar-type", "section"])
+def test_load_mesh_names_each_refusal(edit, message, tmp_path):
+    grid = plane_grid(3, 3)
+    good = tmp_path / "good.vtk"
+    save_mesh(SurfaceMesh(grid.vertices, grid.triangles,
+                          intensity=np.zeros(9)), good)
+    text = good.read_text()
+    bad = tmp_path / "bad.vtk"
+    bad.write_text(edit(text))
+    assert bad.read_text() != text
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(bad)
+    assert str(info.value) == f"{bad}: {message}"
+    assert main(["quantify", "--mesh", str(bad), "--bp-mean", "100",
+                 "--bp-sd", "10", "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def _golden_mesh(name="golden"):

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from pvgap import sweep
-from pvgap.gaps import (GapGraph, build_graph, min_gap_path, route_limit,
-                        patch_fields, solve_gap_graph)
+from pvgap.gaps import (GapGraph, _graph_arrays, _patch_rims, build_graph,
+                        min_gap_path, patch_fields, route_limit,
+                        solve_gap_graph)
 from pvgap.geodesics import (LIMIT_CADENCE, FieldBatch, distance_transform,
                              min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
@@ -238,3 +239,32 @@ def test_a_whole_field_has_no_limit():
     assert field.limit == np.inf
     graph = build_graph(opened, np.zeros(opened.mesh.n_vertices, dtype=bool))
     assert graph.n_patches == 0 and graph.limit == np.inf
+
+
+def test_a_mask_over_the_whole_area_has_no_rim_and_no_gap():
+    """A patch whose vertices have no neighbour outside it takes all of
+    them as its rim (`_patch_rims`); the hook still equals `route_limit` of each
+    labeling's rows bit for bit, in a batch with a labeling of several
+    patches, and an all-scar case reads RGM 0 at every factor."""
+    opened, (lab, *_rest) = _tapered_masks()
+    mesh = opened.mesh
+    whole = connected_components(mesh, np.ones(mesh.n_vertices, dtype=bool))
+    assert whole.count == 1
+    assert _patch_rims(mesh, whole)[0].tobytes() == whole.patches[0].tobytes()
+    want, rows = [], []
+    for labeling in (whole, lab):
+        part = np.stack([distance_transform(mesh, p).dist
+                         for p in labeling.patches])
+        limit = route_limit(*_graph_arrays(part, labeling.patches, opened))
+        want += [limit] * labeling.count
+        rows.append(part)
+    hook = patch_fields(opened, [whole, lab])._limit
+    assert hook(np.concatenate(rows)).tobytes() == np.array(want).tobytes()
+    assert want[0] == 0.0 and 0.0 < want[1] < np.inf
+
+    mesh, config, spec = _phantom("disk")
+    scar = mesh.with_intensity(np.full(mesh.n_vertices, 1e6))
+    (res,) = run_case(scar, config, spec.blood_pool_mean,
+                      spec.blood_pool_sd).areas
+    assert res.ok and [t.path.rgm for t in res.results] == [0.0] * len(
+        THRESHOLD_FACTORS)

@@ -12,7 +12,8 @@ from pvgap import geodesics, sweep
 from pvgap.errors import ConfigError, TopologyError
 from pvgap.gaps import build_graph, min_gap_path
 from pvgap.mesh import SurfaceMesh, connected_components, load_mesh
-from pvgap.regions import AreaSpec, RegionConfig
+from pvgap.regions import (AreaSpec, RegionConfig, build_search_area,
+                           config_from_dict, config_to_dict)
 from pvgap.scar import (THRESHOLD_FACTORS, ScalarVolume, mip_project,
                         threshold_mask)
 from pvgap.sweep import (REPORT_FORMAT, AreaResult, CaseResult,
@@ -226,6 +227,33 @@ def test_run_case_soft_area_failure(disk_case):
     entry = case_report(case)["areas"]["RIPV"]
     assert entry["status"] == "failed"
     assert "error" in entry and "per_threshold" not in entry
+
+
+def test_a_cut_that_skips_a_vertex_fails_its_area_only(disk_case):
+    """A configured cut path with two consecutive vertices that share no
+    edge fails its area at the cut; the annotated mesh marks only the
+    other area's path."""
+    mesh, config, _truth, _case, spec = disk_case
+    area = build_search_area(mesh, config.areas[0])
+    path = area.parent_vertex[np.asarray(area.cut_paths[0])].tolist()
+    edges = {tuple(e) for e in np.sort(mesh.edges, axis=1).tolist()}
+    i = next(i for i in range(1, len(path) - 1)
+             if tuple(sorted(path[i - 1:i + 2:2])) not in edges)
+    raw = config_to_dict(config)
+    raw["areas"]["SKIP"] = {**raw["areas"]["LSPV"],
+                            "cut": {"vertices": [path[:i] + path[i + 1:]]}}
+    case = run_case(mesh, config_from_dict(raw), spec.blood_pool_mean,
+                    spec.blood_pool_sd)
+    good, bad = case.areas
+    assert good.ok and not bad.ok
+    a, b = (int(np.flatnonzero(area.parent_vertex == v)[0])
+            for v in path[i - 1:i + 2:2])
+    assert bad.error == (f"area SKIP: primary cut failed: cut path vertices "
+                         f"{(a, b)} are not edge-connected")
+    assert case_report(case)["areas"]["SKIP"]["status"] == "failed"
+    marked = {k for k in annotated_mesh(mesh, case).point_data
+              if k.startswith("path_")}
+    assert marked == {"path_LSPV"}
 
 
 # the keep-1 disk at 0.5 mm (a whole ring of scar); phantom_volume holds

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 
+from pvgap import scar
 from pvgap.gaps import build_graph, min_gap_path
 from pvgap.geodesics import distance_transform
+from pvgap.mesh import load_mesh, save_mesh
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
-from pvgap.synth import PhantomSpec, make_phantom, plane_grid
+from pvgap.synth import PhantomSpec, make_phantom, phantom_volume, plane_grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,3 +74,40 @@ def test_graph_counters_read_a_real_graph(monkeypatch):
                   None) == pairs
     assert _solve((graph.weights,), {"start_w": graph.start_w,
                                      "end_w": graph.end_w}, None) == pairs
+
+
+def test_mesh_and_area_counters_read_real_results(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import _area_vertices, _twin_pairs, _vertices
+
+    mesh, config, _truth = make_phantom(PhantomSpec())
+    save_mesh(mesh, tmp_path / "mesh.vtk")
+    loaded = load_mesh(tmp_path / "mesh.vtk")
+    assert _vertices((tmp_path / "mesh.vtk",), {}, loaded) == {
+        "vertices": mesh.n_vertices}
+    area = build_search_area(mesh, config.areas[0])
+    assert _area_vertices((mesh, config.areas[0]), {}, area) == {
+        "vertices": area.mesh.n_vertices}
+    opened = open_area(area)
+    assert _twin_pairs((area,), {}, opened) == {
+        "twin_pairs": len(area.cut_paths[0])}
+
+
+def test_project_counter_reads_the_signature_of_mip_project(monkeypatch):
+    """The counter binds each call to `mip_project`'s own signature, so a
+    renamed or dropped reach_mm or step_mm fails here, not only in the
+    traced run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import _project_counter
+
+    spec = PhantomSpec()
+    mesh, _config, _truth = make_phantom(spec)
+    volume = phantom_volume(spec)
+    counts = _project_counter(scar.mip_project)
+    values = scar.mip_project(mesh, volume)
+    steps = 2 * round(scar.MIP_REACH_MM / scar.MIP_STEP_MM) + 1
+    assert counts((mesh, volume), {}, values) == {
+        "samples": mesh.n_vertices * steps}
+    values = scar.mip_project(mesh, volume, 1.0, step_mm=0.25)
+    assert counts((mesh, volume, 1.0), {"step_mm": 0.25}, values) == {
+        "samples": mesh.n_vertices * 9}
