@@ -30,7 +30,7 @@ import numpy as np
 from .errors import AreaError, TopologyError
 from .geodesics import (FieldBatch, TracedPath, distance_transform,
                         geodesic_path, geodesic_paths, min_interset_distance,
-                        polyline_length, trace_path)
+                        trace_path)
 from .mesh import CutMesh, PatchLabeling, checked_mask, connected_components
 
 
@@ -77,24 +77,27 @@ def _graph_arrays(rows: np.ndarray, patches, opened: CutMesh):
 
 
 def route_limit(weights: np.ndarray, start_w: np.ndarray,
-                end_w: np.ndarray) -> float:
-    """An upper bound on the graph's route cost C*: U = min over twin pairs
-    k and patches i, j of start_w[i, k] + D[i, j] + end_w[j, k], with D the
-    all-pairs shortest paths over weights, times 1 + 1e-9 to absorb the
-    solver's other summation order; +inf when U is.
+                end_w: np.ndarray) -> np.ndarray:
+    """An upper bound on the route cost C* of each graph on the leading
+    axes, a 0-d array for one graph: U = min over twin pairs k and patches
+    i, j of start_w[..., i, k] + D[..., i, j] + end_w[..., j, k], with D
+    the all-pairs shortest paths over weights, times 1 + 1e-9 to absorb the
+    solver's other summation order; +inf where U is, and where there is no
+    patch or no twin pair. Padding nodes, with +inf weights off the
+    diagonal, 0 on it and +inf start and end entries, change no bit.
 
     Entries only fall while their fields are computed, so U from current
     values is never below the final C*; from final values it equals C* up
     to that summation order.
     """
-    if not weights.size or not start_w.shape[1]:
-        return np.inf
+    if not weights.shape[-1] or not start_w.shape[-1]:
+        return np.full(weights.shape[:-2], np.inf)
     d = np.array(weights, dtype=np.float64)
-    for m in range(len(d)):  # Floyd-Warshall on the patch nodes
-        np.minimum(d, d[:, m, None] + d[None, m, :], out=d)
-    u = float(((start_w[:, None, :] + d[:, :, None]).min(axis=0)
-               + end_w).min())
-    return u * (1.0 + 1e-9) if np.isfinite(u) else np.inf
+    for m in range(d.shape[-1]):  # Floyd-Warshall on the patch nodes
+        np.minimum(d, d[..., :, m, None] + d[..., None, m, :], out=d)
+    u = ((start_w[..., :, None, :] + d[..., :, :, None]).min(axis=-3)
+         + end_w).min(axis=(-2, -1))
+    return np.where(np.isfinite(u), u * (1.0 + 1e-9), np.inf)
 
 
 def _patch_rims(mesh, lab: PatchLabeling) -> list:
@@ -114,15 +117,15 @@ def patch_fields(opened: CutMesh, labelings) -> FieldBatch:
     The hook is planned once per batch: for every pair of a field row and
     another patch of its labeling, the flat indices of that patch's
     boundary (`_patch_rims`). Each call takes them all at once, reduces
-    each pair's run to its minimum, and runs one Floyd-Warshall over the
-    labelings' weights stacked in a (labelings, p, p) array, padded with
-    +inf off the diagonal and 0 on it. A boundary gives the whole patch's
-    minimum: a finite value that is not a source lies strictly above a
-    support in one of its triangles (an edge relaxation adds a positive
-    length, a triangle update exceeds its nearer support, and values only
-    fall), so a strictly falling chain of neighbours leads from any vertex
-    of another patch to a vertex on its boundary. A patch's own row is 0
-    on it, the diagonal.
+    each pair's run to its minimum, and passes the labelings' graphs to
+    `route_limit`, the one bound, stacked in a (labelings, p, p) array
+    padded with +inf off the diagonal and 0 on it. A boundary gives the
+    whole patch's minimum: a finite value that is not a source lies
+    strictly above a support in one of its triangles (an edge relaxation
+    adds a positive length, a triangle update exceeds its nearer support,
+    and values only fall), so a strictly falling chain of neighbours leads
+    from any vertex of another patch to a vertex on its boundary. A
+    patch's own row is 0 on it, the diagonal.
     """
     mesh = opened.mesh
     n = mesh.n_vertices
@@ -151,22 +154,14 @@ def patch_fields(opened: CutMesh, labelings) -> FieldBatch:
     blank[:, np.arange(p), np.arange(p)] = 0.0
 
     def limits(dist: np.ndarray) -> np.ndarray:
-        if not pairs:
-            return np.full(len(dist), np.inf)
         d = blank.copy()
         if flat.size:
             d.ravel()[pos] = np.minimum.reduceat(dist.take(flat), cuts)
-        d = np.minimum(d, d.transpose(0, 2, 1))
-        for m in range(p):  # Floyd-Warshall on each labeling's patches
-            np.minimum(d, d[:, :, m, None] + d[:, None, m, :], out=d)
         w = np.full((len(labs) * p, 2 * pairs), np.inf)
         w[slot] = dist.take(twins, axis=1)
         w = w.reshape(len(labs), p, 2 * pairs)
-        start_w, end_w = w[:, :, :pairs], w[:, :, pairs:]
-        u = ((start_w[:, :, None, :] + d[:, :, :, None]).min(axis=1)
-             + end_w).min(axis=(1, 2))
-        u = np.where(np.isfinite(u), u * (1.0 + 1e-9), np.inf)
-        return u.repeat(counts)
+        return route_limit(np.minimum(d, d.transpose(0, 2, 1)),
+                           w[:, :, :pairs], w[:, :, pairs:]).repeat(counts)
     return FieldBatch(mesh, [patch for lab in labelings
                              for patch in lab.patches], limits)
 
@@ -201,7 +196,7 @@ def build_graph(opened: CutMesh, scar_mask: np.ndarray,
     rows = np.stack([f.dist for f in fields]) if fields \
         else np.zeros((0, mesh.n_vertices))
     weights, start_w, end_w = _graph_arrays(rows, patches.patches, opened)
-    limit = route_limit(weights, start_w, end_w)
+    limit = float(route_limit(weights, start_w, end_w))
     # the entries at or below the limit are exact in bounded fields too
     for w in (weights, start_w, end_w):
         w[w > limit] = np.inf
@@ -280,9 +275,9 @@ class EncirclingPath:
 def _gap_segment(mesh, path: TracedPath, wraps: bool) -> GapSegment:
     # an opened area is cut from a labelled submesh, so it has regions
     ids, points = path.vertex_ids, path.points
-    length = polyline_length(points)
     regions = tuple(sorted(set(int(v) for v in mesh.region[ids])))
     steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    length = float(steps.sum())  # `polyline_length`'s expression
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     half = 0.5 * length
     seg = int(np.searchsorted(cum, half, side="right") - 1)

@@ -107,11 +107,11 @@ LIMIT_CADENCE sweeps it maps the current rows to one bound per field, and
 from then on each sweep drops the pending vertices strictly above their
 field's bound. That is the same drop rule, with the next float above the
 bound as the cap. The patch fields of one scar mask use the hook of
-`gaps.patch_fields`: their bound is U(1 + 1e-9), where U is the least
-start + patch-to-patch + end cost over the patch graph those rows give
-(`gaps.route_limit`). The two fields of an area without scar
-(`gaps._plan_loop`) share the current length of one guessed loop as their
-bound. Exactness of the patch fields:
+`gaps.patch_fields`, which stacks the patch graphs that the rows of its
+masks give and calls `gaps.route_limit`, the one bound: U(1 + 1e-9), where
+U is the least start + patch-to-patch + end cost over a graph. The two
+fields of an area without scar (`gaps._plan_loop`) share the current
+length of one guessed loop as their bound. Exactness of the patch fields:
 - Values only fall, so U from current values is never below the final
   route cost C*; the margin absorbs the solver's other summation order.
   The bounds therefore never rise, and stay at or above C*.

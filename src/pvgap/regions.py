@@ -247,7 +247,8 @@ def _classify_vein_loops(sub: SurfaceMesh, loops, seeds_sub, name: str):
 def _cut_from_labels(sub: SurfaceMesh, spec: AreaSpec, vein_mask: np.ndarray):
     """Cut line from an ordered label pair: the chain of first-label vertices
     that touch the second label across an edge. The chain must form a single
-    simple path; it is oriented to start away from the vein boundary."""
+    simple path; it is oriented to start away from the vein boundary where
+    one end lies on it (`build_search_area` checks the ends)."""
     first, second = spec.cut_labels
     e = sub.edges
     lab = sub.region[e]
@@ -273,16 +274,19 @@ def _cut_from_labels(sub: SurfaceMesh, spec: AreaSpec, vein_mask: np.ndarray):
         path.append(nsum[path[-1]] - path[-2])
     if len(path) != len(cand):
         _fail(spec.name, "cut label interface is not a single chain")
-    on_vein = vein_mask[path[0]], vein_mask[path[-1]]
-    if on_vein[0] == on_vein[1]:
-        _fail(spec.name, "cut must join the vein rim to the outer boundary")
-    if on_vein[0]:
+    if vein_mask[path[0]]:
         path.reverse()
     return tuple(path)
 
 
 def build_search_area(mesh: SurfaceMesh, spec: AreaSpec) -> SearchArea:
-    """Extract the labelled submesh, identify vein loops, derive cut lines."""
+    """Extract the labelled submesh, identify vein loops, derive cut lines.
+
+    Every cut, derived or explicit, must join the two boundary loops it is
+    meant to join, or AreaError names it: the primary cut a vein loop to a
+    loop that is not a vein's, the inter-vein cut the two vein loops. Here
+    the ends on vein loops are checked; `cut_mesh` checks that both ends
+    lie on a boundary."""
     sub, used, remap = _extract_submesh(mesh, spec)
 
     def local(ids, msg):
@@ -301,8 +305,9 @@ def build_search_area(mesh: SurfaceMesh, spec: AreaSpec) -> SearchArea:
                          f" loops, found {len(loops)}")
     picked = _classify_vein_loops(sub, loops, seeds_sub, spec.name)
     vein_loops = tuple(loops[i] for i in picked)
-    vein_mask = np.zeros(sub.n_vertices, dtype=bool)
-    vein_mask[np.concatenate(vein_loops)] = True
+    vein = np.full(sub.n_vertices, -1)  # the vein of each vein-loop vertex
+    for i, loop in enumerate(vein_loops):
+        vein[loop] = i
 
     if spec.cut_vertices is not None:
         paths = [local(p, "cut vertex {} outside the area")
@@ -310,8 +315,11 @@ def build_search_area(mesh: SurfaceMesh, spec: AreaSpec) -> SearchArea:
         primary = paths[0]
         explicit_iv = paths[1] if len(paths) == 2 else None
     else:
-        primary = _cut_from_labels(sub, spec, vein_mask)
+        primary = _cut_from_labels(sub, spec, vein >= 0)
         explicit_iv = None
+    if (vein[[primary[0], primary[-1]]] >= 0).sum() != 1:
+        _fail(spec.name, "primary cut must join a vein rim to a boundary "
+                         "loop that is not a vein's")
 
     cut_paths = [primary]
     if spec.strategy == "joint":
@@ -320,6 +328,8 @@ def build_search_area(mesh: SurfaceMesh, spec: AreaSpec) -> SearchArea:
         else:
             iv = edge_path(sub, vein_loops[0], vein_loops[1])
             cut_paths.append(tuple(int(v) for v in iv))
+        if sorted(vein[[cut_paths[1][0], cut_paths[1][-1]]]) != [0, 1]:
+            _fail(spec.name, "inter-vein cut must join the two vein rims")
         overlap = set(cut_paths[0]) & set(cut_paths[1])
         if overlap:
             _fail(spec.name, "primary and inter-vein cuts share vertices")
@@ -335,7 +345,11 @@ def open_area(area: SearchArea) -> CutMesh:
     vertices to that mesh's vertices. side_a/side_b are the two rims of the
     primary cut, aligned twin-for-twin and ordered along the cut line; a
     closed loop around the vein(s) corresponds to a path from one rim to
-    the other. AreaError names the cut that cannot open the area."""
+    the other. AreaError names the cut that cannot open the area, or the
+    Euler characteristic V - E + F of an opened mesh that is not a disk:
+    the cuts join distinct boundary loops of a connected area
+    (`build_search_area`), so the opened mesh is connected, and it is a
+    disk exactly when V - E + F == 1."""
     opened, parent, cuts = area.mesh, area.parent_vertex, []
     # joint: the inter-vein cut was derived on the uncut submesh; vertex ids
     # survive the first cut because the two cuts are vertex-disjoint
@@ -345,6 +359,15 @@ def open_area(area: SearchArea) -> CutMesh:
         except GapQuantError as exc:
             _fail(area.name, f"{what} cut failed: {exc}")
         opened, parent = cuts[-1].mesh, parent[cuts[-1].parent_vertex]
+    # V - E + F of the opened mesh: a cut adds its path's k vertices and
+    # k - 1 edges, and the submesh's edge table is built already, so the
+    # check sorts no half-edges while the submesh is alive
+    sub = area.mesh
+    euler = sub.n_vertices - len(sub.edges) + sub.n_triangles + len(cuts)
+    if euler != 1:
+        _fail(area.name, f"opened area is not a topological disk: V - E + F"
+                         f" = {euler}, not 1 (a hole or handle that no cut"
+                         " opens)")
     parent.flags.writeable = False  # read-only, as cut_mesh's maps are
     return CutMesh(mesh=opened, parent_vertex=parent,
                    side_a=cuts[0].side_a, side_b=cuts[0].side_b)

@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvgap import ConfigError, load_config, load_report
+from pvgap import ConfigError, load_config, load_report, save_config
 from pvgap.cli import main
 from pvgap.mesh import SurfaceMesh, load_mesh, save_mesh
 from pvgap.scar import ScalarVolume, load_volume, save_volume
 from pvgap.synth import TWO_PI, PhantomSpec, expected_rgm
 from test_gaps import METRES_GAPS, METRES_SPEC, in_metres
-from test_sweep import cropped_ring
+from test_sweep import HOLED, NOT_A_DISK, cropped_ring, holed_disk
 
 THRESH = "2,3.3,4"
 DATA = Path(__file__).resolve().parent / "data"
@@ -735,6 +735,23 @@ def test_a_gap_over_unsampled_tissue_exits_3_with_the_reason(tmp_path,
     assert entry["status"] == "failed"
     assert entry["error"] == ("a gap at factor 2 crosses 49 vertices with "
                               "no intensity sample")
+
+
+@pytest.mark.parametrize("mm", [6.0, 3.0])
+def test_a_cut_from_a_hole_exits_3_with_the_reason(mm, tmp_path, capsys):
+    # before the disk check both read status ok (`test_sweep`'s twin)
+    mesh, config = holed_disk(mm)
+    save_mesh(mesh, tmp_path / "holed.vtk")
+    save_config(config, tmp_path / "holed.json")
+    out = tmp_path / "r.json"
+    code = main(["quantify", "--mesh", str(tmp_path / "holed.vtk"),
+                 "--config", str(tmp_path / "holed.json"),
+                 "--bp-mean", str(HOLED.blood_pool_mean),
+                 "--bp-sd", str(HOLED.blood_pool_sd), "--out", str(out)])
+    assert code == 3
+    assert "all areas failed" in capsys.readouterr().err
+    entry = _report(out)["areas"]["LSPV"]
+    assert (entry["status"], entry["error"]) == ("failed", NOT_A_DISK)
 
 
 # --- cohort aggregation over real reports ---

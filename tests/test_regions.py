@@ -397,9 +397,52 @@ def test_cut_from_labels_refuses_a_chain_plus_a_cycle():
 
 
 def test_cut_from_labels_needs_one_end_on_the_vein_rim():
-    sub, spec, vein = _interface(_columns(3), vein_rows=[0, 4])
-    with pytest.raises(AreaError, match="must join the vein rim"):
-        _cut_from_labels(sub, spec, vein)
-    sub, spec, vein = _interface(_columns(3), vein_rows=[])
-    with pytest.raises(AreaError, match="must join the vein rim"):
-        _cut_from_labels(sub, spec, vein)
+    """The (1, 2) interface runs up column 2 from the outer loop to the
+    outer loop of a 9 x 5 grid with a hole round vertex 24 (row 2, column
+    6). The area fails whether the vein is the outer loop, which holds both
+    ends, or the hole, which holds neither: `build_search_area` checks the
+    ends of every cut, derived or explicit."""
+    grid, spec, _vein = _interface(_columns(3, nx=9), nx=9)
+    keep = ~(grid.triangles == 24).any(axis=1)
+    holed = SurfaceMesh(grid.vertices, grid.triangles[keep],
+                        region=grid.region)
+    assert len(holed.boundary_loops()) == 2
+    for seed in (0, 23):  # a corner; a vertex of the hole
+        with pytest.raises(AreaError, match="^area A: primary cut must join "
+                           "a vein rim to a boundary loop that is not a "
+                           "vein's$"):
+            build_search_area(holed, dataclasses.replace(
+                spec, vein_seeds=(seed,)))
+
+
+def _explicit(spec, *paths):
+    return dataclasses.replace(spec, cut_labels=None, cut_vertices=tuple(
+        tuple(int(v) for v in p) for p in paths))
+
+
+def test_an_explicit_cut_must_join_the_loops_it_opens():
+    """Before this rule an explicit cut was checked only by `cut_mesh`,
+    whose ends may lie on any boundary. A primary cut that stops short of
+    the vein loop, a joint area's primary cut between its two vein loops,
+    or an inter-vein cut that stops short of one, now fails its area."""
+    mesh, config, _ = make_phantom(PhantomSpec())
+    (spec,) = config.areas
+    area = build_search_area(mesh, spec)
+    cut = area.parent_vertex[np.asarray(area.cut_paths[0])]
+    assert build_search_area(mesh, _explicit(spec, cut)).cut_paths == (
+        area.cut_paths)
+    with pytest.raises(AreaError, match="primary cut must join"):
+        build_search_area(mesh, _explicit(spec, cut[:-1]))
+
+    mesh, config, _ = make_phantom(PhantomSpec(base_shape="two-hole-plate"))
+    (spec,) = config.areas
+    area = build_search_area(mesh, spec)
+    primary, iv = (area.parent_vertex[np.asarray(p)]
+                   for p in area.cut_paths)
+    assert build_search_area(mesh, _explicit(spec, primary, iv)).cut_paths \
+        == area.cut_paths
+    with pytest.raises(AreaError, match="^area RightPVs: inter-vein cut "
+                       "must join the two vein rims$"):
+        build_search_area(mesh, _explicit(spec, primary, iv[:-1]))
+    with pytest.raises(AreaError, match="primary cut must join"):
+        build_search_area(mesh, _explicit(spec, iv, primary))

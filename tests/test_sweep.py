@@ -304,6 +304,45 @@ def test_a_route_over_sampled_scar_keeps_its_area():
     assert [t.path.rgm for t in res.results] == [0.0] * len(FACTORS)
 
 
+# the keep-0.5 disk at 0.5 mm, whose label cut runs 12 mm in 0.5 mm steps
+HOLED = PhantomSpec(keep_fraction=0.5, target_edge_mm=0.5, seed=3)
+NOT_A_DISK = ("area LSPV: opened area is not a topological disk: V - E + F "
+              "= 0, not 1 (a hole or handle that no cut opens)")
+
+
+def holed_disk(mm):
+    """(mesh, config) of the HOLED phantom with the triangle fan of its
+    label cut's vertex `mm` from the vein rim removed, and an explicit cut
+    from the next cut vertex to the rim: a cut from the hole to the vein."""
+    mesh, config, _truth = make_phantom(HOLED)
+    (spec,) = config.areas
+    area = build_search_area(mesh, spec)
+    cut = area.parent_vertex[np.asarray(area.cut_paths[0])]
+    off = np.linalg.norm(mesh.vertices[cut] - mesh.vertices[cut[-1]], axis=1)
+    (i,) = np.flatnonzero(off == mm)
+    keep = ~(mesh.triangles == cut[i]).any(axis=1)
+    holed = SurfaceMesh(mesh.vertices, mesh.triangles[keep],
+                        intensity=mesh.intensity, region=mesh.region,
+                        name=mesh.name)
+    spec = dataclasses.replace(spec, cut_labels=None, cut_vertices=(
+        tuple(int(v) for v in cut[i + 1:]),))
+    return holed, RegionConfig(areas=(spec,))
+
+
+@pytest.mark.parametrize("mm", [6.0, 3.0])
+def test_a_cut_from_a_hole_fails_its_area(mm):
+    """Before the disk check the area read status ok at every factor, with
+    RGM 0.8914 on a 6.24 mm loop round the hole 6.0 mm from the rim, and
+    RGM 0.0 on a 2.79 mm loop round the hole 3.0 mm from it, in the band.
+    The cut joins the vein to a loop that is not a vein's, as the cut rule
+    asks, but the opened area keeps the outer loop as a second one."""
+    mesh, config = holed_disk(mm)
+    (res,) = run_case(mesh, config, HOLED.blood_pool_mean,
+                      HOLED.blood_pool_sd).areas
+    assert not res.ok and res.results == ()
+    assert res.error == NOT_A_DISK
+
+
 def test_joint_case_covers_both_veins():
     spec = PhantomSpec(base_shape="two-hole-plate", keep_fraction=0.7)
     mesh, config, _ = make_phantom(spec)
