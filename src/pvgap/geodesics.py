@@ -30,9 +30,9 @@ x is expanded and neither y nor z is. Each of y and z is then
 - pending but deferred: its dist is above top + delta, which is at least
   dist[x], so neither its edge relaxation nor the triangle update, which
   needs both supports below dist[x], can lower x;
-- dropped by a bounded transform: its dist was at or above its field's
-  cap (the largest dist among its targets, or just above the limit) when
-  it was dropped, and the cap never rises; x is still pending, so dist[x] is below the cap;
+- dropped by a bounded transform: its dist was above its field's bound
+  when it was dropped, and the bound never rises; x is still pending, so
+  dist[x] is at or below the bound;
 - unreached: its dist is inf.
 A proposal that reads a support of the other three kinds is not below
 dist[x]. So a skipped corner proposes nothing lower, and each sweep
@@ -86,47 +86,39 @@ pick on values that are neither NaN nor -0.0, and no dist is (sources are
 `maximum(disc, 0)` differs from the masked disc only in the sign of a zero,
 which moves t only when Bq = 0, and then t = +-0 fails u < t either way.
 
-A point-to-point transform (`geodesic_paths`) gives each field a set of
-targets and runs the same sweeps but, after each one, drops the pending
-vertices whose dist is not below the field's cap: the largest current dist
-among its targets. So a field stops once its lowest pending dist passes
-its farthest target's. This is exact below the final cap: every proposal
-is at least its support's value (an edge relaxation adds a length, a
-valid triangle update is never below its farther support), so a dropped
-vertex can never lower anything below the cap. Nor can it lower a target,
-whose dist is at most the cap, so every target's dist is exact too. The
-descent from a target reads only values below that target's dist. So each
-target's distance and path are those of the whole field, whatever other
-targets share its field, and the targets of one source need one field:
-`geodesic_paths` runs every pair it is given in one batch, one field per
-distinct source. The values above the cap are left unfinished, so such a
-transform yields its targets' distances and paths, never a field.
-
-A batch may instead carry a limit hook (`FieldBatch`): every
+A batch may carry a limit hook (`FieldBatch`, `_sweep`): every
 LIMIT_CADENCE sweeps it maps the current rows to one bound per field, and
 from then on each sweep drops the pending vertices strictly above their
-field's bound. That is the same drop rule, with the next float above the
-bound as the cap. The patch fields of one scar mask use the hook of
-`gaps.patch_fields`, which stacks the patch graphs that the rows of its
-masks give and calls `gaps.route_limit`, the one bound: U(1 + 1e-9), where
-U is the least start + patch-to-patch + end cost over a graph. The two
-fields of an area without scar (`gaps._plan_loop`) share the current
-length of one guessed loop as their bound. Exactness of the patch fields:
-- Values only fall, so U from current values is never below the final
-  route cost C*; the margin absorbs the solver's other summation order.
-  The bounds therefore never rise, and stay at or above C*.
-- By the argument above, with the last bound in place of the targets'
-  cap, every value at or below that bound is bit-equal to the whole
-  field's. That includes C* = 0, so only values strictly above it drop.
-- A route that reads an entry above the bound costs more than C*, so the
-  solve finds the same cost, twin pair and sequence, ties included. Its
-  stubs and pairs lie at or below C*, so the path is traced from exact
-  values only.
-- A field's sweeps do not depend on the other fields of its batch, so a
-  mask's bound at sweep `it` is the same batched or alone, and so are its
-  fields' bits and sweep counts.
-Each field records the hook's bound on the final rows as its `limit`. It
-is at most the last bound used, so the field is exact at or below it.
+field's bound. Each hook takes its bound from current values, which only
+fall, so the bounds never rise. The three hooks:
+- route bound, of the patch fields of one scar mask (`gaps.patch_fields`):
+  `gaps.route_limit` on the patch graphs that the rows of its masks give,
+  U(1 + 1e-9), where U, the least start + patch-to-patch + end cost over a
+  graph, is never below the final route cost C*; the margin absorbs the
+  solver's other summation order;
+- farthest target, of a point-to-point field (`geodesic_paths`,
+  `_target_batch`): the largest current dist among its targets, so a
+  target at +inf keeps its field whole;
+- guessed loop, of the two fields of an area without scar
+  (`gaps._plan_loop`): the current length of one guessed loop.
+Every proposal is at least its support's value (an edge relaxation adds a
+length, a valid triangle update is never below its farther support), so a
+vertex dropped above a bound never lowers anything to or below a later
+one: every value at or below a field's last bound, C* = 0 included, is
+bit-equal to the whole field's. What each caller reads lies there:
+- a target's dist is at most the bound, and the descent from it reads
+  only lower values. So each target's distance and path are those of the
+  whole field, whatever other targets share it, and `geodesic_paths` runs
+  every pair it is given in one batch, one field per distinct source; such
+  a transform yields its targets' distances and paths, never a field;
+- a route that reads an entry above the bound costs more than C*, so the
+  solve finds the same cost, twin pair and sequence, ties included, and
+  traces its path from stubs and pairs at or below C*;
+- the guessed loop's row is exact at or below its length.
+A field's bound reads its own row (a route bound, its mask's rows) and no
+other field of its batch, so the field's bits and sweep counts are the
+same batched or alone. A `FieldBatch` field records the hook's bound on
+the final rows as its `limit`, at most the last bound used.
 
 Corners follow the half-edge numbering of `SurfaceMesh`: with m triangles,
 corner q = r*m + t is vertex r of triangle t, and the triangle's next two
@@ -191,7 +183,7 @@ from .mesh import SurfaceMesh, checked_ids
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-LIMIT_CADENCE = 8  # sweeps between two calls of a batch's limit hook
+LIMIT_CADENCE = 8  # sweeps between two refreshes of any field's bound
 # corners per block of `_corner_tables`' geometry: a block gathers its
 # corners' vertex ids and coordinates into about fifteen arrays of 32 kB
 # each, which over all 3m corners at once would be 1.8 MB each at 38k
@@ -350,9 +342,7 @@ class DistanceField:
     1-Lipschitz along edges. sweeps counts the buckets the transform
     expanded, the last one included (it found nothing to lower). It depends
     on the mesh and the sources only (with a limit hook, on the fields of
-    the same mask too), not on the other fields of a batch, but differs
-    from the count of the earlier schedule, which expanded every improved
-    vertex at every sweep.
+    the same mask too), not on the other fields of a batch.
 
     limit is +inf for a whole field. A field of a `FieldBatch` with a limit
     hook is exact at or below its limit only; above it the values may be
@@ -390,16 +380,12 @@ class InterSetDistance:
     path: TracedPath
 
 
-def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
+def _sweep(mesh: SurfaceMesh, srcs, limit=None):
     """(dist, sweeps) of the transforms from each array of checked source
     ids in srcs: dist has one row and sweeps one count per field. With
-    targets, one non-empty array of target ids per field, field k stops at
-    the largest current dist among its targets and is exact below that
-    final cap and at each of its targets. With limit, a hook that maps the
-    current (K, n) rows to one upper bound per field and is called every
-    LIMIT_CADENCE sweeps, field k is exact at or below the last bound it
-    returned for k (module docstring). At most one of targets and limit is
-    given."""
+    limit, a hook that maps the current (K, n) rows to one upper bound per
+    field and is called every LIMIT_CADENCE sweeps, field k is exact at or
+    below the last bound it returned for k (module docstring)."""
     n = mesh.n_vertices
     tab = _corner_tables(mesh)
     ptr, delta = tab["ptr"], tab["delta"]
@@ -415,14 +401,8 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
     queued[pending] = True
     act = np.zeros(k * n, dtype=bool)  # expanded in this sweep
     slot = np.empty(k * n, dtype=np.int32)  # de-duplicates a sweep's targets
-    if targets is not None:
-        # every field's targets in one flat list, offset into the batch,
-        # and where each field's run of them starts
-        heads = np.cumsum([0] + [len(t) for t in targets[:-1]])
-        targets = np.concatenate([np.asarray(t, dtype=np.int64) + f * n
-                                  for f, t in enumerate(targets)])
     # a pending vertex at or above its field's cap is dropped
-    cap = None if targets is None and limit is None else np.full(k, np.inf)
+    cap = np.full(k, np.inf)
     sweeps = np.zeros(k, dtype=np.int64)
     max_sweeps = 6 * n + 64
     it = 0
@@ -474,11 +454,9 @@ def _sweep(mesh: SurfaceMesh, srcs, targets=None, limit=None):
         queued[tgt] = True
         pending = np.concatenate([pending, tgt])
         d = dist.take(pending)
-        if cap is None:
+        if limit is None:
             continue
-        if targets is not None:
-            cap = np.maximum.reduceat(dist.take(targets), heads)
-        elif it % LIMIT_CADENCE == 0:
+        if it % LIMIT_CADENCE == 0:
             # drop only what lies strictly above the bound
             cap = np.nextafter(limit(dist.reshape(k, n)), np.inf)
         far = d >= (cap if one else cap.take(pending // n))
@@ -633,13 +611,28 @@ def _path(mesh: SurfaceMesh, dist, src: int, dst: int) -> InterSetDistance:
                             path=_descend(mesh, dist, dst).reversed())
 
 
+def _target_batch(n: int, fields) -> tuple:
+    """(srcs, limit) of a point-to-point batch on a mesh of n vertices: one
+    field per (source id, non-empty target ids) item of fields, and the
+    hook that bounds each field at the current dist of its farthest
+    target."""
+    fields = list(fields)
+    heads = np.cumsum([0] + [len(dsts) for _src, dsts in fields[:-1]])
+    flat = np.concatenate([np.fromiter(dsts, dtype=np.int64) + f * n
+                           for f, (_src, dsts) in enumerate(fields)])
+    srcs = [np.asarray([src], dtype=np.int64) for src, _dsts in fields]
+    return srcs, lambda rows: np.maximum.reduceat(rows.ravel().take(flat),
+                                                  heads)
+
+
 def geodesic_paths(mesh: SurfaceMesh, pairs) -> list:
     """Geodesic distance and src -> dst polyline of each (src, dst) vertex
     pair, as a list of `InterSetDistance`.
 
     One batched transform runs, with one field per distinct source of the
-    pairs whose src differs from dst; each field stops at the farthest of
-    its targets (module docstring). Each result equals that of
+    pairs whose src differs from dst; each field is bounded by the current
+    dist of the farthest of its targets (`_target_batch`, module
+    docstring). Each result equals that of
     `distance_transform(mesh, [src])` traced from dst, bit for bit; an
     unreachable dst gives the +inf result of `InterSetDistance`.
     """
@@ -651,10 +644,8 @@ def geodesic_paths(mesh: SurfaceMesh, pairs) -> list:
             targets.setdefault(src, {})[dst] = None
     rows = {}
     if targets:
-        dist = _sweep(mesh, [np.asarray([src], dtype=np.int64)
-                             for src in targets],
-                      [list(dsts) for dsts in targets.values()])[0]
-        rows = dict(zip(targets, dist))
+        srcs, limit = _target_batch(mesh.n_vertices, targets.items())
+        rows = dict(zip(targets, _sweep(mesh, srcs, limit)[0]))
     done = {(src, dst): _path(mesh, rows.get(src), src, dst)
             for src, dst in dict.fromkeys(pairs)}
     return [done[pair] for pair in pairs]

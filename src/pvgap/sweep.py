@@ -12,8 +12,9 @@ cost (`gaps.patch_fields`): at or below it they are bit for bit those of
 one whole transform per patch, which is all the route and its path read.
 The routes of all its masks are then solved, and their links, which join
 the pieces of each route into one loop, run in one more batched transform,
-one field per distinct link source, each stopped at the farthest of its
-targets (`gaps.RouteBatch`); every link reads only values that are exact.
+one field per distinct link source, each stopped by the same rule above
+its farthest target's dist (`gaps.RouteBatch`); every link reads only
+values that are exact.
 Failures of one area (bad labels, unresolvable cuts, missing connectivity,
 a solver that does not converge, a gap over a vertex with no intensity
 sample) are recorded and do not abort the remaining areas.

@@ -17,8 +17,9 @@ from scipy.sparse import csgraph, csr_matrix
 
 from pvgap import geodesics
 from pvgap.errors import TopologyError
-from pvgap.geodesics import (_corner_tables, _proposals, _sweep,
-                             DistanceField, FieldBatch, distance_transform,
+from pvgap.geodesics import (LIMIT_CADENCE, _corner_tables, _proposals,
+                             _sweep, _target_batch, DistanceField,
+                             FieldBatch, distance_transform,
                              geodesic_path, geodesic_paths,
                              min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
@@ -537,31 +538,33 @@ def test_determinism_same_inputs_same_bits():
 
 @pytest.mark.parametrize("case", ["sphere", "jittered-grid", "two-fields"])
 def test_bounded_transform_is_exact_below_its_target(case):
-    # a transform pruned at dist[target] must give the full transform's bits
-    # wherever either is below that bound, hence the same target distance and
-    # the same descent, vertex for vertex; two-fields also runs each bounded
-    # transform next to another in a K = 2 batch, which takes the kernel's
-    # offset path rather than its one-field path
+    # a transform bounded by its target's dist must give the full
+    # transform's bits wherever either is below the target's final dist,
+    # hence the same target distance and the same descent, vertex for
+    # vertex; two-fields also runs each bounded transform next to another
+    # in a K = 2 batch, which takes the kernel's offset path rather than
+    # its one-field path
     if case == "sphere":
         mesh = icosphere(subdivisions=3, radius=10.0)
     else:
         mesh = _jittered_grid()[1]
+    n = mesh.n_vertices
     rng = np.random.default_rng(6)
     pruned = 0
-    for src in range(0, mesh.n_vertices, 7):
+    for src in range(0, n, 7):
         field = distance_transform(mesh, [src])
-        for dst in rng.integers(0, mesh.n_vertices, size=6):
+        for dst in rng.integers(0, n, size=6):
             dst = int(dst)
             if dst == src:
                 continue
             bound = field.dist[dst]
-            bounded = _sweep(mesh, [np.asarray([src])], [[dst]])[0][0]
+            bounded = _sweep(mesh, *_target_batch(n, [(src, [dst])]))[0][0]
             if case == "two-fields":
                 # the second field runs to dst from another source
-                src2 = (src + 3 * dst) % mesh.n_vertices
-                pair = _sweep(mesh, [np.asarray([src]), np.asarray([src2])],
-                              [[dst], [dst]])[0]
-                alone = _sweep(mesh, [np.asarray([src2])], [[dst]])[0][0]
+                src2 = (src + 3 * dst) % n
+                pair = _sweep(mesh, *_target_batch(
+                    n, [(src, [dst]), (src2, [dst])]))[0]
+                alone = _sweep(mesh, *_target_batch(n, [(src2, [dst])]))[0][0]
                 cut = alone[dst]
                 assert (np.minimum(pair[1], cut).tobytes()
                         == np.minimum(alone, cut).tobytes()), (src2, dst)
@@ -584,7 +587,10 @@ def _triangle_schedule(mesh, sources, targets=None):
     sweep evaluated every corner of every triangle touching an expanded
     vertex, written out for one field. `_sweep` evaluates only the corners
     with an expanded support; the others propose nothing, so both scatter
-    the same proposals in every sweep."""
+    the same proposals in every sweep. With targets, the field is bounded
+    as `_target_batch`'s hook bounds it: every LIMIT_CADENCE sweeps the
+    bound becomes the farthest target's dist, and after every sweep the
+    pending vertices strictly above the last bound are dropped."""
     tab = _corner_tables(mesh)
     m, ptr, delta = mesh.n_triangles, tab["ptr"], tab["delta"]
     tri = np.argsort(mesh.triangles.ravel(), kind="stable") // 3
@@ -592,6 +598,7 @@ def _triangle_schedule(mesh, sources, targets=None):
     dist[sources] = 0.0
     pending = np.unique(sources)
     sweeps = 0
+    bound = np.inf
     while pending.size:
         sweeps += 1
         d = dist[pending]
@@ -603,7 +610,9 @@ def _triangle_schedule(mesh, sources, targets=None):
         np.minimum.at(dist, tgt, val)
         pending = np.union1d(pending[~near], tgt)
         if targets is not None:
-            pending = pending[dist[pending] < dist[targets].max()]
+            if sweeps % LIMIT_CADENCE == 0:
+                bound = dist[targets].max()
+            pending = pending[dist[pending] <= bound]
     return dist, sweeps
 
 
@@ -625,7 +634,11 @@ def test_sweep_keeps_the_triangle_schedule(case):
         mesh, source_sets = _batch_case(case)
         targets = [None] * len(source_sets)
     srcs = [np.unique(np.asarray(s, dtype=np.int64)) for s in source_sets]
-    dist, sweeps = _sweep(mesh, srcs, None if targets[0] is None else targets)
+    limit = None
+    if targets[0] is not None:
+        limit = _target_batch(mesh.n_vertices,
+                              zip(pairs[:, 0].tolist(), targets))[1]
+    dist, sweeps = _sweep(mesh, srcs, limit)
     for src, dsts, row, count in zip(srcs, targets, dist, sweeps):
         want, want_sweeps = _triangle_schedule(mesh, src, dsts)
         assert row.tobytes() == want.tobytes()
@@ -692,22 +705,27 @@ def test_sweep_gives_the_same_bits_in_any_vertex_order():
     src = patches[0][:1]
     mid = int(np.argsort(distance_transform(opened, src).dist)[
         opened.n_vertices // 2])
-    cases = {"patch batch": (patches, None, None),
-             "limited patch batch": (
-                 patches, None, lambda rows: np.full(len(rows), bound)),
-             "bounded K = 1": ([src], [[mid]], None),
-             "whole K = 1": ([rim], None, None)}
-    for name, (srcs, targets, limit) in cases.items():
-        dist, sweeps = _sweep(opened, srcs, targets, limit)
-        got, got_sweeps = _sweep(
-            moved, [np.unique(new_id[s]) for s in srcs],
-            None if targets is None else new_id[targets], limit)
+    n = opened.n_vertices
+
+    def batch(srcs, limit=None):
+        # (srcs, limit) on the mesh that gives vertex v of opened id ids[v]
+        return lambda ids: ([np.unique(ids[s]) for s in srcs], limit)
+
+    cases = {"patch batch": batch(patches),
+             "limited patch batch": batch(
+                 patches, lambda rows: np.full(len(rows), bound)),
+             "bounded K = 1": lambda ids: _target_batch(
+                 n, [(int(ids[src[0]]), [int(ids[mid])])]),
+             "whole K = 1": batch([rim])}
+    for name, case in cases.items():
+        srcs, limit = case(np.arange(n))
+        dist, sweeps = _sweep(opened, srcs, limit)
+        got, got_sweeps = _sweep(moved, *case(new_id))
         assert got[:, new_id].tobytes() == dist.tobytes(), name
         assert got_sweeps.tolist() == sweeps.tolist(), name
         # not vacuous: a bound leaves vertices unreached, on this connected
         # mesh where a whole transform reaches every vertex
-        cut = targets is not None or limit is not None
-        assert np.isinf(dist).any() == cut, name
+        assert np.isinf(dist).any() == (limit is not None), name
 
 
 def test_descent_that_stops_above_zero_raises():
@@ -755,16 +773,18 @@ def test_geodesic_path_validation_and_edge_cases(monkeypatch):
 # --- point-to-point transforms with several targets per source ---
 
 def _counted_sweeps(monkeypatch):
-    """(sources, targets) of every `_sweep` call from now on, one source
-    and a list of targets per field."""
+    """(sources, targets) of every point-to-point batch from now on, one
+    source and a list of targets per field, as `_target_batch` is given
+    them."""
     calls = []
 
-    def counting(mesh, srcs, targets=None):
-        calls.append(([int(src[0]) for src in srcs],
-                      [sorted(map(int, dsts)) for dsts in targets]))
-        return _sweep(mesh, srcs, targets)
+    def counting(n, fields):
+        fields = list(fields)
+        calls.append(([int(src) for src, _dsts in fields],
+                      [sorted(map(int, dsts)) for _src, dsts in fields]))
+        return _target_batch(n, fields)
 
-    monkeypatch.setattr(geodesics, "_sweep", counting)
+    monkeypatch.setattr(geodesics, "_target_batch", counting)
     return calls
 
 

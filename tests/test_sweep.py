@@ -507,15 +507,14 @@ def test_route_links_share_transforms_across_masks(monkeypatch):
                        intensity=mip_project(mesh, phantom_volume(spec)),
                        region=mesh.region, name=mesh.name)
     bounded = []
-    real_sweep = geodesics._sweep
+    real_batch = geodesics._target_batch
 
-    def sweep_(mesh, srcs, targets=None, limit=None):
-        if targets is not None:
-            bounded.append({int(src[0]): set(map(int, dsts))
-                            for src, dsts in zip(srcs, targets)})
-        return real_sweep(mesh, srcs, targets, limit)
+    def target_batch(n, fields):
+        fields = list(fields)
+        bounded.append({int(src): set(map(int, dsts)) for src, dsts in fields})
+        return real_batch(n, fields)
 
-    monkeypatch.setattr(geodesics, "_sweep", sweep_)
+    monkeypatch.setattr(geodesics, "_target_batch", target_batch)
     (res,) = run_case(mesh, config, spec.blood_pool_mean,
                       spec.blood_pool_sd).areas
     masks = _open_masks(res, mesh, spec, FACTORS)
