@@ -30,7 +30,7 @@ import numpy as np
 from .errors import AreaError, TopologyError
 from .geodesics import (FieldBatch, TracedPath, distance_transform,
                         geodesic_path, geodesic_paths, min_interset_distance,
-                        trace_path)
+                        source_rims, trace_path)
 from .mesh import CutMesh, PatchLabeling, checked_mask, connected_components
 
 
@@ -100,15 +100,6 @@ def route_limit(weights: np.ndarray, start_w: np.ndarray,
     return np.where(np.isfinite(u), u * (1.0 + 1e-9), np.inf)
 
 
-def _patch_rims(mesh, lab: PatchLabeling) -> list:
-    """Each patch's vertices with a mesh neighbour outside the patch, or all
-    of its vertices where it has none; one sorted array per patch."""
-    ends = lab.labels[mesh.edges]
-    rim = np.zeros(mesh.n_vertices, dtype=bool)
-    rim[mesh.edges[ends[:, 0] != ends[:, 1]]] = True
-    return [p[rim[p]] if rim[p].any() else p for p in lab.patches]
-
-
 def patch_fields(opened: CutMesh, labelings) -> FieldBatch:
     """The `FieldBatch` on opened.mesh of every patch of each labeling, in
     order, with a limit hook that bounds each field by `route_limit` of its
@@ -116,26 +107,29 @@ def patch_fields(opened: CutMesh, labelings) -> FieldBatch:
 
     The hook is planned once per batch: for every pair of a field row and
     another patch of its labeling, the flat indices of that patch's
-    boundary (`_patch_rims`). Each call takes them all at once, reduces
-    each pair's run to its minimum, and passes the labelings' graphs to
-    `route_limit`, the one bound, stacked in a (labelings, p, p) array
-    padded with +inf off the diagonal and 0 on it. A boundary gives the
-    whole patch's minimum: a finite value that is not a source lies
-    strictly above a support in one of its triangles (an edge relaxation
-    adds a positive length, a triangle update exceeds its nearer support,
-    and values only fall), so a strictly falling chain of neighbours leads
-    from any vertex of another patch to a vertex on its boundary. A
-    patch's own row is 0 on it, the diagonal.
+    boundary, its rim by the rule that starts the kernel's first fronts
+    (`geodesics.source_rims`, one call for all patches). Each call takes
+    them all at once, reduces each pair's run to its minimum, and passes
+    the labelings' graphs to `route_limit`, the one bound, stacked in a
+    (labelings, p, p) array padded with +inf off the diagonal and 0 on it.
+    A boundary gives the whole patch's minimum: a finite value that is not
+    a source lies strictly above a support in one of its triangles (an
+    edge relaxation adds a positive length, a triangle update exceeds its
+    nearer support, and values only fall), so a strictly falling chain of
+    neighbours leads from any vertex of another patch to a vertex on its
+    boundary. A patch's own row is 0 on it, the diagonal.
     """
     mesh = opened.mesh
     n = mesh.n_vertices
     labs = [lab for lab in labelings if lab.count]
     counts = [lab.count for lab in labs]
     p = max(counts, default=0)
+    patches = [patch for lab in labs for patch in lab.patches]
+    all_rims = source_rims(mesh, patches) if patches else []
     flat, size, pos, slot = [], [], [], []
     row = 0
     for s, lab in enumerate(labs):
-        rims = _patch_rims(mesh, lab)
+        rims = all_rims[row:row + lab.count]
         for i in range(lab.count):
             slot.append(s * p + i)
             for j, rim in enumerate(rims):
@@ -162,8 +156,7 @@ def patch_fields(opened: CutMesh, labelings) -> FieldBatch:
         w = w.reshape(len(labs), p, 2 * pairs)
         return route_limit(np.minimum(d, d.transpose(0, 2, 1)),
                            w[:, :, :pairs], w[:, :, pairs:]).repeat(counts)
-    return FieldBatch(mesh, [patch for lab in labelings
-                             for patch in lab.patches], limits)
+    return FieldBatch(mesh, patches, limits)
 
 
 def build_graph(opened: CutMesh, scar_mask: np.ndarray,

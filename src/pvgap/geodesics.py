@@ -42,6 +42,28 @@ The edge relaxations from a non-expanded support of an evaluated corner
 must stay, though: a deferred support can lower a far vertex in the same
 sweep.
 
+A field's first front is its rim (`source_rims`), not all of its sources,
+as Sethian's fast marching starts its narrow band from the boundary of
+the known set (PNAS 1996): the sources with a mesh neighbour outside the
+set or, where no source has one (a set of whole components or of vertices
+of no triangle), the whole set, so that every field has a first sweep.
+Every source still starts at 0.0. An interior source, all of whose
+neighbours are sources, proposes nothing: each corner it lies in has a
+source as its vertex C, itself or a neighbour, so dist 0 at C, and is
+dropped behind the front; and as nothing lowers a 0, it never becomes
+pending later. Expanding it did keep one kind of corner off other lists:
+for a rim vertex x in a triangle (pv, x, nx) with pv interior, the corner
+(C = nx; A = pv, B = x) was pv's qa corner, and x skipped it as a qb
+corner of an expanded pv. Now pv is not expanded, and x reads it once
+through its qb arm; its C is a neighbour of pv, a source, so it is
+dropped too. So the first sweep scatters the same proposals. Its bucket
+is the same, as every source and so the field's lowest pending value is
+0.0, and it leaves the same pending set: every later sweep, every row and
+every sweep count are the same, by construction. Most sources of the
+benchmark's patch batches are interior: the 10 patch fields of the 38k
+disk hold 15,692 sources and 3,219 rim vertices, and expanding every
+source in one sweep used to set the kernel's memory high-water mark.
+
 The transform still ends at a fixed point of the update operator. Values
 only decrease, a vertex that changes becomes pending, and a pending vertex
 is expanded in a later sweep. So once nothing is pending, every corner was
@@ -191,18 +213,10 @@ LIMIT_CADENCE = 8  # sweeps between two refreshes of any field's bound
 _CORNER_BLOCK = 4096
 
 
-def _corner_tables(mesh: SurfaceMesh) -> dict:
-    """Flat per-corner geometry of the wavefront update (la, lb, cos and
-    csq; lb is a view of la's buffer), the sweeps' bucket width delta and
-    the vertex -> triangle incidence CSR: ptr, and for each incidence the
-    corners qa and qb where its vertex is support A or B, qbA, support A of
-    corner qb, and qaB, support B of corner qa (module docstring). The
-    geometry is computed one contiguous coordinate column at a time, each
-    sum of three products in a fixed order: la and lb are
-    np.linalg.norm(axis=1) of the corner's edge vectors, bit for bit."""
-    cached = _TABLES.get(mesh)
-    if cached is not None:
-        return cached
+def _corner_geometry(mesh: SurfaceMesh) -> tuple:
+    """(L, cos, csq) of `_corner_tables`: la is L[m:] and lb is L[:3m]. The
+    ring of vertex ids and the coordinate copies it reads are dropped when
+    it returns."""
     t = mesh.triangles
     m = mesh.n_triangles
     m3 = 3 * m
@@ -241,19 +255,65 @@ def _corner_tables(mesh: SurfaceMesh) -> dict:
         csq[s] = (ax * ax + az * az) + ay * ay
     L[:m] = L[m3:]
     np.clip(cos, -1.0, 1.0, out=cos)
-    corners = t.ravel()
+    return L, cos, csq
+
+
+def _corner_tables(mesh: SurfaceMesh) -> dict:
+    """Flat per-corner geometry of the wavefront update (la, lb, cos and
+    csq; lb is a view of la's buffer), the sweeps' bucket width delta and
+    the vertex -> triangle incidence CSR: ptr, and for each incidence the
+    corners qa and qb where its vertex is support A or B, qbA, support A of
+    corner qb, and qaB, support B of corner qa (module docstring). The
+    geometry is computed one contiguous coordinate column at a time, each
+    sum of three products in a fixed order: la and lb are
+    np.linalg.norm(axis=1) of the corner's edge vectors, bit for bit.
+
+    The build frees as it goes, in this order: delta first, which builds
+    and caches `mesh.adjacency` (if it is not yet) before any table
+    exists; then the geometry (`_corner_geometry`), whose ring of vertex
+    ids and coordinate copies are dropped once it is done; then the CSR,
+    in place: the argsort buffer becomes the triangle of each incidence,
+    its remainder buffer becomes qb, and one more buffer serves as the
+    index of qbA and of qaB before it becomes qa. So the traced peak lies
+    about one buffer of 8 B per corner above the 60 B per corner that the
+    tables keep, whether the adjacency was cached beforehand or not."""
+    cached = _TABLES.get(mesh)
+    if cached is not None:
+        return cached
+    delta = 4.0 * np.median(mesh.adjacency.data)
+    L, cos, csq = _corner_geometry(mesh)
+    m = mesh.n_triangles
+    corners = mesh.triangles.ravel()
     ptr = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(corners, minlength=mesh.n_vertices), out=ptr[1:])
-    # incidence j of the CSR is vertex r of triangle tri; that vertex is
-    # support A of the triangle's corner r - 1 (qa) and support B of its
-    # corner r + 1 (qb). Corner qa's vertex C is qb's support A (qbA), and
-    # qb's vertex C is qa's support B (qaB)
-    tri, r = np.divmod(np.argsort(corners, kind="stable"), 3)
-    qa = (r + 2) % 3 * m + tri
-    qb = (r + 1) % 3 * m + tri
-    out = {"la": la, "lb": L[:m3], "cos": cos, "csq": csq, "ptr": ptr,
-           "qa": qa, "qb": qb, "qbA": ring.take(qa), "qaB": ring.take(qb),
-           "delta": 4.0 * np.median(mesh.adjacency.data)}
+    # incidence j of the CSR is vertex r of triangle tri, corners[3 tri + r];
+    # that vertex is support A of the triangle's corner r - 1 (qa) and
+    # support B of its corner r + 1 (qb). Corner qa's vertex C, vertex
+    # r + 2 of the triangle, is qb's support A (qbA), and qb's vertex C,
+    # vertex r + 1, is qa's support B (qaB)
+    tri = np.argsort(corners, kind="stable")
+    qb = tri % 3  # r
+    tri -= qb  # 3 tri
+    qa = qb + 2
+    qa %= 3
+    qa += tri
+    qbA = corners.take(qa)
+    np.add(qb, 1, out=qa)
+    qa %= 3
+    qa += tri
+    qaB = corners.take(qa)
+    tri //= 3
+    np.add(qb, 2, out=qa)
+    qa %= 3
+    qa *= m
+    qa += tri
+    qb += 1
+    qb %= 3
+    qb *= m
+    qb += tri
+    out = {"la": L[m:], "lb": L[:3 * m], "cos": cos, "csq": csq,
+           "ptr": ptr, "qa": qa, "qb": qb, "qbA": qbA, "qaB": qaB,
+           "delta": delta}
     _TABLES[mesh] = out
     return out
 
@@ -380,6 +440,38 @@ class InterSetDistance:
     path: TracedPath
 
 
+def _row_entries(ptr: np.ndarray, rows: np.ndarray) -> tuple:
+    """(pos, cnt): the entries of a CSR with row pointers ptr that lie in
+    the given rows, row after row, and each row's count of them."""
+    lo = ptr.take(rows)
+    cnt = ptr.take(rows + 1) - lo
+    ends = np.cumsum(cnt)
+    return np.repeat(lo + cnt - ends, cnt) + np.arange(ends[-1]), cnt
+
+
+def source_rims(mesh: SurfaceMesh, srcs) -> list:
+    """The rim of each array of checked source ids in srcs, as a sorted
+    array: its sources with a mesh neighbour outside the set, or the whole
+    set where no source has one, as in a set of whole components or of
+    vertices of no triangle. Every field's first front in `_sweep`; all
+    sets' adjacency rows are gathered at once."""
+    n = mesh.n_vertices
+    size = [len(s) for s in srcs]
+    base = np.repeat(np.arange(len(srcs)) * n, size)
+    flat = np.concatenate(srcs) + base
+    inside = np.zeros(len(srcs) * n, dtype=bool)
+    inside[flat] = True
+    indptr, indices, _lengths = mesh.adjacency
+    pos, cnt = _row_entries(indptr, flat - base)
+    out = ~inside.take(indices.take(pos) + base.repeat(cnt))
+    # marked by scattering each outside neighbour to its source, so that a
+    # source with an empty row, a vertex of no triangle, stays unmarked
+    edge = np.zeros(flat.size, dtype=bool)
+    edge[np.arange(flat.size).repeat(cnt).compress(out)] = True
+    return [s.compress(e) if e.any() else s
+            for s, e in zip(srcs, np.split(edge, np.cumsum(size)[:-1]))]
+
+
 def _sweep(mesh: SurfaceMesh, srcs, limit=None):
     """(dist, sweeps) of the transforms from each array of checked source
     ids in srcs: dist has one row and sweeps one count per field. With
@@ -394,9 +486,12 @@ def _sweep(mesh: SurfaceMesh, srcs, limit=None):
     # one bucket minimum
     k = len(srcs)
     one = k == 1
-    pending = np.concatenate([s + f * n for f, s in enumerate(srcs)])
     dist = np.full(k * n, np.inf)
-    dist[pending] = 0.0
+    dist[np.concatenate([s + f * n for f, s in enumerate(srcs)])] = 0.0
+    # each field's first front is its rim: an interior source proposes
+    # nothing (module docstring)
+    pending = np.concatenate([r + f * n
+                              for f, r in enumerate(source_rims(mesh, srcs))])
     queued = np.zeros(k * n, dtype=bool)  # marks the pending list
     queued[pending] = True
     act = np.zeros(k * n, dtype=bool)  # expanded in this sweep
@@ -429,10 +524,7 @@ def _sweep(mesh: SurfaceMesh, srcs, limit=None):
             vert = active - field * n
         pending = pending.compress(~keep)
         queued[active] = False
-        lo = ptr.take(vert)
-        cnt = ptr.take(vert + 1) - lo
-        ends = np.cumsum(cnt)
-        pos = np.repeat(lo + cnt - ends, cnt) + np.arange(ends[-1])
+        pos, cnt = _row_entries(ptr, vert)
         # each corner with an expanded support, once: where the vertex is
         # support A, or support B while A was not expanded, and only those
         # ahead of the front; the other corners propose nothing (module

@@ -433,6 +433,31 @@ def test_corner_tables_hold_only_what_the_kernel_reads():
     assert reads.read == set(tab)
 
 
+@pytest.mark.parametrize("adjacency", ["cached", "built"])
+def test_corner_tables_build_frees_as_it_goes(adjacency):
+    # on the 0.26 mm tapered disk, the build's traced peak lies at most
+    # 16 B per corner above what it keeps, whether it finds the adjacency
+    # cached on the mesh or builds it for delta
+    mesh, _config, _truth = make_phantom(PhantomSpec(
+        target_edge_mm=0.26, keep_fraction=0.75, patchiness=4,
+        taper=(2.5, 9.0)))
+    if adjacency == "cached":
+        mesh.adjacency
+    # the first median imports numpy.ma, which is not the tables'
+    _corner_tables(plane_grid(3, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _corner_tables(mesh)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    corners = 3 * mesh.n_triangles
+    assert peak - held <= 16 * corners, (peak - held) / corners
+    # not vacuous: the tables, 60 B per corner, were built in the call
+    assert held - before >= 60 * corners
+
+
 def _batch_case(case):
     """(mesh, source sets) of one batch. On the tapered phantom: its rim and
     patch fields, a lone far vertex and every other vertex, whose sweep
@@ -646,6 +671,73 @@ def test_sweep_keeps_the_triangle_schedule(case):
     if case == "bounded-jittered-grid":
         # not vacuous: the bounds leave vertices unreached
         assert np.isinf(dist).any()
+
+
+def _edge_rim(mesh, src):
+    """The rim of source set src, scanned edge by edge: its vertices with
+    a neighbour outside it, or all of them where none has one."""
+    inside = np.zeros(mesh.n_vertices, dtype=bool)
+    inside[src] = True
+    ends = mesh.edges
+    across = np.zeros(mesh.n_vertices, dtype=bool)
+    across[ends[inside[ends[:, 0]] != inside[ends[:, 1]]]] = True
+    return src[across[src]] if across[src].any() else src
+
+
+def _first_front_case(case):
+    """(mesh, source sets) whose first fronts are checked."""
+    if case == "tapered-patches":
+        return _tapered_patchy_sources()
+    if case == "whole-component":
+        # the first grid's vertices, all of a component: none has a
+        # neighbour outside, so the whole set is its rim
+        return _two_grids(), [np.arange(25), [30], [3, 4, 8, 9, 40]]
+    if case == "unreferenced-vertex":
+        # vertex 35 of a raw mesh lies in no triangle: it has no edge,
+        # alone its whole set is its rim, and beside a grid block it is
+        # not on the rim
+        grid = plane_grid(7, 5)
+        mesh = SurfaceMesh(np.vstack([grid.vertices, [[3.0, 9.0, 0.0]]]),
+                           grid.triangles)
+        return mesh, [[35], [8, 9, 10, 15, 16, 17, 22, 23, 24, 35], [0, 35]]
+    # `geodesic_paths`' fields: one vertex each, its own rim
+    mesh = _jittered_grid()[1]
+    return mesh, [[int(v)] for v in (0, 17, 100, 265)]
+
+
+@pytest.mark.parametrize("case", ["tapered-patches", "whole-component",
+                                  "unreferenced-vertex", "single-vertex"])
+def test_first_sweep_expands_the_rims_only(case, monkeypatch):
+    # an interior source, all of whose neighbours are sources, proposes
+    # nothing, so each field's first front is its rim: the first sweep
+    # reads the incidences of the rims alone, and the rows and sweep
+    # counts are those of the triangle schedule, which starts from every
+    # source
+    mesh, source_sets = _first_front_case(case)
+    srcs = [np.unique(np.asarray(s, dtype=np.int64)) for s in source_sets]
+    rims = geodesics.source_rims(mesh, srcs)
+    want = [_edge_rim(mesh, src) for src in srcs]
+    assert [r.tobytes() for r in rims] == [w.tobytes() for w in want]
+    if case == "single-vertex":
+        assert [r.tobytes() for r in rims] == [s.tobytes() for s in srcs]
+    reads = []
+    front = geodesics._front
+
+    def spy(tab, dist, pos, *rest):
+        reads.append(len(pos))
+        return front(tab, dist, pos, *rest)
+
+    monkeypatch.setattr(geodesics, "_front", spy)
+    dist, sweeps = _sweep(mesh, srcs)
+    valence = np.diff(_corner_tables(mesh)["ptr"])
+    assert reads[0] == sum(valence[r].sum() for r in rims)
+    for src, row, count in zip(srcs, dist, sweeps):
+        want_row, want_sweeps = _triangle_schedule(mesh, src)
+        assert row.tobytes() == want_row.tobytes()
+        assert count == want_sweeps
+    if case == "tapered-patches":
+        # not vacuous: the patches have interior sources
+        assert reads[0] < sum(valence[s].sum() for s in srcs)
 
 
 def _relabelled(mesh, rng):

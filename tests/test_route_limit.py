@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from pvgap import sweep
-from pvgap.gaps import (GapGraph, _graph_arrays, _patch_rims, build_graph,
-                        min_gap_path, patch_fields, route_limit,
-                        solve_gap_graph)
+from pvgap.gaps import (GapGraph, _graph_arrays, build_graph, min_gap_path,
+                        patch_fields, route_limit, solve_gap_graph)
 from pvgap.geodesics import (LIMIT_CADENCE, FieldBatch, distance_transform,
-                             min_interset_distance, trace_path)
+                             min_interset_distance, source_rims, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import THRESHOLD_FACTORS, mip_project, threshold_mask
@@ -243,14 +242,15 @@ def test_a_whole_field_has_no_limit():
 
 def test_a_mask_over_the_whole_area_has_no_rim_and_no_gap():
     """A patch whose vertices have no neighbour outside it takes all of
-    them as its rim (`_patch_rims`); the hook still equals `route_limit` of each
+    them as its rim (`source_rims`); the hook still equals `route_limit` of each
     labeling's rows bit for bit, in a batch with a labeling of several
     patches, and an all-scar case reads RGM 0 at every factor."""
     opened, (lab, *_rest) = _tapered_masks()
     mesh = opened.mesh
     whole = connected_components(mesh, np.ones(mesh.n_vertices, dtype=bool))
     assert whole.count == 1
-    assert _patch_rims(mesh, whole)[0].tobytes() == whole.patches[0].tobytes()
+    assert source_rims(mesh, whole.patches)[0].tobytes() \
+        == whole.patches[0].tobytes()
     want, rows = [], []
     for labeling in (whole, lab):
         part = np.stack([distance_transform(mesh, p).dist
