@@ -10,14 +10,14 @@ minimum geodesic distances between patches; start/end attach to one twin
 pair at a time, and one search over (pair, patch) states covers all pairs.
 
 The solved node sequence is then re-expanded into an explicit encircling
-polyline: gap segments (healthy traverses, from the distance-field trace),
-in-patch links (unconstrained geodesics between consecutive gap extremes),
-and the two rim stubs, which are physically one gap wrapping across the
-seam whenever the crossing vertex itself is not scar. Every healthy
-traverse with an edge is a gap, however short, so no length unit changes
-the gap count. All reported lengths are re-measured from the polylines, so
-ratios are internally consistent even where the solver's field values
-differ at solver accuracy.
+polyline: gap segments (healthy traverses, traced from the patch fields for
+the route's pairs alone), in-patch links (unconstrained geodesics between
+consecutive gap extremes), and the two rim stubs, which are physically one
+gap wrapping across the seam whenever the crossing vertex itself is not
+scar. Every healthy traverse with an edge is a gap, however short, so no
+length unit changes the gap count. All reported lengths are re-measured
+from the polylines, so ratios are internally consistent even where the
+solver's field values differ at solver accuracy.
 """
 
 from __future__ import annotations
@@ -38,20 +38,20 @@ from .mesh import CutMesh, PatchLabeling, checked_mask, connected_components
 class GapGraph:
     """Patch graph of one opened area at one threshold.
 
-    limit is `route_limit` of the graph's entries: the route cost C* with a
-    relative margin of 1e-9, or +inf when no route exists. Every entry above
-    it is +inf, and geometry holds only the pairs at or below it. A route
-    that reads such an entry costs more than C*, so the solve returns the
-    same cost, pair and sequence as on the whole entries, ties included,
-    and the graph is a function of the opened area and the mask alone,
-    whether the patch fields were whole or stopped at a limit (`_sweep`).
+    limit is `route_limit` of the entries: the route cost C* with a relative
+    margin of 1e-9, or +inf when no route exists. Every entry above it is
+    +inf, and geometry lists the edges (i, j), i < j, at or below it. A
+    route that reads such an entry costs more than C*, so the solve returns
+    the same cost, pair and sequence as on the whole entries, ties included,
+    and the graph, numbers only, is a function of the opened area and the
+    mask alone, whether the patch fields were whole or bounded (`_sweep`).
     """
     opened: CutMesh
     scar_mask: np.ndarray
     patches: PatchLabeling
     fields: tuple  # one DistanceField per patch
     weights: np.ndarray  # (n, n) min geodesic distance between patches
-    geometry: dict  # (i, j) i<j -> InterSetDistance, weights[i, j] <= limit
+    geometry: tuple  # named so for perfbench/layers.py (ROADMAP item 4)
     start_w: np.ndarray  # (n, n_pairs) patch distance at side_a twin
     end_w: np.ndarray  # (n, n_pairs) patch distance at side_b twin
     limit: float
@@ -194,8 +194,7 @@ def build_graph(opened: CutMesh, scar_mask: np.ndarray,
     for w in (weights, start_w, end_w):
         w[w > limit] = np.inf
     kept = zip(*np.nonzero(np.triu(weights <= limit, 1)))
-    geometry = {(int(i), int(j)): min_interset_distance(fields[i], fields[j])
-                for i, j in kept}
+    geometry = tuple((int(i), int(j)) for i, j in kept)
     return GapGraph(opened=opened, scar_mask=scar_mask, patches=patches,
                     fields=fields, weights=weights, geometry=geometry,
                     start_w=start_w, end_w=end_w, limit=limit)
@@ -365,7 +364,7 @@ def _plan_loop(graph: GapGraph) -> _RoutePlan:
 
 
 def _plan_route(graph: GapGraph) -> _RoutePlan:
-    """Solve the route, trace its stubs and orient its pieces."""
+    """Solve the route, trace its stubs and gaps and orient its pieces."""
     if not graph.n_patches:
         return _plan_loop(graph)
     k, seq = solve_gap_graph(graph.weights, graph.start_w, graph.end_w)[1:]
@@ -373,9 +372,10 @@ def _plan_route(graph: GapGraph) -> _RoutePlan:
     stub_a = trace_path(graph.fields[seq[0]], int(opened.side_a[k]))
     stub_b = trace_path(graph.fields[seq[-1]],
                         int(opened.side_b[k])).reversed()
-    route = []  # stored geometry runs lo -> hi
+    route = []  # traced lo -> hi: the direction breaks the trace's ties
     for prev, nxt in zip(seq, seq[1:]):
-        gap = graph.geometry[(min(prev, nxt), max(prev, nxt))].path
+        lo, hi = sorted((prev, nxt))
+        gap = min_interset_distance(graph.fields[lo], graph.fields[hi]).path
         route.append(gap.reversed() if prev > nxt else gap)
     return _RoutePlan(graph=graph, pair_index=k, node_sequence=seq,
                       pieces=(("stub", stub_a), *[("gap", g) for g in route],

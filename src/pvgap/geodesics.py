@@ -139,8 +139,12 @@ bit-equal to the whole field's. What each caller reads lies there:
 - the guessed loop's row is exact at or below its length.
 A field's bound reads its own row (a route bound, its mask's rows) and no
 other field of its batch, so the field's bits and sweep counts are the
-same batched or alone. A `FieldBatch` field records the hook's bound on
-the final rows as its `limit`, at most the last bound used.
+same batched or alone. One hook is the exception: the guessed loop bounds
+its batch partner, the lower-bound field from all side_a rims, by the
+guess field's value at the guessed pair's side_b twin, so that field's
+bits and sweep counts depend on the guess it runs with. A `FieldBatch`
+field records the hook's bound on the final rows as its `limit`, at most
+the last bound used.
 
 Corners follow the half-edge numbering of `SurfaceMesh`: with m triangles,
 corner q = r*m + t is vertex r of triangle t, and the triangle's next two
@@ -402,7 +406,9 @@ class DistanceField:
     1-Lipschitz along edges. sweeps counts the buckets the transform
     expanded, the last one included (it found nothing to lower). It depends
     on the mesh and the sources only (with a limit hook, on the fields of
-    the same mask too), not on the other fields of a batch.
+    the same mask too), not on the other fields of a batch; the one
+    exception is `gaps._plan_loop`'s lower-bound field, which its hook
+    bounds by the guessed loop's field, at that loop's side_b twin.
 
     limit is +inf for a whole field. A field of a `FieldBatch` with a limit
     hook is exact at or below its limit only; above it the values may be

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from pvgap import gaps, geodesics
 from pvgap.errors import AreaError, TopologyError
 from pvgap.gaps import (RouteBatch, _links, build_graph, min_gap_path,
                         solve_gap_graph)
 from pvgap.geodesics import (FieldBatch, distance_transform, geodesic_path,
-                             trace_path)
+                             min_interset_distance, trace_path)
 from pvgap.mesh import SurfaceMesh, connected_components
 from pvgap.regions import build_search_area, open_area
 from pvgap.scar import threshold_mask
@@ -148,10 +149,11 @@ def test_build_graph_structure():
     n_pairs = len(opened.side_a)
     assert graph.start_w.shape == (n, n_pairs)
     assert graph.end_w.shape == (n, n_pairs)
-    for (i, j), isd in graph.geometry.items():
+    for i, j in graph.geometry:
         assert i < j
+        isd = min_interset_distance(graph.fields[i], graph.fields[j])
         assert graph.weights[i, j] == isd.distance
-        # stored polyline starts on patch i and ends on patch j
+        # the traced polyline starts on patch i and ends on patch j
         assert graph.patches.labels[isd.path.vertex_ids[0]] == i
         assert graph.patches.labels[isd.path.vertex_ids[-1]] == j
     # start weights vanish exactly on patches containing a side_a vertex
@@ -406,9 +408,40 @@ def test_patchy_phantom_counts_and_ratio():
                                      graph.end_w)
     for a, b in zip(seq, seq[1:]):
         lo, hi = (a, b) if a < b else (b, a)
-        isd = graph.geometry[(lo, hi)]
+        isd = min_interset_distance(graph.fields[lo], graph.fields[hi])
         # traced vertex polylines can only overshoot the field distance
         assert isd.distance - 1e-9 <= isd.path.length <= 1.1 * isd.distance
+
+
+def test_only_the_route_traces_its_gaps(monkeypatch):
+    # the graph holds numbers only: building it traces no patch pair, and
+    # the route traces each of its own pairs once, low patch to high
+    spec = PhantomSpec(keep_fraction=0.6, patchiness=3, seed=5)
+    opened, mask, _ = _opened_with_mask(spec)
+    calls, traces = [], []
+    real_interset = gaps.min_interset_distance
+    real_trace = geodesics.trace_path
+
+    def interset(field_a, field_b):
+        calls.append((field_a, field_b))
+        return real_interset(field_a, field_b)
+
+    def trace(*args, **kwargs):
+        traces.append(args)
+        return real_trace(*args, **kwargs)
+
+    monkeypatch.setattr(gaps, "min_interset_distance", interset)
+    monkeypatch.setattr(gaps, "trace_path", trace)
+    monkeypatch.setattr(geodesics, "trace_path", trace)
+    graph = build_graph(opened, mask)
+    assert calls == [] and traces == []
+    assert len(graph.geometry) == 6
+    seq = min_gap_path(graph).node_sequence
+    assert len(seq) - 1 == 4
+    assert len(calls) == len(seq) - 1
+    for (field_a, field_b), (a, b) in zip(calls, zip(seq, seq[1:])):
+        assert field_a is graph.fields[min(a, b)]
+        assert field_b is graph.fields[max(a, b)]
 
 
 # the keep-0.5, patchiness-2, seed-3 disk at 0.5 mm lists gaps of 1.153,

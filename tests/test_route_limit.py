@@ -6,6 +6,7 @@ The oracle is the patch graph as it was built from whole fields: one lone
 the whole rim rows, with no limit.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -55,12 +56,11 @@ def _whole_graph(opened, mask, patches=None, batch=None):
     fields = tuple(distance_transform(mesh, p) for p in patches.patches)
     n = patches.count
     weights = np.zeros((n, n))
-    geometry = {}
     for i in range(n):
         for j in range(i + 1, n):
             isd = min_interset_distance(fields[i], fields[j])
-            geometry[(i, j)] = isd
             weights[i, j] = weights[j, i] = isd.distance
+    geometry = tuple(itertools.combinations(range(n), 2))
     rim = [np.stack([f.dist[side] for f in fields]) if n
            else np.zeros((0, len(side)))
            for side in (opened.side_a, opened.side_b)]

@@ -57,7 +57,7 @@ def test_graph_counters_read_a_real_graph(monkeypatch):
     assert n >= 2
     counts = _graph((opened, mask), {}, graph)
     assert counts["patches"] == n
-    # the graph keeps the geometry of the pairs at or below its limit only
+    # the graph's edges are the pairs at or below its limit only
     kept = int(np.triu(graph.weights <= graph.limit, 1).sum())
     assert 0 < kept < n * (n - 1) // 2
     assert counts["geometries"] == kept
